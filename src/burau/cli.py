@@ -24,26 +24,24 @@ from .complexes import (
     projective,
     render_hom_table,
 )
-from .criteria import KernelCertificate, Rejection, criterion1, graph_json
+from .criteria import KernelCertificate, criterion1, graph_json
 from .fixtures import D4_MODULI, affine_fixture, d4_fixture
 from .garside import NotFiniteType
-from .graphs import CoxeterGraph, load_graph, word_from_string
+from .graphs import load_graph, word_from_string
 from .laurent import ZZ, IntegersMod
 from .matrices import act, basis_vector, form_from_name, pairing, word_matrix
-from .search import bucket_search, confirm_pair, enumerate_curves, find_pairs
+from .search import (
+    bucket_search,
+    confirm_pair,
+    enumerate_curves,
+    find_pairs,
+    verify_bigelow3,
+)
 from .zigzag import zigzag
 
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
-
-
-def _graph(spec: str) -> CoxeterGraph:
-    return load_graph(spec)
-
-
-def _word(text: str) -> tuple:
-    return word_from_string(text)
 
 
 def _ring(args) -> object:
@@ -57,7 +55,7 @@ def _emit(args, human: str, machine) -> None:
         print(human)
 
 
-def _verify_one(name: str, emit_json: bool):
+def _verify_one(name: str):
     """Run one named fixture end to end.  Returns (passed, payload)."""
     if name in ("affine-a3", "affine-a3-variant"):
         fixture = affine_fixture(variant=name.endswith("variant"))
@@ -66,15 +64,10 @@ def _verify_one(name: str, emit_json: bool):
     else:
         p = int(name.split("-")[-1])
         fixture = d4_fixture(p)
-        from .search import verify_bigelow3
-
         (beta, i) = fixture.witnesses[0]
         outcome = verify_bigelow3(fixture.graph, beta, i, p)
-    if isinstance(outcome, KernelCertificate) and outcome.verified:
-        return True, outcome.to_json()
-    if isinstance(outcome, Rejection):
-        return False, outcome.to_json()
-    return False, outcome.to_json()
+    ok = isinstance(outcome, KernelCertificate) and outcome.verified
+    return ok, outcome.to_json()
 
 
 def cmd_verify(args) -> int:
@@ -95,7 +88,7 @@ def cmd_verify(args) -> int:
     payloads = {}
     all_ok = True
     for name in names:
-        ok, payload = _verify_one(name, args.json)
+        ok, payload = _verify_one(name)
         payloads[name] = payload
         all_ok = all_ok and ok
         if not args.json:
@@ -110,27 +103,27 @@ def cmd_verify(args) -> int:
 
 
 def cmd_burau(args) -> int:
-    g = _graph(args.graph)
+    g = load_graph(args.graph)
     form = form_from_name(args.form)
-    m = word_matrix(g, _word(args.word), form, _ring(args))
+    m = word_matrix(g, word_from_string(args.word), form, _ring(args))
     _emit(args, str(m), m.to_json())
     return EXIT_OK
 
 
 def cmd_pairing(args) -> int:
-    g = _graph(args.graph)
+    g = load_graph(args.graph)
     form = form_from_name(args.form)
     ring = _ring(args)
-    x = act(g, _word(args.w1), basis_vector(g, args.i1, ring), form)
-    y = act(g, _word(args.w2), basis_vector(g, args.i2, ring), form)
+    x = act(g, word_from_string(args.w1), basis_vector(g, args.i1, ring), form)
+    y = act(g, word_from_string(args.w2), basis_vector(g, args.i2, ring), form)
     p = pairing(x, y, form)
     _emit(args, str(p), {"pairing": str(p), "terms": p.to_json_terms()})
     return EXIT_OK
 
 
 def cmd_twist(args) -> int:
-    g = _graph(args.graph)
-    cx = act_complex(g, _word(args.word), projective(zigzag(g), args.start))
+    g = load_graph(args.graph)
+    cx = act_complex(g, word_from_string(args.word), projective(zigzag(g), args.start))
     k0 = k0_class(cx)
     spherical = is_spherical(cx)
     human = "\n".join(
@@ -148,10 +141,10 @@ def cmd_twist(args) -> int:
 
 
 def cmd_hom(args) -> int:
-    g = _graph(args.graph)
+    g = load_graph(args.graph)
     algebra = zigzag(g)
-    cx = act_complex(g, _word(args.w1), projective(algebra, args.i1))
-    cy = act_complex(g, _word(args.w2), projective(algebra, args.i2))
+    cx = act_complex(g, word_from_string(args.w1), projective(algebra, args.i1))
+    cy = act_complex(g, word_from_string(args.w2), projective(algebra, args.i2))
     table = hom_table(cx, cy)
     euler = euler_pairing(cx, cy)
     human = "\n".join([render_hom_table(table), f"Euler pairing: {euler}"])
@@ -165,7 +158,7 @@ def cmd_hom(args) -> int:
 
 
 def cmd_search(args) -> int:
-    g = _graph(args.graph)
+    g = load_graph(args.graph)
     if args.kind == "curves":
         store = enumerate_curves(g, budget=args.budget)
         pairs = find_pairs(store, criterion=args.criterion, limit=args.limit)
@@ -179,8 +172,6 @@ def cmd_search(args) -> int:
                 "graph": graph_json(g),
                 "kind": "curves",
                 "budget": args.budget,
-                "seed": args.seed,
-                "workers": args.workers,
                 "criterion": args.criterion,
             },
             "store_size": len(store),

@@ -134,11 +134,6 @@ class KernelCertificate:
         }
 
 
-def twisted_generator_word(w, i: int) -> tuple:
-    """The twist along the curve w(alpha_i), spelled as w . sigma_i . w^{-1}."""
-    return conjugated_generator(w, i)
-
-
 def verify_kernel_word(cert: KernelCertificate) -> bool:
     """Recompute the Burau matrix of the certificate's kernel word over its
     own ring and form, and compare with the identity.  The final gate."""
@@ -190,8 +185,8 @@ def criterion1(w1, i1: int, w2, i2: int, g: CoxeterGraph):
             "no morphisms between the twisted projectives: the commutator "
             "is the trivial braid for categorical reasons",
         )
-    t1 = twisted_generator_word(w1, i1)
-    t2 = twisted_generator_word(w2, i2)
+    t1 = conjugated_generator(w1, i1)
+    t2 = conjugated_generator(w2, i2)
     kernel = t1 + t2 + inverse_word(t1) + inverse_word(t2)
     cert = KernelCertificate(
         graph=g,
@@ -213,15 +208,8 @@ def criterion2(w1, i1: int, w2, i2: int, g: CoxeterGraph):
     dimension exceeds one.  The kernel word is the braid-relator word of the
     two twists."""
     p = _pair_data(g, w1, i1, w2, i2)
-    mono = p.as_monomial()
-    ok = False
-    shift = None
-    if mono is not None:
-        exponent, coeff = mono
-        if coeff == p.ring.normalize(1) or coeff == p.ring.normalize(-1):
-            ok = True
-            shift = exponent
-    if not ok:
+    power = p.signed_q_power()
+    if power is None:
         return Rejection(
             CRITERION_BRAID_RELATOR,
             "pairing",
@@ -235,8 +223,8 @@ def criterion2(w1, i1: int, w2, i2: int, g: CoxeterGraph):
             f"total hom dimension is {total}, expected more than 1: the "
             "relator word is the trivial braid for categorical reasons",
         )
-    t1 = twisted_generator_word(w1, i1)
-    t2 = twisted_generator_word(w2, i2)
+    t1 = conjugated_generator(w1, i1)
+    t2 = conjugated_generator(w2, i2)
     kernel = t1 + t2 + t1 + inverse_word(t2) + inverse_word(t1) + inverse_word(t2)
     cert = KernelCertificate(
         graph=g,
@@ -246,7 +234,7 @@ def criterion2(w1, i1: int, w2, i2: int, g: CoxeterGraph):
         ring=ZZ,
         form=STANDARD,
         pairing=str(p),
-        normalizing_shift=shift,
+        normalizing_shift=power[0],
         hom_table=table,
         total_hom_dim=total,
     )

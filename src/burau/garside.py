@@ -1,12 +1,15 @@
 """Dual Garside structure for finite simply-laced Coxeter graphs.
 
-The Coxeter group is enumerated exactly through its geometric representation
-(the q = -1 Burau matrices, which are faithful), so group elements are
-interned integer matrices and equality is matrix equality.  On top of that
-live the reflections, the interval [1, gamma] under reflection length, dual
-braid lifts constructed by Hurwitz moves from the defining factorization
-gamma = s_1 ... s_n, and the right-greedy normal form that solves the braid
-word problem.
+Nothing here enumerates the Coxeter group.  Group elements are exact integer
+matrices at q = -1 (the geometric representation, which is faithful), and
+reflection length is rank(w - 1) (Carter's lemma).  The reflections are the
+conjugates of the simple reflections; the interval [1, gamma] is found by a
+breadth-first search over right multiplication by reflections, keeping u = w t
+exactly when l(u) + l(u^-1 gamma) = n (Bessis, "The dual braid monoid").
+Every element the library holds is an interval element, interned by its
+matrix.  On top of that live dual braid lifts constructed by Hurwitz moves
+from the defining factorization gamma = s_1 ... s_n, and the right-greedy
+normal form that solves the braid word problem.
 
 Normal forms are maintained incrementally: positive letters append an atom,
 negative letters borrow gamma^{-1} and append the complementary simple, and a
@@ -21,13 +24,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .graphs import INF, CoxeterGraph, inverse_word, validate_word
 from .laurent import ZZ
 from .matrices import STANDARD, generator_matrix
-
-MAX_GROUP_SIZE = 10**6
-
 
 class NotFiniteType(ValueError):
     """Raised when a graph is not of finite Coxeter type."""
@@ -138,10 +139,57 @@ class GarsideNF:
         return f"gamma^{self.k} . [{inner}]"
 
 
-class DualGarside:
-    """All the tables for one graph and one Coxeter element order."""
+def _reflections(atoms: list) -> list:
+    """The closure of the simple reflections under conjugation by the
+    generators: the atoms in vertex order, then the rest sorted by matrix."""
+    found = set(atoms)
+    frontier = list(atoms)
+    while frontier:
+        new = []
+        for t in frontier:
+            for s in atoms:
+                u = _mat_mul(_mat_mul(s, t), s)
+                if u not in found:
+                    found.add(u)
+                    new.append(u)
+        frontier = new
+    return atoms + sorted(found.difference(atoms))
 
-    def __init__(self, graph: CoxeterGraph, order=None, max_size=MAX_GROUP_SIZE):
+
+def _mat_mul(a: tuple, b: tuple) -> tuple:
+    cols = tuple(zip(*b))
+    return tuple(
+        tuple(sum(map(mul, row, col)) for col in cols) for row in a
+    )
+
+
+def _moved_rank(m: tuple) -> int:
+    """rank(m - 1) by fraction-free (Bareiss) integer elimination.  For a
+    group element this is its reflection length (Carter's lemma)."""
+    n = len(m)
+    rows = [[m[i][j] - (i == j) for j in range(n)] for i in range(n)]
+    rank, prev = 0, 1
+    for col in range(n):
+        pivot = next((r for r in range(rank, n) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        pv = top[col]
+        for r in range(rank + 1, n):
+            f = rows[r][col]
+            rows[r] = [(pv * x - f * y) // prev for x, y in zip(rows[r], top)]
+        prev = pv
+        rank += 1
+    return rank
+
+
+class DualGarside:
+    """The interval [1, gamma] of one graph and one Coxeter element order,
+    with the tables the normal form needs.  Element ids index `matrices`;
+    id 0 is the identity and ids 1..N are the reflections."""
+
+    def __init__(self, graph: CoxeterGraph, order=None):
         if not _finite_simply_laced(graph):
             raise NotFiniteType(
                 "the dual Garside structure needs a finite simply-laced graph "
@@ -152,143 +200,93 @@ class DualGarside:
         self.order = tuple(order) if order is not None else tuple(graph.vertices())
         if sorted(self.order) != list(graph.vertices()):
             raise ValueError("order must be a permutation of the vertices")
-
-        gens = []
-        for i in graph.vertices():
-            m = generator_matrix(graph, i, 1, STANDARD, ZZ)
-            gens.append(
-                tuple(tuple(e.evaluate(-1) for e in row) for row in m.rows)
-            )
-        self._enumerate(gens, max_size)
-        self.identity = 0
-        self.gamma = self._fold(self.identity, self.order)
         self.gamma_word = self.order
 
-        self._build_mult_table()
-        self.inv = [self._invert(w) for w in range(self.size)]
-        self._find_reflections()
-        self._reflection_lengths()
-        if self.ell[self.gamma] != self.n:
+        atoms = []
+        for i in graph.vertices():
+            m = generator_matrix(graph, i, 1, STANDARD, ZZ)
+            atoms.append(tuple(tuple(e.evaluate(-1) for e in row) for row in m.rows))
+        gamma = atoms[self.order[0] - 1]
+        gamma_inv = gamma
+        for i in self.order[1:]:
+            gamma = _mat_mul(gamma, atoms[i - 1])
+            gamma_inv = _mat_mul(atoms[i - 1], gamma_inv)
+        refls = _reflections(atoms)
+        self._build_interval(refls, gamma)
+        self.identity = 0
+        self.gamma = self.index.get(gamma)
+        if self.gamma is None or self.ell[self.gamma] != self.n:
             raise AssertionError("gamma should have reflection length n")
-        self.interval_ids = [
-            w
-            for w in range(self.size)
-            if self.ell[w] + self.ell[self.mult(self.inv[w], self.gamma)] == self.n
-        ]
-        self.in_interval = [False] * self.size
-        for w in self.interval_ids:
-            self.in_interval[w] = True
-        # reflections that strip one unit of length from the right
-        self.rdiv = [()] * self.size
-        for w in self.interval_ids:
-            self.rdiv[w] = tuple(
-                t for t in self.refl_ids if self.ell[self.mult(w, t)] == self.ell[w] - 1
-            )
+        self._gamma_inv = gamma_inv
+        self.refl_ids = list(range(1, len(refls) + 1))
+        self.atom_ids = {i: i for i in graph.vertices()}
+        self.gamma_atom_ids = {
+            i: self.product(self.gamma, i) for i in graph.vertices()
+        }
         self.phi = [
-            self.mult(self.mult(self.gamma, w), self.inv[self.gamma])
-            for w in range(self.size)
+            self.index[_mat_mul(_mat_mul(gamma, m), gamma_inv)] for m in self.matrices
         ]
-        self.phi_inv = [0] * self.size
+        self.phi_inv = [0] * len(self.phi)
         for w, img in enumerate(self.phi):
             self.phi_inv[img] = w
-        self.atom_ids = {i: self.rg[self.identity][i - 1] for i in graph.vertices()}
         self._lifts: dict[int, tuple] | None = None
         self._simple_lift_cache: dict[int, tuple] = {}
         self._simple_cache: dict[int, DualSimple] = {}
 
-    # ---- group enumeration ------------------------------------------------
+    # ---- the interval ------------------------------------------------------
 
-    def _enumerate(self, gens, max_size) -> None:
+    def _build_interval(self, refls: list, gamma: tuple) -> None:
+        """Breadth-first search from the identity by right multiplication with
+        reflections.  Each element w keeps its complement w^-1 gamma, and
+        u = w t joins the interval iff l(t w^-1 gamma) = n - l(w) - 1.  Every
+        reflection lies below gamma, so the reflections take ids 1..N in the
+        given order."""
         n = self.n
-        ident = tuple(
-            tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-        )
-        index = {ident: 0}
-        mats = [ident]
-        words: list[tuple] = [()]
-        rg: list[list[int]] = []
-        queue = deque([0])
-        while queue:
-            w = queue.popleft()
-            row = []
-            base = mats[w]
-            for gi, gmat in enumerate(gens):
-                prod = tuple(
-                    tuple(
-                        sum(base[i][k] * gmat[k][j] for k in range(n))
-                        for j in range(n)
-                    )
-                    for i in range(n)
-                )
-                idx = index.get(prod)
-                if idx is None:
-                    idx = len(mats)
-                    if idx >= max_size:
-                        raise NotFiniteType(
-                            f"group enumeration exceeded {max_size} elements"
-                        )
-                    index[prod] = idx
-                    mats.append(prod)
-                    words.append(words[w] + (gi + 1,))
-                    queue.append(idx)
-                row.append(idx)
-            rg.append(row)
-        self.size = len(mats)
-        self.matrices = mats
-        self.words = words
-        self.rg = rg
+        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        self.matrices = [ident]
+        self.index = {ident: 0}
+        self.ell = [0]
+        self._complement = [gamma]
+        rdiv: list[list[int]] = [[]]
+        # memoised products: (a, b) -> id of a.b, or -1 outside the interval
+        self._products: dict[tuple, int] = {}
+        level = [0]
+        while level:
+            nxt = []
+            for w in level:
+                target = n - self.ell[w] - 1
+                for k, t in enumerate(refls, start=1):
+                    u = _mat_mul(self.matrices[w], t)
+                    uid = self.index.get(u)
+                    if uid is None:
+                        comp = _mat_mul(t, self._complement[w])
+                        if _moved_rank(comp) != target:
+                            self._products[(w, k)] = -1
+                            continue
+                        uid = len(self.matrices)
+                        self.index[u] = uid
+                        self.matrices.append(u)
+                        self.ell.append(self.ell[w] + 1)
+                        self._complement.append(comp)
+                        rdiv.append([])
+                        nxt.append(uid)
+                    self._products[(w, k)] = uid
+                    if self.ell[uid] == self.ell[w] + 1:
+                        rdiv[uid].append(k)
+            level = nxt
+        if any(self.index.get(t) != k for k, t in enumerate(refls, start=1)):
+            raise AssertionError("every reflection should lie below gamma")
+        # reflections that strip one unit of length from the right; they are
+        # also the left divisors, since l(w t) = l(t (w t) t) = l(t w)
+        self.rdiv = [tuple(sorted(r)) for r in rdiv]
 
-    def _fold(self, start: int, letters) -> int:
-        w = start
-        for i in letters:
-            w = self.rg[w][i - 1]
-        return w
-
-    def _build_mult_table(self) -> None:
-        if self.size <= 1024:
-            self._table = [
-                [self._fold(a, self.words[b]) for b in range(self.size)]
-                for a in range(self.size)
-            ]
-        else:
-            self._table = None
-
-    def mult(self, a: int, b: int) -> int:
-        if self._table is not None:
-            return self._table[a][b]
-        return self._fold(a, self.words[b])
-
-    def _invert(self, w: int) -> int:
-        out = self.identity
-        for i in reversed(self.words[w]):
-            out = self.rg[out][i - 1]
-        return out
-
-    def _find_reflections(self) -> None:
-        atoms = [self.rg[self.identity][i] for i in range(self.n)]
-        found = set()
-        for w in range(self.size):
-            wi = self._invert(w)
-            for s in atoms:
-                found.add(self.mult(self.mult(w, s), wi))
-        others = sorted(
-            (t for t in found if t not in atoms),
-            key=lambda t: self.matrices[t],
-        )
-        self.refl_ids = atoms + others
-
-    def _reflection_lengths(self) -> None:
-        ell = [-1] * self.size
-        ell[self.identity] = 0
-        queue = deque([self.identity])
-        while queue:
-            w = queue.popleft()
-            for t in self.refl_ids:
-                u = self.mult(w, t)
-                if ell[u] < 0:
-                    ell[u] = ell[w] + 1
-                    queue.append(u)
-        self.ell = ell
+    def product(self, a: int, b: int) -> int | None:
+        """The id of a.b, or None when the product leaves the interval."""
+        got = self._products.get((a, b))
+        if got is None:
+            got = self.index.get(_mat_mul(self.matrices[a], self.matrices[b]), -1)
+            self._products[(a, b)] = got
+        return got if got >= 0 else None
 
     # ---- braid lifts -------------------------------------------------------
 
@@ -296,7 +294,18 @@ class DualGarside:
         """One fixed braid word per reflection, read off the Hurwitz orbit of
         the defining factorization gamma = s_{o1} ... s_{on}.  Hurwitz moves
         are braid-level identities, so which orbit path finds a reflection
-        first does not affect the braid it lifts to."""
+        first does not affect the braid it lifts to.  The search stops once
+        every reflection has its first lift."""
+        conjugates: dict[tuple, int] = {}
+
+        def conjugate(a: int, b: int) -> int:
+            got = conjugates.get((a, b))
+            if got is None:
+                ma = self.matrices[a]
+                got = self.index[_mat_mul(_mat_mul(ma, self.matrices[b]), ma)]
+                conjugates[(a, b)] = got
+            return got
+
         start_fact = tuple(self.atom_ids[i] for i in self.order)
         start_lift = tuple((i,) for i in self.order)
         lifts: dict[int, tuple] = {}
@@ -307,27 +316,24 @@ class DualGarside:
             for t, lw in zip(fact, lift):
                 if t not in lifts:
                     lifts[t] = lw
+            if len(lifts) == len(self.refl_ids):
+                return lifts
             for pos in range(self.n - 1):
                 a, b = fact[pos], fact[pos + 1]
                 la, lb = lift[pos], lift[pos + 1]
-                aba = self.mult(self.mult(a, b), a)
-                left = fact[:pos] + (aba, a) + fact[pos + 2 :]
+                left = fact[:pos] + (conjugate(a, b), a) + fact[pos + 2 :]
                 if left not in seen:
                     seen.add(left)
                     queue.append(
                         (left, lift[:pos] + (la + lb + inverse_word(la), la) + lift[pos + 2 :])
                     )
-                bab = self.mult(self.mult(b, a), b)
-                right = fact[:pos] + (b, bab) + fact[pos + 2 :]
+                right = fact[:pos] + (b, conjugate(b, a)) + fact[pos + 2 :]
                 if right not in seen:
                     seen.add(right)
                     queue.append(
                         (right, lift[:pos] + (lb, inverse_word(lb) + la + lb) + lift[pos + 2 :])
                     )
-        missing = [t for t in self.refl_ids if t not in lifts]
-        if missing:
-            raise AssertionError("Hurwitz orbit missed some reflections")
-        return lifts
+        raise AssertionError("Hurwitz orbit missed some reflections")
 
     @property
     def reflection_lifts(self) -> dict[int, tuple]:
@@ -341,30 +347,19 @@ class DualGarside:
         if w == self.identity:
             return ()
         cached = self._simple_lift_cache.get(w)
-        if cached is not None:
-            return cached
-        if not self.in_interval[w]:
-            raise ValueError("only interval elements have canonical lifts")
-        lifts = self.reflection_lifts
-        for t in self.refl_ids:
-            if self.ell[self.mult(w, t)] == self.ell[w] - 1:
-                word = self.simple_lift(self.mult(w, t)) + lifts[t]
-                self._simple_lift_cache[w] = word
-                return word
-        raise AssertionError("unreachable: positive-length element with no divisor")
+        if cached is None:
+            t = self.rdiv[w][0]
+            cached = self.simple_lift(self.product(w, t)) + self.reflection_lifts[t]
+            self._simple_lift_cache[w] = cached
+        return cached
 
     def simple(self, w: int) -> DualSimple:
         got = self._simple_cache.get(w)
         if got is None:
-            divisors = tuple(
-                idx + 1
-                for idx, t in enumerate(self.refl_ids)
-                if self.ell[self.mult(t, w)] == self.ell[w] - 1
-            )
             got = DualSimple(
                 matrix=self.matrices[w],
                 length=self.ell[w],
-                divisor_reflections=divisors,
+                divisor_reflections=self.rdiv[w],  # a reflection's id is its position
                 lift=self.simple_lift(w),
             )
             self._simple_cache[w] = got
@@ -372,16 +367,22 @@ class DualGarside:
 
     # ---- divisibility ------------------------------------------------------
 
+    def _inverse(self, a: int) -> tuple:
+        return _mat_mul(self._complement[a], self._gamma_inv)
+
     def left_divides(self, a: int, b: int) -> bool:
-        return self.ell[a] + self.ell[self.mult(self.inv[a], b)] == self.ell[b]
+        rest = _mat_mul(self._inverse(a), self.matrices[b])
+        return self.ell[a] + _moved_rank(rest) == self.ell[b]
 
     def right_divides(self, a: int, b: int) -> bool:
-        return self.ell[self.mult(b, self.inv[a])] + self.ell[a] == self.ell[b]
+        rest = _mat_mul(self.matrices[b], self._inverse(a))
+        return _moved_rank(rest) + self.ell[a] == self.ell[b]
 
     def gamma_order(self) -> int:
-        k, w = 1, self.gamma
-        while w != self.identity:
-            w = self.mult(w, self.gamma)
+        gamma = self.matrices[self.gamma]
+        k, m = 1, gamma
+        while m != self.matrices[self.identity]:
+            m = _mat_mul(m, gamma)
             k += 1
         return k
 
@@ -423,9 +424,8 @@ class _NFState:
     def from_nf(ctx: DualGarside, nf: GarsideNF) -> "_NFState":
         state = _NFState(ctx)
         state.k = nf.k
-        index = {m: i for i, m in enumerate(ctx.matrices)}
         for s in nf.simples:
-            state._append(index[s.matrix])
+            state._append(ctx.index[s.matrix])
         state._drain()
         return state
 
@@ -478,7 +478,9 @@ class _NFState:
             self.k -= 1
             for nid in self.value:
                 self.value[nid] = ctx.phi[self.value[nid]]
-            self._append(ctx.mult(ctx.gamma, ctx.atom_ids[-letter]))
+            # gamma s_i has length n - 1, so it is the identity only on one vertex
+            if ctx.gamma_atom_ids[-letter] != ctx.identity:
+                self._append(ctx.gamma_atom_ids[-letter])
         self._drain()
 
     def push_simple(self, w: int) -> None:
@@ -502,14 +504,14 @@ class _NFState:
             left, right = self.value[nid], self.value[mid]
             slid = None
             for mu in ctx.rdiv[left]:
-                cand = ctx.mult(mu, right)
-                if ctx.in_interval[cand] and ctx.ell[cand] == ctx.ell[right] + 1:
+                cand = ctx.product(mu, right)
+                if cand is not None and ctx.ell[cand] == ctx.ell[right] + 1:
                     slid = (mu, cand)
                     break
             if slid is None:
                 continue
             mu, cand = slid
-            new_left = ctx.mult(left, mu)
+            new_left = ctx.product(left, mu)
             self.value[mid] = cand
             if new_left == ctx.identity:
                 before = self.prv[nid]
@@ -546,8 +548,14 @@ def garside_context(g: CoxeterGraph, order=None) -> DualGarside:
     return DualGarside(g, order)
 
 
+def _context(g: CoxeterGraph, order) -> DualGarside:
+    """The cached context, looked up as `garside_context(g)` for the default
+    order: `garside_context(g, None)` would be a second cache entry."""
+    return garside_context(g) if order is None else garside_context(g, order)
+
+
 def coxeter_element(g: CoxeterGraph, order=None) -> CoxeterElt:
-    ctx = garside_context(g, order)
+    ctx = _context(g, order)
     return CoxeterElt(ctx.matrices[ctx.gamma])
 
 
@@ -557,23 +565,20 @@ def reflections(g: CoxeterGraph) -> list[CoxeterElt]:
 
 
 def interval(g: CoxeterGraph, order=None) -> list[DualSimple]:
-    ctx = garside_context(g, order)
-    return [ctx.simple(w) for w in ctx.interval_ids]
+    ctx = _context(g, order)
+    return [ctx.simple(w) for w in range(len(ctx.matrices))]
 
 
 def _resolve(ctx: DualGarside, x) -> int:
-    if isinstance(x, (CoxeterElt, DualSimple)):
-        key = x.matrix
-    else:
-        key = x
-    for idx, m in enumerate(ctx.matrices):
-        if m == key:
-            return idx
-    raise ValueError("element does not belong to this group")
+    key = x.matrix if isinstance(x, (CoxeterElt, DualSimple)) else x
+    idx = ctx.index.get(key)
+    if idx is None:
+        raise ValueError("element does not belong to the interval [1, gamma]")
+    return idx
 
 
 def divides(g: CoxeterGraph, a, b, order=None, side: str = "left") -> bool:
-    ctx = garside_context(g, order)
+    ctx = _context(g, order)
     ai, bi = _resolve(ctx, a), _resolve(ctx, b)
     if side == "left":
         return ctx.left_divides(ai, bi)
@@ -583,7 +588,7 @@ def divides(g: CoxeterGraph, a, b, order=None, side: str = "left") -> bool:
 
 
 def word_to_nf(g: CoxeterGraph, word, order=None) -> GarsideNF:
-    return garside_context(g, order).normal_form(word)
+    return _context(g, order).normal_form(word)
 
 
 def is_trivial_braid(g: CoxeterGraph, word, order=None) -> bool:
@@ -611,7 +616,7 @@ def samecurve_check(g: CoxeterGraph, word, i: int, order=None) -> SamecurveRepor
     braid's rightmost factor clean: no gamma power, appending sigma_i simply
     extends the factor list, and the atom s_i does not divide the last factor.
     Reported separately; nothing is assumed about the input word."""
-    ctx = garside_context(g, order)
+    ctx = _context(g, order)
     nf = ctx.normal_form(word)
     appended = ctx.normal_form_of_nf_times_letter(nf, i)
     cond1 = nf.k == 0
@@ -622,7 +627,7 @@ def samecurve_check(g: CoxeterGraph, word, i: int, order=None) -> SamecurveRepor
         and appended.simples[-1].matrix == ctx.matrices[ctx.atom_ids[i]]
     )
     if nf.simples:
-        last = _resolve(ctx, nf.simples[-1])
+        last = ctx.index[nf.simples[-1].matrix]
         cond3 = not ctx.left_divides(ctx.atom_ids[i], last)
     else:
         cond3 = True

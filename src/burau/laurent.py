@@ -183,6 +183,17 @@ class LaurentPoly:
             return self.terms[0]
         return None
 
+    def signed_q_power(self):
+        """Return (exponent, sign) if self is sign * q^exponent with sign +1
+        or -1, else None.  +1 is tried first, so over Z/2 the sign is 1."""
+        mono = self.as_monomial()
+        if mono is not None:
+            exponent, coeff = mono
+            for sign in (1, -1):
+                if coeff == self.ring.normalize(sign):
+                    return exponent, sign
+        return None
+
     def evaluate(self, q0):
         """Substitute q := q0.  q0 must be invertible whenever negative
         exponents occur."""
@@ -275,28 +286,3 @@ class LaurentPoly:
         for e, c in terms:
             acc[int(e)] = Fraction(c) if isinstance(c, str) else c
         return LaurentPoly.from_dict(ring, acc)
-
-
-# Spec-level aliases for the operation names used throughout the docs.
-def add(x: LaurentPoly, y: LaurentPoly) -> LaurentPoly:
-    return x + y
-
-
-def mul(x: LaurentPoly, y: LaurentPoly) -> LaurentPoly:
-    return x * y
-
-
-def negate(x: LaurentPoly) -> LaurentPoly:
-    return -x
-
-
-def evaluate(x: LaurentPoly, q0):
-    return x.evaluate(q0)
-
-
-def reduce_mod(x: LaurentPoly, p: int) -> LaurentPoly:
-    return x.reduce_mod(p)
-
-
-def degree_span(x: LaurentPoly):
-    return x.degree_span()

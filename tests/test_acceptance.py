@@ -9,7 +9,8 @@ comparison in this file is exact equality; nothing carries a tolerance.
 import json
 import random
 import time
-from fractions import Fraction
+
+from coxeter_oracle import CoxeterGroup, mat_mul, moved_space_dim
 
 from burau.complexes import (
     ProjComplex,
@@ -24,12 +25,11 @@ from burau.complexes import (
 )
 from burau.criteria import (
     KernelCertificate,
-    twisted_generator_word,
     verify_kernel_word,
 )
 from burau.fixtures import affine_fixture, d4_fixture
 from burau.garside import garside_context, interval, is_trivial_braid
-from burau.graphs import inverse_word, preset
+from burau.graphs import conjugated_generator, inverse_word, preset
 from burau.laurent import ZZ, IntegersMod, LaurentPoly
 from burau.matrices import (
     DUAL,
@@ -113,42 +113,14 @@ def _random_vector(rng, g):
     return BurauVector(g, ZZ, tuple(coords))
 
 
-def _rank(rows):
-    work = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    cols = len(work[0]) if work else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][col]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col] / pv
-                work[r] = [a - f * b for a, b in zip(work[r], work[rank])]
-        rank += 1
-    return rank
-
-
-def _moved_space_dim(ctx, w):
-    """Reflection length via the rank of (matrix - identity), an oracle
-    independent of the context's BFS bookkeeping."""
-    m = ctx.matrices[w]
-    n = len(m)
-    return _rank(
-        [[m[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    )
-
-
 def test_criterion_1_affine_commutator_in_standard_kernel(capsys):
     failures = []
     fx = affine_fixture()
     g = fx.graph
     (a, i1), (b, i2) = fx.witnesses
     started = time.perf_counter()
-    alpha = twisted_generator_word(a, i1)
-    beta = twisted_generator_word(b, i2)
+    alpha = conjugated_generator(a, i1)
+    beta = conjugated_generator(b, i2)
     commutator = alpha + beta + inverse_word(alpha) + inverse_word(beta)
     matrix = word_matrix(g, commutator, STANDARD, ZZ)
     value = pairing(
@@ -203,8 +175,8 @@ def test_criterion_3_variant_words_give_the_same_evidence(capsys):
     g = fx.graph
     (a, i1), (b, i2) = fx.witnesses
     started = time.perf_counter()
-    alpha = twisted_generator_word(a, i1)
-    beta = twisted_generator_word(b, i2)
+    alpha = conjugated_generator(a, i1)
+    beta = conjugated_generator(b, i2)
     commutator = alpha + beta + inverse_word(alpha) + inverse_word(beta)
     if not is_identity(word_matrix(g, commutator, STANDARD, ZZ)):
         failures.append("variant commutator is not the identity standard matrix")
@@ -469,14 +441,17 @@ def test_criterion_8_garside_suite(capsys):
             failures.append(
                 f"{name}: {len(ctx.refl_ids)} reflections, expected {refl_count}"
             )
-        oracle = [
-            w
-            for w in range(ctx.size)
-            if _moved_space_dim(ctx, w)
-            + _moved_space_dim(ctx, ctx.mult(ctx.inv[w], ctx.gamma))
+        # the whole group by brute force, and reflection length as the rank
+        # of (matrix - identity), independent of the context's bookkeeping
+        group = CoxeterGroup(g)
+        gamma = group.fold(ctx.gamma_word)
+        oracle = {
+            m
+            for m in group.elements
+            if moved_space_dim(m) + moved_space_dim(mat_mul(group.inverse(m), gamma))
             == ctx.n
-        ]
-        if ctx.interval_ids != oracle:
+        }
+        if set(ctx.matrices) != oracle or len(ctx.matrices) != len(oracle):
             failures.append(f"{name}: interval disagrees with the brute-force oracle")
         if len(oracle) != interval_size:
             failures.append(
@@ -491,8 +466,8 @@ def test_criterion_8_garside_suite(capsys):
     ctx = garside_context(preset("D4"))
     mismatched = [
         (a, b)
-        for a in ctx.interval_ids
-        for b in ctx.interval_ids
+        for a in range(len(ctx.matrices))
+        for b in range(len(ctx.matrices))
         if ctx.left_divides(a, b) != ctx.right_divides(a, b)
     ]
     if mismatched:

@@ -15,19 +15,18 @@ from burau.criteria import (
     criterion2,
     graph_json,
     seal_certificate,
-    twisted_generator_word,
     verify_kernel_word,
 )
 from burau.fixtures import affine_fixture
-from burau.graphs import inverse_word, preset
+from burau.graphs import conjugated_generator, inverse_word, preset
 from burau.laurent import ZZ
 from burau.matrices import STANDARD
 from burau.zigzag import zigzag
 
 
 def test_twisted_generator_word_shape():
-    assert twisted_generator_word((2, -3), 1) == (2, -3, 1, 3, -2)
-    assert twisted_generator_word((), 4) == (4,)
+    assert conjugated_generator((2, -3), 1) == (2, -3, 1, 3, -2)
+    assert conjugated_generator((), 4) == (4,)
 
 
 def test_criterion1_rejects_on_pairing():
@@ -71,8 +70,8 @@ def test_affine_pair_is_certified():
     assert cert.pairing == "0"
     assert cert.total_hom_dim == 60
     assert len(cert.kernel_word) == 2 * (2 * len(a) + 1) + 2 * (2 * len(b) + 1)
-    t1 = twisted_generator_word(a, i1)
-    t2 = twisted_generator_word(b, i2)
+    t1 = conjugated_generator(a, i1)
+    t2 = conjugated_generator(b, i2)
     assert cert.kernel_word == t1 + t2 + inverse_word(t1) + inverse_word(t2)
     assert verify_kernel_word(cert)
 

@@ -1,13 +1,14 @@
 """Dual Garside machinery: intervals, normal forms, lifts, triviality."""
 
 import random
-from fractions import Fraction
 
 import pytest
+from coxeter_oracle import CoxeterGroup, mat_mul, moved_space_dim
 
 from burau.garside import (
     DualGarside,
     NotFiniteType,
+    _moved_rank,
     coxeter_element,
     divides,
     garside_context,
@@ -17,7 +18,7 @@ from burau.garside import (
     samecurve_check,
     word_to_nf,
 )
-from burau.graphs import inverse_word, preset
+from burau.graphs import CoxeterGraph, inverse_word, preset
 from burau.laurent import ZZ
 from burau.matrices import DUAL, spread, word_matrix
 
@@ -25,49 +26,13 @@ FINITE = {"A2": 6, "A3": 24, "D4": 192}
 REFLECTION_COUNTS = {"A2": 3, "A3": 6, "D4": 12}
 INTERVAL_SIZES = {"A2": 5, "A3": 14, "D4": 50}
 INFINITE = ["tildeA2", "tildeA3", "tildeD4", "AE4", "box", "K4", "K5", "K6"]
-
-
-def rank_over_q(rows):
-    """Exact matrix rank, used as an oracle independent of the BFS lengths."""
-    work = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    cols = len(work[0]) if work else 0
-    for col in range(cols):
-        pivot = next(
-            (r for r in range(rank, len(work)) if work[r][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][col]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col] / pv
-                work[r] = [a - f * b for a, b in zip(work[r], work[rank])]
-        rank += 1
-    return rank
-
-
-def reflection_length_oracle(ctx, w):
-    """Dimension of the moved space of the matrix, an independent formula
-    for the absolute reflection length."""
-    m = ctx.matrices[w]
-    n = len(m)
-    shifted = [
-        [m[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)
-    ]
-    return rank_over_q(shifted)
+E6 = CoxeterGraph.from_edges(
+    6, [(1, 3, 3), (3, 4, 3), (4, 5, 3), (5, 6, 3), (2, 4, 3)]
+)
 
 
 def random_word(rng, g, length):
     return [rng.choice([1, -1]) * rng.randrange(1, g.n + 1) for _ in range(length)]
-
-
-def fold_abs(ctx, word):
-    w = ctx.identity
-    for letter in word:
-        w = ctx.rg[w][abs(letter) - 1]
-    return w
 
 
 def test_infinite_graphs_are_rejected_without_enumeration():
@@ -76,22 +41,18 @@ def test_infinite_graphs_are_rejected_without_enumeration():
             DualGarside(preset(name))
 
 
-def test_enumeration_backstop():
-    with pytest.raises(NotFiniteType):
-        DualGarside(preset("D4"), max_size=10)
-
-
 def test_group_sizes():
     for name, size in FINITE.items():
-        assert garside_context(preset(name)).size == size
+        assert len(CoxeterGroup(preset(name))) == size
 
 
 def test_reflection_counts_and_lengths():
     for name, count in REFLECTION_COUNTS.items():
         ctx = garside_context(preset(name))
         assert len(ctx.refl_ids) == count
-        length_one = [w for w in range(ctx.size) if ctx.ell[w] == 1]
-        assert sorted(ctx.refl_ids) == length_one
+        assert all(ctx.ell[t] == 1 for t in ctx.refl_ids)
+        oracle = CoxeterGroup(ctx.graph).reflections()
+        assert {ctx.matrices[t] for t in ctx.refl_ids} == oracle
         # the first n reflections are the atoms, in vertex order
         for i in ctx.graph.vertices():
             assert ctx.refl_ids[i - 1] == ctx.atom_ids[i]
@@ -100,30 +61,40 @@ def test_reflection_counts_and_lengths():
 def test_reflection_length_matches_moved_space_rank():
     for name in FINITE:
         ctx = garside_context(preset(name))
-        for w in range(ctx.size):
-            assert ctx.ell[w] == reflection_length_oracle(ctx, w)
+        for w, m in enumerate(ctx.matrices):
+            assert ctx.ell[w] == moved_space_dim(m)
+        # the integer elimination agrees with rank over Q on the whole group
+        for m in CoxeterGroup(ctx.graph).elements:
+            assert _moved_rank(m) == moved_space_dim(m)
 
 
 def test_interval_against_bruteforce_oracle():
     for name, expected in INTERVAL_SIZES.items():
         ctx = garside_context(preset(name))
-        oracle = [
-            w
-            for w in range(ctx.size)
-            if reflection_length_oracle(ctx, w)
-            + reflection_length_oracle(ctx, ctx.mult(ctx.inv[w], ctx.gamma))
-            == ctx.n
-        ]
-        assert ctx.interval_ids == oracle
-        assert len(ctx.interval_ids) == expected
+        group = CoxeterGroup(ctx.graph)
+        oracle = group.interval(group.fold(ctx.gamma_word))
+        assert set(ctx.matrices) == oracle
+        assert len(ctx.matrices) == expected
         assert len(interval(preset(name))) == expected
 
 
 def test_left_and_right_divisors_of_gamma_agree():
     ctx = garside_context(preset("D4"))
-    left = {w for w in range(ctx.size) if ctx.left_divides(w, ctx.gamma)}
-    right = {w for w in range(ctx.size) if ctx.right_divides(w, ctx.gamma)}
-    assert left == right == set(ctx.interval_ids)
+    group = CoxeterGroup(ctx.graph)
+    gamma = ctx.matrices[ctx.gamma]
+    left = {m for m in group.elements if group.left_divides(m, gamma)}
+    right = {m for m in group.elements if group.right_divides(m, gamma)}
+    assert left == right == set(ctx.matrices)
+    ids = range(len(ctx.matrices))
+    assert all(ctx.left_divides(w, ctx.gamma) for w in ids)
+    assert all(ctx.right_divides(w, ctx.gamma) for w in ids)
+    # divisibility inside the interval agrees with the oracle
+    a3 = garside_context(preset("A3"))
+    a3_group = CoxeterGroup(a3.graph)
+    for a, ma in enumerate(a3.matrices):
+        for b, mb in enumerate(a3.matrices):
+            assert a3.left_divides(a, b) == a3_group.left_divides(ma, mb)
+            assert a3.right_divides(a, b) == a3_group.right_divides(ma, mb)
 
 
 def test_gamma_properties():
@@ -137,37 +108,38 @@ def test_gamma_properties():
         assert spread(word_matrix(g, ctx.gamma_word, DUAL, ZZ)) == 0
         elt = coxeter_element(g)
         assert elt.matrix == ctx.matrices[ctx.gamma]
+        assert elt.matrix == CoxeterGroup(g).fold(ctx.gamma_word)
 
 
 def test_phi_is_the_gamma_conjugation():
     ctx = garside_context(preset("A3"))
-    for w in range(ctx.size):
-        expected = ctx.mult(ctx.mult(ctx.gamma, w), ctx.inv[ctx.gamma])
-        assert ctx.phi[w] == expected
-        assert ctx.phi_inv[expected] == w
+    group = CoxeterGroup(ctx.graph)
+    gamma = ctx.matrices[ctx.gamma]
+    for w, m in enumerate(ctx.matrices):
+        expected = mat_mul(mat_mul(gamma, m), group.inverse(gamma))
+        assert ctx.matrices[ctx.phi[w]] == expected
+        assert ctx.phi_inv[ctx.phi[w]] == w
     # conjugation by gamma permutes the interval
-    assert sorted(ctx.phi[w] for w in ctx.interval_ids) == ctx.interval_ids
+    assert sorted(ctx.phi) == list(range(len(ctx.matrices)))
 
 
 def test_reflection_lifts_cover_and_project_correctly():
     for name in FINITE:
         ctx = garside_context(preset(name))
+        group = CoxeterGroup(ctx.graph)
         lifts = ctx.reflection_lifts
         assert set(lifts) == set(ctx.refl_ids)
         for t, word in lifts.items():
-            assert fold_abs(ctx, word) == t
+            assert group.fold(word) == ctx.matrices[t]
             assert sum(1 if letter > 0 else -1 for letter in word) == 1
 
 
 def test_simple_lifts_project_and_have_small_spread():
     for name in FINITE:
         g = preset(name)
-        ctx = garside_context(g)
+        group = CoxeterGroup(g)
         for s in interval(g):
-            w = next(
-                idx for idx in ctx.interval_ids if ctx.matrices[idx] == s.matrix
-            )
-            assert fold_abs(ctx, s.lift) == w
+            assert group.fold(s.lift) == s.matrix
             assert sum(1 if letter > 0 else -1 for letter in s.lift) == s.length
             if s.length:
                 assert spread(word_matrix(g, s.lift, DUAL, ZZ)) <= 1
@@ -196,6 +168,11 @@ def test_divides_api():
     with pytest.raises(ValueError):
         foreign = tuple(tuple(row) for row in [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
         divides(g, foreign, gamma)
+    # a group element outside [1, gamma] is refused as well
+    outside = CoxeterGroup(g).fold(ctx.gamma_word * 2)
+    assert outside not in ctx.index
+    with pytest.raises(ValueError):
+        divides(g, outside, gamma)
 
 
 def test_normal_form_of_special_words():
@@ -220,6 +197,14 @@ def test_braid_relation_words_are_trivial():
     assert is_trivial_braid(g, [-2, 2])
     assert not is_trivial_braid(g, [1])
     assert not is_trivial_braid(g, [1, 2])
+
+
+def test_single_vertex_inverse_letters_cancel():
+    g = CoxeterGraph.from_edges(1, [])
+    assert is_trivial_braid(g, [-1, 1])
+    assert is_trivial_braid(g, [1, -1, -1, 1])
+    assert str(word_to_nf(g, [-1])) == "gamma^-1 . [-]"
+    assert not is_trivial_braid(g, [-1])
 
 
 def test_random_trivial_words_normalize_to_identity():
@@ -274,25 +259,19 @@ def test_normal_form_factors_are_greedy():
     rng = random.Random(35)
     g = preset("D4")
     ctx = garside_context(g)
+    oracle = CoxeterGroup(g).interval(ctx.matrices[ctx.gamma])
     seen_nontrivial = 0
     for _ in range(40):
         w = random_word(rng, g, 8)
         nf = ctx.normal_form(w)
-        ids = [
-            next(
-                idx
-                for idx in ctx.interval_ids
-                if ctx.matrices[idx] == s.matrix
-            )
-            for s in nf.simples
-        ]
+        ids = [ctx.index[s.matrix] for s in nf.simples]
         for left, right in zip(ids, ids[1:]):
             seen_nontrivial += 1
             for mu in ctx.rdiv[left]:
-                cand = ctx.mult(mu, right)
+                cand = mat_mul(ctx.matrices[mu], ctx.matrices[right])
                 assert not (
-                    ctx.in_interval[cand]
-                    and ctx.ell[cand] == ctx.ell[right] + 1
+                    cand in oracle
+                    and moved_space_dim(cand) == ctx.ell[right] + 1
                 )
     assert seen_nontrivial > 0
 
@@ -301,8 +280,9 @@ def test_custom_coxeter_element_order():
     g = preset("A3")
     ctx = garside_context(g, order=(2, 1, 3))
     assert ctx.gamma_word == (2, 1, 3)
-    assert len(ctx.interval_ids) == 14
-    assert ctx.gamma != garside_context(g).gamma
+    assert len(ctx.matrices) == 14
+    default = garside_context(g)
+    assert ctx.matrices[ctx.gamma] != default.matrices[default.gamma]
     with pytest.raises(ValueError):
         DualGarside(g, order=(1, 1, 2))
 
@@ -329,3 +309,16 @@ def test_samecurve_examples():
     assert empty.atom_free_last_simple
     assert empty.all_pass()
     assert empty.nf == "gamma^0 . [-]"
+
+
+def test_e6_interval_and_word_problem():
+    ctx = garside_context(E6)
+    assert len(ctx.refl_ids) == 36
+    assert len(ctx.matrices) == 833
+    assert ctx.ell[ctx.gamma] == 6
+    assert ctx.gamma_order() == 12  # the Coxeter number of E6
+    rng = random.Random(36)
+    for _ in range(40):
+        w = random_word(rng, E6, rng.randrange(0, 12))
+        assert is_trivial_braid(E6, list(w) + list(inverse_word(w)))
+    assert not is_trivial_braid(E6, [1])

@@ -10,7 +10,6 @@ from burau.laurent import (
     ZZ,
     IntegersMod,
     LaurentPoly,
-    degree_span,
 )
 
 
@@ -144,10 +143,28 @@ def test_evaluate_at_units():
 
 def test_degree_span_and_monomial():
     p = poly({3: 1, -2: 4})
-    assert degree_span(p) == (-2, 3)
+    assert p.degree_span() == (-2, 3)
     assert p.as_monomial() is None
     assert poly({5: -2}).as_monomial() == (5, -2)
     assert LaurentPoly.zero(ZZ).as_monomial() is None
+
+
+def test_signed_q_power_over_z_z2_and_z6():
+    assert poly({3: 1}).signed_q_power() == (3, 1)
+    assert poly({-2: -1}).signed_q_power() == (-2, -1)
+    assert poly({0: 1}).signed_q_power() == (0, 1)
+    assert poly({1: 2}).signed_q_power() is None
+    assert poly({1: 1, 0: 1}).signed_q_power() is None
+    assert LaurentPoly.zero(ZZ).signed_q_power() is None
+    # over Z/2, 1 = -1 and the sign is reported as +1
+    assert poly({4: 1}, IntegersMod(2)).signed_q_power() == (4, 1)
+    assert poly({4: -1}, IntegersMod(2)).signed_q_power() == (4, 1)
+    assert poly({4: 2}, IntegersMod(2)).signed_q_power() is None
+    # over Z/6, 5 = -1 while 2 and 3 are not units of the form +-1
+    assert poly({-1: 5}, IntegersMod(6)).signed_q_power() == (-1, -1)
+    assert poly({-1: 7}, IntegersMod(6)).signed_q_power() == (-1, 1)
+    assert poly({2: 2}, IntegersMod(6)).signed_q_power() is None
+    assert poly({2: 3}, IntegersMod(6)).signed_q_power() is None
 
 
 def test_json_terms_round_trip():

@@ -185,6 +185,20 @@ def test_verify_bigelow3_rejections_and_errors():
         verify_bigelow3(preset("tildeA3"), (1,), 1, 7)
 
 
+def test_verify_bigelow3_reports_a_failed_seal_as_commutator_matrix(monkeypatch):
+    # the seal is the only matrix gate; its failure keeps the clause name
+    # that walk results use
+    def failing_seal(cert):
+        return Rejection(cert.criterion, "verification", "synthetic failure")
+
+    monkeypatch.setattr("burau.search.seal_certificate", failing_seal)
+    fx = d4_fixture(7)
+    (beta, i) = fx.witnesses[0]
+    out = verify_bigelow3(fx.graph, beta, i, 7)
+    assert isinstance(out, Rejection)
+    assert out.clause == "commutator-matrix"
+
+
 def test_bucket_key_validation():
     BucketKey(0, 0)
     with pytest.raises(ValueError):
