@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from .complexes import (
     act_complex,
@@ -24,7 +25,7 @@ from .complexes import (
     projective,
     render_hom_table,
 )
-from .criteria import KernelCertificate, criterion1, graph_json
+from .criteria import KernelCertificate, Rejection, criterion1, graph_json
 from .fixtures import D4_MODULI, affine_fixture, d4_fixture
 from .garside import NotFiniteType
 from .graphs import load_graph, word_from_string
@@ -163,9 +164,12 @@ def cmd_search(args) -> int:
         store = enumerate_curves(g, budget=args.budget)
         pairs = find_pairs(store, criterion=args.criterion, limit=args.limit)
         confirmed = []
+        rejections = Counter()
         for pair in pairs:
             outcome = confirm_pair(g, pair, args.criterion)
-            if isinstance(outcome, KernelCertificate) and outcome.verified:
+            if isinstance(outcome, Rejection):
+                rejections[outcome.clause] += 1
+            elif outcome.verified:
                 confirmed.append(outcome.to_json())
         result = {
             "manifest": {
@@ -177,6 +181,7 @@ def cmd_search(args) -> int:
             "store_size": len(store),
             "candidate_pairs": len(pairs),
             "certificates": confirmed,
+            "rejections": dict(rejections),
         }
         if args.store:
             store.save(args.store)
@@ -253,24 +258,41 @@ def build_parser() -> argparse.ArgumentParser:
     p_hom.set_defaults(func=cmd_hom)
 
     p_search = sub.add_parser("search", help="run a counterexample search")
-    p_search.add_argument("kind", choices=["curves", "buckets"])
-    p_search.add_argument("--graph", required=True)
-    p_search.add_argument("--budget", type=int, default=1000)
-    p_search.add_argument("--seed", type=int, default=0)
-    p_search.add_argument(
+    kinds = p_search.add_subparsers(dest="kind", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--graph", required=True)
+    common.add_argument("--budget", type=int, default=1000)
+    common.add_argument("--out", help="write the run result to this path")
+
+    p_curves = kinds.add_parser(
+        "curves",
+        parents=[common],
+        help="enumerate curves over Z, scan pairs, confirm them categorically",
+    )
+    p_curves.add_argument("--criterion", type=int, choices=[1, 2], default=1)
+    p_curves.add_argument(
+        "--limit",
+        type=int,
+        default=16,
+        help="stop the pair scan after this many candidate pairs; each is "
+        "then confirmed, so this caps candidates, not certificates",
+    )
+    p_curves.add_argument("--store", help="write the curve store to this path")
+
+    p_buckets = kinds.add_parser(
+        "buckets", parents=[common], help="seeded bucket walk in the dual monoid mod p"
+    )
+    p_buckets.add_argument("--seed", type=int, default=0)
+    p_buckets.add_argument(
         "--workers",
         type=int,
         default=int(os.environ.get("BURAU_WORKERS", "1")),
     )
-    p_search.add_argument("--criterion", type=int, choices=[1, 2], default=1)
-    p_search.add_argument("--limit", type=int, default=16)
-    p_search.add_argument("--p", type=int, default=5)
-    p_search.add_argument(
+    p_buckets.add_argument("--p", type=int, default=5)
+    p_buckets.add_argument(
         "--target", choices=["fix_vector", "spread_zero"], default="fix_vector"
     )
-    p_search.add_argument("--start", type=int, default=1, help="vertex to fix")
-    p_search.add_argument("--store", help="write the curve store to this path")
-    p_search.add_argument("--out", help="write the run result to this path")
+    p_buckets.add_argument("--start", type=int, default=1, help="vertex to fix")
     p_search.set_defaults(func=cmd_search)
 
     return parser

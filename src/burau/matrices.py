@@ -125,25 +125,30 @@ def basis_vector(g: CoxeterGraph, i: int, ring: CoefficientRing = ZZ) -> BurauVe
     return BurauVector(g, ring, tuple(coords))
 
 
+@lru_cache(maxsize=32)
+def gram_matrix(
+    g: CoxeterGraph, form: PairingForm = STANDARD, ring: CoefficientRing = ZZ
+) -> tuple:
+    """The pairings <alpha_i, alpha_j> of all basis roots, as a tuple of rows."""
+    return tuple(
+        tuple(_basis_pairing(g, form, ring, i, j) for j in g.vertices())
+        for i in g.vertices()
+    )
+
+
 def pairing(
     x: BurauVector, y: BurauVector, form: PairingForm = STANDARD
 ) -> LaurentPoly:
     """Sesquilinear pairing: q-power scalars come out of the first slot
     inverted, <q^a u, q^b v> = q^(b-a) <u, v>."""
     _check_compat(x, y)
-    g, ring = x.graph, x.ring
-    total = LaurentPoly.zero(ring)
-    for i in g.vertices():
-        xi = x.coord(i)
+    total = LaurentPoly.zero(x.ring)
+    for xi, gram_row in zip(x.coords, gram_matrix(x.graph, form, x.ring)):
         if xi.is_zero():
             continue
         xi_bar = xi.bar()
-        for j in g.vertices():
-            yj = y.coord(j)
-            if yj.is_zero():
-                continue
-            b = _basis_pairing(g, form, ring, i, j)
-            if not b.is_zero():
+        for yj, b in zip(y.coords, gram_row):
+            if yj.terms and b.terms:
                 total = total + xi_bar * yj * b
     return total
 
@@ -272,17 +277,28 @@ def act(g: CoxeterGraph, word, target, form: PairingForm = STANDARD, ring=None):
     """Left action of a braid word: act([w1, w2], x) = M(w1) . M(w2) . x.
 
     `target` may be a BurauVector or a BurauMatrix; the result has the same
-    kind.  The empty word is the identity.
+    kind.  The empty word is the identity.  On a vector each letter changes
+    only coordinate i, to the dot product of the generator's row i with the
+    vector.
     """
     validate_word(g, word)
     if ring is None:
         ring = target.ring
     if isinstance(target, BurauVector):
-        v = target
+        if not word:
+            return target
+        zero = LaurentPoly.zero(ring)
+        coords = list(target.coords)
         for letter in reversed(word):
-            m = generator_matrix(g, abs(letter), 1 if letter > 0 else -1, form, ring)
-            v = m.mat_vec(v)
-        return v
+            i = abs(letter)
+            m = generator_matrix(g, i, 1 if letter > 0 else -1, form, ring)
+            _check_compat(m, target)
+            acc = zero
+            for a, b in zip(m.rows[i - 1], coords):
+                if a.terms and b.terms:
+                    acc = acc + a * b
+            coords[i - 1] = acc
+        return BurauVector(g, ring, tuple(coords))
     if isinstance(target, BurauMatrix):
         acc = word_matrix(g, word, form, ring)
         return acc.mat_mul(target)
@@ -292,13 +308,27 @@ def act(g: CoxeterGraph, word, target, form: PairingForm = STANDARD, ring=None):
 def word_matrix(
     g: CoxeterGraph, word, form: PairingForm = STANDARD, ring: CoefficientRing = ZZ
 ) -> BurauMatrix:
-    """The matrix of a braid word (identity for the empty word)."""
+    """The matrix of a braid word (identity for the empty word).
+
+    Right multiplication by sigma_i^(+-1), which differs from the identity
+    only in row i, is a column update: column j gains column i times the
+    generator's entry (i, j), and column i is scaled by the diagonal entry.
+    """
     validate_word(g, word)
-    acc = identity_matrix(g, ring)
+    rows = [list(row) for row in identity_matrix(g, ring).rows]
     for letter in word:
-        m = generator_matrix(g, abs(letter), 1 if letter > 0 else -1, form, ring)
-        acc = acc.mat_mul(m)
-    return acc
+        i = abs(letter) - 1
+        gen_row = generator_matrix(g, i + 1, 1 if letter > 0 else -1, form, ring).rows[i]
+        for row in rows:
+            a = row[i]
+            if not a.terms:
+                continue
+            for j, e in enumerate(gen_row):
+                if j == i:
+                    row[i] = a * e
+                elif e.terms:
+                    row[j] = row[j] + a * e
+    return BurauMatrix(g, ring, tuple(tuple(row) for row in rows))
 
 
 def spread(m: BurauMatrix) -> int:

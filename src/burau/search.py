@@ -3,8 +3,9 @@
 Two complementary strategies.  Over the integers, curves (orbit vectors of
 the standard Burau action) are enumerated breadth-first from the basis roots,
 bucketed by their root at q = 1 and a coefficient-mass key, and scanned for
-pairs whose pairing vanishes or is a signed power of q; candidate pairs are
-then confirmed categorically.  Over Z/pZ, a seeded random walk in the dual
+pairs whose pairing vanishes or is a signed power of q (a modular prefilter
+prunes the scan, the exact pairing decides); candidate pairs are then
+confirmed categorically.  Over Z/pZ, a seeded random walk in the dual
 positive monoid files braids into buckets keyed by canonical length and
 spread, watching for words that fix a basis root up to a power of q (or reach
 spread zero at positive length); fixing words feed the twist-quotient
@@ -20,6 +21,7 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass
+from operator import mul
 
 from .criteria import (
     CRITERION_TWIST_QUOTIENT,
@@ -39,6 +41,7 @@ from .matrices import (
     BurauVector,
     act,
     basis_vector,
+    gram_matrix,
     identity_matrix,
     is_identity,
     pairing,
@@ -66,7 +69,7 @@ def _keys(coords, mod2: bool):
     root = []
     mass = 0
     for c in coords:
-        value = c.evaluate(1)
+        value = sum(coeff for _, coeff in c.terms)  # the coordinate at q = 1
         root.append(value % 2 if mod2 else value)
         mass += sum(abs(coeff) for _, coeff in c.terms)
     return tuple(root), mass
@@ -202,6 +205,59 @@ def enumerate_curves(
     return store
 
 
+# The pair-scan prefilter evaluates pairings at a fixed point q0 modulo the
+# Mersenne prime 2^61 - 1.  Evaluation at a unit is a ring homomorphism from
+# Z[q, q^-1] to F_P, so a pairing that vanishes (or is +-q^k) exactly passes
+# the filter.  One that does not slips through only if its reduction mod P
+# vanishes at q0, which a non-zero reduction of degree span d does at no
+# more than d of the P points (Schwartz 1980; Zippel 1979).  The point is a
+# constant, so scans are deterministic.
+_P = (1 << 61) - 1
+_Q0 = 0x1D5C_9A3E_27F4_6B81
+
+
+def _poly_mod(poly: LaurentPoly, q: int) -> int:
+    return sum(c * pow(q, e, _P) for e, c in poly.terms) % _P
+
+
+def _evaluation_points(g: CoxeterGraph, criterion: int) -> tuple:
+    """(q, q^-1, G(q)) mod P for each point the criterion evaluates at: q0,
+    and q0^2 for criterion 2.  G is the Gram matrix of the standard form."""
+    qs = (_Q0,) if criterion == 1 else (_Q0, _Q0 * _Q0 % _P)
+    return tuple(
+        (
+            q,
+            pow(q, -1, _P),
+            tuple(tuple(_poly_mod(b, q) for b in row) for row in gram_matrix(g)),
+        )
+        for q in qs
+    )
+
+
+def _modular_images(coords, points) -> tuple:
+    """For each point: (x(q^-1), G(q).x(q)) mod P, for the vector x with
+    these integer coordinates.  The pairing of x with y evaluates at q to
+    the dot product of x's first image with y's second."""
+    images = []
+    for q, q_inv, gram in points:
+        at_q = [_poly_mod(c, q) for c in coords]
+        images.append(
+            (
+                tuple(_poly_mod(c, q_inv) for c in coords),
+                tuple(sum(map(mul, row, at_q)) % _P for row in gram),
+            )
+        )
+    return tuple(images)
+
+
+def _pairing_mod(x_images, y_images) -> tuple:
+    """The pairing of two records at each point, mod P."""
+    return tuple(
+        sum(map(mul, left, right)) % _P
+        for (left, _), (_, right) in zip(x_images, y_images)
+    )
+
+
 def find_pairs(
     store: CurveStore,
     criterion: int,
@@ -213,24 +269,40 @@ def find_pairs(
     criterion: exactly zero (1) or a signed power of q (2).  A root filter
     (pair of root keys) restricts the scan to two indexed slices; pairs whose
     witnesses start with the same letter are skipped as redundant
-    left-translates of a pair already considered."""
+    left-translates of a pair already considered.  `limit` caps the number
+    of pairs returned.
+
+    A prefilter only prunes: each record's coordinates are evaluated once, at
+    a fixed point q0 modulo a 61-bit prime, so a pair costs one n-term dot
+    product.  Criterion 1 drops a pair whose pairing is non-zero at q0;
+    criterion 2 drops it unless p(q0) is non-zero and p(q0^2) = +-p(q0)^2.
+    A pair meeting the condition exactly always passes, and every pair that
+    passes is decided by the exact `pairing`."""
     if criterion not in (1, 2):
         raise ValueError("criterion must be 1 or 2")
+    g = store.graph
     recs = store.records
     if root_filter is not None:
         k1, k2 = tuple(root_filter[0]), tuple(root_filter[1])
         left = store.by_root.get(k1, [])
         right = store.by_root.get(k2, [])
         if k1 == k2:
-            idx_pairs = [
-                (a, b) for ai, a in enumerate(left) for b in left[ai + 1 :]
-            ]
+            idx_pairs = ((a, b) for ai, a in enumerate(left) for b in left[ai + 1 :])
         else:
-            idx_pairs = [(a, b) for a in left for b in right]
+            idx_pairs = ((a, b) for a in left for b in right)
     else:
-        idx_pairs = [
+        idx_pairs = (
             (a, b) for a in range(len(recs)) for b in range(a + 1, len(recs))
-        ]
+        )
+    points = _evaluation_points(g, criterion)
+    images = {}
+
+    def image(index):
+        found = images.get(index)
+        if found is None:
+            found = images[index] = _modular_images(recs[index].coords, points)
+        return found
+
     out = []
     for a, b in idx_pairs:
         r1, r2 = recs[a], recs[b]
@@ -241,7 +313,16 @@ def find_pairs(
             and r1.witness[0] == r2.witness[0]
         ):
             continue
-        p = pairing(r1.vector(store.graph), r2.vector(store.graph))
+        values = _pairing_mod(image(a), image(b))
+        if criterion == 1:
+            if values[0]:
+                continue
+        else:
+            at_q0, at_q0_squared = values
+            square = at_q0 * at_q0 % _P
+            if not at_q0 or at_q0_squared not in (square, _P - square):
+                continue
+        p = pairing(r1.vector(g), r2.vector(g))
         if criterion == 1:
             hit = p.is_zero()
         else:

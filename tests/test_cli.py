@@ -173,6 +173,7 @@ def test_search_curves_runs_and_writes_files(capsys, tmp_path):
     assert result["store_size"] == 30
     assert result["candidate_pairs"] == 2
     assert result["certificates"] == []
+    assert result["rejections"] == {"hom": 2}
     loaded = CurveStore.load(store_path)
     assert len(loaded) == 30
 
@@ -192,6 +193,16 @@ def test_search_curves_is_deterministic(capsys):
     code2, out2, _ = run(capsys, argv)
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--workers"])
+def test_search_curves_rejects_walk_only_flags(capsys, flag):
+    # a curve search is deterministic and single-process, so these flags
+    # would be silently ignored
+    with pytest.raises(SystemExit) as info:
+        main(["search", "curves", "--graph", "tildeA2", "--budget", "25", flag, "2"])
+    assert info.value.code == EXIT_USAGE
+    assert flag in capsys.readouterr().err
 
 
 def test_search_buckets_deterministic_output(capsys):

@@ -134,6 +134,40 @@ def test_act_on_vector_matches_matrix_action():
             assert via_vector == via_matrix
 
 
+def _generator(g, letter, form, ring):
+    return generator_matrix(g, abs(letter), 1 if letter > 0 else -1, form, ring)
+
+
+def test_sparse_act_and_word_matrix_match_full_products():
+    # act updates one coordinate per letter and word_matrix one column set
+    # per letter; the reference applies full generator matrices
+    rng = random.Random(13)
+    mixed = CoxeterGraph.from_edges(3, [(1, 2, INF), (2, 3)])
+    cases = [
+        (preset(name), form)
+        for name in ("A3", "D4", "tildeA3")
+        for form in (STANDARD, DUAL)
+    ] + [(mixed, STANDARD)]
+    for g, form in cases:
+        for ring in (ZZ, IntegersMod(2), IntegersMod(6)):
+            for length in (0, 1, 2, 5, 9):
+                w = random_word(rng, g, length)
+                v = random_vector(rng, g, ring)
+                expected_v = v
+                for letter in reversed(w):
+                    expected_v = _generator(g, letter, form, ring).mat_vec(expected_v)
+                assert act(g, w, v, form) == expected_v, (g, form, ring, w)
+                expected_m = identity_matrix(g, ring)
+                for letter in w:
+                    expected_m = expected_m.mat_mul(_generator(g, letter, form, ring))
+                assert word_matrix(g, w, form, ring) == expected_m, (g, form, ring, w)
+    # a non-empty word still checks the target's graph and ring
+    with pytest.raises(ValueError):
+        act(preset("A3"), [1], basis_vector(preset("A3"), 1), STANDARD, IntegersMod(2))
+    with pytest.raises(ValueError):
+        act(preset("A3"), [1], basis_vector(preset("tildeA2"), 1))
+
+
 def test_word_matrix_respects_concatenation():
     rng = random.Random(8)
     g = preset("D4")

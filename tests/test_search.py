@@ -9,7 +9,7 @@ from burau.fixtures import affine_fixture, d4_fixture
 from burau.garside import NotFiniteType
 from burau.graphs import inverse_word, preset
 from burau.laurent import IntegersMod
-from burau.matrices import DUAL, is_identity, spread, word_matrix
+from burau.matrices import DUAL, is_identity, pairing, spread, word_matrix
 from burau.search import (
     BucketKey,
     CurveStore,
@@ -126,6 +126,105 @@ def test_find_pairs_respects_limit_and_root_filter():
     ) or any(r1.witness == b and r2.witness == a for r1, r2 in pairs)
     just_one = find_pairs(store, 1, limit=1)
     assert len(just_one) <= 1
+
+
+def _visited_pairs(store, root_filter=None):
+    """The pairs find_pairs visits, in its order: both slices of the root
+    filter (or the whole store), minus pairs whose witnesses share a first
+    letter."""
+    recs = store.records
+    if root_filter is None:
+        pairs = [(a, b) for a in range(len(recs)) for b in range(a + 1, len(recs))]
+    elif root_filter[0] == root_filter[1]:
+        left = store.by_root.get(root_filter[0], [])
+        pairs = [(a, b) for i, a in enumerate(left) for b in left[i + 1 :]]
+    else:
+        left = store.by_root.get(root_filter[0], [])
+        right = store.by_root.get(root_filter[1], [])
+        pairs = [(a, b) for a in left for b in right]
+    return [
+        (recs[a], recs[b])
+        for a, b in pairs
+        if not (
+            recs[a].witness
+            and recs[b].witness
+            and recs[a].witness[0] == recs[b].witness[0]
+        )
+    ]
+
+
+def _exact_scan(store, criterion, root_filter=None):
+    """The reference: the exact pairing on every visited pair."""
+    g = store.graph
+    out = []
+    for r1, r2 in _visited_pairs(store, root_filter):
+        p = pairing(r1.vector(g), r2.vector(g))
+        if p.is_zero() if criterion == 1 else p.signed_q_power() is not None:
+            out.append((r1, r2))
+    return out
+
+
+# (graph, budget, root filters): a slice pair rich in criterion-1 hits, one
+# rich in criterion-2 hits, and a slice paired with itself
+EXACT_SCAN_CASES = [
+    (
+        "tildeA3",
+        100,
+        [
+            ((0, 0, -1, 0), (1, 0, 0, 0)),
+            ((0, 1, 0, 0), (1, 0, 0, 0)),
+            ((1, 0, 0, 0), (1, 0, 0, 0)),
+        ],
+    ),
+    (
+        "A3",
+        60,
+        [((0, -1, 1), (1, -1, 0)), ((-1, 0, 0), (0, 1, 0)), ((0, 1, 0), (0, 1, 0))],
+    ),
+]
+
+
+@pytest.mark.parametrize("name,budget,filters", EXACT_SCAN_CASES)
+def test_find_pairs_equals_an_exact_scan(name, budget, filters):
+    store = enumerate_curves(preset(name), budget=budget)
+    for criterion in (1, 2):
+        for root_filter in [None] + filters:
+            expected = _exact_scan(store, criterion, root_filter)
+            if root_filter in (None, filters[criterion - 1]):
+                assert len(expected) > 3, (criterion, root_filter)
+            for limit in (None, 1, 3):
+                got = find_pairs(store, criterion, root_filter=root_filter, limit=limit)
+                assert got == expected[:limit], (criterion, root_filter, limit)
+
+
+def test_prefilter_at_q_equal_one_passes_every_pair_and_changes_nothing(monkeypatch):
+    # At q0 = 1 the filter sees only the roots at q = 1.  On a slice pair
+    # whose roots are orthogonal there (criterion 1), or pair to +-1
+    # (criterion 2), every visited pair passes the filter, so the exact
+    # pairing alone must produce the same list as the real evaluation point.
+    store = enumerate_curves(preset("tildeA3"), budget=300)
+    calls = []
+
+    def counting_pairing(x, y):
+        calls.append(None)
+        return pairing(x, y)
+
+    monkeypatch.setattr("burau.search.pairing", counting_pairing)
+    for criterion, root_filter, hits in (
+        (1, ((-1, 0, -1, 1), (0, 0, 0, 1)), 60),
+        (2, ((-1, 0, -1, 1), (-1, 1, 0, 1)), 66),
+    ):
+        visited = _visited_pairs(store, root_filter)
+        calls.clear()
+        expected = find_pairs(store, criterion, root_filter=root_filter)
+        assert len(expected) == hits
+        assert len(calls) < len(visited)  # the real point prunes
+        with monkeypatch.context() as patched:
+            patched.setattr("burau.search._Q0", 1)
+            calls.clear()
+            got = find_pairs(store, criterion, root_filter=root_filter)
+            assert len(calls) == len(visited)
+        assert got == expected
 
 
 def test_confirm_pair_produces_a_verified_certificate():
