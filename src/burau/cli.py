@@ -45,6 +45,21 @@ EXIT_FAILED = 1
 EXIT_USAGE = 2
 
 
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than `minimum`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _ring(args) -> object:
     return IntegersMod(args.mod) if getattr(args, "mod", None) else ZZ
 
@@ -272,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curves.add_argument("--criterion", type=int, choices=[1, 2], default=1)
     p_curves.add_argument(
         "--limit",
-        type=int,
+        type=_int_at_least(0),
         default=16,
         help="stop the pair scan after this many candidate pairs; each is "
         "then confirmed, so this caps candidates, not certificates",
@@ -285,8 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_buckets.add_argument("--seed", type=int, default=0)
     p_buckets.add_argument(
         "--workers",
-        type=int,
-        default=int(os.environ.get("BURAU_WORKERS", "1")),
+        type=_int_at_least(1),
+        # a string default goes through `type`, so a bad BURAU_WORKERS is
+        # a usage error too
+        default=os.environ.get("BURAU_WORKERS", "1"),
     )
     p_buckets.add_argument("--p", type=int, default=5)
     p_buckets.add_argument(

@@ -4,10 +4,18 @@ Coefficients live in ZZ, QQ, or ZZ/p (p >= 2, composite allowed).  Nothing in
 this module ever divides by a coefficient, so non-field moduli are safe; the
 only inversions happen in `evaluate`, which checks invertibility first.
 
-Polynomials are immutable and canonical: no zero coefficients are stored and
-mod-p coefficients are reduced to representatives 0..p-1.  Equality is
-therefore plain structural comparison, which the rest of the library leans on
-(kernel certificates assert exact matrix identity, never closeness).
+Polynomials are immutable and dense: a polynomial is its ring, its lowest
+exponent `low`, and the tuple `coeffs` of the coefficients of q^low, q^(low+1),
+... up to the top exponent.  The form is canonical: the first and last
+coefficients are non-zero, coefficients are normalised (ints over ZZ,
+Fractions over QQ, representatives 0..p-1 over ZZ/p), and zero is
+(ring, 0, ()).  Equality and hashing are therefore plain structural
+comparison, which the rest of the library leans on (kernel certificates
+assert exact matrix identity, never closeness).
+
+Arithmetic works on coefficient lists and reduces mod p once per output
+coefficient.  `LaurentPoly.dot` accumulates a whole sum of products in one
+buffer, so a matrix entry is built without intermediate polynomials.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 
@@ -75,40 +84,73 @@ ZZ = CoefficientRing("Z")
 QQ = CoefficientRing("Q")
 
 
+@lru_cache(maxsize=None)
 def IntegersMod(p: int) -> CoefficientRing:
+    # one object per modulus, so the ring checks in the arithmetic below
+    # usually succeed on identity
     return CoefficientRing("mod", p)
 
 
-def _check_same_ring(x: "LaurentPoly", y: "LaurentPoly") -> None:
-    if x.ring != y.ring:
-        raise ValueError(f"coefficient ring mismatch: {x.ring} vs {y.ring}")
+def _check_ring(ring: CoefficientRing, other: CoefficientRing) -> None:
+    if other is not ring and other != ring:
+        raise ValueError(f"coefficient ring mismatch: {ring} vs {other}")
 
 
-@dataclass(frozen=True)
+def _canonical(ring: CoefficientRing, low: int, buf: list) -> "LaurentPoly":
+    """The polynomial sum_k buf[k] q^(low + k).  `buf` holds coefficients of
+    the right type that are not yet reduced; each is reduced once here."""
+    if ring.p is not None:
+        p = ring.p
+        buf = [c % p for c in buf]
+    elif ring.kind == "Q":
+        buf = [Fraction(c) for c in buf]  # an untouched slot holds int 0
+    end = len(buf)
+    while end and not buf[end - 1]:
+        end -= 1
+    if not end:
+        return LaurentPoly(ring, 0, ())
+    start = 0
+    while not buf[start]:
+        start += 1
+    return LaurentPoly(ring, low + start, tuple(buf[start:end]))
+
+
+@dataclass(frozen=True, slots=True)
 class LaurentPoly:
-    """A sparse Laurent polynomial, stored as (exponent, coefficient) pairs
-    sorted by descending exponent."""
+    """A dense Laurent polynomial sum_k coeffs[k] q^(low + k).
+
+    `coeffs` holds normalised coefficients whose first and last entries are
+    non-zero; zero is (ring, 0, ()).  The constructor trusts its arguments:
+    build polynomials from outside values with `from_dict`, `const`,
+    `monomial`, `parse` or `from_json_terms`, which check and normalise
+    them."""
 
     ring: CoefficientRing
-    terms: tuple
+    low: int
+    coeffs: tuple
 
     @staticmethod
     def from_dict(ring: CoefficientRing, coeffs: dict) -> "LaurentPoly":
-        cleaned = []
+        cleaned = {}
         for e, c in coeffs.items():
             c = ring.normalize(c)
             if c != 0:
-                cleaned.append((int(e), c))
-        cleaned.sort(key=lambda t: -t[0])
-        return LaurentPoly(ring, tuple(cleaned))
+                cleaned[int(e)] = c
+        if not cleaned:
+            return LaurentPoly(ring, 0, ())
+        low = min(cleaned)
+        buf = [ring.normalize(0)] * (max(cleaned) - low + 1)
+        for e, c in cleaned.items():
+            buf[e - low] = c
+        return LaurentPoly(ring, low, tuple(buf))
 
     @staticmethod
     def zero(ring: CoefficientRing) -> "LaurentPoly":
-        return LaurentPoly(ring, ())
+        return LaurentPoly(ring, 0, ())
 
     @staticmethod
     def const(ring: CoefficientRing, c) -> "LaurentPoly":
-        return LaurentPoly.from_dict(ring, {0: c})
+        return LaurentPoly.monomial(ring, 0, c)
 
     @staticmethod
     def one(ring: CoefficientRing) -> "LaurentPoly":
@@ -116,71 +158,140 @@ class LaurentPoly:
 
     @staticmethod
     def monomial(ring: CoefficientRing, e: int, c=1) -> "LaurentPoly":
-        return LaurentPoly.from_dict(ring, {e: c})
+        c = ring.normalize(c)
+        if c == 0:
+            return LaurentPoly(ring, 0, ())
+        return LaurentPoly(ring, int(e), (c,))
 
     @staticmethod
     def q(ring: CoefficientRing) -> "LaurentPoly":
         return LaurentPoly.monomial(ring, 1)
 
+    @property
+    def terms(self) -> tuple:
+        """The non-zero terms as (exponent, coefficient) pairs, descending."""
+        low = self.low
+        return tuple(
+            (low + k, c)
+            for k, c in reversed(tuple(enumerate(self.coeffs)))
+            if c
+        )
+
     # ---- ring arithmetic -------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        _check_same_ring(self, other)
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc.get(e, 0) + c
-        return LaurentPoly.from_dict(self.ring, acc)
+        ring = self.ring
+        _check_ring(ring, other.ring)
+        a, b = self.coeffs, other.coeffs
+        if not a:
+            return other
+        if not b:
+            return self
+        la, lb = self.low, other.low
+        low = min(la, lb)
+        buf = [0] * (max(la + len(a), lb + len(b)) - low)
+        buf[la - low : la - low + len(a)] = a
+        for k, c in enumerate(b, lb - low):
+            buf[k] += c
+        return _canonical(ring, low, buf)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly.from_dict(self.ring, {e: -c for e, c in self.terms})
+        p = self.ring.p
+        if p is None:
+            coeffs = tuple(-c for c in self.coeffs)
+        else:
+            coeffs = tuple(-c % p for c in self.coeffs)
+        return LaurentPoly(self.ring, self.low, coeffs)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        _check_same_ring(self, other)
-        acc: dict = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentPoly.from_dict(self.ring, acc)
+        return LaurentPoly.dot((self,), (other,))
+
+    @staticmethod
+    def dot(xs, ys) -> "LaurentPoly":
+        """The sum of x_k * y_k over paired entries of two equally long,
+        non-empty sequences, accumulated in one coefficient buffer and
+        normalised once.  Every entry must be over the same ring."""
+        ring = None
+        live = []
+        low = high = 0
+        for x, y in zip(xs, ys, strict=True):
+            if ring is None:
+                ring = x.ring
+            elif x.ring is not ring:
+                _check_ring(ring, x.ring)
+            if y.ring is not ring:
+                _check_ring(ring, y.ring)
+            a, b = x.coeffs, y.coeffs
+            if a and b:
+                lo = x.low + y.low
+                hi = lo + len(a) + len(b) - 1
+                if not live:
+                    low, high = lo, hi
+                else:
+                    if lo < low:
+                        low = lo
+                    if hi > high:
+                        high = hi
+                live.append((lo, a, b))
+        if ring is None:
+            raise ValueError("dot needs at least one pair of polynomials")
+        if not live:
+            return LaurentPoly(ring, 0, ())
+        buf = [0] * (high - low)
+        for lo, a, b in live:
+            if len(a) > len(b):
+                a, b = b, a
+            for i, c in enumerate(a, lo - low):
+                if c:
+                    for j, d in enumerate(b, i):
+                        buf[j] += c * d
+        return _canonical(ring, low, buf)
 
     def scale(self, c) -> "LaurentPoly":
-        return LaurentPoly.from_dict(self.ring, {e: c * v for e, v in self.terms})
+        c = self.ring.normalize(c)
+        return _canonical(self.ring, self.low, [c * v for v in self.coeffs])
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by q^k."""
-        return LaurentPoly(self.ring, tuple((e + k, c) for e, c in self.terms))
+        if not self.coeffs:
+            return self
+        return LaurentPoly(self.ring, self.low + k, self.coeffs)
 
     def bar(self) -> "LaurentPoly":
         """The involution q -> q^{-1} (used by the sesquilinear pairing)."""
-        return LaurentPoly(self.ring, tuple(reversed([(-e, c) for e, c in self.terms])))
+        if not self.coeffs:
+            return self
+        return LaurentPoly(
+            self.ring, 1 - self.low - len(self.coeffs), self.coeffs[::-1]
+        )
 
     # ---- inspection ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def is_one(self) -> bool:
         return self == LaurentPoly.one(self.ring)
 
     def coeff(self, e: int):
-        for ee, c in self.terms:
-            if ee == e:
-                return c
+        k = e - self.low
+        if 0 <= k < len(self.coeffs):
+            return self.coeffs[k]
         return self.ring.normalize(0)
 
     def degree_span(self) -> tuple[int, int] | None:
         """(min exponent, max exponent) of the support, or None when zero."""
-        if not self.terms:
+        if not self.coeffs:
             return None
-        return (self.terms[-1][0], self.terms[0][0])
+        return (self.low, self.low + len(self.coeffs) - 1)
 
     def as_monomial(self):
         """Return (exponent, coefficient) if the support is a single term."""
-        if len(self.terms) == 1:
-            return self.terms[0]
+        if len(self.coeffs) == 1:
+            return (self.low, self.coeffs[0])
         return None
 
     def signed_q_power(self):
@@ -195,28 +306,30 @@ class LaurentPoly:
         return None
 
     def evaluate(self, q0):
-        """Substitute q := q0.  q0 must be invertible whenever negative
-        exponents occur."""
-        q0 = self.ring.normalize(q0)
-        has_negative = any(e < 0 for e, _ in self.terms)
-        if has_negative and not self.ring.is_unit(q0):
-            raise ZeroDivisionError(f"q0={q0} has no inverse in {self.ring}")
-        inv = self.ring.invert(q0) if has_negative else None
-        total = self.ring.normalize(0)
-        for e, c in self.terms:
-            base = q0 if e >= 0 else inv
-            total = self.ring.normalize(total + c * base ** abs(e))
-        return total
+        """Substitute q := q0 (Horner's rule).  q0 must be invertible
+        whenever negative exponents occur."""
+        ring = self.ring
+        q0 = ring.normalize(q0)
+        if self.low < 0:
+            if not ring.is_unit(q0):
+                raise ZeroDivisionError(f"q0={q0} has no inverse in {ring}")
+            factor = ring.invert(q0) ** -self.low
+        else:
+            factor = q0**self.low
+        total = ring.normalize(0)
+        for c in reversed(self.coeffs):
+            total = ring.normalize(total * q0 + c)
+        return ring.normalize(total * factor)
 
     def reduce_mod(self, p: int) -> "LaurentPoly":
         if self.ring != ZZ:
             raise ValueError("reduce_mod starts from integer coefficients")
-        return LaurentPoly.from_dict(IntegersMod(p), dict(self.terms))
+        return _canonical(IntegersMod(p), self.low, list(self.coeffs))
 
     # ---- text and JSON forms ---------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.coeffs:
             return "0"
         chunks: list[str] = []
         for e, c in self.terms:

@@ -142,15 +142,11 @@ def pairing(
     """Sesquilinear pairing: q-power scalars come out of the first slot
     inverted, <q^a u, q^b v> = q^(b-a) <u, v>."""
     _check_compat(x, y)
-    total = LaurentPoly.zero(x.ring)
-    for xi, gram_row in zip(x.coords, gram_matrix(x.graph, form, x.ring)):
-        if xi.is_zero():
-            continue
-        xi_bar = xi.bar()
-        for yj, b in zip(y.coords, gram_row):
-            if yj.terms and b.terms:
-                total = total + xi_bar * yj * b
-    return total
+    # <x, y> = sum_i bar(x_i) (G y)_i, with G the Gram matrix
+    gram_y = [
+        LaurentPoly.dot(row, y.coords) for row in gram_matrix(x.graph, form, x.ring)
+    ]
+    return LaurentPoly.dot([xi.bar() for xi in x.coords], gram_y)
 
 
 @dataclass(frozen=True)
@@ -170,33 +166,20 @@ class BurauMatrix:
 
     def mat_mul(self, other: "BurauMatrix") -> "BurauMatrix":
         _check_compat(self, other)
-        n = self.graph.n
-        zero = LaurentPoly.zero(self.ring)
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = zero
-                for k in range(n):
-                    a = self.rows[i][k]
-                    b = other.rows[k][j]
-                    if a.terms and b.terms:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(tuple(row))
-        return BurauMatrix(self.graph, self.ring, tuple(out))
+        dot = LaurentPoly.dot
+        columns = tuple(zip(*other.rows))
+        return BurauMatrix(
+            self.graph,
+            self.ring,
+            tuple(tuple(dot(row, col) for col in columns) for row in self.rows),
+        )
 
     def mat_vec(self, v: BurauVector) -> BurauVector:
         _check_compat(self, v)
-        zero = LaurentPoly.zero(self.ring)
-        out = []
-        for row in self.rows:
-            acc = zero
-            for a, b in zip(row, v.coords):
-                if a.terms and b.terms:
-                    acc = acc + a * b
-            out.append(acc)
-        return BurauVector(self.graph, self.ring, tuple(out))
+        dot = LaurentPoly.dot
+        return BurauVector(
+            self.graph, self.ring, tuple(dot(row, v.coords) for row in self.rows)
+        )
 
     def reduce_mod(self, p: int) -> "BurauMatrix":
         from .laurent import IntegersMod
@@ -287,17 +270,12 @@ def act(g: CoxeterGraph, word, target, form: PairingForm = STANDARD, ring=None):
     if isinstance(target, BurauVector):
         if not word:
             return target
-        zero = LaurentPoly.zero(ring)
         coords = list(target.coords)
         for letter in reversed(word):
             i = abs(letter)
             m = generator_matrix(g, i, 1 if letter > 0 else -1, form, ring)
             _check_compat(m, target)
-            acc = zero
-            for a, b in zip(m.rows[i - 1], coords):
-                if a.terms and b.terms:
-                    acc = acc + a * b
-            coords[i - 1] = acc
+            coords[i - 1] = LaurentPoly.dot(m.rows[i - 1], coords)
         return BurauVector(g, ring, tuple(coords))
     if isinstance(target, BurauMatrix):
         acc = word_matrix(g, word, form, ring)
@@ -315,19 +293,21 @@ def word_matrix(
     generator's entry (i, j), and column i is scaled by the diagonal entry.
     """
     validate_word(g, word)
+    dot = LaurentPoly.dot
+    one = LaurentPoly.one(ring)
     rows = [list(row) for row in identity_matrix(g, ring).rows]
     for letter in word:
         i = abs(letter) - 1
         gen_row = generator_matrix(g, i + 1, 1 if letter > 0 else -1, form, ring).rows[i]
+        updates = [(j, e) for j, e in enumerate(gen_row) if j != i and e.coeffs]
+        diagonal = gen_row[i]
         for row in rows:
             a = row[i]
-            if not a.terms:
+            if not a.coeffs:
                 continue
-            for j, e in enumerate(gen_row):
-                if j == i:
-                    row[i] = a * e
-                elif e.terms:
-                    row[j] = row[j] + a * e
+            for j, e in updates:
+                row[j] = dot((row[j], a), (one, e))
+            row[i] = a * diagonal
     return BurauMatrix(g, ring, tuple(tuple(row) for row in rows))
 
 

@@ -69,9 +69,9 @@ def _keys(coords, mod2: bool):
     root = []
     mass = 0
     for c in coords:
-        value = sum(coeff for _, coeff in c.terms)  # the coordinate at q = 1
+        value = sum(c.coeffs)  # the coordinate at q = 1
         root.append(value % 2 if mod2 else value)
-        mass += sum(abs(coeff) for _, coeff in c.terms)
+        mass += sum(map(abs, c.coeffs))
     return tuple(root), mass
 
 
@@ -102,7 +102,7 @@ class CurveStore:
         return len(self.records)
 
     def insert(self, record: CurveRecord, dedup: bool = True) -> bool:
-        key = tuple(c.terms for c in record.coords)
+        key = record.coords
         if dedup and key in self._seen:
             return False
         self._seen.add(key)
@@ -217,7 +217,10 @@ _Q0 = 0x1D5C_9A3E_27F4_6B81
 
 
 def _poly_mod(poly: LaurentPoly, q: int) -> int:
-    return sum(c * pow(q, e, _P) for e, c in poly.terms) % _P
+    total = 0
+    for c in reversed(poly.coeffs):
+        total = (total * q + c) % _P
+    return total * pow(q, poly.low, _P) % _P
 
 
 def _evaluation_points(g: CoxeterGraph, criterion: int) -> tuple:
@@ -270,7 +273,7 @@ def find_pairs(
     (pair of root keys) restricts the scan to two indexed slices; pairs whose
     witnesses start with the same letter are skipped as redundant
     left-translates of a pair already considered.  `limit` caps the number
-    of pairs returned.
+    of pairs returned; it must be non-negative, and 0 returns no pairs.
 
     A prefilter only prunes: each record's coordinates are evaluated once, at
     a fixed point q0 modulo a 61-bit prime, so a pair costs one n-term dot
@@ -280,6 +283,10 @@ def find_pairs(
     passes is decided by the exact `pairing`."""
     if criterion not in (1, 2):
         raise ValueError("criterion must be 1 or 2")
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be non-negative")
+    if limit == 0:
+        return []
     g = store.graph
     recs = store.records
     if root_filter is not None:
@@ -442,7 +449,7 @@ def _bucket_walk(
     seen_hits = set()
 
     def restart():
-        nonlocal word, mat, nf
+        nonlocal word, mat, nf, mat_spread
         keys = sorted(buckets, key=lambda k: (k.spread, k.canonical_length))
         usable = [k for k in keys if k.spread <= spread_cap // 2 and buckets[k]]
         if usable:
@@ -451,18 +458,21 @@ def _bucket_walk(
         else:
             word = []
         mat = word_matrix(g, word, DUAL, ring)
+        mat_spread = spread(mat)
         nf = ctx.new_nf_state()
         for letter in word:
             nf.push_letter(letter)
 
+    mat_spread = 0  # the identity matrix
     for step in range(budget):
-        if spread(mat) > spread_cap:
+        if mat_spread > spread_cap:
             restart()
         t, lift, band = bands[rng.randrange(len(bands))]
         word.extend(lift)
         mat = mat.mat_mul(band)
         nf.push_simple(t)
-        key = BucketKey(nf.canonical_length(), spread(mat))
+        mat_spread = spread(mat)
+        key = BucketKey(nf.canonical_length(), mat_spread)
         buckets.setdefault(key, deque(maxlen=bucket_capacity)).append(tuple(word))
         if key.canonical_length == 0:
             continue
@@ -525,6 +535,8 @@ def bucket_search(
     run sequentially with derived seeds."""
     if budget < 0:
         raise ValueError("budget must be non-negative")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     if target not in ("fix_vector", "spread_zero"):
         raise ValueError("target must be 'fix_vector' or 'spread_zero'")
     if target == "fix_vector" and not 1 <= fix_vertex <= g.n:

@@ -205,6 +205,34 @@ def test_search_curves_rejects_walk_only_flags(capsys, flag):
     assert flag in capsys.readouterr().err
 
 
+def test_search_curves_limit_zero_reports_no_candidates(capsys):
+    argv = ["search", "curves", "--graph", "A3", "--budget", "60", "--limit", "0"]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    assert json.loads(out)["candidate_pairs"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["curves", "--limit", "-1"], None),
+        (["buckets", "--workers", "0"], None),
+        (["buckets", "--workers", "-3"], None),
+        (["buckets"], "0"),
+        (["buckets"], "two"),
+    ],
+)
+def test_search_rejects_negative_limits_and_worker_counts(capsys, monkeypatch, argv, env):
+    # BURAU_WORKERS is the --workers default, so a bad value is a usage error
+    if env is not None:
+        monkeypatch.setenv("BURAU_WORKERS", env)
+    with pytest.raises(SystemExit) as info:
+        main(["search", *argv, "--graph", "A3", "--budget", "10"])
+    assert info.value.code == EXIT_USAGE
+    flag = "--limit" if argv[0] == "curves" else "--workers"
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
 def test_search_buckets_deterministic_output(capsys):
     argv = [
         "search",

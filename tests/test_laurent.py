@@ -177,3 +177,17 @@ def test_json_terms_round_trip():
 def test_mixed_ring_operations_refused():
     with pytest.raises(ValueError):
         poly({0: 1}) + poly({0: 1}, IntegersMod(5))
+
+
+def test_dense_form_and_dot_edge_cases():
+    p = poly({3: 1, -2: 4})
+    assert (p.low, p.coeffs) == (-2, (4, 0, 0, 0, 0, 1))
+    assert p.terms == ((3, 1), (-2, 4))
+    assert LaurentPoly.zero(ZZ) == LaurentPoly(ZZ, 0, ())
+    # over Z/6 the leading product 2 * 3 vanishes and is trimmed
+    ring = IntegersMod(6)
+    assert poly({1: 2, 0: 1}, ring) * poly({1: 3}, ring) == poly({1: 3}, ring)
+    with pytest.raises(ValueError):
+        LaurentPoly.dot([], [])
+    with pytest.raises(ValueError):
+        LaurentPoly.dot([p, p], [p])

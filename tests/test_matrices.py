@@ -13,6 +13,7 @@ from burau.matrices import (
     basis_vector,
     form_from_name,
     generator_matrix,
+    gram_matrix,
     identity_matrix,
     is_identity,
     pairing,
@@ -166,6 +167,55 @@ def test_sparse_act_and_word_matrix_match_full_products():
         act(preset("A3"), [1], basis_vector(preset("A3"), 1), STANDARD, IntegersMod(2))
     with pytest.raises(ValueError):
         act(preset("A3"), [1], basis_vector(preset("tildeA2"), 1))
+
+
+def _reference_product(rows_a, rows_b, ring):
+    """Naive triple loop over row tuples, built only from LaurentPoly + and *."""
+    out = []
+    for row in rows_a:
+        out_row = []
+        for j in range(len(rows_b[0])):
+            acc = LaurentPoly.zero(ring)
+            for k, a in enumerate(row):
+                acc = acc + a * rows_b[k][j]
+            out_row.append(acc)
+        out.append(tuple(out_row))
+    return tuple(out)
+
+
+def test_matrix_layer_matches_a_naive_reference_product():
+    # the fused products in mat_mul, mat_vec, act, word_matrix and pairing
+    # against sums of single products
+    rng = random.Random(21)
+    for name in ("A3", "D4", "tildeA3"):
+        g = preset(name)
+        for form in (STANDARD, DUAL):
+            for ring in (ZZ, IntegersMod(2), IntegersMod(6)):
+                for length in (0, 1, 4, 9):
+                    w = random_word(rng, g, length)
+                    expected = identity_matrix(g, ring).rows
+                    for letter in w:
+                        expected = _reference_product(
+                            expected, _generator(g, letter, form, ring).rows, ring
+                        )
+                    m = word_matrix(g, w, form, ring)
+                    assert m.rows == expected, (name, form, ring, w)
+                    other = word_matrix(g, random_word(rng, g, 3), form, ring)
+                    assert m.mat_mul(other).rows == _reference_product(
+                        m.rows, other.rows, ring
+                    )
+                    v = random_vector(rng, g, ring)
+                    column = tuple((c,) for c in v.coords)
+                    image = tuple(c for (c,) in _reference_product(m.rows, column, ring))
+                    assert m.mat_vec(v).coords == image
+                    assert act(g, w, v, form).coords == image
+                    y = random_vector(rng, g, ring)
+                    gram = _reference_product(
+                        gram_matrix(g, form, ring), tuple((c,) for c in y.coords), ring
+                    )
+                    bar_x = (tuple(c.bar() for c in v.coords),)
+                    ((expected_pairing,),) = _reference_product(bar_x, gram, ring)
+                    assert pairing(v, y, form) == expected_pairing
 
 
 def test_word_matrix_respects_concatenation():

@@ -128,6 +128,14 @@ def test_find_pairs_respects_limit_and_root_filter():
     assert len(just_one) <= 1
 
 
+def test_find_pairs_limit_zero_returns_nothing_and_negative_is_refused():
+    store = enumerate_curves(preset("A3"), budget=60)
+    assert len(find_pairs(store, 1, limit=1)) == 1
+    assert find_pairs(store, 1, limit=0) == []
+    with pytest.raises(ValueError):
+        find_pairs(store, 1, limit=-1)
+
+
 def _visited_pairs(store, root_filter=None):
     """The pairs find_pairs visits, in its order: both slices of the root
     filter (or the whole store), minus pairs whose witnesses share a first
@@ -385,5 +393,8 @@ def test_bucket_search_zero_budget_and_errors():
         bucket_search(g, 5, 10, seed=0, target="orbit")
     with pytest.raises(ValueError):
         bucket_search(g, 5, 10, seed=0, fix_vertex=9)
+    for workers in (0, -3):
+        with pytest.raises(ValueError):
+            bucket_search(g, 5, 10, seed=0, workers=workers)
     with pytest.raises(NotFiniteType):
         bucket_search(preset("tildeA2"), 5, 10, seed=0)
