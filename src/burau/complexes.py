@@ -12,31 +12,42 @@ identity euler_pairing(X, Y) = pairing(k0 X, k0 Y).
 The positive twist along P_i glues shifted copies of P_i one homological step
 below each summand (the evaluation cone); the negative twist glues them one
 step above.  Both minimize the result before returning it.
+
+Every homogeneous element of Hom(P_i, P_j) = e_j A e_i is a scalar times
+the unique basis token of its degree, so every differential entry is one
+(token, coefficient) term.  Twists and `minimize` work on those terms and
+hand out the algebra's shared instances of entries, summand triples and
+index pairs (`ZigzagAlgebra.term` and `ZigzagAlgebra.shared`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 from .graphs import CoxeterGraph, validate_word
 from .laurent import ZZ, LaurentPoly
 from .matrices import BurauVector
-from .zigzag import Elt, ZigzagAlgebra, token_degree
+from .zigzag import Elt, ZigzagAlgebra, token_degree, token_mul
 
 Summand = tuple  # (vertex, g, h)
 
 
-@dataclass(frozen=True)
 class ProjComplex:
-    algebra: ZigzagAlgebra
-    summands: tuple  # of (vertex, g, h)
-    diff: dict = field(default_factory=dict)  # (src_idx, dst_idx) -> Elt
+    """Summands P_v{g}[h] as (vertex, g, h) triples and a differential
+    (src_idx, dst_idx) -> Elt.  Treated as immutable.  The differential is
+    kept as two parallel tuples, of index pairs and of entries, in about half
+    the memory of a dict (runs keep many complexes): `diff` returns it as a
+    fresh dict and `entries()` iterates it."""
 
-    def __post_init__(self) -> None:
-        for (s, t), e in self.diff.items():
-            vs, gs, hs = self.summands[s]
-            vt, gt, ht = self.summands[t]
+    __slots__ = ("algebra", "summands", "_pairs", "_entries")
+
+    def __init__(self, algebra: ZigzagAlgebra, summands: tuple, diff: dict | None = None):
+        diff = diff or {}
+        for (s, t), e in diff.items():
+            vs, gs, hs = summands[s]
+            vt, gt, ht = summands[t]
             if ht != hs + 1:
                 raise ValueError(f"entry {s}->{t} does not raise h by one")
             if e.is_zero():
@@ -49,18 +60,30 @@ class ProjComplex:
                         f"entry {s}->{t} has token {tok} outside "
                         f"e_{vt} A e_{vs}"
                     )
-            if e.degree() != gs - gt:
-                raise ValueError(
-                    f"entry {s}->{t} has degree {e.degree()}, "
-                    f"expected {gs - gt}"
-                )
+                if token_degree(tok) != gs - gt:
+                    raise ValueError(
+                        f"entry {s}->{t} has token {tok} of degree "
+                        f"{token_degree(tok)}, expected {gs - gt}"
+                    )
+        self.algebra = algebra
+        self.summands = summands
+        self._pairs = tuple(diff)
+        self._entries = tuple(diff.values())
+
+    @property
+    def diff(self) -> dict:
+        return dict(zip(self._pairs, self._entries))
+
+    def entries(self):
+        """The differential as ((src_idx, dst_idx), Elt) items."""
+        return zip(self._pairs, self._entries)
 
     def check_d2(self) -> None:
         """Raise unless the differential squares to zero."""
         by_src: dict[int, list] = {}
-        for (s, t), e in self.diff.items():
+        for (s, t), e in self.entries():
             by_src.setdefault(s, []).append((t, e))
-        for (s, t), e in self.diff.items():
+        for (s, t), e in self.entries():
             acc: dict[int, Elt] = {}
             for u, e2 in by_src.get(t, []):
                 prod = e2 * e
@@ -73,7 +96,7 @@ class ProjComplex:
     def shifted(self, dg: int, dh: int) -> "ProjComplex":
         """The shift X{dg}[dh]."""
         moved = tuple((v, g + dg, h + dh) for v, g, h in self.summands)
-        return ProjComplex(self.algebra, moved, dict(self.diff))
+        return ProjComplex(self.algebra, moved, self.diff)
 
     def __eq__(self, other) -> bool:
         return (
@@ -88,16 +111,19 @@ class ProjComplex:
             f"{idx}: P{v}{{{g}}}[{h}]"
             for idx, (v, g, h) in enumerate(self.summands)
         ]
-        for (s, t) in sorted(self.diff):
-            lines.append(f"{s} -> {t} : {self.diff[(s, t)]}")
+        diff = self.diff
+        for (s, t) in sorted(diff):
+            lines.append(f"{s} -> {t} : {diff[(s, t)]}")
         return "\n".join(lines) if lines else "(zero complex)"
+
+    __repr__ = __str__
 
 
 def projective(algebra: ZigzagAlgebra, i: int) -> ProjComplex:
     """P_i placed in bidegree {0}[0] with zero differential."""
     if not 1 <= i <= algebra.graph.n:
         raise ValueError(f"vertex {i} out of range 1..{algebra.graph.n}")
-    return ProjComplex(algebra, ((i, 0, 0),), {})
+    return ProjComplex(algebra, (algebra.shared((i, 0, 0)),), {})
 
 
 def k0_class(x: ProjComplex) -> BurauVector:
@@ -111,64 +137,74 @@ def k0_class(x: ProjComplex) -> BurauVector:
     return BurauVector(x.algebra.graph, ZZ, coords)
 
 
+def _term(e: Elt) -> tuple:
+    """(token, coefficient) of a differential entry, which has one token."""
+    ((tok, c),) = e.coeffs.items()
+    return tok, c
+
+
 def minimize(x: ProjComplex) -> ProjComplex:
-    """Gaussian elimination: repeatedly cancel summand pairs joined by an
-    invertible multiple of an idempotent, updating the rest of the
-    differential.  Preserves the homotopy type, k0, and all Hom tables."""
-    out: dict[int, dict[int, Elt]] = {}
-    inc: dict[int, dict[int, Elt]] = {}
-    for (s, t), e in x.diff.items():
-        out.setdefault(s, {})[t] = e
-        inc.setdefault(t, {})[s] = e
+    """Gaussian elimination: repeatedly cancel the first summand pair, in
+    index order, joined by an invertible multiple c*e_i of an idempotent,
+    updating the rest of the differential.  Preserves the homotopy type, k0,
+    and all Hom tables.  1/c is c itself when c = +-1 and Fraction(1, c)
+    otherwise, so the result is exact over Q."""
+    algebra = x.algebra
+    out: dict[int, dict[int, tuple]] = {}  # s -> t -> (token, coefficient)
+    inc: dict[int, dict[int, tuple]] = {}
+    units = []  # (s, t) of every entry that was a multiple of e_i when set
+    for (s, t), e in x.entries():
+        term = _term(e)
+        out.setdefault(s, {})[t] = term
+        inc.setdefault(t, {})[s] = term
+        if term[0][0] == "e":
+            units.append((s, t))
+    heapify(units)
     alive = set(range(len(x.summands)))
 
-    def find_pair():
-        for s in sorted(out):
-            for t in sorted(out[s]):
-                e = out[s][t]
-                toks = list(e.coeffs)
-                if len(toks) == 1 and toks[0][0] == "e":
-                    return s, t, e.coeffs[toks[0]]
-        return None
-
-    while True:
-        hit = find_pair()
-        if hit is None:
-            break
-        s, t, c = hit
-        cinv = Fraction(1) / c
-        ins = [(u, a) for u, a in inc.get(t, {}).items() if u != s]
-        outs = [(w, b) for w, b in out.get(s, {}).items() if w != t]
-        for u, a in ins:
-            for w, b in outs:
-                upd = (b * a).scale(-cinv)
-                if upd.is_zero():
+    while units:
+        s, t = heappop(units)
+        hit = out.get(s, {}).get(t)
+        if hit is None or hit[0][0] != "e":
+            continue  # cancelled or changed since it was pushed
+        c = hit[1]
+        cinv = c if c in (1, -1) else Fraction(1, c)
+        ins = [(u, a) for u, a in inc[t].items() if u != s]
+        outs = [(w, b) for w, b in out[s].items() if w != t]
+        for u, (tok_a, ca) in ins:
+            row = out[u]
+            for w, (tok_b, cb) in outs:
+                tok = token_mul(tok_b, tok_a)
+                if tok is None:
                     continue
-                cur = out.setdefault(u, {}).get(w)
-                new = upd if cur is None else cur + upd
-                if new.is_zero():
-                    del out[u][w]
+                v = -cb * ca * cinv
+                cur = row.get(w)
+                if cur is not None:
+                    v += cur[1]
+                if type(v) is Fraction and v.denominator == 1:
+                    v = v.numerator
+                if v == 0:
+                    del row[w]
                     del inc[w][u]
-                else:
-                    out[u][w] = new
-                    inc.setdefault(w, {})[u] = new
+                    continue
+                row[w] = inc.setdefault(w, {})[u] = (tok, v)
+                if cur is None and tok[0] == "e":
+                    heappush(units, (u, w))
         for dead in (s, t):
             alive.discard(dead)
-            for w in list(out.get(dead, {})):
+            for w in out.pop(dead, {}):
                 del inc[w][dead]
-            out.pop(dead, None)
-            for u in list(inc.get(dead, {})):
+            for u in inc.pop(dead, {}):
                 del out[u][dead]
-            inc.pop(dead, None)
 
     keep = sorted(alive)
     renum = {old: new for new, old in enumerate(keep)}
     summands = tuple(x.summands[old] for old in keep)
     diff = {}
     for s, targets in out.items():
-        for t, e in targets.items():
-            diff[(renum[s], renum[t])] = e
-    return ProjComplex(x.algebra, summands, diff)
+        for t, (tok, c) in targets.items():
+            diff[algebra.shared((renum[s], renum[t]))] = algebra.term(tok, c)
+    return ProjComplex(algebra, summands, diff)
 
 
 def apply_twist(x: ProjComplex, i: int, sign: int) -> ProjComplex:
@@ -181,45 +217,38 @@ def apply_twist(x: ProjComplex, i: int, sign: int) -> ProjComplex:
         raise ValueError("sign must be +1 or -1")
 
     summands = list(x.summands)
-    diff = dict(x.diff)
+    diff = dict(x.entries())
     new_index: dict[tuple, int] = {}
+    ei = ("e", i)
 
     if sign == 1:
         # glue P_i{g + deg y}[h - 1] -> P_j{g}[h] for y in Hom(P_i, P_j)
         for t, (j, g, h) in enumerate(x.summands):
             for y in algebra.hom_basis(i, j):
-                idx = len(summands)
-                summands.append((i, g + token_degree(y), h - 1))
-                new_index[(t, y)] = idx
-                diff[(idx, t)] = Elt.from_token(y)
-        for (t1, t2), e in x.diff.items():
-            j1 = x.summands[t1][0]
-            j2 = x.summands[t2][0]
-            for y1 in algebra.hom_basis(i, j1):
-                z = e * Elt.from_token(y1)
-                for y2 in algebra.hom_basis(i, j2):
-                    c = z.coeff(y2)
-                    if c:
-                        key = (new_index[(t1, y1)], new_index[(t2, y2)])
-                        diff[key] = Elt({("e", i): -c})
+                new_index[(t, y)] = idx = len(summands)
+                summands.append(algebra.shared((i, g + token_degree(y), h - 1)))
+                diff[(idx, t)] = algebra.term(y)
+        for (t1, t2), e in x.entries():
+            tok, c = _term(e)
+            for y1 in algebra.hom_basis(i, x.summands[t1][0]):
+                y2 = token_mul(tok, y1)
+                if y2 is not None:
+                    key = (new_index[(t1, y1)], new_index[(t2, y2)])
+                    diff[key] = algebra.term(ei, -c)
     else:
         # glue P_j{g}[h] -> P_i{g - deg y}[h + 1] for y in Hom(P_j, P_i)
         for t, (j, g, h) in enumerate(x.summands):
             for y in algebra.hom_basis(j, i):
-                idx = len(summands)
-                summands.append((i, g - token_degree(y), h + 1))
-                new_index[(t, y)] = idx
-                diff[(t, idx)] = Elt.from_token(y)
-        for (t1, t2), e in x.diff.items():
-            j1 = x.summands[t1][0]
-            j2 = x.summands[t2][0]
-            for y2 in algebra.hom_basis(j2, i):
-                z = Elt.from_token(y2) * e
-                for y1 in algebra.hom_basis(j1, i):
-                    c = z.coeff(y1)
-                    if c:
-                        key = (new_index[(t1, y1)], new_index[(t2, y2)])
-                        diff[key] = Elt({("e", i): -c})
+                new_index[(t, y)] = idx = len(summands)
+                summands.append(algebra.shared((i, g - token_degree(y), h + 1)))
+                diff[(t, idx)] = algebra.term(y)
+        for (t1, t2), e in x.entries():
+            tok, c = _term(e)
+            for y2 in algebra.hom_basis(x.summands[t2][0], i):
+                y1 = token_mul(y2, tok)
+                if y1 is not None:
+                    key = (new_index[(t1, y1)], new_index[(t2, y2)])
+                    diff[key] = algebra.term(ei, -c)
 
     cone = ProjComplex(algebra, tuple(summands), diff)
     return minimize(cone)
@@ -236,36 +265,46 @@ def act_complex(g: CoxeterGraph, word, x: ProjComplex) -> ProjComplex:
     return x
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    """Exact rank by fraction-free-ish Gaussian elimination over Q."""
-    rank = 0
-    rows = [row[:] for row in rows if any(row)]
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rows and col < ncols:
-        pivot = None
-        for ridx in range(rank, len(rows)):
-            if rows[ridx][col] != 0:
-                pivot = ridx
+def _rank(rows) -> int:
+    """Exact rank over Q of sparse rows {column: int or Fraction}, by
+    fraction-free elimination.  A row holding a Fraction is first scaled to
+    integers.  Each row is reduced by its leading column against the pivot
+    row of that column: a +-1 pivot takes over the column from a non-unit
+    one, against a unit pivot pv the row becomes row - f*pv*prow, and
+    otherwise pv*row - f*prow divided by the gcd of its entries."""
+    pivots: dict[int, dict] = {}  # leading column -> pivot row
+    for row in rows:
+        row = {k: v for k, v in row.items() if v}
+        if any(type(v) is not int for v in row.values()):
+            den = lcm(*(v.denominator for v in row.values()))
+            row = {k: int(v * den) for k, v in row.items()}
+        while row:
+            col = min(row)
+            prow = pivots.get(col)
+            if prow is None:
+                pivots[col] = row
                 break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        prow = rows[rank]
-        for ridx in range(rank + 1, len(rows)):
-            f = rows[ridx][col]
-            if f:
-                row = rows[ridx]
-                scale = f / pv
-                for cidx in range(col, ncols):
-                    row[cidx] -= scale * prow[cidx]
-        rank += 1
-        col += 1
-        if rank == len(rows):
-            break
-    return rank
+            f, pv = row[col], prow[col]
+            if f in (1, -1) and pv not in (1, -1):
+                pivots[col] = row
+                row, prow, f, pv = prow, row, pv, f
+            scaled = pv not in (1, -1)
+            if scaled:
+                row = {k: pv * v for k, v in row.items()}
+                m = f
+            else:
+                m = f * pv
+            for k, v in prow.items():
+                nv = row.get(k, 0) - m * v
+                if nv:
+                    row[k] = nv
+                else:
+                    del row[k]
+            if scaled and row:
+                div = gcd(*row.values())
+                if div > 1:
+                    row = {k: v // div for k, v in row.items()}
+    return len(pivots)
 
 
 def hom_table(x: ProjComplex, y: ProjComplex) -> dict:
@@ -274,7 +313,9 @@ def hom_table(x: ProjComplex, y: ProjComplex) -> dict:
 
     The (g, h) component is spanned by algebra maps P_{i_S} -> P_{i_T}
     between summands S of x and T of y with deg + g_T - g_S = g and
-    h_T - h_S = h; the differential is f -> d_y f - (-1)^h f d_x.
+    h_T - h_S = h; the differential is f -> d_y f - (-1)^h f d_x.  Each
+    block of it becomes sparse integer rows, one per basis map, ranked
+    exactly by `_rank`.
     """
     if x.algebra != y.algebra:
         raise ValueError("algebra mismatch")
@@ -282,52 +323,44 @@ def hom_table(x: ProjComplex, y: ProjComplex) -> dict:
 
     blocks: dict[tuple, list] = {}  # (g, h) -> [(s, t, tok)]
     position: dict[tuple, int] = {}  # (s, t, tok) -> index in its block
+    bases: dict[tuple, list] = {}
     for s, (vs, gs, hs) in enumerate(x.summands):
         for t, (vt, gt, ht) in enumerate(y.summands):
-            for tok in algebra.hom_basis(vs, vt):
-                key = (token_degree(tok) + gt - gs, ht - hs)
-                block = blocks.setdefault(key, [])
+            basis = bases.get((vs, vt))
+            if basis is None:
+                basis = bases[(vs, vt)] = algebra.hom_basis(vs, vt)
+            for tok in basis:
+                block = blocks.setdefault((token_degree(tok) + gt - gs, ht - hs), [])
                 position[(s, t, tok)] = len(block)
                 block.append((s, t, tok))
 
     y_out: dict[int, list] = {}
-    for (t, t2), e in y.diff.items():
-        y_out.setdefault(t, []).append((t2, e))
+    for (t, t2), e in y.entries():
+        y_out.setdefault(t, []).append((t2, *_term(e)))
     x_inc: dict[int, list] = {}
-    for (s0, s), e in x.diff.items():
-        x_inc.setdefault(s, []).append((s0, e))
-
-    def image(basis_elt, h):
-        s, t, tok = basis_elt
-        f = Elt.from_token(tok)
-        terms: dict[tuple, Fraction] = {}
-        for t2, e in y_out.get(t, []):
-            z = e * f
-            for tok2, c in z.coeffs.items():
-                key = (s, t2, tok2)
-                terms[key] = terms.get(key, 0) + c
-        sgn = -1 if h % 2 == 0 else 1  # the -(-1)^h factor
-        for s0, e in x_inc.get(s, []):
-            z = f * e
-            for tok2, c in z.coeffs.items():
-                key = (s0, t, tok2)
-                terms[key] = terms.get(key, 0) + sgn * c
-        return terms
+    for (s0, s), e in x.entries():
+        x_inc.setdefault(s, []).append((s0, *_term(e)))
 
     ranks: dict[tuple, int] = {}
     for (g, h), basis in blocks.items():
-        target = blocks.get((g, h + 1), [])
-        if not target:
-            ranks[(g, h)] = 0
+        if (g, h + 1) not in blocks:
             continue
-        cols = []
-        for b in basis:
-            vec = [Fraction(0)] * len(target)
-            for key, c in image(b, h).items():
-                vec[position[key]] += c
-            cols.append(vec)
-        # rank is transpose-invariant, so feed columns as rows
-        ranks[(g, h)] = _rank(cols)
+        sgn = -1 if h % 2 == 0 else 1  # the -(-1)^h factor
+        rows = []
+        for s, t, tok in basis:
+            row: dict = {}  # column -> coefficient
+            for t2, tok_e, c in y_out.get(t, ()):
+                z = token_mul(tok_e, tok)
+                if z is not None:
+                    col = position[(s, t2, z)]
+                    row[col] = row.get(col, 0) + c
+            for s0, tok_e, c in x_inc.get(s, ()):
+                z = token_mul(tok, tok_e)
+                if z is not None:
+                    col = position[(s0, t, z)]
+                    row[col] = row.get(col, 0) + sgn * c
+            rows.append(row)
+        ranks[(g, h)] = _rank(rows)
 
     table: dict[tuple, int] = {}
     for (g, h), basis in blocks.items():
@@ -335,7 +368,7 @@ def hom_table(x: ProjComplex, y: ProjComplex) -> dict:
         if dim < 0:
             raise AssertionError(f"negative cohomology dimension at {(g, h)}")
         if dim:
-            table[(g, h)] = dim
+            table[algebra.shared((g, h))] = dim
     return table
 
 

@@ -49,7 +49,7 @@ def graph_json(g: CoxeterGraph) -> dict:
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rejection:
     """A named reason why a candidate failed a criterion."""
 
@@ -168,6 +168,16 @@ def _hom_data(g: CoxeterGraph, w1, i1: int, w2, i2: int):
     return frozen, sum(table.values())
 
 
+# the one rejection of every orthogonal pair without morphisms; a search
+# keeps one per candidate pair, so they share this instance
+_NO_MORPHISMS = Rejection(
+    CRITERION_COMMUTATOR,
+    "hom",
+    "no morphisms between the twisted projectives: the commutator "
+    "is the trivial braid for categorical reasons",
+)
+
+
 def criterion1(w1, i1: int, w2, i2: int, g: CoxeterGraph):
     """Orthogonal curves: accept when the pairing of the two curve vectors is
     exactly zero and the twisted projectives still see each other (non-zero
@@ -179,12 +189,7 @@ def criterion1(w1, i1: int, w2, i2: int, g: CoxeterGraph):
         )
     table, total = _hom_data(g, w1, i1, w2, i2)
     if total == 0:
-        return Rejection(
-            CRITERION_COMMUTATOR,
-            "hom",
-            "no morphisms between the twisted projectives: the commutator "
-            "is the trivial braid for categorical reasons",
-        )
+        return _NO_MORPHISMS
     t1 = conjugated_generator(w1, i1)
     t2 = conjugated_generator(w2, i2)
     kernel = t1 + t2 + inverse_word(t1) + inverse_word(t2)

@@ -21,6 +21,7 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 
 from .criteria import (
@@ -50,7 +51,7 @@ from .matrices import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurveRecord:
     """One stored curve: the exact vector, the word that produced it from the
     seed root, and the two keys used to organize the store."""
@@ -430,15 +431,24 @@ class BucketKey:
             raise ValueError("bucket keys are non-negative")
 
 
+@lru_cache(maxsize=8)
+def _walk_bands(g: CoxeterGraph, p: int) -> tuple:
+    """(reflection, lift word, dual matrix of the lift mod p) per reflection,
+    built once per (graph, p) and shared by every walk."""
+    ctx = garside_context(g)
+    ring = IntegersMod(p)
+    lifts = ctx.reflection_lifts
+    return tuple(
+        (t, lifts[t], word_matrix(g, lifts[t], DUAL, ring)) for t in ctx.refl_ids
+    )
+
+
 def _bucket_walk(
     g, p, budget, seed, target, fix_vertex, bucket_capacity, spread_cap, worker
 ):
     ctx = garside_context(g)
     ring = IntegersMod(p)
-    lifts = ctx.reflection_lifts
-    bands = [
-        (t, lifts[t], word_matrix(g, lifts[t], DUAL, ring)) for t in ctx.refl_ids
-    ]
+    bands = _walk_bands(g, p)
     rng = random.Random(seed)
     word: list[int] = []
     mat = identity_matrix(g, ring)

@@ -1,4 +1,4 @@
-"""The zigzag algebra of a simply-laced graph, over the rationals.
+"""The zigzag algebra of a simply-laced graph, with integer coefficients.
 
 Basis: an idempotent e_i per vertex (degree 0), an arrow (i|j) per ordered
 adjacent pair, read as the length-one path from i to j (degree 1), and a loop
@@ -10,20 +10,26 @@ Products follow map composition for right modules P_i = e_i A: in x*y the
 factor y acts first, so y's target vertex must match x's source.  With that
 reading, Hom(P_i, P_j) is e_j A e_i and composing module maps is literally
 multiplying their algebra elements in the same order.
+
+Coefficients are Python ints.  A `Fraction` appears only where `minimize`
+cancels along a non-unit multiple of an idempotent, so every result stays
+exact over the rationals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .graphs import CoxeterGraph
 
 # tokens: ("e", i) / ("a", i, j) meaning the path i -> j / ("x", i)
 
+_DEGREE = {"e": 0, "a": 1, "x": 2}
+
 
 def token_degree(tok) -> int:
-    return {"e": 0, "a": 1, "x": 2}[tok[0]]
+    return _DEGREE[tok[0]]
 
 
 def token_str(tok) -> str:
@@ -43,11 +49,13 @@ def token_target(tok) -> int:
     return tok[2] if tok[0] == "a" else tok[1]
 
 
+@lru_cache(maxsize=1 << 12)
 def token_mul(x, y):
-    """Product x*y of two basis tokens (y first); returns a token or None."""
+    """Product x*y of two basis tokens (y first); returns a token or None.
+    Each pair is worked out once and then looked up in a bounded table."""
     if token_target(y) != token_source(x):
         return None
-    dx, dy = token_degree(x), token_degree(y)
+    dx, dy = _DEGREE[x[0]], _DEGREE[y[0]]
     if dx + dy > 2:
         return None
     if dx == 0:
@@ -61,8 +69,10 @@ def token_mul(x, y):
 
 
 class Elt:
-    """A rational linear combination of basis tokens.  Treated as immutable;
-    arithmetic always builds fresh instances."""
+    """A linear combination of basis tokens with int coefficients (a
+    `Fraction` only after a non-unit pivot in `minimize`).  Treated as
+    immutable: arithmetic always builds fresh instances, and complexes share
+    one instance per (token, coefficient) through `ZigzagAlgebra.term`."""
 
     __slots__ = ("coeffs",)
 
@@ -73,7 +83,7 @@ class Elt:
 
     @staticmethod
     def from_token(tok, c=1) -> "Elt":
-        return Elt({tok: Fraction(c)})
+        return Elt({tok: c})
 
     @staticmethod
     def zero() -> "Elt":
@@ -82,8 +92,8 @@ class Elt:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, tok) -> Fraction:
-        return self.coeffs.get(tok, Fraction(0))
+    def coeff(self, tok):
+        return self.coeffs.get(tok, 0)
 
     def __add__(self, other: "Elt") -> "Elt":
         acc = dict(self.coeffs)
@@ -151,7 +161,15 @@ class Elt:
 
 @dataclass(frozen=True)
 class ZigzagAlgebra:
+    """The algebra of one graph.  It also holds one shared instance per value
+    of the immutable parts of complexes built over it (one-token entries,
+    summand triples, index pairs and hom table bidegrees), so a kept complex
+    costs little more than its index structure.  The tables live exactly as
+    long as the algebra; `zigzag` builds a fresh one per call."""
+
     graph: CoxeterGraph
+    _terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _tuples: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.graph.n < 2:
@@ -159,19 +177,31 @@ class ZigzagAlgebra:
         if not self.graph.is_simply_laced():
             raise ValueError("zigzag algebra requires all labels in {2, 3}")
 
+    def term(self, tok, c=1) -> Elt:
+        """The element c*tok, as the one shared instance for (tok, c)."""
+        elt = self._terms.get((tok, c))
+        if elt is None:
+            elt = self._terms[(tok, c)] = Elt({tok: c})
+        return elt
+
+    def shared(self, t: tuple) -> tuple:
+        """The one shared instance of a summand triple, index pair or
+        bidegree."""
+        return self._tuples.setdefault(t, t)
+
     def e(self, i: int) -> Elt:
-        return Elt.from_token(("e", i))
+        return self.term(("e", i))
 
     def arrow(self, i: int, j: int) -> Elt:
         if not self.graph.adjacent(i, j):
             raise ValueError(f"no arrow ({i}|{j}): vertices are not adjacent")
-        return Elt.from_token(("a", i, j))
+        return self.term(("a", i, j))
 
     def loop(self, i: int) -> Elt:
-        return Elt.from_token(("x", i))
+        return self.term(("x", i))
 
     def unit(self) -> Elt:
-        return Elt({("e", i): Fraction(1) for i in self.graph.vertices()})
+        return Elt({("e", i): 1 for i in self.graph.vertices()})
 
     def basis(self) -> list:
         toks = [("e", i) for i in self.graph.vertices()]
