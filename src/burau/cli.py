@@ -4,16 +4,16 @@ Subcommands expose the main library operations: `verify` replays the bundled
 counterexamples and exits 0 only if every check passes, `burau`, `pairing`,
 `twist` and `hom` print single computations, and `search` launches the two
 search harnesses.  Exit codes: 0 success, 1 verification failure, 2 usage
-error.  Machine-readable output is JSON behind --json; default output is
-plain text.
+or input error, 3 internal error (a bug: the traceback goes to stderr).
+Machine-readable output is JSON behind --json; default output is plain text.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+import traceback
 from collections import Counter
 
 from .complexes import (
@@ -27,7 +27,6 @@ from .complexes import (
 )
 from .criteria import KernelCertificate, Rejection, criterion1, graph_json
 from .fixtures import D4_MODULI, affine_fixture, d4_fixture
-from .garside import NotFiniteType
 from .graphs import load_graph, word_from_string
 from .laurent import ZZ, IntegersMod
 from .matrices import act, basis_vector, form_from_name, pairing, word_matrix
@@ -43,6 +42,7 @@ from .zigzag import zigzag
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _int_at_least(minimum: int):
@@ -60,8 +60,18 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _graph(spec: str):
+    """An argparse type: a preset name or a graph file, loaded at parse time."""
+    try:
+        return load_graph(spec)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+    except (ValueError, OSError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot read graph {spec!r}: {exc}") from None
+
+
 def _ring(args) -> object:
-    return IntegersMod(args.mod) if getattr(args, "mod", None) else ZZ
+    return ZZ if args.mod is None else IntegersMod(args.mod)
 
 
 def _emit(args, human: str, machine) -> None:
@@ -87,6 +97,9 @@ def _verify_one(name: str):
 
 
 def cmd_verify(args) -> int:
+    if args.target != "d4-mod" and args.p is not None:
+        print(f"verify {args.target} takes no modulus", file=sys.stderr)
+        return EXIT_USAGE
     if args.target == "d4-mod":
         if args.p is None:
             print("verify d4-mod needs a modulus, e.g. `verify d4-mod 7`", file=sys.stderr)
@@ -119,15 +132,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_burau(args) -> int:
-    g = load_graph(args.graph)
     form = form_from_name(args.form)
-    m = word_matrix(g, word_from_string(args.word), form, _ring(args))
+    m = word_matrix(args.graph, word_from_string(args.word), form, _ring(args))
     _emit(args, str(m), m.to_json())
     return EXIT_OK
 
 
 def cmd_pairing(args) -> int:
-    g = load_graph(args.graph)
+    g = args.graph
     form = form_from_name(args.form)
     ring = _ring(args)
     x = act(g, word_from_string(args.w1), basis_vector(g, args.i1, ring), form)
@@ -138,7 +150,7 @@ def cmd_pairing(args) -> int:
 
 
 def cmd_twist(args) -> int:
-    g = load_graph(args.graph)
+    g = args.graph
     cx = act_complex(g, word_from_string(args.word), projective(zigzag(g), args.start))
     k0 = k0_class(cx)
     spherical = is_spherical(cx)
@@ -157,7 +169,7 @@ def cmd_twist(args) -> int:
 
 
 def cmd_hom(args) -> int:
-    g = load_graph(args.graph)
+    g = args.graph
     algebra = zigzag(g)
     cx = act_complex(g, word_from_string(args.w1), projective(algebra, args.i1))
     cy = act_complex(g, word_from_string(args.w2), projective(algebra, args.i2))
@@ -174,7 +186,7 @@ def cmd_hom(args) -> int:
 
 
 def cmd_search(args) -> int:
-    g = load_graph(args.graph)
+    g = args.graph
     if args.kind == "curves":
         store = enumerate_curves(g, budget=args.budget)
         pairs = find_pairs(store, criterion=args.criterion, limit=args.limit)
@@ -208,7 +220,6 @@ def cmd_search(args) -> int:
             seed=args.seed,
             target=args.target,
             fix_vertex=args.start,
-            workers=args.workers,
         )
     text = json.dumps(result, indent=2, sort_keys=True)
     if args.out:
@@ -238,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_burau = sub.add_parser("burau", help="Burau matrix of a word")
-    p_burau.add_argument("--graph", required=True)
+    p_burau.add_argument("--graph", type=_graph, required=True)
     p_burau.add_argument("--word", required=True)
     p_burau.add_argument("--form", choices=["standard", "dual"], default="standard")
     p_burau.add_argument("--mod", type=int)
@@ -246,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_burau.set_defaults(func=cmd_burau)
 
     p_pair = sub.add_parser("pairing", help="pairing of two twisted roots")
-    p_pair.add_argument("--graph", required=True)
+    p_pair.add_argument("--graph", type=_graph, required=True)
     p_pair.add_argument("--w1", required=True)
     p_pair.add_argument("--i1", type=int, required=True)
     p_pair.add_argument("--w2", required=True)
@@ -257,14 +268,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_pair.set_defaults(func=cmd_pairing)
 
     p_twist = sub.add_parser("twist", help="twisted projective complex of a word")
-    p_twist.add_argument("--graph", required=True)
+    p_twist.add_argument("--graph", type=_graph, required=True)
     p_twist.add_argument("--word", required=True)
     p_twist.add_argument("--start", type=int, required=True)
     p_twist.add_argument("--json", action="store_true")
     p_twist.set_defaults(func=cmd_twist)
 
     p_hom = sub.add_parser("hom", help="bigraded hom table of two twisted projectives")
-    p_hom.add_argument("--graph", required=True)
+    p_hom.add_argument("--graph", type=_graph, required=True)
     p_hom.add_argument("--w1", required=True)
     p_hom.add_argument("--i1", type=int, required=True)
     p_hom.add_argument("--w2", required=True)
@@ -275,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="run a counterexample search")
     kinds = p_search.add_subparsers(dest="kind", required=True)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--graph", required=True)
+    common.add_argument("--graph", type=_graph, required=True)
     common.add_argument("--budget", type=int, default=1000)
     common.add_argument("--out", help="write the run result to this path")
 
@@ -298,13 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         "buckets", parents=[common], help="seeded bucket walk in the dual monoid mod p"
     )
     p_buckets.add_argument("--seed", type=int, default=0)
-    p_buckets.add_argument(
-        "--workers",
-        type=_int_at_least(1),
-        # a string default goes through `type`, so a bad BURAU_WORKERS is
-        # a usage error too
-        default=os.environ.get("BURAU_WORKERS", "1"),
-    )
     p_buckets.add_argument("--p", type=int, default=5)
     p_buckets.add_argument(
         "--target", choices=["fix_vector", "spread_zero"], default="fix_vector"
@@ -320,12 +324,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NotFiniteType as exc:
+    except (ValueError, OSError) as exc:
+        # the library's own input checks raise ValueError (NotFiniteType too)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

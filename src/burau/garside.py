@@ -185,11 +185,12 @@ def _moved_rank(m: tuple) -> int:
 
 
 class DualGarside:
-    """The interval [1, gamma] of one graph and one Coxeter element order,
-    with the tables the normal form needs.  Element ids index `matrices`;
-    id 0 is the identity and ids 1..N are the reflections."""
+    """The interval [1, gamma] of one graph, for gamma = s_1 ... s_n, with
+    the tables the normal form needs.  Element ids index `matrices`; id 0 is
+    the identity and ids 1..N are the reflections, so id i <= n is the atom
+    s_i."""
 
-    def __init__(self, graph: CoxeterGraph, order=None):
+    def __init__(self, graph: CoxeterGraph):
         if not _finite_simply_laced(graph):
             raise NotFiniteType(
                 "the dual Garside structure needs a finite simply-laced graph "
@@ -197,20 +198,16 @@ class DualGarside:
             )
         self.graph = graph
         self.n = graph.n
-        self.order = tuple(order) if order is not None else tuple(graph.vertices())
-        if sorted(self.order) != list(graph.vertices()):
-            raise ValueError("order must be a permutation of the vertices")
-        self.gamma_word = self.order
+        self.gamma_word = tuple(graph.vertices())
 
         atoms = []
         for i in graph.vertices():
             m = generator_matrix(graph, i, 1, STANDARD, ZZ)
             atoms.append(tuple(tuple(e.evaluate(-1) for e in row) for row in m.rows))
-        gamma = atoms[self.order[0] - 1]
-        gamma_inv = gamma
-        for i in self.order[1:]:
-            gamma = _mat_mul(gamma, atoms[i - 1])
-            gamma_inv = _mat_mul(atoms[i - 1], gamma_inv)
+        gamma = gamma_inv = atoms[0]
+        for a in atoms[1:]:
+            gamma = _mat_mul(gamma, a)
+            gamma_inv = _mat_mul(a, gamma_inv)
         refls = _reflections(atoms)
         self._build_interval(refls, gamma)
         self.identity = 0
@@ -219,7 +216,6 @@ class DualGarside:
             raise AssertionError("gamma should have reflection length n")
         self._gamma_inv = gamma_inv
         self.refl_ids = list(range(1, len(refls) + 1))
-        self.atom_ids = {i: i for i in graph.vertices()}
         self.gamma_atom_ids = {
             i: self.product(self.gamma, i) for i in graph.vertices()
         }
@@ -292,7 +288,7 @@ class DualGarside:
 
     def _hurwitz_lifts(self) -> dict[int, tuple]:
         """One fixed braid word per reflection, read off the Hurwitz orbit of
-        the defining factorization gamma = s_{o1} ... s_{on}.  Hurwitz moves
+        the defining factorization gamma = s_1 ... s_n.  Hurwitz moves
         are braid-level identities, so which orbit path finds a reflection
         first does not affect the braid it lifts to.  The search stops once
         every reflection has its first lift."""
@@ -306,8 +302,8 @@ class DualGarside:
                 conjugates[(a, b)] = got
             return got
 
-        start_fact = tuple(self.atom_ids[i] for i in self.order)
-        start_lift = tuple((i,) for i in self.order)
+        start_fact = self.gamma_word
+        start_lift = tuple((i,) for i in self.gamma_word)
         lifts: dict[int, tuple] = {}
         seen = {start_fact}
         queue = deque([(start_fact, start_lift)])
@@ -389,19 +385,15 @@ class DualGarside:
     # ---- normal form -------------------------------------------------------
 
     def normal_form(self, word) -> GarsideNF:
+        return self.new_nf_state(word).result()
+
+    def new_nf_state(self, word) -> "_NFState":
+        """A normal-form accumulator holding the given braid word."""
         validate_word(self.graph, word)
         state = _NFState(self)
         for letter in word:
             state.push_letter(letter)
-        return state.result()
-
-    def normal_form_of_nf_times_letter(self, nf: GarsideNF, letter: int) -> GarsideNF:
-        state = _NFState.from_nf(self, nf)
-        state.push_letter(letter)
-        return state.result()
-
-    def new_nf_state(self) -> "_NFState":
-        return _NFState(self)
+        return state
 
 
 class _NFState:
@@ -419,15 +411,6 @@ class _NFState:
         self.tail: int | None = None
         self.counter = 0
         self.stack: list[int] = []
-
-    @staticmethod
-    def from_nf(ctx: DualGarside, nf: GarsideNF) -> "_NFState":
-        state = _NFState(ctx)
-        state.k = nf.k
-        for s in nf.simples:
-            state._append(ctx.index[s.matrix])
-        state._drain()
-        return state
 
     def _append(self, w: int) -> None:
         nid = self.counter
@@ -473,7 +456,7 @@ class _NFState:
     def push_letter(self, letter: int) -> None:
         ctx = self.ctx
         if letter > 0:
-            self._append(ctx.atom_ids[letter])
+            self._append(letter)  # the atom s_i has id i
         else:
             self.k -= 1
             for nid in self.value:
@@ -544,18 +527,12 @@ class _NFState:
 
 
 @lru_cache(maxsize=None)
-def garside_context(g: CoxeterGraph, order=None) -> DualGarside:
-    return DualGarside(g, order)
+def garside_context(g: CoxeterGraph) -> DualGarside:
+    return DualGarside(g)
 
 
-def _context(g: CoxeterGraph, order) -> DualGarside:
-    """The cached context, looked up as `garside_context(g)` for the default
-    order: `garside_context(g, None)` would be a second cache entry."""
-    return garside_context(g) if order is None else garside_context(g, order)
-
-
-def coxeter_element(g: CoxeterGraph, order=None) -> CoxeterElt:
-    ctx = _context(g, order)
+def coxeter_element(g: CoxeterGraph) -> CoxeterElt:
+    ctx = garside_context(g)
     return CoxeterElt(ctx.matrices[ctx.gamma])
 
 
@@ -564,8 +541,8 @@ def reflections(g: CoxeterGraph) -> list[CoxeterElt]:
     return [CoxeterElt(ctx.matrices[t]) for t in ctx.refl_ids]
 
 
-def interval(g: CoxeterGraph, order=None) -> list[DualSimple]:
-    ctx = _context(g, order)
+def interval(g: CoxeterGraph) -> list[DualSimple]:
+    ctx = garside_context(g)
     return [ctx.simple(w) for w in range(len(ctx.matrices))]
 
 
@@ -577,8 +554,8 @@ def _resolve(ctx: DualGarside, x) -> int:
     return idx
 
 
-def divides(g: CoxeterGraph, a, b, order=None, side: str = "left") -> bool:
-    ctx = _context(g, order)
+def divides(g: CoxeterGraph, a, b, side: str = "left") -> bool:
+    ctx = garside_context(g)
     ai, bi = _resolve(ctx, a), _resolve(ctx, b)
     if side == "left":
         return ctx.left_divides(ai, bi)
@@ -587,12 +564,12 @@ def divides(g: CoxeterGraph, a, b, order=None, side: str = "left") -> bool:
     raise ValueError("side must be 'left' or 'right'")
 
 
-def word_to_nf(g: CoxeterGraph, word, order=None) -> GarsideNF:
-    return _context(g, order).normal_form(word)
+def word_to_nf(g: CoxeterGraph, word) -> GarsideNF:
+    return garside_context(g).normal_form(word)
 
 
-def is_trivial_braid(g: CoxeterGraph, word, order=None) -> bool:
-    return word_to_nf(g, word, order).is_trivial()
+def is_trivial_braid(g: CoxeterGraph, word) -> bool:
+    return word_to_nf(g, word).is_trivial()
 
 
 @dataclass(frozen=True)
@@ -611,24 +588,28 @@ class SamecurveReport:
         )
 
 
-def samecurve_check(g: CoxeterGraph, word, i: int, order=None) -> SamecurveReport:
+def samecurve_check(g: CoxeterGraph, word, i: int) -> SamecurveReport:
     """The three normal-form conditions under which appending sigma_i keeps a
     braid's rightmost factor clean: no gamma power, appending sigma_i simply
     extends the factor list, and the atom s_i does not divide the last factor.
     Reported separately; nothing is assumed about the input word."""
-    ctx = _context(g, order)
-    nf = ctx.normal_form(word)
-    appended = ctx.normal_form_of_nf_times_letter(nf, i)
+    if not 1 <= i <= g.n:
+        raise ValueError(f"vertex {i} out of range 1..{g.n}")
+    ctx = garside_context(g)
+    state = ctx.new_nf_state(word)
+    nf = state.result()
+    state.push_letter(i)
+    appended = state.result()
     cond1 = nf.k == 0
     cond2 = (
         appended.k == nf.k
         and len(appended.simples) == len(nf.simples) + 1
         and appended.simples[: len(nf.simples)] == nf.simples
-        and appended.simples[-1].matrix == ctx.matrices[ctx.atom_ids[i]]
+        and appended.simples[-1].matrix == ctx.matrices[i]
     )
     if nf.simples:
         last = ctx.index[nf.simples[-1].matrix]
-        cond3 = not ctx.left_divides(ctx.atom_ids[i], last)
+        cond3 = not ctx.left_divides(i, last)
     else:
         cond3 = True
     return SamecurveReport(

@@ -22,20 +22,15 @@ from .laurent import ZZ, CoefficientRing, LaurentPoly
 
 @dataclass(frozen=True)
 class PairingForm:
-    """'standard' or 'dual'.  The dual form carries the vertex order fixing
-    gamma; positions in `order` decide which of 1 or q an edge contributes."""
+    """'standard' or 'dual'.  The dual form is tuned to the Coxeter element
+    gamma = sigma_1 ... sigma_n: an edge i - j with i < j contributes 1 to
+    <alpha_i, alpha_j> and q to <alpha_j, alpha_i>."""
 
     variant: str
-    order: tuple | None = None
 
     def __post_init__(self) -> None:
         if self.variant not in ("standard", "dual"):
             raise ValueError(f"unknown pairing form {self.variant!r}")
-
-    def position(self, i: int) -> int:
-        if self.order is None:
-            return i
-        return self.order.index(i)
 
 
 STANDARD = PairingForm("standard")
@@ -66,7 +61,7 @@ def _basis_pairing(
         return LaurentPoly.from_dict(ring, {0: 1, 1: 1})
     if m == 2:
         return LaurentPoly.zero(ring)
-    if form.position(i) < form.position(j):
+    if i < j:
         return LaurentPoly.one(ring)
     return LaurentPoly.q(ring)
 
@@ -81,26 +76,8 @@ class BurauVector:
         if len(self.coords) != self.graph.n:
             raise ValueError("coordinate count does not match the graph")
 
-    def coord(self, i: int) -> LaurentPoly:
-        return self.coords[i - 1]
-
-    def add(self, other: "BurauVector") -> "BurauVector":
-        _check_compat(self, other)
-        return BurauVector(
-            self.graph,
-            self.ring,
-            tuple(a + b for a, b in zip(self.coords, other.coords)),
-        )
-
     def scale(self, f: LaurentPoly) -> "BurauVector":
         return BurauVector(self.graph, self.ring, tuple(f * c for c in self.coords))
-
-    def reduce_mod(self, p: int) -> "BurauVector":
-        from .laurent import IntegersMod
-
-        return BurauVector(
-            self.graph, IntegersMod(p), tuple(c.reduce_mod(p) for c in self.coords)
-        )
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coords)
@@ -256,31 +233,26 @@ def generator_matrix(
     return BurauMatrix(g, ring, tuple(tuple(row) for row in rows))
 
 
-def act(g: CoxeterGraph, word, target, form: PairingForm = STANDARD, ring=None):
-    """Left action of a braid word: act([w1, w2], x) = M(w1) . M(w2) . x.
-
-    `target` may be a BurauVector or a BurauMatrix; the result has the same
-    kind.  The empty word is the identity.  On a vector each letter changes
-    only coordinate i, to the dot product of the generator's row i with the
-    vector.
+def act(
+    g: CoxeterGraph, word, v: BurauVector, form: PairingForm = STANDARD
+) -> BurauVector:
+    """Left action of a braid word on a vector: act([w1, w2], v) =
+    M(w1) . M(w2) . v, over the vector's ring.  The empty word is the
+    identity.  Each letter changes only coordinate i, to the dot product of
+    the generator's row i with the vector.
     """
     validate_word(g, word)
-    if ring is None:
-        ring = target.ring
-    if isinstance(target, BurauVector):
-        if not word:
-            return target
-        coords = list(target.coords)
-        for letter in reversed(word):
-            i = abs(letter)
-            m = generator_matrix(g, i, 1 if letter > 0 else -1, form, ring)
-            _check_compat(m, target)
-            coords[i - 1] = LaurentPoly.dot(m.rows[i - 1], coords)
-        return BurauVector(g, ring, tuple(coords))
-    if isinstance(target, BurauMatrix):
-        acc = word_matrix(g, word, form, ring)
-        return acc.mat_mul(target)
-    raise TypeError(f"cannot act on {type(target).__name__}")
+    if not word:
+        return v
+    if v.graph != g:
+        raise ValueError("graph mismatch")
+    ring = v.ring
+    coords = list(v.coords)
+    for letter in reversed(word):
+        i = abs(letter)
+        m = generator_matrix(g, i, 1 if letter > 0 else -1, form, ring)
+        coords[i - 1] = LaurentPoly.dot(m.rows[i - 1], coords)
+    return BurauVector(g, ring, tuple(coords))
 
 
 def word_matrix(

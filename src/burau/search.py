@@ -11,8 +11,8 @@ spread, watching for words that fix a basis root up to a power of q (or reach
 spread zero at positive length); fixing words feed the twist-quotient
 verifier, which is also usable standalone on explicit words.
 
-Everything here is deterministic for a fixed seed and single worker; multiple
-workers just run the same walk with derived seeds and concatenate results.
+Everything here is deterministic: the curve search takes no seed, and a walk
+is reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .criteria import (
     graph_json,
 )
 from .garside import garside_context, is_trivial_braid, samecurve_check
-from .graphs import INF, CoxeterGraph, inverse_word, validate_word
+from .graphs import INF, CoxeterGraph, commutator_word, validate_word
 from .laurent import ZZ, IntegersMod, LaurentPoly
 from .matrices import (
     DUAL,
@@ -66,20 +66,18 @@ class CurveRecord:
         return BurauVector(g, ZZ, self.coords)
 
 
-def _keys(coords, mod2: bool):
+def _keys(coords):
     root = []
     mass = 0
     for c in coords:
-        value = sum(c.coeffs)  # the coordinate at q = 1
-        root.append(value % 2 if mod2 else value)
+        root.append(sum(c.coeffs))  # the coordinate at q = 1
         mass += sum(map(abs, c.coeffs))
     return tuple(root), mass
 
 
-def curve_record(g: CoxeterGraph, word, vertex: int, mod2: bool = False) -> CurveRecord:
-    validate_word(g, word)
+def curve_record(g: CoxeterGraph, word, vertex: int) -> CurveRecord:
     vec = act(g, word, basis_vector(g, vertex))
-    root, mass = _keys(vec.coords, mod2)
+    root, mass = _keys(vec.coords)
     return CurveRecord(
         coords=vec.coords,
         witness=tuple(word),
@@ -92,9 +90,8 @@ def curve_record(g: CoxeterGraph, word, vertex: int, mod2: bool = False) -> Curv
 class CurveStore:
     """Curve records with exact-vector deduplication and a root-key index."""
 
-    def __init__(self, g: CoxeterGraph, mod2: bool = False):
+    def __init__(self, g: CoxeterGraph):
         self.graph = g
-        self.mod2 = mod2
         self.records: list[CurveRecord] = []
         self.by_root: dict[tuple, list[int]] = {}
         self._seen: set[tuple] = set()
@@ -102,22 +99,22 @@ class CurveStore:
     def __len__(self) -> int:
         return len(self.records)
 
-    def insert(self, record: CurveRecord, dedup: bool = True) -> bool:
+    def insert(self, record: CurveRecord) -> bool:
+        """Add the record unless its vector is already stored."""
         key = record.coords
-        if dedup and key in self._seen:
+        if key in self._seen:
             return False
         self._seen.add(key)
         self.by_root.setdefault(record.root_key, []).append(len(self.records))
         self.records.append(record)
         return True
 
-    def insert_witness(self, word, vertex: int, dedup: bool = True) -> bool:
-        return self.insert(curve_record(self.graph, word, vertex, self.mod2), dedup)
+    def insert_witness(self, word, vertex: int) -> bool:
+        return self.insert(curve_record(self.graph, word, vertex))
 
     def to_json(self) -> dict:
         return {
             "graph": graph_json(self.graph),
-            "mod2": self.mod2,
             "records": [
                 {
                     "coords": [c.to_json_terms() for c in r.coords],
@@ -137,7 +134,7 @@ class CurveStore:
             (i, j, INF if m == "inf" else int(m)) for i, j, m in gj["edges"]
         ]
         g = CoxeterGraph.from_edges(gj["n"], edges)
-        store = CurveStore(g, data.get("mod2", False))
+        store = CurveStore(g)
         for r in data["records"]:
             store.insert(
                 CurveRecord(
@@ -148,8 +145,7 @@ class CurveStore:
                     seed_vertex=r["seed_vertex"],
                     root_key=tuple(r["root_key"]),
                     length_key=r["length_key"],
-                ),
-                dedup=False,
+                )
             )
         return store
 
@@ -168,8 +164,6 @@ def enumerate_curves(
     seeds=None,
     budget: int = 10000,
     max_depth: int | None = None,
-    dedup: bool = True,
-    mod2: bool = False,
 ) -> CurveStore:
     """Breadth-first orbit enumeration: apply every generator and inverse to
     every stored curve, starting from the seed basis roots, until the record
@@ -177,11 +171,11 @@ def enumerate_curves(
     seeds = list(g.vertices()) if seeds is None else sorted(set(seeds))
     if budget < len(seeds) or budget == 0:
         raise ValueError("budget must cover at least the seed vectors")
-    store = CurveStore(g, mod2)
+    store = CurveStore(g)
     queue = deque()
     for s in seeds:
-        rec = curve_record(g, (), s, mod2)
-        if store.insert(rec, dedup):
+        rec = curve_record(g, (), s)
+        if store.insert(rec):
             queue.append((rec.coords, (), s, 0))
     letters = [sign * j for j in g.vertices() for sign in (1, -1)]
     while queue and len(store) < budget:
@@ -191,7 +185,7 @@ def enumerate_curves(
         vec = BurauVector(g, ZZ, coords)
         for letter in letters:
             new_vec = act(g, (letter,), vec)
-            root, mass = _keys(new_vec.coords, mod2)
+            root, mass = _keys(new_vec.coords)
             rec = CurveRecord(
                 coords=new_vec.coords,
                 witness=(letter,) + word,
@@ -199,7 +193,7 @@ def enumerate_curves(
                 root_key=root,
                 length_key=mass,
             )
-            if store.insert(rec, dedup):
+            if store.insert(rec):
                 queue.append((rec.coords, rec.witness, s, depth + 1))
                 if len(store) >= budget:
                     break
@@ -383,7 +377,7 @@ def verify_bigelow3(g: CoxeterGraph, beta, i: int, p: int):
         )
     exponent, sign = fixing
     beta = tuple(beta)
-    kernel = beta + (i,) + inverse_word(beta) + (-i,)
+    kernel = commutator_word(beta, (i,))
     if is_trivial_braid(g, kernel):
         return Rejection(
             CRITERION_TWIST_QUOTIENT,
@@ -443,16 +437,34 @@ def _walk_bands(g: CoxeterGraph, p: int) -> tuple:
     )
 
 
-def _bucket_walk(
-    g, p, budget, seed, target, fix_vertex, bucket_capacity, spread_cap, worker
-):
+def bucket_search(
+    g: CoxeterGraph,
+    p: int,
+    budget: int,
+    seed: int,
+    target: str = "fix_vector",
+    fix_vertex: int = 1,
+    bucket_capacity: int = 64,
+    spread_cap: int = 8,
+) -> dict:
+    """Seeded random walk in the dual positive monoid mod p.  Each step
+    right-multiplies by a uniformly random reflection band, updates the dual
+    matrix incrementally, and files the braid under its (canonical length,
+    spread) bucket.  Hits of the chosen target are verified before being
+    reported.  A run is reproducible for a fixed seed."""
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
+    if target not in ("fix_vector", "spread_zero"):
+        raise ValueError("target must be 'fix_vector' or 'spread_zero'")
+    if target == "fix_vector" and not 1 <= fix_vertex <= g.n:
+        raise ValueError(f"vertex {fix_vertex} out of range 1..{g.n}")
     ctx = garside_context(g)
     ring = IntegersMod(p)
     bands = _walk_bands(g, p)
     rng = random.Random(seed)
     word: list[int] = []
     mat = identity_matrix(g, ring)
-    nf = ctx.new_nf_state()
+    nf = ctx.new_nf_state(word)
     buckets: dict[BucketKey, deque] = {}
     candidates = []
     certificates = []
@@ -469,9 +481,7 @@ def _bucket_walk(
             word = []
         mat = word_matrix(g, word, DUAL, ring)
         mat_spread = spread(mat)
-        nf = ctx.new_nf_state()
-        for letter in word:
-            nf.push_letter(letter)
+        nf = ctx.new_nf_state(word)
 
     mat_spread = 0  # the identity matrix
     for step in range(budget):
@@ -491,7 +501,6 @@ def _bucket_walk(
                 seen_hits.add(tuple(word))
                 candidates.append(
                     {
-                        "worker": worker,
                         "step": step,
                         "word": list(word),
                         "bucket": [key.canonical_length, key.spread],
@@ -505,7 +514,6 @@ def _bucket_walk(
             seen_hits.add(tuple(word))
             outcome = verify_bigelow3(g, tuple(word), fix_vertex, p)
             entry = {
-                "worker": worker,
                 "step": step,
                 "word": list(word),
                 "bucket": [key.canonical_length, key.spread],
@@ -518,64 +526,12 @@ def _bucket_walk(
             else:
                 entry["status"] = f"rejected:{outcome.clause}"
             candidates.append(entry)
-    summary = {
-        f"{k.canonical_length},{k.spread}": len(v) for k, v in sorted(
-            buckets.items(), key=lambda kv: (kv[0].canonical_length, kv[0].spread)
-        )
-    }
-    return candidates, certificates, summary
-
-
-def bucket_search(
-    g: CoxeterGraph,
-    p: int,
-    budget: int,
-    seed: int,
-    target: str = "fix_vector",
-    fix_vertex: int = 1,
-    workers: int = 1,
-    bucket_capacity: int = 64,
-    spread_cap: int = 8,
-) -> dict:
-    """Seeded random walk in the dual positive monoid mod p.  Each step
-    right-multiplies by a uniformly random reflection band, updates the dual
-    matrix incrementally, and files the braid under its (canonical length,
-    spread) bucket.  Hits of the chosen target are verified before being
-    reported.  Single-worker runs are reproducible for a fixed seed; workers
-    run sequentially with derived seeds."""
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if target not in ("fix_vector", "spread_zero"):
-        raise ValueError("target must be 'fix_vector' or 'spread_zero'")
-    if target == "fix_vector" and not 1 <= fix_vertex <= g.n:
-        raise ValueError(f"vertex {fix_vertex} out of range 1..{g.n}")
-    candidates = []
-    certificates = []
-    bucket_summaries = {}
-    for worker in range(workers):
-        cand, certs, summary = _bucket_walk(
-            g,
-            p,
-            budget,
-            seed + 1000003 * worker,
-            target,
-            fix_vertex,
-            bucket_capacity,
-            spread_cap,
-            worker,
-        )
-        candidates.extend(cand)
-        certificates.extend(certs)
-        bucket_summaries[str(worker)] = summary
     return {
         "manifest": {
             "graph": graph_json(g),
             "p": p,
             "budget": budget,
             "seed": seed,
-            "workers": workers,
             "target": target,
             "fix_vertex": fix_vertex if target == "fix_vector" else None,
             "bucket_capacity": bucket_capacity,
@@ -583,5 +539,10 @@ def bucket_search(
         },
         "candidates": candidates,
         "certificates": [c.to_json() for c in certificates],
-        "buckets": bucket_summaries,
+        "buckets": {
+            f"{k.canonical_length},{k.spread}": len(v)
+            for k, v in sorted(
+                buckets.items(), key=lambda kv: (kv[0].canonical_length, kv[0].spread)
+            )
+        },
     }

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from burau.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
+from burau.cli import EXIT_FAILED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from burau.criteria import Rejection
 from burau.fixtures import affine_fixture
 from burau.laurent import ZZ
@@ -54,6 +54,14 @@ def test_verify_d4_usage_errors(capsys):
     assert "available p: 6..16" in err
 
 
+@pytest.mark.parametrize("target", ["affine-a3", "affine-a3-variant", "all"])
+def test_verify_refuses_a_modulus_outside_d4_mod(capsys, target):
+    code, out, err = run(capsys, ["verify", target, "7"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "takes no modulus" in err
+
+
 def test_verify_unknown_target_is_a_parse_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "affine-a5"])
@@ -89,6 +97,14 @@ def test_burau_json_and_mod(capsys):
     assert payload["n"] == 2
     assert payload["ring"] == "Z/5"
     assert len(payload["rows"]) == 2
+
+
+@pytest.mark.parametrize("mod", ["0", "1"])
+def test_burau_refuses_a_modulus_below_two(capsys, mod):
+    code, out, err = run(capsys, ["burau", "--graph", "A2", "--word", "1", "--mod", mod])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "modulus" in err
 
 
 def test_pairing_of_the_affine_witness_pair(capsys):
@@ -212,25 +228,11 @@ def test_search_curves_limit_zero_reports_no_candidates(capsys):
     assert json.loads(out)["candidate_pairs"] == 0
 
 
-@pytest.mark.parametrize(
-    "argv, env",
-    [
-        (["curves", "--limit", "-1"], None),
-        (["buckets", "--workers", "0"], None),
-        (["buckets", "--workers", "-3"], None),
-        (["buckets"], "0"),
-        (["buckets"], "two"),
-    ],
-)
-def test_search_rejects_negative_limits_and_worker_counts(capsys, monkeypatch, argv, env):
-    # BURAU_WORKERS is the --workers default, so a bad value is a usage error
-    if env is not None:
-        monkeypatch.setenv("BURAU_WORKERS", env)
+def test_search_rejects_a_negative_limit(capsys):
     with pytest.raises(SystemExit) as info:
-        main(["search", *argv, "--graph", "A3", "--budget", "10"])
+        main(["search", "curves", "--limit", "-1", "--graph", "A3", "--budget", "10"])
     assert info.value.code == EXIT_USAGE
-    flag = "--limit" if argv[0] == "curves" else "--workers"
-    assert f"argument {flag}" in capsys.readouterr().err
+    assert "argument --limit" in capsys.readouterr().err
 
 
 def test_search_buckets_deterministic_output(capsys):
@@ -253,7 +255,10 @@ def test_search_buckets_deterministic_output(capsys):
     result = json.loads(out1)
     assert result["manifest"]["p"] == 2
     assert result["manifest"]["target"] == "fix_vector"
-    assert "0" in result["buckets"]
+    assert result["buckets"]
+    for key in result["buckets"]:
+        length, sp = key.split(",")
+        assert int(length) >= 0 and int(sp) >= 0
 
 
 def test_search_buckets_rejects_infinite_graphs(capsys):
@@ -266,21 +271,37 @@ def test_search_buckets_rejects_infinite_graphs(capsys):
 
 
 def test_unknown_graph_and_bad_word_are_usage_errors(capsys):
-    code, _, err = run(capsys, ["burau", "--graph", "nosuch", "--word", "1"])
-    assert code == EXIT_USAGE
-    assert "error:" in err
+    with pytest.raises(SystemExit) as info:
+        main(["burau", "--graph", "nosuch", "--word", "1"])
+    assert info.value.code == EXIT_USAGE
+    assert "argument --graph" in capsys.readouterr().err
     code, _, err = run(capsys, ["burau", "--graph", "A2", "--word", "5"])
     assert code == EXIT_USAGE
     assert "error:" in err
 
 
-def test_workers_default_comes_from_the_environment(monkeypatch):
-    monkeypatch.setenv("BURAU_WORKERS", "3")
-    args = build_parser().parse_args(["search", "buckets", "--graph", "A2"])
-    assert args.workers == 3
-    monkeypatch.delenv("BURAU_WORKERS")
-    args = build_parser().parse_args(["search", "buckets", "--graph", "A2"])
-    assert args.workers == 1
+def test_graph_files_load_at_parse_time(capsys, tmp_path):
+    path = tmp_path / "a2.txt"
+    path.write_text("n=2\n1-2:3\n")
+    code, out, _ = run(capsys, ["burau", "--graph", str(path), "--word", "1"])
+    assert code == EXIT_OK
+    assert out.strip("\n") == str(word_matrix(preset("A2"), (1,), STANDARD, ZZ))
+    path.write_text("n=2\n1-2\n")
+    with pytest.raises(SystemExit) as info:
+        main(["burau", "--graph", str(path), "--word", "1"])
+    assert info.value.code == EXIT_USAGE
+    assert "bad edge line" in capsys.readouterr().err
+
+
+def test_internal_errors_exit_three_with_a_traceback(capsys, monkeypatch):
+    def broken(*args):
+        raise KeyError("a lookup bug")
+
+    monkeypatch.setattr("burau.cli.word_matrix", broken)
+    code, out, err = run(capsys, ["burau", "--graph", "A2", "--word", "1"])
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert "Traceback" in err and "KeyError: 'a lookup bug'" in err
 
 
 def test_console_entry_point():

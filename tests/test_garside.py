@@ -51,11 +51,10 @@ def test_reflection_counts_and_lengths():
         ctx = garside_context(preset(name))
         assert len(ctx.refl_ids) == count
         assert all(ctx.ell[t] == 1 for t in ctx.refl_ids)
-        oracle = CoxeterGroup(ctx.graph).reflections()
-        assert {ctx.matrices[t] for t in ctx.refl_ids} == oracle
+        group = CoxeterGroup(ctx.graph)
+        assert {ctx.matrices[t] for t in ctx.refl_ids} == group.reflections()
         # the first n reflections are the atoms, in vertex order
-        for i in ctx.graph.vertices():
-            assert ctx.refl_ids[i - 1] == ctx.atom_ids[i]
+        assert [ctx.matrices[t] for t in ctx.refl_ids[: ctx.n]] == group.gens
 
 
 def test_reflection_length_matches_moved_space_rank():
@@ -274,17 +273,6 @@ def test_normal_form_factors_are_greedy():
                     and moved_space_dim(cand) == ctx.ell[right] + 1
                 )
     assert seen_nontrivial > 0
-
-
-def test_custom_coxeter_element_order():
-    g = preset("A3")
-    ctx = garside_context(g, order=(2, 1, 3))
-    assert ctx.gamma_word == (2, 1, 3)
-    assert len(ctx.matrices) == 14
-    default = garside_context(g)
-    assert ctx.matrices[ctx.gamma] != default.matrices[default.gamma]
-    with pytest.raises(ValueError):
-        DualGarside(g, order=(1, 1, 2))
 
 
 def test_samecurve_examples():
