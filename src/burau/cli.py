@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     kinds = p_search.add_subparsers(dest="kind", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--graph", type=_graph, required=True)
-    common.add_argument("--budget", type=int, default=1000)
+    common.add_argument("--budget", type=_int_at_least(0), default=1000)
     common.add_argument("--out", help="write the run result to this path")
 
     p_curves = kinds.add_parser(
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         "buckets", parents=[common], help="seeded bucket walk in the dual monoid mod p"
     )
     p_buckets.add_argument("--seed", type=int, default=0)
-    p_buckets.add_argument("--p", type=int, default=5)
+    p_buckets.add_argument("--p", type=_int_at_least(2), default=5)
     p_buckets.add_argument(
         "--target", choices=["fix_vector", "spread_zero"], default="fix_vector"
     )

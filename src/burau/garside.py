@@ -244,20 +244,24 @@ class DualGarside:
         self.ell = [0]
         self._complement = [gamma]
         rdiv: list[list[int]] = [[]]
-        # memoised products: (a, b) -> id of a.b, or -1 outside the interval
-        self._products: dict[tuple, int] = {}
+        # the products the normal form takes all have a reflection on one
+        # side: right[w][k - 1] is the id of w t_k, or -1 outside the
+        # interval; levels list ids in increasing order, so row w is appended
+        # w-th
+        right: list[list[int]] = []
         level = [0]
         while level:
             nxt = []
             for w in level:
                 target = n - self.ell[w] - 1
+                row = []
                 for k, t in enumerate(refls, start=1):
                     u = _mat_mul(self.matrices[w], t)
                     uid = self.index.get(u)
                     if uid is None:
                         comp = _mat_mul(t, self._complement[w])
                         if _moved_rank(comp) != target:
-                            self._products[(w, k)] = -1
+                            row.append(-1)
                             continue
                         uid = len(self.matrices)
                         self.index[u] = uid
@@ -266,22 +270,35 @@ class DualGarside:
                         self._complement.append(comp)
                         rdiv.append([])
                         nxt.append(uid)
-                    self._products[(w, k)] = uid
+                    row.append(uid)
                     if self.ell[uid] == self.ell[w] + 1:
                         rdiv[uid].append(k)
+                right.append(row)
             level = nxt
+        self._right = right
+        # left[k - 1][w] is the id of t_k w, filled in on first use (-2 before)
+        self._left = [[-2] * len(self.matrices) for _ in refls]
         if any(self.index.get(t) != k for k, t in enumerate(refls, start=1)):
             raise AssertionError("every reflection should lie below gamma")
         # reflections that strip one unit of length from the right; they are
         # also the left divisors, since l(w t) = l(t (w t) t) = l(t w)
         self.rdiv = [tuple(sorted(r)) for r in rdiv]
 
+    def _lookup_product(self, a: int, b: int) -> int:
+        return self.index.get(_mat_mul(self.matrices[a], self.matrices[b]), -1)
+
     def product(self, a: int, b: int) -> int | None:
         """The id of a.b, or None when the product leaves the interval."""
-        got = self._products.get((a, b))
-        if got is None:
-            got = self.index.get(_mat_mul(self.matrices[a], self.matrices[b]), -1)
-            self._products[(a, b)] = got
+        refls = len(self._left)
+        if 0 < b <= refls:
+            got = self._right[a][b - 1]
+        elif 0 < a <= refls:
+            row = self._left[a - 1]
+            got = row[b]
+            if got == -2:
+                got = row[b] = self._lookup_product(a, b)
+        else:
+            got = self._lookup_product(a, b)
         return got if got >= 0 else None
 
     # ---- braid lifts -------------------------------------------------------
@@ -393,6 +410,17 @@ class DualGarside:
         state = _NFState(self)
         for letter in word:
             state.push_letter(letter)
+        return state
+
+    def restore_nf_state(self, k: int, factors) -> "_NFState":
+        """The accumulator holding gamma^k times `factors`, which must be a
+        normal form as `_NFState.factors` lists it; nothing is re-normalised,
+        so restoring a saved state costs one link per factor."""
+        state = _NFState(self)
+        state.k = k
+        for w in factors:
+            state._append(w)
+        state.stack.clear()  # adjacent normal-form factors are already greedy
         return state
 
 
@@ -525,6 +553,33 @@ class _NFState:
             gamma_word=self.ctx.gamma_word,
         )
 
+    def samecurve_report(self, i: int) -> "SamecurveReport":
+        """Push sigma_i and return `samecurve_check` of the braid held
+        before it, so a caller can keep pushing letters afterwards."""
+        ctx = self.ctx
+        nf = self.result()
+        self.push_letter(i)
+        appended = self.result()
+        cond1 = nf.k == 0
+        cond2 = (
+            appended.k == nf.k
+            and len(appended.simples) == len(nf.simples) + 1
+            and appended.simples[: len(nf.simples)] == nf.simples
+            and appended.simples[-1].matrix == ctx.matrices[i]
+        )
+        if nf.simples:
+            last = ctx.index[nf.simples[-1].matrix]
+            cond3 = not ctx.left_divides(i, last)
+        else:
+            cond3 = True
+        return SamecurveReport(
+            zero_gamma_power=cond1,
+            append_stays_greedy=cond2,
+            atom_free_last_simple=cond3,
+            nf=str(nf),
+            nf_appended=str(appended),
+        )
+
 
 @lru_cache(maxsize=None)
 def garside_context(g: CoxeterGraph) -> DualGarside:
@@ -595,27 +650,4 @@ def samecurve_check(g: CoxeterGraph, word, i: int) -> SamecurveReport:
     Reported separately; nothing is assumed about the input word."""
     if not 1 <= i <= g.n:
         raise ValueError(f"vertex {i} out of range 1..{g.n}")
-    ctx = garside_context(g)
-    state = ctx.new_nf_state(word)
-    nf = state.result()
-    state.push_letter(i)
-    appended = state.result()
-    cond1 = nf.k == 0
-    cond2 = (
-        appended.k == nf.k
-        and len(appended.simples) == len(nf.simples) + 1
-        and appended.simples[: len(nf.simples)] == nf.simples
-        and appended.simples[-1].matrix == ctx.matrices[i]
-    )
-    if nf.simples:
-        last = ctx.index[nf.simples[-1].matrix]
-        cond3 = not ctx.left_divides(i, last)
-    else:
-        cond3 = True
-    return SamecurveReport(
-        zero_gamma_power=cond1,
-        append_stays_greedy=cond2,
-        atom_free_last_simple=cond3,
-        nf=str(nf),
-        nf_appended=str(appended),
-    )
+    return garside_context(g).new_nf_state(word).samecurve_report(i)

@@ -11,6 +11,16 @@ spread, watching for words that fix a basis root up to a power of q (or reach
 spread zero at positive length); fixing words feed the twist-quotient
 verifier, which is also usable standalone on explicit words.
 
+Each walk step multiplies by the dual matrix of a reflection lift
+W sigma_j W^-1, which is a rank-one update I + u v^T, so a step costs
+M -> M + (M u) v^T instead of a matrix product.  The walk keeps its matrix
+mod p packed: one shared lowest exponent and one Python int per entry, with
+the coefficients in fixed-width bit slots (Kronecker substitution), so the
+update is a few big-int products per row followed by one slotwise reduction
+mod p per changed entry; spread and the fix test read bit lengths.  Buckets
+that restarts can choose keep each braid's packed matrix and normal-form
+state beside its bands, so a restart recomputes nothing.
+
 Everything here is deterministic: the curve search takes no seed, and a walk
 is reproducible for a fixed seed.
 """
@@ -19,10 +29,11 @@ from __future__ import annotations
 
 import json
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
+from typing import NamedTuple
 
 from .criteria import (
     CRITERION_TWIST_QUOTIENT,
@@ -33,8 +44,8 @@ from .criteria import (
     criterion2,
     graph_json,
 )
-from .garside import garside_context, is_trivial_braid, samecurve_check
-from .graphs import INF, CoxeterGraph, commutator_word, validate_word
+from .garside import garside_context
+from .graphs import INF, CoxeterGraph, commutator_word, inverse_word, validate_word
 from .laurent import ZZ, IntegersMod, LaurentPoly
 from .matrices import (
     DUAL,
@@ -42,11 +53,10 @@ from .matrices import (
     BurauVector,
     act,
     basis_vector,
+    generator_matrix,
     gram_matrix,
-    identity_matrix,
     is_identity,
     pairing,
-    spread,
     word_matrix,
 )
 
@@ -360,11 +370,13 @@ def verify_bigelow3(g: CoxeterGraph, beta, i: int, p: int):
     and a failure is reported as `commutator-matrix`; a trivial braid has the
     identity matrix in every form, so checking it first changes no outcome.
     The report of the normal-form side conditions and the standard-form
-    identity status ride along as diagnostics."""
+    identity status ride along as diagnostics.  One normal-form state serves
+    both: it takes beta, then sigma_i (the report), then beta^-1 sigma_i^-1
+    (the word problem)."""
     validate_word(g, beta)
     if p < 2:
         raise ValueError("p must be at least 2")
-    garside_context(g)  # raises NotFiniteType early for bad graphs
+    ctx = garside_context(g)  # raises NotFiniteType early for bad graphs
     ring = IntegersMod(p)
     image = act(g, beta, basis_vector(g, i, ring), DUAL)
     fixing = _fixing_exponent(image, i)
@@ -378,13 +390,16 @@ def verify_bigelow3(g: CoxeterGraph, beta, i: int, p: int):
     exponent, sign = fixing
     beta = tuple(beta)
     kernel = commutator_word(beta, (i,))
-    if is_trivial_braid(g, kernel):
+    state = ctx.new_nf_state(beta)
+    report = state.samecurve_report(i)
+    for letter in kernel[len(beta) + 1 :]:
+        state.push_letter(letter)
+    if state.result().is_trivial():
         return Rejection(
             CRITERION_TWIST_QUOTIENT,
             "trivial-braid",
             "the commutator is the trivial braid, so it certifies nothing",
         )
-    report = samecurve_check(g, beta, i)
     standard_identity = is_identity(word_matrix(g, kernel, STANDARD, ring))
     cert = KernelCertificate(
         graph=g,
@@ -412,29 +427,219 @@ def verify_bigelow3(g: CoxeterGraph, beta, i: int, p: int):
     return sealed
 
 
-@dataclass(frozen=True)
-class BucketKey:
-    """Walk position descriptor: number of simples in the normal form and
-    spread of the dual Burau matrix mod p."""
+class _SlotCodec:
+    """Mod-p Laurent polynomials packed into Python ints (Kronecker
+    substitution): the coefficient of q^(low + k) sits in bits
+    [k * width, (k + 1) * width) for a shared exponent `low`.
 
-    canonical_length: int
-    spread: int
+    `reduce` takes a packed value whose slots are at most `bound` back to
+    residues 0..p-1, every slot at once, by Barrett reduction in big-int
+    arithmetic: with s the bit length of `bound` and m = 2^s // p, the
+    estimate (c m) >> s is floor(c / p) or one less, so one masked
+    conditional subtraction of p finishes.  `width` leaves room for c m, so
+    no slot ever carries into the next, whatever p is.  The slotwise masks
+    grow on demand to cover the longest value reduced so far."""
 
-    def __post_init__(self) -> None:
-        if self.canonical_length < 0 or self.spread < 0:
-            raise ValueError("bucket keys are non-negative")
+    __slots__ = ("p", "width", "_shift", "_magic", "_bits", "_quotients", "_bias", "_tops")
+
+    def __init__(self, p: int, bound: int):
+        self.p = p
+        self._shift = bound.bit_length()
+        self._magic = (1 << self._shift) // p
+        self.width = max((bound * self._magic).bit_length(), p.bit_length() + 1)
+        self._cover(1)
+
+    def _cover(self, bits: int) -> None:
+        """Size the slotwise masks for values of up to twice `bits` bits."""
+        w = self.width
+        slots = 2 * -(-bits // w)
+        ones = ((1 << (w * slots)) - 1) // ((1 << w) - 1)  # 1 in every slot
+        self._bits = w * slots
+        self._quotients = ones * ((1 << (w - self._shift)) - 1)
+        self._bias = ones * ((1 << (w - 1)) - self.p)
+        self._tops = ones << (w - 1)
+
+    def reduce(self, x: int) -> int:
+        if x.bit_length() > self._bits:
+            self._cover(x.bit_length())
+        p = self.p
+        x -= ((x * self._magic >> self._shift) & self._quotients) * p
+        # every slot is now below 2p; take p off the ones at p or above
+        return x - (((x + self._bias) & self._tops) >> (self.width - 1)) * p
+
+    def pack(self, poly: LaurentPoly, low: int) -> int:
+        """The polynomial divided by q^low; it must have no term below it."""
+        w = self.width
+        start = poly.low - low
+        return sum(c << (w * (start + k)) for k, c in enumerate(poly.coeffs))
+
+    def unpack(self, x: int, low: int) -> LaurentPoly:
+        w = self.width
+        mask = (1 << w) - 1
+        terms = {}
+        e = low
+        while x:
+            terms[e] = x & mask
+            x >>= w
+            e += 1
+        return LaurentPoly.from_dict(IntegersMod(self.p), terms)
+
+    def low_slot(self, x: int) -> int:
+        return ((x & -x).bit_length() - 1) // self.width
+
+    def top_slot(self, x: int) -> int:
+        return (x.bit_length() - 1) // self.width
+
+
+class _Band(NamedTuple):
+    """One walk step: right multiplication by the dual matrix of a
+    reflection lift W sigma_j W^-1, which is I + u v^T with u = M(W) e_j and
+    v^T = (row j of M(sigma_j) - e_j^T) M(W^-1).  `u` and `v` list their
+    non-zero entries as (index, packed entry), each vector packed from its
+    own lowest exponent, so u_a v_b = q^offset U_a V_b."""
+
+    refl: int
+    lift: tuple
+    u: tuple
+    v: tuple
+    offset: int
 
 
 @lru_cache(maxsize=8)
 def _walk_bands(g: CoxeterGraph, p: int) -> tuple:
-    """(reflection, lift word, dual matrix of the lift mod p) per reflection,
-    built once per (graph, p) and shared by every walk."""
+    """(codec, bands), one `_Band` per reflection, built once per (graph, p)
+    and shared by every walk.
+
+    Every Hurwitz lift is literally a word W sigma_j W^-1 (a Hurwitz move
+    conjugates one such word by another), so its dual matrix is the rank-one
+    update I + u v^T; that is checked exactly against `word_matrix` of the
+    lift, and a mismatch raises.  A walk step M -> M + (M u) v^T then costs a
+    few big-int products per row of packed entries.  The codec's slot bound
+    covers one step: an entry of M u sums at most n products of a reduced
+    entry with a u entry of at most du terms, and an updated entry adds the
+    product of such a sum with a v entry of at most dv terms to a reduced
+    entry."""
     ctx = garside_context(g)
     ring = IntegersMod(p)
-    lifts = ctx.reflection_lifts
-    return tuple(
-        (t, lifts[t], word_matrix(g, lifts[t], DUAL, ring)) for t in ctx.refl_ids
-    )
+    one = LaurentPoly.one(ring)
+    zero = LaurentPoly.zero(ring)
+    factors = []
+    for t in ctx.refl_ids:
+        lift = ctx.reflection_lifts[t]
+        half = len(lift) // 2
+        conj, j = lift[:half], lift[half]
+        if j < 0 or lift[half + 1 :] != inverse_word(conj):
+            raise AssertionError(f"lift {lift} is not a conjugate of a generator")
+        u = word_matrix(g, conj, DUAL, ring).column(j).coords
+        r = list(generator_matrix(g, j, 1, DUAL, ring).rows[j - 1])
+        r[j - 1] -= one
+        inverse = word_matrix(g, inverse_word(conj), DUAL, ring)
+        v = tuple(LaurentPoly.dot(r, col) for col in zip(*inverse.rows))
+        rank_one = tuple(
+            tuple((one if a == b else zero) + ua * vb for b, vb in enumerate(v))
+            for a, ua in enumerate(u)
+        )
+        if word_matrix(g, lift, DUAL, ring).rows != rank_one:
+            raise AssertionError(f"the matrix of lift {lift} is not I + u v^T")
+        factors.append((t, lift, u, v))
+
+    def extent(vec) -> tuple:
+        """(lowest exponent, slots from it to the top) over the entries."""
+        live = [c for c in vec if c.coeffs]
+        low = min(c.low for c in live)
+        return low, max(c.low + len(c.coeffs) for c in live) - low
+
+    du = max(extent(u)[1] for _, _, u, _ in factors)
+    dv = max(extent(v)[1] for _, _, _, v in factors)
+    codec = _SlotCodec(p, g.n * du * dv * (p - 1) ** 3 + p - 1)
+    bands = []
+    for t, lift, u, v in factors:
+        lu, lv = extent(u)[0], extent(v)[0]
+        if lu + lv < 0:  # a step must not reach below the shared exponent
+            raise AssertionError(f"the rank-one factors of lift {lift} start below q^0")
+        bands.append(
+            _Band(
+                refl=t,
+                lift=lift,
+                u=tuple((a, codec.pack(c, lu)) for a, c in enumerate(u) if c.coeffs),
+                v=tuple((b, codec.pack(c, lv)) for b, c in enumerate(v) if c.coeffs),
+                offset=lu + lv,
+            )
+        )
+    return codec, tuple(bands)
+
+
+def _identity_rows(n: int) -> tuple:
+    """The packed identity matrix, over the shared exponent 0."""
+    return tuple(tuple(int(a == b) for b in range(n)) for a in range(n))
+
+
+def _walk_step(codec: _SlotCodec, rows: tuple, low: int, band: _Band) -> tuple:
+    """M (I + u v^T) = M + (M u) v^T on a packed matrix: rows of packed
+    entries over the shared lowest exponent `low`.  Returns the new rows,
+    shared exponent and spread.  The update starts at q^(low + offset) with
+    offset >= 0, so only the lowest exponent can rise.  A row whose (M u)
+    entry is zero is kept as the same object, so saved states share it."""
+    width = codec.width
+    reduce = codec.reduce
+    offset = band.offset * width
+    out = []
+    support = 0  # the OR of all entries: its lowest and top slots bound them all
+    for row in rows:
+        mu = 0
+        for k, uk in band.u:
+            mu += row[k] * uk
+        if mu:
+            mu <<= offset
+            row = list(row)
+            for j, vj in band.v:
+                row[j] = reduce(row[j] + mu * vj)
+            row = tuple(row)
+        out.append(row)
+        for x in row:
+            support |= x
+    bottom = codec.low_slot(support)
+    if bottom:
+        cut = bottom * width
+        out = [tuple(x >> cut for x in row) for row in out]
+        low += bottom
+    return tuple(out), low, codec.top_slot(support) - bottom
+
+
+def _packed_fixing_exponent(codec: _SlotCodec, g: CoxeterGraph, rows, low, i: int):
+    """`_fixing_exponent` of column i of a packed matrix.  Only columns with
+    one non-zero slot, in row i, are decoded and tested."""
+    col = i - 1
+    x = rows[col][col]
+    if not x or codec.low_slot(x) != codec.top_slot(x):
+        return None
+    if any(row[col] for r, row in enumerate(rows) if r != col):
+        return None
+    column = tuple(codec.unpack(row[col], low) for row in rows)
+    return _fixing_exponent(BurauVector(g, IntegersMod(codec.p), column), i)
+
+
+# Callers that run many walks keep the results, so results hold tuples where
+# JSON has lists (they serialise the same) and share the parts they repeat:
+# the graph's JSON form, the bucket keys and labels, and the status strings.
+@lru_cache(maxsize=8)
+def _manifest_graph(g: CoxeterGraph) -> dict:
+    return graph_json(g)
+
+
+@lru_cache(maxsize=1024)
+def _bucket_key(canonical_length: int, spread: int) -> tuple:
+    return canonical_length, spread
+
+
+@lru_cache(maxsize=1024)
+def _bucket_label(canonical_length: int, spread: int) -> str:
+    return f"{canonical_length},{spread}"
+
+
+@lru_cache(maxsize=64)
+def _rejected_status(clause: str) -> str:
+    return f"rejected:{clause}"
 
 
 def bucket_search(
@@ -451,7 +656,22 @@ def bucket_search(
     right-multiplies by a uniformly random reflection band, updates the dual
     matrix incrementally, and files the braid under its (canonical length,
     spread) bucket.  Hits of the chosen target are verified before being
-    reported.  A run is reproducible for a fixed seed."""
+    reported.  A run is reproducible for a fixed seed.
+
+    The matrix is kept packed (`_SlotCodec`) and each step is a rank-one
+    update (`_walk_step`).  Once the spread passes `spread_cap` the walk
+    restarts from a braid saved in the lowest-spread bucket whose spread is
+    at most spread_cap // 2: those buckets keep each braid's bands (its word
+    is their lifts), packed matrix, spread and normal form (gamma power and
+    factors), so a restart recomputes nothing.  Other buckets only count
+    their braids.
+
+    `counters` reports the steps, restarts, fix-vector hits (new words whose
+    matrix fixes alpha_i up to a signed power of q, each one verified) and
+    their outcomes: certified, or rejected by clause.
+
+    The result is JSON data to read, not to change: words and buckets are
+    tuples, and walks on one graph share the manifest's graph entry."""
     if budget < 0:
         raise ValueError("budget must be non-negative")
     if target not in ("fix_vector", "spread_zero"):
@@ -459,76 +679,83 @@ def bucket_search(
     if target == "fix_vector" and not 1 <= fix_vertex <= g.n:
         raise ValueError(f"vertex {fix_vertex} out of range 1..{g.n}")
     ctx = garside_context(g)
-    ring = IntegersMod(p)
-    bands = _walk_bands(g, p)
+    codec, bands = _walk_bands(g, p)
     rng = random.Random(seed)
-    word: list[int] = []
-    mat = identity_matrix(g, ring)
-    nf = ctx.new_nf_state(word)
-    buckets: dict[BucketKey, deque] = {}
+    restart_spread = spread_cap // 2
+    path: list[_Band] = []  # the braid so far, one band per step
+    rows, low, mat_spread = _identity_rows(g.n), 0, 0
+    nf = ctx.new_nf_state(())
+    # buckets are keyed by (canonical length, spread)
+    filed: dict[tuple, int] = {}
+    saved: dict[tuple, deque] = {}  # only keys with spread <= restart_spread
     candidates = []
     certificates = []
     seen_hits = set()
+    restarts = 0
+    rejected = Counter()
 
-    def restart():
-        nonlocal word, mat, nf, mat_spread
-        keys = sorted(buckets, key=lambda k: (k.spread, k.canonical_length))
-        usable = [k for k in keys if k.spread <= spread_cap // 2 and buckets[k]]
-        if usable:
-            key = usable[0]
-            word = list(rng.choice(list(buckets[key])))
-        else:
-            word = []
-        mat = word_matrix(g, word, DUAL, ring)
-        mat_spread = spread(mat)
-        nf = ctx.new_nf_state(word)
-
-    mat_spread = 0  # the identity matrix
     for step in range(budget):
         if mat_spread > spread_cap:
-            restart()
-        t, lift, band = bands[rng.randrange(len(bands))]
-        word.extend(lift)
-        mat = mat.mat_mul(band)
-        nf.push_simple(t)
-        mat_spread = spread(mat)
-        key = BucketKey(nf.canonical_length(), mat_spread)
-        buckets.setdefault(key, deque(maxlen=bucket_capacity)).append(tuple(word))
-        if key.canonical_length == 0:
+            restarts += 1
+            usable = [k for k, kept in saved.items() if kept]
+            if usable:
+                key = min(usable, key=lambda k: (k[1], k[0]))
+                kept_path, rows, low, mat_spread, k, factors = rng.choice(list(saved[key]))
+                path = list(kept_path)
+                nf = ctx.restore_nf_state(k, factors)
+            else:
+                path = []
+                rows, low, mat_spread = _identity_rows(g.n), 0, 0
+                nf = ctx.new_nf_state(())
+        band = bands[rng.randrange(len(bands))]
+        path.append(band)
+        rows, low, mat_spread = _walk_step(codec, rows, low, band)
+        nf.push_simple(band.refl)
+        key = _bucket_key(nf.canonical_length(), mat_spread)
+        filed[key] = filed.get(key, 0) + 1
+        if mat_spread <= restart_spread:
+            if key not in saved:
+                saved[key] = deque(maxlen=bucket_capacity)
+            saved[key].append((tuple(path), rows, low, mat_spread, nf.k, tuple(nf.factors())))
+        if key[0] == 0:
             continue
         if target == "spread_zero":
-            if key.spread == 0 and tuple(word) not in seen_hits:
-                seen_hits.add(tuple(word))
-                candidates.append(
-                    {
-                        "step": step,
-                        "word": list(word),
-                        "bucket": [key.canonical_length, key.spread],
-                        "status": "spread-zero",
-                    }
-                )
-        else:
-            fixing = _fixing_exponent(mat.column(fix_vertex), fix_vertex)
-            if fixing is None or tuple(word) in seen_hits:
+            if mat_spread:
                 continue
-            seen_hits.add(tuple(word))
-            outcome = verify_bigelow3(g, tuple(word), fix_vertex, p)
-            entry = {
+            fixing = None
+        else:
+            fixing = _packed_fixing_exponent(codec, g, rows, low, fix_vertex)
+            if fixing is None:
+                continue
+        word = tuple(letter for b in path for letter in b.lift)
+        if word in seen_hits:
+            continue
+        seen_hits.add(word)
+        if fixing is None:
+            candidates.append(
+                {"step": step, "word": word, "bucket": key, "status": "spread-zero"}
+            )
+            continue
+        outcome = verify_bigelow3(g, word, fix_vertex, p)
+        if isinstance(outcome, KernelCertificate):
+            status = "certified"
+            certificates.append(outcome)
+        else:
+            status = _rejected_status(outcome.clause)
+            rejected[outcome.clause] += 1
+        candidates.append(
+            {
                 "step": step,
-                "word": list(word),
-                "bucket": [key.canonical_length, key.spread],
+                "word": word,
+                "bucket": key,
                 "fix_exponent": fixing[0],
                 "fix_sign": fixing[1],
+                "status": status,
             }
-            if isinstance(outcome, KernelCertificate):
-                entry["status"] = "certified"
-                certificates.append(outcome)
-            else:
-                entry["status"] = f"rejected:{outcome.clause}"
-            candidates.append(entry)
+        )
     return {
         "manifest": {
-            "graph": graph_json(g),
+            "graph": _manifest_graph(g),
             "p": p,
             "budget": budget,
             "seed": seed,
@@ -540,9 +767,14 @@ def bucket_search(
         "candidates": candidates,
         "certificates": [c.to_json() for c in certificates],
         "buckets": {
-            f"{k.canonical_length},{k.spread}": len(v)
-            for k, v in sorted(
-                buckets.items(), key=lambda kv: (kv[0].canonical_length, kv[0].spread)
-            )
+            _bucket_label(*key): min(count, bucket_capacity)
+            for key, count in sorted(filed.items())
+        },
+        "counters": {
+            "steps": budget,
+            "restarts": restarts,
+            "fix_vector_hits": len(candidates) if target == "fix_vector" else 0,
+            "certified": len(certificates),
+            "rejected": dict(sorted(rejected.items())),
         },
     }

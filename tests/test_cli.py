@@ -235,6 +235,22 @@ def test_search_rejects_a_negative_limit(capsys):
     assert "argument --limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,argument",
+    [
+        (["search", "buckets", "--graph", "A3", "--p", "1"], "argument --p"),
+        (["search", "buckets", "--graph", "A3", "--p", "-7"], "argument --p"),
+        (["search", "buckets", "--graph", "A3", "--budget", "-1"], "argument --budget"),
+        (["search", "curves", "--graph", "A3", "--budget", "-5"], "argument --budget"),
+    ],
+)
+def test_search_refuses_bad_moduli_and_budgets_at_parse_time(capsys, argv, argument):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_USAGE
+    assert argument in capsys.readouterr().err
+
+
 def test_search_buckets_deterministic_output(capsys):
     argv = [
         "search",

@@ -1,5 +1,6 @@
 """Property-based checks that the dual Garside normal form depends only on
-the braid, not on how its word is spelled."""
+the braid, not on how its word is spelled or on how the accumulator holding
+it was built."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,3 +55,20 @@ def test_inserting_a_trivial_braid_keeps_the_normal_form(case):
     g, word, padded = case
     ctx = garside_context(g)
     assert ctx.normal_form(padded) == ctx.normal_form(word)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_a_restored_state_continues_like_the_original(data):
+    # a state rebuilt from (k, factors) alone must treat later letters as
+    # the state that computed them does
+    g, word, _ = data.draw(padded_words())
+    more = data.draw(st.lists(_letters(g), max_size=12))
+    ctx = garside_context(g)
+    state = ctx.new_nf_state(word)
+    restored = ctx.restore_nf_state(state.k, state.factors())
+    assert restored.result() == state.result()
+    for letter in more:
+        state.push_letter(letter)
+        restored.push_letter(letter)
+    assert restored.result() == state.result()

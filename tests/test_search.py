@@ -1,18 +1,32 @@
 """Curve enumeration, pair scanning, the mod-p verifier, and bucket walks."""
 
+import hashlib
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from burau.criteria import KernelCertificate, Rejection, verify_kernel_word
 from burau.fixtures import affine_fixture, d4_fixture
-from burau.garside import NotFiniteType
-from burau.graphs import inverse_word, preset
+from burau.garside import NotFiniteType, _NFState, samecurve_check
+from burau.graphs import CoxeterGraph, inverse_word, preset
 from burau.laurent import IntegersMod
-from burau.matrices import DUAL, is_identity, pairing, spread, word_matrix
+from burau.matrices import (
+    DUAL,
+    identity_matrix,
+    is_identity,
+    pairing,
+    spread,
+    word_matrix,
+)
 from burau.search import (
-    BucketKey,
     CurveStore,
+    _fixing_exponent,
+    _identity_rows,
+    _packed_fixing_exponent,
+    _walk_bands,
+    _walk_step,
     bucket_search,
     confirm_pair,
     curve_record,
@@ -270,6 +284,29 @@ def test_verify_bigelow3_certifies_the_bundled_words():
         assert verify_kernel_word(cert)
 
 
+def test_verify_bigelow3_pushes_each_letter_once(monkeypatch):
+    # one normal-form state takes beta, sigma_i (the samecurve report), then
+    # beta^-1 sigma_i^-1 (the word problem)
+    pushed = []
+    push_letter = _NFState.push_letter
+
+    def counting_push(state, letter):
+        pushed.append(letter)
+        push_letter(state, letter)
+
+    fx = d4_fixture(16)
+    (beta, i) = fx.witnesses[0]
+    report = samecurve_check(fx.graph, beta, i)
+    monkeypatch.setattr(_NFState, "push_letter", counting_push)
+    cert = verify_bigelow3(fx.graph, beta, i, 16)
+    assert isinstance(cert, KernelCertificate)
+    assert len(pushed) == 2 * len(beta) + 2 == 414
+    diag = dict(cert.diagnostics)
+    assert diag["samecurve_zero_gamma_power"] == report.zero_gamma_power
+    assert diag["samecurve_append_stays_greedy"] == report.append_stays_greedy
+    assert diag["samecurve_atom_free_last_simple"] == report.atom_free_last_simple
+
+
 def test_verify_bigelow3_rejections_and_errors():
     g = preset("D4")
     empty = verify_bigelow3(g, (), 1, 7)
@@ -296,14 +333,6 @@ def test_verify_bigelow3_reports_a_failed_seal_as_commutator_matrix(monkeypatch)
     out = verify_bigelow3(fx.graph, beta, i, 7)
     assert isinstance(out, Rejection)
     assert out.clause == "commutator-matrix"
-
-
-def test_bucket_key_validation():
-    BucketKey(0, 0)
-    with pytest.raises(ValueError):
-        BucketKey(-1, 0)
-    with pytest.raises(ValueError):
-        BucketKey(0, -2)
 
 
 def test_bucket_search_is_deterministic_and_sound():
@@ -377,3 +406,97 @@ def test_bucket_search_zero_budget_and_errors():
         bucket_search(g, 5, 10, seed=0, fix_vertex=9)
     with pytest.raises(NotFiniteType):
         bucket_search(preset("tildeA2"), 5, 10, seed=0)
+
+
+def test_bucket_search_counters_account_for_every_candidate():
+    result = bucket_search(preset("A3"), 2, 1300, seed=1)
+    counters = result["counters"]
+    assert counters == {
+        "steps": 1300,
+        "restarts": 72,
+        "fix_vector_hits": 21,
+        "certified": 1,
+        "rejected": {"trivial-braid": 20},
+    }
+    hits = counters["fix_vector_hits"]
+    assert hits == counters["certified"] + sum(counters["rejected"].values())
+    assert hits == len(result["candidates"])
+    assert counters["certified"] == len(result["certificates"])
+    spread_run = bucket_search(preset("A2"), 3, 600, seed=4, target="spread_zero")
+    assert spread_run["counters"]["fix_vector_hits"] == 0
+    assert spread_run["counters"]["steps"] == 600
+
+
+WALK_GRAPHS = {
+    "A3": preset("A3"),
+    "D4": preset("D4"),
+    "D5": CoxeterGraph.from_edges(5, [(1, 2, 3), (2, 3, 3), (3, 4, 3), (3, 5, 3)]),
+}
+WALK_MODULI = (2, 3, 6, 7, 16, 257, 2**31 - 1)
+
+
+@st.composite
+def band_walks(draw):
+    """A graph, a modulus, a sequence of band indices and a vertex to fix."""
+    name = draw(st.sampled_from(sorted(WALK_GRAPHS)))
+    g = WALK_GRAPHS[name]
+    p = draw(st.sampled_from(WALK_MODULI))
+    _, bands = _walk_bands(g, p)
+    steps = draw(st.lists(st.integers(0, len(bands) - 1), min_size=1, max_size=24))
+    return name, p, steps, draw(st.integers(1, g.n))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(band_walks())
+@example(("A3", 2, [2], 1))  # sigma_3 fixes alpha_1: a fix-test hit
+@example(("D4", 257, [3, 2, 3], 1))
+def test_packed_walk_steps_match_matrix_products(case):
+    # the packed rank-one step against full products of lift matrices
+    name, p, steps, i = case
+    g = WALK_GRAPHS[name]
+    ring = IntegersMod(p)
+    codec, bands = _walk_bands(g, p)
+    rows, low = _identity_rows(g.n), 0
+    mat = identity_matrix(g, ring)
+    for index in steps:
+        band = bands[index]
+        rows, low, packed_spread = _walk_step(codec, rows, low, band)
+        mat = mat.mat_mul(word_matrix(g, band.lift, DUAL, ring))
+        assert tuple(tuple(codec.unpack(x, low) for x in row) for row in rows) == mat.rows
+        assert packed_spread == spread(mat)
+        assert _packed_fixing_exponent(codec, g, rows, low, i) == _fixing_exponent(
+            mat.column(i), i
+        )
+
+
+# sha256 of the JSON of `bucket_search(graph, p, 600, 3, target)` without its
+# counters, recorded from the walk that multiplied full matrices of
+# LaurentPoly entries and replayed each restart word from scratch
+PINNED_WALKS = {
+    ("A3", 2, "fix_vector"): "e2619b6a6c68e84306e68abfc083dff6d8a84fac90484023eb9b43ab8f445df1",
+    ("A3", 2, "spread_zero"): "242904d66cd8aae20b36da0977b9615068dce73d440de1223c00b4906034828b",
+    ("A3", 6, "fix_vector"): "a93f651c777c87d1947cd17e511288cabf3d9a27339b67a9eb2574a54686dff1",
+    ("A3", 6, "spread_zero"): "f1249d9402798827fc415e0803f8926cc8b089326f9af4f4cfb5696ac8a1d949",
+    ("A3", 257, "fix_vector"): "db3c65a9cbdc3a01380a84d765fedbf68dae330cd17d7971fbb0c3aa9d720dd0",
+    ("A3", 257, "spread_zero"): "9f47af2299ef087a2a8cc76c2853f972cfc4eba762aeab32688c0528b30a92f5",
+    ("D4", 2, "fix_vector"): "33919a7f8afb4b66429872846c1a130ac8f1b32250c1f0b5d7b81856cb7075cd",
+    ("D4", 2, "spread_zero"): "fb950fac90149c2b50079f6cf4aad948cc29a794419a3edb23b7d915ad708d27",
+    ("D4", 6, "fix_vector"): "6584018a94a74edb250bcd0d8fcbd85b11f0401dd6fb8b7f852c9b23c39ad9d2",
+    ("D4", 6, "spread_zero"): "3b1562a9d06ba2bb4b04ac2c64945e10c4cfb0e710370797c9690cc9d12a4972",
+    ("D4", 257, "fix_vector"): "ca6bbd57ca41acdd7faa5c6087653787af3df73f863c5f2481b06794039e6abc",
+    ("D4", 257, "spread_zero"): "a96ce8a880bb1b05d78679f6a712de2bdf7b014ef72aabfca7566e577e84bbd2",
+    ("D5", 2, "fix_vector"): "d1454674b9eb1385e478103ab8fef4a45173251d35c453ab8c7ede444fc7d0f4",
+    ("D5", 2, "spread_zero"): "80c8e28efd6eea80a205eda3cffb9d6b08c6e0a060ccde20c1390dc673b984d3",
+    ("D5", 6, "fix_vector"): "1a66bb5930e7c0785e6155c750f6b6e0cb67d2479ff6fbf379d032e668edc1c0",
+    ("D5", 6, "spread_zero"): "ee43e4d94491194e57330a97551cf01ff2778421cbb8b3e8ab10ae2535ea1160",
+    ("D5", 257, "fix_vector"): "f302f9412a5aa24bef3405be5cda92102baa835501dd5533aaa06063a31f15f7",
+    ("D5", 257, "spread_zero"): "49da4408fb2bbadfd7ea315d8e2e2662b64ff9825852cef5d48e82d2dc5248f4",
+}
+
+
+@pytest.mark.parametrize("name,p,target", sorted(PINNED_WALKS))
+def test_bucket_search_reproduces_pinned_walks(name, p, target):
+    result = bucket_search(WALK_GRAPHS[name], p, 600, 3, target=target)
+    del result["counters"]
+    blob = json.dumps(result, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == PINNED_WALKS[(name, p, target)]
