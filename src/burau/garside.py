@@ -284,11 +284,9 @@ class DualGarside:
         # also the left divisors, since l(w t) = l(t (w t) t) = l(t w)
         self.rdiv = [tuple(sorted(r)) for r in rdiv]
 
-    def _lookup_product(self, a: int, b: int) -> int:
-        return self.index.get(_mat_mul(self.matrices[a], self.matrices[b]), -1)
-
     def product(self, a: int, b: int) -> int | None:
-        """The id of a.b, or None when the product leaves the interval."""
+        """The id of a.b, or None when the product leaves the interval.  One
+        of a and b must be a reflection (ids 1 .. number of reflections)."""
         refls = len(self._left)
         if 0 < b <= refls:
             got = self._right[a][b - 1]
@@ -296,9 +294,11 @@ class DualGarside:
             row = self._left[a - 1]
             got = row[b]
             if got == -2:
-                got = row[b] = self._lookup_product(a, b)
+                got = row[b] = self.index.get(
+                    _mat_mul(self.matrices[a], self.matrices[b]), -1
+                )
         else:
-            got = self._lookup_product(a, b)
+            raise ValueError("product needs a reflection on one side")
         return got if got >= 0 else None
 
     # ---- braid lifts -------------------------------------------------------

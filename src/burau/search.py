@@ -427,6 +427,19 @@ def verify_bigelow3(g: CoxeterGraph, beta, i: int, p: int):
     return sealed
 
 
+@dataclass(frozen=True)
+class BucketKey:
+    """Walk position descriptor: number of simples in the normal form and
+    spread of the dual Burau matrix mod p."""
+
+    canonical_length: int
+    spread: int
+
+    def __post_init__(self) -> None:
+        if self.canonical_length < 0 or self.spread < 0:
+            raise ValueError("bucket keys are non-negative")
+
+
 class _SlotCodec:
     """Mod-p Laurent polynomials packed into Python ints (Kronecker
     substitution): the coefficient of q^(low + k) sits in bits
@@ -620,11 +633,12 @@ def _packed_fixing_exponent(codec: _SlotCodec, g: CoxeterGraph, rows, low, i: in
 
 
 # Callers that run many walks keep the results, so results hold tuples where
-# JSON has lists (they serialise the same) and share the parts they repeat:
-# the graph's JSON form, the bucket keys and labels, and the status strings.
+# JSON has lists (they serialise the same) and share the immutable parts they
+# repeat: the graph's edge list, the bucket keys and labels, and the status
+# strings.
 @lru_cache(maxsize=8)
-def _manifest_graph(g: CoxeterGraph) -> dict:
-    return graph_json(g)
+def _graph_edges(g: CoxeterGraph) -> tuple:
+    return tuple(tuple(edge) for edge in graph_json(g)["edges"])
 
 
 @lru_cache(maxsize=1024)
@@ -670,8 +684,8 @@ def bucket_search(
     matrix fixes alpha_i up to a signed power of q, each one verified) and
     their outcomes: certified, or rejected by clause.
 
-    The result is JSON data to read, not to change: words and buckets are
-    tuples, and walks on one graph share the manifest's graph entry."""
+    Words, buckets and the manifest's graph edges are tuples in the result;
+    they serialise as JSON lists."""
     if budget < 0:
         raise ValueError("budget must be non-negative")
     if target not in ("fix_vector", "spread_zero"):
@@ -755,7 +769,7 @@ def bucket_search(
         )
     return {
         "manifest": {
-            "graph": _manifest_graph(g),
+            "graph": {"n": g.n, "edges": _graph_edges(g)},
             "p": p,
             "budget": budget,
             "seed": seed,

@@ -153,6 +153,20 @@ def test_reflections_helper():
     assert [r.matrix for r in refs] == [ctx.matrices[t] for t in ctx.refl_ids]
 
 
+def test_product_tables_match_matrix_products():
+    # the interval products with a reflection on either side, against the
+    # oracle's matrix product; two non-reflections are refused
+    for name in ("A3", "D4"):
+        ctx = garside_context(preset(name))
+        for t in ctx.refl_ids:
+            for w in range(len(ctx.matrices)):
+                for a, b in ((w, t), (t, w)):
+                    got = ctx.index.get(mat_mul(ctx.matrices[a], ctx.matrices[b]))
+                    assert ctx.product(a, b) == got
+        with pytest.raises(ValueError):
+            ctx.product(ctx.gamma, ctx.gamma)
+
+
 def test_divides_api():
     g = preset("A3")
     ctx = garside_context(g)

@@ -21,6 +21,7 @@ from burau.matrices import (
     word_matrix,
 )
 from burau.search import (
+    BucketKey,
     CurveStore,
     _fixing_exponent,
     _identity_rows,
@@ -333,6 +334,14 @@ def test_verify_bigelow3_reports_a_failed_seal_as_commutator_matrix(monkeypatch)
     out = verify_bigelow3(fx.graph, beta, i, 7)
     assert isinstance(out, Rejection)
     assert out.clause == "commutator-matrix"
+
+
+def test_bucket_key_validation():
+    BucketKey(0, 0)
+    with pytest.raises(ValueError):
+        BucketKey(-1, 0)
+    with pytest.raises(ValueError):
+        BucketKey(0, -2)
 
 
 def test_bucket_search_is_deterministic_and_sound():
