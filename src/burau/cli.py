@@ -25,9 +25,9 @@ from .complexes import (
     projective,
     render_hom_table,
 )
-from .criteria import KernelCertificate, Rejection, criterion1, graph_json
+from .criteria import KernelCertificate, Rejection, criterion1
 from .fixtures import D4_MODULI, affine_fixture, d4_fixture
-from .graphs import load_graph, word_from_string
+from .graphs import graph_json, load_graph, word_from_string
 from .laurent import ZZ, IntegersMod
 from .matrices import act, basis_vector, form_from_name, pairing, word_matrix
 from .search import (
@@ -313,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_buckets.add_argument(
         "--target", choices=["fix_vector", "spread_zero"], default="fix_vector"
     )
-    p_buckets.add_argument("--start", type=int, default=1, help="vertex to fix")
+    p_buckets.add_argument(
+        "--start", type=int, help="vertex to fix (fix_vector only; default 1)"
+    )
     p_search.set_defaults(func=cmd_search)
 
     return parser

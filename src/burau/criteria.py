@@ -22,7 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .complexes import act_complex, hom_table, projective
-from .graphs import INF, CoxeterGraph, commutator_word, conjugated_generator, inverse_word
+from .graphs import (
+    CoxeterGraph,
+    commutator_word,
+    conjugated_generator,
+    graph_json,
+    inverse_word,
+)
 from .laurent import ZZ, CoefficientRing
 from .matrices import (
     STANDARD,
@@ -38,15 +44,6 @@ from .zigzag import zigzag
 CRITERION_COMMUTATOR = "commutator"
 CRITERION_BRAID_RELATOR = "braid-relator"
 CRITERION_TWIST_QUOTIENT = "twist-quotient"
-
-
-def graph_json(g: CoxeterGraph) -> dict:
-    return {
-        "n": g.n,
-        "edges": [
-            [i, j, "inf" if m == INF else str(m)] for (i, j), m in g.edge_labels
-        ],
-    }
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,21 +148,6 @@ def seal_certificate(cert: KernelCertificate):
     )
 
 
-def _pair_data(g: CoxeterGraph, w1, i1: int, w2, i2: int):
-    x = act(g, w1, basis_vector(g, i1))
-    y = act(g, w2, basis_vector(g, i2))
-    return pairing(x, y)
-
-
-def _hom_data(g: CoxeterGraph, w1, i1: int, w2, i2: int):
-    algebra = zigzag(g)
-    cx = act_complex(g, w1, projective(algebra, i1))
-    cy = act_complex(g, w2, projective(algebra, i2))
-    table = hom_table(cx, cy)
-    frozen = tuple(sorted(table.items()))
-    return frozen, sum(table.values())
-
-
 # the one rejection of every orthogonal pair without morphisms; a search
 # keeps one per candidate pair, so they share this instance
 _NO_MORPHISMS = Rejection(
@@ -176,33 +158,63 @@ _NO_MORPHISMS = Rejection(
 )
 
 
-def criterion1(w1, i1: int, w2, i2: int, g: CoxeterGraph):
-    """Orthogonal curves: accept when the pairing of the two curve vectors is
-    exactly zero and the twisted projectives still see each other (non-zero
-    total hom dimension).  The kernel word is the commutator of the twists."""
-    p = _pair_data(g, w1, i1, w2, i2)
-    if not p.is_zero():
-        return Rejection(
-            CRITERION_COMMUTATOR, "pairing", f"pairing is {p}, expected 0"
-        )
-    table, total = _hom_data(g, w1, i1, w2, i2)
-    if total == 0:
+def _pairing_criterion(criterion: str, w1, i1: int, w2, i2: int, g: CoxeterGraph):
+    """The body of both pairing criteria; `criterion` picks the pairing test,
+    the hom threshold and the kernel word."""
+    commutator = criterion == CRITERION_COMMUTATOR
+    p = pairing(act(g, w1, basis_vector(g, i1)), act(g, w2, basis_vector(g, i2)))
+    if commutator:
+        shift = None
+        if not p.is_zero():
+            return Rejection(criterion, "pairing", f"pairing is {p}, expected 0")
+    else:
+        power = p.signed_q_power()
+        if power is None:
+            return Rejection(
+                criterion, "pairing", f"pairing is {p}, expected a signed power of q"
+            )
+        shift = power[0]
+    algebra = zigzag(g)
+    table = hom_table(
+        act_complex(g, w1, projective(algebra, i1)),
+        act_complex(g, w2, projective(algebra, i2)),
+    )
+    total = sum(table.values())
+    if commutator and total == 0:
         return _NO_MORPHISMS
+    if not commutator and total <= 1:
+        return Rejection(
+            criterion,
+            "hom",
+            f"total hom dimension is {total}, expected more than 1: the "
+            "relator word is the trivial braid for categorical reasons",
+        )
     t1 = conjugated_generator(w1, i1)
     t2 = conjugated_generator(w2, i2)
-    kernel = commutator_word(t1, t2)
+    if commutator:
+        kernel = commutator_word(t1, t2)
+    else:
+        kernel = t1 + t2 + t1 + inverse_word(t2) + inverse_word(t1) + inverse_word(t2)
     cert = KernelCertificate(
         graph=g,
-        criterion=CRITERION_COMMUTATOR,
+        criterion=criterion,
         witnesses=((tuple(w1), i1), (tuple(w2), i2)),
         kernel_word=kernel,
         ring=ZZ,
         form=STANDARD,
         pairing=str(p),
-        hom_table=table,
+        normalizing_shift=shift,
+        hom_table=tuple(sorted(table.items())),
         total_hom_dim=total,
     )
     return seal_certificate(cert)
+
+
+def criterion1(w1, i1: int, w2, i2: int, g: CoxeterGraph):
+    """Orthogonal curves: accept when the pairing of the two curve vectors is
+    exactly zero and the twisted projectives still see each other (non-zero
+    total hom dimension).  The kernel word is the commutator of the twists."""
+    return _pairing_criterion(CRITERION_COMMUTATOR, w1, i1, w2, i2, g)
 
 
 def criterion2(w1, i1: int, w2, i2: int, g: CoxeterGraph):
@@ -210,35 +222,4 @@ def criterion2(w1, i1: int, w2, i2: int, g: CoxeterGraph):
     power of q (the power records the normalizing shift) and the total hom
     dimension exceeds one.  The kernel word is the braid-relator word of the
     two twists."""
-    p = _pair_data(g, w1, i1, w2, i2)
-    power = p.signed_q_power()
-    if power is None:
-        return Rejection(
-            CRITERION_BRAID_RELATOR,
-            "pairing",
-            f"pairing is {p}, expected a signed power of q",
-        )
-    table, total = _hom_data(g, w1, i1, w2, i2)
-    if total <= 1:
-        return Rejection(
-            CRITERION_BRAID_RELATOR,
-            "hom",
-            f"total hom dimension is {total}, expected more than 1: the "
-            "relator word is the trivial braid for categorical reasons",
-        )
-    t1 = conjugated_generator(w1, i1)
-    t2 = conjugated_generator(w2, i2)
-    kernel = t1 + t2 + t1 + inverse_word(t2) + inverse_word(t1) + inverse_word(t2)
-    cert = KernelCertificate(
-        graph=g,
-        criterion=CRITERION_BRAID_RELATOR,
-        witnesses=((tuple(w1), i1), (tuple(w2), i2)),
-        kernel_word=kernel,
-        ring=ZZ,
-        form=STANDARD,
-        pairing=str(p),
-        normalizing_shift=power[0],
-        hom_table=table,
-        total_hom_dim=total,
-    )
-    return seal_certificate(cert)
+    return _pairing_criterion(CRITERION_BRAID_RELATOR, w1, i1, w2, i2, g)

@@ -36,8 +36,8 @@ def load_d4_words() -> dict[int, tuple]:
 
 @dataclass(frozen=True)
 class Fixture:
-    """One named counterexample: the graph, the witness words, and what the
-    verification pipeline is expected to conclude."""
+    """One named counterexample: the graph, the witness words and the ring
+    it lives over."""
 
     name: str
     graph: CoxeterGraph
@@ -45,7 +45,6 @@ class Fixture:
     words: tuple
     witnesses: tuple
     ring_label: str
-    expected: str
 
     def word(self, label: str) -> tuple:
         for key, value in self.words:
@@ -69,10 +68,6 @@ def affine_fixture(variant: bool = False) -> Fixture:
         words=((a_label, a), (b_label, b)),
         witnesses=((a, i1), (b, i2)),
         ring_label="Z",
-        expected=(
-            "commutator of the conjugated twists is a non-trivial kernel "
-            "element of the standard form over the integers"
-        ),
     )
 
 
@@ -87,10 +82,6 @@ def d4_fixture(p: int) -> Fixture:
         words=(("beta", beta),),
         witnesses=((beta, 1),),
         ring_label=f"Z/{p}",
-        expected=(
-            "commutator of beta with the first generator is a non-trivial "
-            f"kernel element of the dual form mod {p}"
-        ),
     )
 
 

@@ -89,13 +89,6 @@ def _finite_simply_laced(g: CoxeterGraph) -> bool:
 
 
 @dataclass(frozen=True)
-class CoxeterElt:
-    """A Coxeter group element as its exact integer matrix at q = -1."""
-
-    matrix: tuple
-
-
-@dataclass(frozen=True)
 class DualSimple:
     """An element of the interval [1, gamma]: its matrix, reflection length,
     the indices (1-based into the reflection list) of its reflection
@@ -391,14 +384,6 @@ class DualGarside:
         rest = _mat_mul(self.matrices[b], self._inverse(a))
         return _moved_rank(rest) + self.ell[a] == self.ell[b]
 
-    def gamma_order(self) -> int:
-        gamma = self.matrices[self.gamma]
-        k, m = 1, gamma
-        while m != self.matrices[self.identity]:
-            m = _mat_mul(m, gamma)
-            k += 1
-        return k
-
     # ---- normal form -------------------------------------------------------
 
     def normal_form(self, word) -> GarsideNF:
@@ -586,45 +571,13 @@ def garside_context(g: CoxeterGraph) -> DualGarside:
     return DualGarside(g)
 
 
-def coxeter_element(g: CoxeterGraph) -> CoxeterElt:
-    ctx = garside_context(g)
-    return CoxeterElt(ctx.matrices[ctx.gamma])
-
-
-def reflections(g: CoxeterGraph) -> list[CoxeterElt]:
-    ctx = garside_context(g)
-    return [CoxeterElt(ctx.matrices[t]) for t in ctx.refl_ids]
-
-
 def interval(g: CoxeterGraph) -> list[DualSimple]:
     ctx = garside_context(g)
     return [ctx.simple(w) for w in range(len(ctx.matrices))]
 
 
-def _resolve(ctx: DualGarside, x) -> int:
-    key = x.matrix if isinstance(x, (CoxeterElt, DualSimple)) else x
-    idx = ctx.index.get(key)
-    if idx is None:
-        raise ValueError("element does not belong to the interval [1, gamma]")
-    return idx
-
-
-def divides(g: CoxeterGraph, a, b, side: str = "left") -> bool:
-    ctx = garside_context(g)
-    ai, bi = _resolve(ctx, a), _resolve(ctx, b)
-    if side == "left":
-        return ctx.left_divides(ai, bi)
-    if side == "right":
-        return ctx.right_divides(ai, bi)
-    raise ValueError("side must be 'left' or 'right'")
-
-
-def word_to_nf(g: CoxeterGraph, word) -> GarsideNF:
-    return garside_context(g).normal_form(word)
-
-
 def is_trivial_braid(g: CoxeterGraph, word) -> bool:
-    return word_to_nf(g, word).is_trivial()
+    return garside_context(g).normal_form(word).is_trivial()
 
 
 @dataclass(frozen=True)
@@ -634,13 +587,6 @@ class SamecurveReport:
     atom_free_last_simple: bool
     nf: str
     nf_appended: str
-
-    def all_pass(self) -> bool:
-        return (
-            self.zero_gamma_power
-            and self.append_stays_greedy
-            and self.atom_free_last_simple
-        )
 
 
 def samecurve_check(g: CoxeterGraph, word, i: int) -> SamecurveReport:

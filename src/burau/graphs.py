@@ -141,6 +141,23 @@ def load_graph(spec: str) -> CoxeterGraph:
         ) from None
 
 
+def graph_json(g: CoxeterGraph) -> dict:
+    """The JSON form of a graph: its vertex count and one [i, j, label] list
+    per edge, the label "3" or "inf"."""
+    return {
+        "n": g.n,
+        "edges": [
+            [i, j, "inf" if m == INF else str(m)] for (i, j), m in g.edge_labels
+        ],
+    }
+
+
+def graph_from_json(data: dict) -> CoxeterGraph:
+    """The inverse of `graph_json`."""
+    edges = [(i, j, INF if m == "inf" else int(m)) for i, j, m in data["edges"]]
+    return CoxeterGraph.from_edges(data["n"], edges)
+
+
 def full_subgraph_obstruction(g: CoxeterGraph):
     """Search for a 4-vertex subset whose full (induced) subgraph is the path
     A4 or the 4-cycle tildeA3, all labels 3.  Returns (vertices, kind) or None.

@@ -42,10 +42,16 @@ from .criteria import (
     seal_certificate,
     criterion1,
     criterion2,
-    graph_json,
 )
 from .garside import garside_context
-from .graphs import INF, CoxeterGraph, commutator_word, inverse_word, validate_word
+from .graphs import (
+    CoxeterGraph,
+    commutator_word,
+    graph_from_json,
+    graph_json,
+    inverse_word,
+    validate_word,
+)
 from .laurent import ZZ, IntegersMod, LaurentPoly
 from .matrices import (
     DUAL,
@@ -130,8 +136,6 @@ class CurveStore:
                     "coords": [c.to_json_terms() for c in r.coords],
                     "witness": list(r.witness),
                     "seed_vertex": r.seed_vertex,
-                    "root_key": list(r.root_key),
-                    "length_key": r.length_key,
                 }
                 for r in self.records
             ],
@@ -139,24 +143,19 @@ class CurveStore:
 
     @staticmethod
     def from_json(data: dict) -> "CurveStore":
-        gj = data["graph"]
-        edges = [
-            (i, j, INF if m == "inf" else int(m)) for i, j, m in gj["edges"]
-        ]
-        g = CoxeterGraph.from_edges(gj["n"], edges)
+        """Rebuild each record from its witness and seed vertex; the stored
+        coordinates must agree with the rebuilt vector."""
+        g = graph_from_json(data["graph"])
         store = CurveStore(g)
         for r in data["records"]:
-            store.insert(
-                CurveRecord(
-                    coords=tuple(
-                        LaurentPoly.from_json_terms(ZZ, t) for t in r["coords"]
-                    ),
-                    witness=tuple(r["witness"]),
-                    seed_vertex=r["seed_vertex"],
-                    root_key=tuple(r["root_key"]),
-                    length_key=r["length_key"],
+            record = curve_record(g, r["witness"], r["seed_vertex"])
+            coords = tuple(LaurentPoly.from_json_terms(ZZ, t) for t in r["coords"])
+            if coords != record.coords:
+                raise ValueError(
+                    f"stored coordinates of witness {record.witness} at vertex "
+                    f"{record.seed_vertex} disagree with its vector"
                 )
-            )
+            store.insert(record)
         return store
 
     def save(self, path) -> None:
@@ -271,7 +270,6 @@ def find_pairs(
     criterion: int,
     root_filter=None,
     limit: int | None = None,
-    skip_common_prefix: bool = True,
 ) -> list:
     """Scan stored curve pairs for the pairing condition of the chosen
     criterion: exactly zero (1) or a signed power of q (2).  A root filter
@@ -318,12 +316,7 @@ def find_pairs(
     out = []
     for a, b in idx_pairs:
         r1, r2 = recs[a], recs[b]
-        if (
-            skip_common_prefix
-            and r1.witness
-            and r2.witness
-            and r1.witness[0] == r2.witness[0]
-        ):
+        if r1.witness and r2.witness and r1.witness[0] == r2.witness[0]:
             continue
         values = _pairing_mod(image(a), image(b))
         if criterion == 1:
@@ -425,19 +418,6 @@ def verify_bigelow3(g: CoxeterGraph, beta, i: int, p: int):
             f"the commutator word is not in the kernel of the dual form mod {p}",
         )
     return sealed
-
-
-@dataclass(frozen=True)
-class BucketKey:
-    """Walk position descriptor: number of simples in the normal form and
-    spread of the dual Burau matrix mod p."""
-
-    canonical_length: int
-    spread: int
-
-    def __post_init__(self) -> None:
-        if self.canonical_length < 0 or self.spread < 0:
-            raise ValueError("bucket keys are non-negative")
 
 
 class _SlotCodec:
@@ -656,26 +636,32 @@ def _rejected_status(clause: str) -> str:
     return f"rejected:{clause}"
 
 
+# a walk restarts once its spread passes SPREAD_CAP; each bucket keeps at
+# most BUCKET_CAPACITY braids
+SPREAD_CAP = 8
+BUCKET_CAPACITY = 64
+
+
 def bucket_search(
     g: CoxeterGraph,
     p: int,
     budget: int,
     seed: int,
     target: str = "fix_vector",
-    fix_vertex: int = 1,
-    bucket_capacity: int = 64,
-    spread_cap: int = 8,
+    fix_vertex: int | None = None,
 ) -> dict:
     """Seeded random walk in the dual positive monoid mod p.  Each step
     right-multiplies by a uniformly random reflection band, updates the dual
     matrix incrementally, and files the braid under its (canonical length,
     spread) bucket.  Hits of the chosen target are verified before being
-    reported.  A run is reproducible for a fixed seed.
+    reported.  A run is reproducible for a fixed seed.  A fix_vector walk
+    watches alpha_{fix_vertex} (vertex 1 by default); a spread_zero walk
+    takes no fix vertex.
 
     The matrix is kept packed (`_SlotCodec`) and each step is a rank-one
-    update (`_walk_step`).  Once the spread passes `spread_cap` the walk
+    update (`_walk_step`).  Once the spread passes SPREAD_CAP the walk
     restarts from a braid saved in the lowest-spread bucket whose spread is
-    at most spread_cap // 2: those buckets keep each braid's bands (its word
+    at most SPREAD_CAP // 2: those buckets keep each braid's bands (its word
     is their lifts), packed matrix, spread and normal form (gamma power and
     factors), so a restart recomputes nothing.  Other buckets only count
     their braids.
@@ -690,12 +676,16 @@ def bucket_search(
         raise ValueError("budget must be non-negative")
     if target not in ("fix_vector", "spread_zero"):
         raise ValueError("target must be 'fix_vector' or 'spread_zero'")
-    if target == "fix_vector" and not 1 <= fix_vertex <= g.n:
-        raise ValueError(f"vertex {fix_vertex} out of range 1..{g.n}")
+    if target == "spread_zero" and fix_vertex is not None:
+        raise ValueError("a spread_zero walk takes no fix vertex")
+    if target == "fix_vector":
+        fix_vertex = 1 if fix_vertex is None else fix_vertex
+        if not 1 <= fix_vertex <= g.n:
+            raise ValueError(f"vertex {fix_vertex} out of range 1..{g.n}")
     ctx = garside_context(g)
     codec, bands = _walk_bands(g, p)
     rng = random.Random(seed)
-    restart_spread = spread_cap // 2
+    restart_spread = SPREAD_CAP // 2
     path: list[_Band] = []  # the braid so far, one band per step
     rows, low, mat_spread = _identity_rows(g.n), 0, 0
     nf = ctx.new_nf_state(())
@@ -709,7 +699,7 @@ def bucket_search(
     rejected = Counter()
 
     for step in range(budget):
-        if mat_spread > spread_cap:
+        if mat_spread > SPREAD_CAP:
             restarts += 1
             usable = [k for k, kept in saved.items() if kept]
             if usable:
@@ -729,7 +719,7 @@ def bucket_search(
         filed[key] = filed.get(key, 0) + 1
         if mat_spread <= restart_spread:
             if key not in saved:
-                saved[key] = deque(maxlen=bucket_capacity)
+                saved[key] = deque(maxlen=BUCKET_CAPACITY)
             saved[key].append((tuple(path), rows, low, mat_spread, nf.k, tuple(nf.factors())))
         if key[0] == 0:
             continue
@@ -774,14 +764,14 @@ def bucket_search(
             "budget": budget,
             "seed": seed,
             "target": target,
-            "fix_vertex": fix_vertex if target == "fix_vector" else None,
-            "bucket_capacity": bucket_capacity,
-            "spread_cap": spread_cap,
+            "fix_vertex": fix_vertex,
+            "bucket_capacity": BUCKET_CAPACITY,
+            "spread_cap": SPREAD_CAP,
         },
         "candidates": candidates,
         "certificates": [c.to_json() for c in certificates],
         "buckets": {
-            _bucket_label(*key): min(count, bucket_capacity)
+            _bucket_label(*key): min(count, BUCKET_CAPACITY)
             for key, count in sorted(filed.items())
         },
         "counters": {

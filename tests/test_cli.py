@@ -277,6 +277,23 @@ def test_search_buckets_deterministic_output(capsys):
         assert int(length) >= 0 and int(sp) >= 0
 
 
+def test_search_buckets_start_is_for_fix_vector_walks_only(capsys):
+    base = ["search", "buckets", "--graph", "A3", "--p", "3", "--budget", "50"]
+    code, out, err = run(capsys, base + ["--target", "spread_zero", "--start", "99"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "takes no fix vertex" in err
+    code, _, err = run(capsys, base + ["--target", "fix_vector", "--start", "99"])
+    assert code == EXIT_USAGE
+    assert "out of range" in err
+    code, out, _ = run(capsys, base)
+    assert code == EXIT_OK
+    assert json.loads(out)["manifest"]["fix_vertex"] == 1
+    code, out, _ = run(capsys, base + ["--target", "spread_zero"])
+    assert code == EXIT_OK
+    assert json.loads(out)["manifest"]["fix_vertex"] is None
+
+
 def test_search_buckets_rejects_infinite_graphs(capsys):
     code, _, err = run(
         capsys,

@@ -13,7 +13,6 @@ from burau.criteria import (
     Rejection,
     criterion1,
     criterion2,
-    graph_json,
     seal_certificate,
     verify_kernel_word,
 )
@@ -203,11 +202,3 @@ def test_rejection_json_and_str():
     assert blob["accepted"] is False
     assert blob["clause"] == "pairing"
     assert str(out).startswith("rejected [commutator/pairing]")
-
-
-def test_graph_json_labels():
-    from burau.graphs import INF, CoxeterGraph
-
-    g = CoxeterGraph.from_edges(3, [(1, 2, 3), (2, 3, INF)])
-    blob = graph_json(g)
-    assert blob == {"n": 3, "edges": [[1, 2, "3"], [2, 3, "inf"]]}

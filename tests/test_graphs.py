@@ -1,5 +1,7 @@
 """Coxeter graph presets, parsing, and word utilities."""
 
+import json
+
 import pytest
 
 from burau.graphs import (
@@ -8,6 +10,8 @@ from burau.graphs import (
     commutator_word,
     conjugated_generator,
     full_subgraph_obstruction,
+    graph_from_json,
+    graph_json,
     inverse_word,
     load_graph,
     parse_graph,
@@ -98,6 +102,20 @@ def test_load_graph_from_file(tmp_path):
     assert load_graph("D4") == preset("D4")
     with pytest.raises(KeyError):
         load_graph(str(tmp_path / "missing.graph"))
+
+
+def test_graph_json_round_trip(tmp_path):
+    names = preset_names()
+    assert len(names) == 12
+    for name in names:
+        g = preset(name)
+        assert graph_from_json(json.loads(json.dumps(graph_json(g)))) == g
+    path = tmp_path / "wide.graph"
+    path.write_text("n=3\n1-2:3\n2-3:inf\n")
+    g = load_graph(str(path))
+    blob = graph_json(g)
+    assert blob == {"n": 3, "edges": [[1, 2, "3"], [2, 3, "inf"]]}
+    assert graph_from_json(json.loads(json.dumps(blob))) == g
 
 
 def test_full_subgraph_obstruction_examples():

@@ -1,12 +1,17 @@
 """The README's examples run as written: every `python` block in one
-namespace, and the single-computation commands print what the README shows."""
+namespace, and the single-computation commands print what the README shows.
+The package re-exports exactly the names those blocks import."""
 
+import ast
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import burau
 from burau.cli import EXIT_OK, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -49,3 +54,34 @@ def test_command_transcripts_match(capsys, command):
     for argv, expected in transcripts:
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out == expected, argv
+
+
+def test_package_exports_the_names_the_readme_imports():
+    imported = {}
+    for lang, body in BLOCKS:
+        if lang != "python":
+            continue
+        for node in ast.walk(ast.parse(body)):
+            if isinstance(node, ast.ImportFrom) and node.module.startswith("burau."):
+                for alias in node.names:
+                    imported[alias.name] = node.module
+    assert set(burau.__all__) == set(imported)
+    for name, module in imported.items():
+        assert getattr(burau, name) is getattr(sys.modules[module], name)
+
+
+def _modules_loaded_by(statement):
+    code = (
+        f"import sys; {statement}; "
+        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'burau'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    return set(proc.stdout.split())
+
+
+def test_package_import_loads_what_the_command_line_loads():
+    package = _modules_loaded_by("import burau")
+    cli = _modules_loaded_by("import burau.cli")
+    assert package == cli - {"burau.cli"}

@@ -21,7 +21,6 @@ from burau.matrices import (
     word_matrix,
 )
 from burau.search import (
-    BucketKey,
     CurveStore,
     _fixing_exponent,
     _identity_rows,
@@ -107,13 +106,15 @@ def test_find_pairs_on_basis_roots():
 
 
 def test_find_pairs_skips_common_first_letters():
+    # both witnesses start with sigma_2, so the pair is a left-translate of
+    # ((1,), 1), ((-3,), 3); it is skipped although its pairing vanishes
     g = preset("A3")
     store = CurveStore(g)
     assert store.insert_witness((2, 1), 1)
     assert store.insert_witness((2, -3), 3)
+    r1, r2 = store.records
+    assert pairing(r1.vector(g), r2.vector(g)).is_zero()
     assert find_pairs(store, 1) == []
-    kept = find_pairs(store, 1, skip_common_prefix=False)
-    assert len(kept) == 1
 
 
 def test_find_pairs_respects_limit_and_root_filter():
@@ -268,6 +269,24 @@ def test_store_json_round_trip(tmp_path):
     assert len(loaded) == 50
 
 
+def test_store_json_rebuilds_the_keys_and_refuses_edited_coords():
+    store = enumerate_curves(preset("tildeA3"), budget=50)
+    data = store.to_json()
+    assert all(set(r) == {"coords", "witness", "seed_vertex"} for r in data["records"])
+    # keys in the file are not read: an edited root key changes no index
+    data["records"][7]["root_key"] = [9, 9, 9, 9]
+    data["records"][7]["length_key"] = 0
+    loaded = CurveStore.from_json(data)
+    assert loaded.records == store.records
+    assert loaded.by_root == store.by_root
+    assert (9, 9, 9, 9) not in loaded.by_root
+    # coordinates that disagree with the witness are refused
+    exponent, coefficient = data["records"][7]["coords"][0][0]
+    data["records"][7]["coords"][0][0] = [exponent, coefficient + 1]
+    with pytest.raises(ValueError, match="disagree"):
+        CurveStore.from_json(data)
+
+
 def test_verify_bigelow3_certifies_the_bundled_words():
     for p, (exponent, sign) in D4_FIX_DATA.items():
         fx = d4_fixture(p)
@@ -334,14 +353,6 @@ def test_verify_bigelow3_reports_a_failed_seal_as_commutator_matrix(monkeypatch)
     out = verify_bigelow3(fx.graph, beta, i, 7)
     assert isinstance(out, Rejection)
     assert out.clause == "commutator-matrix"
-
-
-def test_bucket_key_validation():
-    BucketKey(0, 0)
-    with pytest.raises(ValueError):
-        BucketKey(-1, 0)
-    with pytest.raises(ValueError):
-        BucketKey(0, -2)
 
 
 def test_bucket_search_is_deterministic_and_sound():
@@ -413,6 +424,8 @@ def test_bucket_search_zero_budget_and_errors():
         bucket_search(g, 5, 10, seed=0, target="orbit")
     with pytest.raises(ValueError):
         bucket_search(g, 5, 10, seed=0, fix_vertex=9)
+    with pytest.raises(ValueError, match="no fix vertex"):
+        bucket_search(g, 5, 10, seed=0, target="spread_zero", fix_vertex=1)
     with pytest.raises(NotFiniteType):
         bucket_search(preset("tildeA2"), 5, 10, seed=0)
 
