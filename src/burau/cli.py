@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_burau.add_argument("--graph", type=_graph, required=True)
     p_burau.add_argument("--word", required=True)
     p_burau.add_argument("--form", choices=["standard", "dual"], default="standard")
-    p_burau.add_argument("--mod", type=int)
+    p_burau.add_argument("--mod", type=_int_at_least(2))
     p_burau.add_argument("--json", action="store_true")
     p_burau.set_defaults(func=cmd_burau)
 
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pair.add_argument("--w2", required=True)
     p_pair.add_argument("--i2", type=int, required=True)
     p_pair.add_argument("--form", choices=["standard", "dual"], default="standard")
-    p_pair.add_argument("--mod", type=int)
+    p_pair.add_argument("--mod", type=_int_at_least(2))
     p_pair.add_argument("--json", action="store_true")
     p_pair.set_defaults(func=cmd_pairing)
 

@@ -11,9 +11,11 @@ matrix.  On top of that live dual braid lifts constructed by Hurwitz moves
 from the defining factorization gamma = s_1 ... s_n, and the right-greedy
 normal form that solves the braid word problem.
 
-Normal forms are maintained incrementally: positive letters append an atom,
-negative letters borrow gamma^{-1} and append the complementary simple, and a
-local rebalancing pass restores greediness.  Products of simples are only
+A normal form is gamma^k times a list of simples, updated one simple at a
+time: a positive letter appends its atom, a negative letter borrows gamma^{-1}
+and appends the complementary simple, and one right-to-left sweep over
+adjacent pairs makes the list right-greedy again (Dehornoy et al.,
+"Foundations of Garside Theory").  Products of simples are only
 ever taken when reflection lengths add, which is exactly when the interval
 monoid relation [x][y] = [xy] holds, so the computed form is independent of
 how the input word was spelled.
@@ -392,7 +394,7 @@ class DualGarside:
     def new_nf_state(self, word) -> "_NFState":
         """A normal-form accumulator holding the given braid word."""
         validate_word(self.graph, word)
-        state = _NFState(self)
+        state = _NFState(self, 0, ())
         for letter in word:
             state.push_letter(letter)
         return state
@@ -400,169 +402,102 @@ class DualGarside:
     def restore_nf_state(self, k: int, factors) -> "_NFState":
         """The accumulator holding gamma^k times `factors`, which must be a
         normal form as `_NFState.factors` lists it; nothing is re-normalised,
-        so restoring a saved state costs one link per factor."""
-        state = _NFState(self)
-        state.k = k
-        for w in factors:
-            state._append(w)
-        state.stack.clear()  # adjacent normal-form factors are already greedy
-        return state
+        because adjacent normal-form factors are already greedy."""
+        return _NFState(self, k, factors)
 
 
 class _NFState:
-    """Mutable normal-form accumulator: gamma power + doubly linked list of
-    simple factors with stable node handles, so rebalancing can delete and
-    rewrite locally without index shuffling."""
+    """Mutable normal-form accumulator: gamma^k times `simples`, a list of
+    interval ids in right-greedy order (leftmost first) holding neither the
+    identity nor gamma.
 
-    def __init__(self, ctx: DualGarside):
+    Right-multiplying by a simple appends it and sweeps right to left.  Each
+    adjacent pair is made right-greedy by sliding reflections from the left
+    factor into the right one; the sweep stops at the first pair no slide
+    changes, or at the first left factor that becomes the identity, which is
+    deleted.  The pairs left of that point are greedy already (the domino
+    rule), and gamma factors can then only form a suffix: each one popped
+    moves past the rest as x gamma = gamma phi^-1(x)."""
+
+    __slots__ = ("ctx", "k", "simples")
+
+    def __init__(self, ctx: DualGarside, k: int, simples):
         self.ctx = ctx
-        self.k = 0
-        self.value: dict[int, int] = {}
-        self.nxt: dict[int, int | None] = {}
-        self.prv: dict[int, int | None] = {}
-        self.head: int | None = None
-        self.tail: int | None = None
-        self.counter = 0
-        self.stack: list[int] = []
-
-    def _append(self, w: int) -> None:
-        nid = self.counter
-        self.counter += 1
-        self.value[nid] = w
-        self.prv[nid] = self.tail
-        self.nxt[nid] = None
-        if self.tail is not None:
-            self.nxt[self.tail] = nid
-        else:
-            self.head = nid
-        self.tail = nid
-        if self.prv[nid] is not None:
-            self.stack.append(self.prv[nid])
-        self._maybe_extract_gamma(nid)
-
-    def _delete(self, nid: int) -> None:
-        p, n = self.prv[nid], self.nxt[nid]
-        if p is not None:
-            self.nxt[p] = n
-        else:
-            self.head = n
-        if n is not None:
-            self.prv[n] = p
-        else:
-            self.tail = p
-        del self.value[nid], self.prv[nid], self.nxt[nid]
-
-    def _maybe_extract_gamma(self, nid: int) -> None:
-        ctx = self.ctx
-        if self.value.get(nid) != ctx.gamma:
-            return
-        self.k += 1
-        cur = self.prv[nid]
-        while cur is not None:
-            self.value[cur] = ctx.phi_inv[self.value[cur]]
-            cur = self.prv[cur]
-        before = self.prv[nid]
-        self._delete(nid)
-        if before is not None:
-            self.stack.append(before)
+        self.k = k
+        self.simples = list(simples)
 
     def push_letter(self, letter: int) -> None:
-        ctx = self.ctx
         if letter > 0:
-            self._append(letter)  # the atom s_i has id i
+            self._push(letter)  # the atom s_i has id i
         else:
+            ctx = self.ctx
             self.k -= 1
-            for nid in self.value:
-                self.value[nid] = ctx.phi[self.value[nid]]
-            # gamma s_i has length n - 1, so it is the identity only on one vertex
-            if ctx.gamma_atom_ids[-letter] != ctx.identity:
-                self._append(ctx.gamma_atom_ids[-letter])
-        self._drain()
+            self.simples = [ctx.phi[w] for w in self.simples]
+            self._push(ctx.gamma_atom_ids[-letter])
 
     def push_simple(self, w: int) -> None:
         """Right-multiply by an interval element directly."""
-        if w != self.ctx.identity:
-            self._append(w)
-            self._drain()
+        self._push(w)
+
+    def _push(self, w: int) -> None:
+        """Right-multiply by the interval element w.  Both public pushes call
+        this, not each other, so a profiler wrapping them sees each push
+        once."""
+        ctx = self.ctx
+        if w == ctx.identity:
+            return
+        simples = self.simples
+        simples.append(w)
+        j = len(simples) - 1
+        while j > 0:
+            left = simples[j - 1]
+            right = start = simples[j]
+            while True:
+                for mu in ctx.rdiv[left]:
+                    cand = ctx.product(mu, right)
+                    if cand is not None and ctx.ell[cand] == ctx.ell[right] + 1:
+                        left, right = ctx.product(left, mu), cand
+                        break
+                else:
+                    break
+            if right == start:
+                break
+            simples[j] = right
+            if left == ctx.identity:
+                del simples[j - 1]
+                break
+            simples[j - 1] = left
+            j -= 1
+        while simples and simples[-1] == ctx.gamma:
+            simples.pop()
+            self.k += 1
+            simples[:] = [ctx.phi_inv[x] for x in simples]
 
     def canonical_length(self) -> int:
-        return len(self.value)
+        return len(self.simples)
 
-    def _drain(self) -> None:
-        ctx = self.ctx
-        while self.stack:
-            nid = self.stack.pop()
-            if nid not in self.value:
-                continue
-            mid = self.nxt[nid]
-            if mid is None:
-                continue
-            left, right = self.value[nid], self.value[mid]
-            slid = None
-            for mu in ctx.rdiv[left]:
-                cand = ctx.product(mu, right)
-                if cand is not None and ctx.ell[cand] == ctx.ell[right] + 1:
-                    slid = (mu, cand)
-                    break
-            if slid is None:
-                continue
-            mu, cand = slid
-            new_left = ctx.product(left, mu)
-            self.value[mid] = cand
-            if new_left == ctx.identity:
-                before = self.prv[nid]
-                self._delete(nid)
-                if before is not None:
-                    self.stack.append(before)
-            else:
-                self.value[nid] = new_left
-                if self.prv[nid] is not None:
-                    self.stack.append(self.prv[nid])
-                self.stack.append(nid)
-            self.stack.append(mid)
-            self._maybe_extract_gamma(mid)
-
-    def factors(self) -> list[int]:
-        out = []
-        cur = self.head
-        while cur is not None:
-            out.append(self.value[cur])
-            cur = self.nxt[cur]
-        return out
+    def factors(self) -> tuple:
+        return tuple(self.simples)
 
     def result(self) -> GarsideNF:
-        self._drain()
         return GarsideNF(
             k=self.k,
-            simples=tuple(self.ctx.simple(w) for w in self.factors()),
+            simples=tuple(self.ctx.simple(w) for w in self.simples),
             gamma_word=self.ctx.gamma_word,
         )
 
     def samecurve_report(self, i: int) -> "SamecurveReport":
         """Push sigma_i and return `samecurve_check` of the braid held
         before it, so a caller can keep pushing letters afterwards."""
-        ctx = self.ctx
-        nf = self.result()
+        k, before, nf = self.k, self.factors(), self.result()
         self.push_letter(i)
-        appended = self.result()
-        cond1 = nf.k == 0
-        cond2 = (
-            appended.k == nf.k
-            and len(appended.simples) == len(nf.simples) + 1
-            and appended.simples[: len(nf.simples)] == nf.simples
-            and appended.simples[-1].matrix == ctx.matrices[i]
-        )
-        if nf.simples:
-            last = ctx.index[nf.simples[-1].matrix]
-            cond3 = not ctx.left_divides(i, last)
-        else:
-            cond3 = True
         return SamecurveReport(
-            zero_gamma_power=cond1,
-            append_stays_greedy=cond2,
-            atom_free_last_simple=cond3,
+            zero_gamma_power=k == 0,
+            append_stays_greedy=self.k == k and self.factors() == before + (i,),
+            # a simple's left and right reflection divisors are the same set
+            atom_free_last_simple=not before or i not in self.ctx.rdiv[before[-1]],
             nf=str(nf),
-            nf_appended=str(appended),
+            nf_appended=str(self.result()),
         )
 
 

@@ -182,9 +182,15 @@ def full_subgraph_obstruction(g: CoxeterGraph):
 
 def validate_word(g: CoxeterGraph, word) -> None:
     """Raise ValueError naming the offending position unless every letter is a
-    non-zero index with |letter| <= n."""
+    non-zero index with |letter| <= n.  Booleans are refused, although `bool`
+    subclasses `int`."""
     for pos, letter in enumerate(word):
-        if not isinstance(letter, int) or letter == 0 or abs(letter) > g.n:
+        if (
+            not isinstance(letter, int)
+            or isinstance(letter, bool)
+            or letter == 0
+            or abs(letter) > g.n
+        ):
             raise ValueError(
                 f"letter {letter!r} at position {pos} is not a signed vertex "
                 f"index in 1..{g.n}"

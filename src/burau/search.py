@@ -720,7 +720,7 @@ def bucket_search(
         if mat_spread <= restart_spread:
             if key not in saved:
                 saved[key] = deque(maxlen=BUCKET_CAPACITY)
-            saved[key].append((tuple(path), rows, low, mat_spread, nf.k, tuple(nf.factors())))
+            saved[key].append((tuple(path), rows, low, mat_spread, nf.k, nf.factors()))
         if key[0] == 0:
             continue
         if target == "spread_zero":

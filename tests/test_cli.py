@@ -99,12 +99,22 @@ def test_burau_json_and_mod(capsys):
     assert len(payload["rows"]) == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["burau", "--graph", "A2", "--word", "1"],
+        ["pairing", "--graph", "A2", "--w1", "1", "--i1", "1", "--w2", "", "--i2", "2"],
+    ],
+    ids=["burau", "pairing"],
+)
 @pytest.mark.parametrize("mod", ["0", "1"])
-def test_burau_refuses_a_modulus_below_two(capsys, mod):
-    code, out, err = run(capsys, ["burau", "--graph", "A2", "--word", "1", "--mod", mod])
-    assert code == EXIT_USAGE
+def test_burau_refuses_a_modulus_below_two(capsys, command, mod):
+    with pytest.raises(SystemExit) as info:
+        main(command + ["--mod", mod])
+    assert info.value.code == EXIT_USAGE
+    out, err = capsys.readouterr()
     assert out == ""
-    assert "modulus" in err
+    assert "argument --mod: must be at least 2" in err
 
 
 def test_pairing_of_the_affine_witness_pair(capsys):

@@ -138,6 +138,23 @@ def test_braid_relator_word_seals_when_pairing_is_a_q_power():
     assert sealed.verified
 
 
+def test_criterion2_accepts_when_hom_exceeds_one(monkeypatch):
+    # no search reaches this path on the bundled graphs, so a stubbed hom
+    # table of total dimension 2 stands in for the categorical check
+    monkeypatch.setattr(
+        "burau.criteria.hom_table", lambda x, y: {(0, 0): 1, (1, -1): 1}
+    )
+    cert = criterion2((), 1, (), 2, preset("A2"))
+    assert isinstance(cert, KernelCertificate)
+    assert cert.criterion == CRITERION_BRAID_RELATOR
+    assert cert.kernel_word == (1, 2, 1, -2, -1, -2)
+    assert cert.pairing == "q"
+    assert cert.normalizing_shift == 1
+    assert cert.total_hom_dim == 2
+    assert cert.verified
+    assert verify_kernel_word(cert)
+
+
 def test_certificate_field_invariants():
     g = preset("A2")
     with pytest.raises(ValueError):

@@ -2,6 +2,9 @@
 the braid, not on how its word is spelled or on how the accumulator holding
 it was built."""
 
+from functools import lru_cache
+
+from coxeter_oracle import CoxeterGroup, mat_mul, moved_space_dim
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,3 +75,34 @@ def test_a_restored_state_continues_like_the_original(data):
         state.push_letter(letter)
         restored.push_letter(letter)
     assert restored.result() == state.result()
+
+
+@lru_cache(maxsize=None)
+def _oracle_interval(name):
+    ctx = garside_context(GRAPHS[name])
+    return CoxeterGroup(ctx.graph).interval(ctx.matrices[ctx.gamma])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_pushing_simples_gives_the_normal_form_of_their_lifts(data):
+    # any interval id, the identity and gamma included, pushed after a word
+    name = data.draw(st.sampled_from(sorted(GRAPHS)))
+    g = GRAPHS[name]
+    ctx = garside_context(g)
+    word = data.draw(st.lists(_letters(g), max_size=12))
+    ids = data.draw(st.lists(st.integers(0, len(ctx.matrices) - 1), max_size=6))
+    state = ctx.new_nf_state(word)
+    for w in ids:
+        state.push_simple(w)
+    lifted = list(word) + [letter for w in ids for letter in ctx.simple_lift(w)]
+    assert state.result() == ctx.normal_form(lifted)
+    factors = state.factors()
+    assert ctx.identity not in factors and ctx.gamma not in factors
+    oracle = _oracle_interval(name)
+    for left, right in zip(factors, factors[1:]):
+        for mu in ctx.rdiv[left]:
+            cand = mat_mul(ctx.matrices[mu], ctx.matrices[right])
+            assert not (
+                cand in oracle and moved_space_dim(cand) == ctx.ell[right] + 1
+            )

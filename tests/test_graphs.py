@@ -139,6 +139,9 @@ def test_validate_word_names_the_bad_position():
     assert "letter 0 at position 1" in str(err.value)
     with pytest.raises(ValueError):
         validate_word(g, [3])
+    with pytest.raises(ValueError) as err:
+        validate_word(preset("A3"), [True, -1])
+    assert "letter True at position 0" in str(err.value)
 
 
 def test_word_helpers():
