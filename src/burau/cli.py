@@ -70,6 +70,15 @@ def _graph(spec: str):
         raise argparse.ArgumentTypeError(f"cannot read graph {spec!r}: {exc}") from None
 
 
+def _word(text: str):
+    """An argparse type: a braid word ('1,-2' or '1 -2'), parsed at parse
+    time.  The library checks its letters against the graph."""
+    try:
+        return word_from_string(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid braid word {text!r}") from None
+
+
 def _ring(args) -> object:
     return ZZ if args.mod is None else IntegersMod(args.mod)
 
@@ -133,7 +142,7 @@ def cmd_verify(args) -> int:
 
 def cmd_burau(args) -> int:
     form = form_from_name(args.form)
-    m = word_matrix(args.graph, word_from_string(args.word), form, _ring(args))
+    m = word_matrix(args.graph, args.word, form, _ring(args))
     _emit(args, str(m), m.to_json())
     return EXIT_OK
 
@@ -142,8 +151,8 @@ def cmd_pairing(args) -> int:
     g = args.graph
     form = form_from_name(args.form)
     ring = _ring(args)
-    x = act(g, word_from_string(args.w1), basis_vector(g, args.i1, ring), form)
-    y = act(g, word_from_string(args.w2), basis_vector(g, args.i2, ring), form)
+    x = act(g, args.w1, basis_vector(g, args.i1, ring), form)
+    y = act(g, args.w2, basis_vector(g, args.i2, ring), form)
     p = pairing(x, y, form)
     _emit(args, str(p), {"pairing": str(p), "terms": p.to_json_terms()})
     return EXIT_OK
@@ -151,7 +160,7 @@ def cmd_pairing(args) -> int:
 
 def cmd_twist(args) -> int:
     g = args.graph
-    cx = act_complex(g, word_from_string(args.word), projective(zigzag(g), args.start))
+    cx = act_complex(g, args.word, projective(zigzag(g), args.start))
     k0 = k0_class(cx)
     spherical = is_spherical(cx)
     human = "\n".join(
@@ -171,8 +180,8 @@ def cmd_twist(args) -> int:
 def cmd_hom(args) -> int:
     g = args.graph
     algebra = zigzag(g)
-    cx = act_complex(g, word_from_string(args.w1), projective(algebra, args.i1))
-    cy = act_complex(g, word_from_string(args.w2), projective(algebra, args.i2))
+    cx = act_complex(g, args.w1, projective(algebra, args.i1))
+    cy = act_complex(g, args.w2, projective(algebra, args.i2))
     table = hom_table(cx, cy)
     euler = euler_pairing(cx, cy)
     human = "\n".join([render_hom_table(table), f"Euler pairing: {euler}"])
@@ -250,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_burau = sub.add_parser("burau", help="Burau matrix of a word")
     p_burau.add_argument("--graph", type=_graph, required=True)
-    p_burau.add_argument("--word", required=True)
+    p_burau.add_argument("--word", type=_word, required=True)
     p_burau.add_argument("--form", choices=["standard", "dual"], default="standard")
     p_burau.add_argument("--mod", type=_int_at_least(2))
     p_burau.add_argument("--json", action="store_true")
@@ -258,9 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pair = sub.add_parser("pairing", help="pairing of two twisted roots")
     p_pair.add_argument("--graph", type=_graph, required=True)
-    p_pair.add_argument("--w1", required=True)
+    p_pair.add_argument("--w1", type=_word, required=True)
     p_pair.add_argument("--i1", type=int, required=True)
-    p_pair.add_argument("--w2", required=True)
+    p_pair.add_argument("--w2", type=_word, required=True)
     p_pair.add_argument("--i2", type=int, required=True)
     p_pair.add_argument("--form", choices=["standard", "dual"], default="standard")
     p_pair.add_argument("--mod", type=_int_at_least(2))
@@ -269,16 +278,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_twist = sub.add_parser("twist", help="twisted projective complex of a word")
     p_twist.add_argument("--graph", type=_graph, required=True)
-    p_twist.add_argument("--word", required=True)
+    p_twist.add_argument("--word", type=_word, required=True)
     p_twist.add_argument("--start", type=int, required=True)
     p_twist.add_argument("--json", action="store_true")
     p_twist.set_defaults(func=cmd_twist)
 
     p_hom = sub.add_parser("hom", help="bigraded hom table of two twisted projectives")
     p_hom.add_argument("--graph", type=_graph, required=True)
-    p_hom.add_argument("--w1", required=True)
+    p_hom.add_argument("--w1", type=_word, required=True)
     p_hom.add_argument("--i1", type=int, required=True)
-    p_hom.add_argument("--w2", required=True)
+    p_hom.add_argument("--w2", type=_word, required=True)
     p_hom.add_argument("--i2", type=int, required=True)
     p_hom.add_argument("--json", action="store_true")
     p_hom.set_defaults(func=cmd_hom)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .graphs import CoxeterGraph, validate_word
+from .graphs import CoxeterGraph, validate_vertex, validate_word
 from .laurent import ZZ, LaurentPoly
 from .matrices import BurauVector
 from .zigzag import Elt, ZigzagAlgebra, token_degree, token_mul
@@ -121,8 +121,7 @@ class ProjComplex:
 
 def projective(algebra: ZigzagAlgebra, i: int) -> ProjComplex:
     """P_i placed in bidegree {0}[0] with zero differential."""
-    if not 1 <= i <= algebra.graph.n:
-        raise ValueError(f"vertex {i} out of range 1..{algebra.graph.n}")
+    validate_vertex(algebra.graph, i)
     return ProjComplex(algebra, (algebra.shared((i, 0, 0)),), {})
 
 
@@ -211,8 +210,7 @@ def apply_twist(x: ProjComplex, i: int, sign: int) -> ProjComplex:
     """The spherical twist along P_i (sign=+1) or its inverse (sign=-1),
     returned in minimized form."""
     algebra = x.algebra
-    if not 1 <= i <= algebra.graph.n:
-        raise ValueError(f"vertex {i} out of range 1..{algebra.graph.n}")
+    validate_vertex(algebra.graph, i)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
 

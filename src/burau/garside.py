@@ -1,5 +1,10 @@
 """Dual Garside structure for finite simply-laced Coxeter graphs.
 
+Everything starts from the Cartan matrix C, the standard Gram matrix at
+q = -1: a graph is of finite type iff C is positive definite (Humphreys,
+"Reflection Groups and Coxeter Groups", 6.4), and the atoms are the simple
+reflections s_i = I - e_i C_i, read from its rows.
+
 Nothing here enumerates the Coxeter group.  Group elements are exact integer
 matrices at q = -1 (the geometric representation, which is faithful), and
 reflection length is rank(w - 1) (Carter's lemma).  The reflections are the
@@ -28,65 +33,31 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from .graphs import INF, CoxeterGraph, inverse_word, validate_word
-from .laurent import ZZ
-from .matrices import STANDARD, generator_matrix
+from .graphs import CoxeterGraph, inverse_word, validate_vertex, validate_word
+from .matrices import gram_matrix
+
 
 class NotFiniteType(ValueError):
     """Raised when a graph is not of finite Coxeter type."""
 
 
-def _finite_simply_laced(g: CoxeterGraph) -> bool:
-    """Classification check: every connected component must be a path (type A)
-    or a tree with a single degree-3 vertex whose branch lengths are
-    (1, 1, k), (1, 2, 2), (1, 2, 3) or (1, 2, 4) (types D and E)."""
-    if any(m == INF for _, m in g.edge_labels):
-        return False
-    adj = {v: set() for v in g.vertices()}
-    for i, j in g.edges():
-        adj[i].add(j)
-        adj[j].add(i)
-    seen: set[int] = set()
-    for start in g.vertices():
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        for v in comp:
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-        edge_count = sum(len(adj[v]) for v in comp) // 2
-        if edge_count != len(comp) - 1:
-            return False  # a cycle: affine or worse
-        degrees = sorted(len(adj[v]) for v in comp)
-        if degrees and degrees[-1] > 3:
+def _finite_type(g: CoxeterGraph) -> bool:
+    """Sylvester's criterion on the Cartan matrix C (2 on the diagonal, -1 or
+    -2 for an edge labelled 3 or inf), by Bareiss elimination without row
+    swaps: the k-th pivot is the k-th leading principal minor, so C is
+    positive definite iff every pivot is positive.  The ends of an inf edge
+    span the principal minor 2 * 2 - 2 * 2 = 0, so such graphs fail too."""
+    rows = [[e.evaluate(-1) for e in row] for row in gram_matrix(g)]
+    prev = 1
+    for k in range(g.n):
+        top = rows[k]
+        pv = top[k]
+        if pv <= 0:
             return False
-        branch_vertices = [v for v in comp if len(adj[v]) == 3]
-        if len(branch_vertices) > 1:
-            return False
-        if branch_vertices:
-            b = branch_vertices[0]
-            lengths = []
-            for first in adj[b]:
-                ln, prev, cur = 1, b, first
-                while True:
-                    nxt = [w for w in adj[cur] if w != prev]
-                    if not nxt:
-                        break
-                    prev, cur = cur, nxt[0]
-                    ln += 1
-                lengths.append(ln)
-            lengths.sort()
-            if lengths[0] != 1:
-                return False
-            if lengths[1] >= 2 and (lengths[1], lengths[2]) not in (
-                (2, 2),
-                (2, 3),
-                (2, 4),
-            ):
-                return False
+        for r in range(k + 1, g.n):
+            f = rows[r][k]
+            rows[r] = [(pv * x - f * y) // prev for x, y in zip(rows[r], top)]
+        prev = pv
     return True
 
 
@@ -186,7 +157,7 @@ class DualGarside:
     s_i."""
 
     def __init__(self, graph: CoxeterGraph):
-        if not _finite_simply_laced(graph):
+        if not _finite_type(graph):
             raise NotFiniteType(
                 "the dual Garside structure needs a finite simply-laced graph "
                 "(components of type A, D or E)"
@@ -195,10 +166,11 @@ class DualGarside:
         self.n = graph.n
         self.gamma_word = tuple(graph.vertices())
 
-        atoms = []
-        for i in graph.vertices():
-            m = generator_matrix(graph, i, 1, STANDARD, ZZ)
-            atoms.append(tuple(tuple(e.evaluate(-1) for e in row) for row in m.rows))
+        atoms = []  # s_i = I - e_i C_i, with C the Gram matrix at q = -1
+        for i, gram_row in enumerate(gram_matrix(graph)):
+            rows = [tuple(int(a == b) for b in range(self.n)) for a in range(self.n)]
+            rows[i] = tuple(int(i == j) - e.evaluate(-1) for j, e in enumerate(gram_row))
+            atoms.append(tuple(rows))
         gamma = gamma_inv = atoms[0]
         for a in atoms[1:]:
             gamma = _mat_mul(gamma, a)
@@ -489,15 +461,13 @@ class _NFState:
     def samecurve_report(self, i: int) -> "SamecurveReport":
         """Push sigma_i and return `samecurve_check` of the braid held
         before it, so a caller can keep pushing letters afterwards."""
-        k, before, nf = self.k, self.factors(), self.result()
+        k, before = self.k, self.factors()
         self.push_letter(i)
         return SamecurveReport(
             zero_gamma_power=k == 0,
             append_stays_greedy=self.k == k and self.factors() == before + (i,),
             # a simple's left and right reflection divisors are the same set
             atom_free_last_simple=not before or i not in self.ctx.rdiv[before[-1]],
-            nf=str(nf),
-            nf_appended=str(self.result()),
         )
 
 
@@ -520,8 +490,6 @@ class SamecurveReport:
     zero_gamma_power: bool
     append_stays_greedy: bool
     atom_free_last_simple: bool
-    nf: str
-    nf_appended: str
 
 
 def samecurve_check(g: CoxeterGraph, word, i: int) -> SamecurveReport:
@@ -529,6 +497,5 @@ def samecurve_check(g: CoxeterGraph, word, i: int) -> SamecurveReport:
     braid's rightmost factor clean: no gamma power, appending sigma_i simply
     extends the factor list, and the atom s_i does not divide the last factor.
     Reported separately; nothing is assumed about the input word."""
-    if not 1 <= i <= g.n:
-        raise ValueError(f"vertex {i} out of range 1..{g.n}")
+    validate_vertex(g, i)
     return garside_context(g).new_nf_state(word).samecurve_report(i)

@@ -28,7 +28,10 @@ class CoxeterGraph:
             if not (1 <= i < j <= self.n):
                 raise ValueError(f"bad edge ({i},{j}) on {self.n} vertices")
             if m != 3 and m != INF:
-                raise ValueError(f"unsupported label m={m}; only 2, 3, inf")
+                raise ValueError(
+                    f"unsupported label m={m}; an edge takes 3 or inf "
+                    "(a missing edge means m = 2)"
+                )
             if (i, j) in seen:
                 raise ValueError(f"duplicate edge ({i},{j})")
             seen.add((i, j))
@@ -195,6 +198,13 @@ def validate_word(g: CoxeterGraph, word) -> None:
                 f"letter {letter!r} at position {pos} is not a signed vertex "
                 f"index in 1..{g.n}"
             )
+
+
+def validate_vertex(g: CoxeterGraph, i) -> None:
+    """Raise ValueError unless i is a vertex index in 1..n.  Booleans are
+    refused, as in `validate_word`."""
+    if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= g.n:
+        raise ValueError(f"vertex {i!r} out of range 1..{g.n}")
 
 
 def inverse_word(word) -> BraidWord:

@@ -1,10 +1,10 @@
 """The generalized Burau representation and its sesquilinear pairing.
 
 Two conventions are provided.  The standard form acts on the root basis
-alpha_1..alpha_n with diagonal pairing 1+q^2; the dual form (finite
-simply-laced graphs only) uses the asymmetric pairing with 1+q on the
-diagonal, tuned so that the Coxeter element gamma = sigma_1...sigma_n and
-every dual atom act with q-degrees 0 and 1 only.
+alpha_1..alpha_n with diagonal pairing 1+q^2; the dual form (all labels 3,
+finite type or not) uses the asymmetric pairing with 1+q on the diagonal,
+tuned so that the Coxeter element gamma = sigma_1...sigma_n and every dual
+atom act with q-degrees 0 and 1 only.  Only `gram_matrix` knows the forms.
 
 Matrices are column-convention: column j holds the image of alpha_j, so the
 matrix of a word w1 w2 is M(w1) . M(w2) and acting on vectors is plain left
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import INF, CoxeterGraph, validate_word
+from .graphs import CoxeterGraph, validate_vertex, validate_word
 from .laurent import ZZ, CoefficientRing, LaurentPoly
 
 
@@ -39,31 +39,6 @@ DUAL = PairingForm("dual")
 
 def form_from_name(name: str) -> PairingForm:
     return {"standard": STANDARD, "dual": DUAL}[name]
-
-
-def _basis_pairing(
-    g: CoxeterGraph, form: PairingForm, ring: CoefficientRing, i: int, j: int
-) -> LaurentPoly:
-    """The pairing of basis roots <alpha_i, alpha_j> in the given form."""
-    m = g.labels(i, j) if i != j else None
-    if form.variant == "standard":
-        if i == j:
-            return LaurentPoly.from_dict(ring, {0: 1, 2: 1})
-        if m == 2:
-            return LaurentPoly.zero(ring)
-        if m == 3:
-            return LaurentPoly.q(ring)
-        return LaurentPoly.monomial(ring, 1, 2)  # m = infinity
-    # dual form
-    if m == INF:
-        raise ValueError("dual pairing form requires all labels in {2, 3}")
-    if i == j:
-        return LaurentPoly.from_dict(ring, {0: 1, 1: 1})
-    if m == 2:
-        return LaurentPoly.zero(ring)
-    if i < j:
-        return LaurentPoly.one(ring)
-    return LaurentPoly.q(ring)
 
 
 @dataclass(frozen=True)
@@ -95,8 +70,7 @@ def _check_compat(x, y) -> None:
 
 def basis_vector(g: CoxeterGraph, i: int, ring: CoefficientRing = ZZ) -> BurauVector:
     """The root alpha_i as a vector."""
-    if not 1 <= i <= g.n:
-        raise ValueError(f"vertex {i} out of range 1..{g.n}")
+    validate_vertex(g, i)
     coords = [LaurentPoly.zero(ring)] * g.n
     coords[i - 1] = LaurentPoly.one(ring)
     return BurauVector(g, ring, tuple(coords))
@@ -106,11 +80,22 @@ def basis_vector(g: CoxeterGraph, i: int, ring: CoefficientRing = ZZ) -> BurauVe
 def gram_matrix(
     g: CoxeterGraph, form: PairingForm = STANDARD, ring: CoefficientRing = ZZ
 ) -> tuple:
-    """The pairings <alpha_i, alpha_j> of all basis roots, as a tuple of rows."""
-    return tuple(
-        tuple(_basis_pairing(g, form, ring, i, j) for j in g.vertices())
-        for i in g.vertices()
-    )
+    """The pairings <alpha_i, alpha_j> of all basis roots, as a tuple of rows.
+
+    Standard form: 1+q^2 on the diagonal, q for an edge labelled 3 and 2q for
+    one labelled inf.  Dual form: 1+q on the diagonal, and an edge i - j with
+    i < j gives 1 at (i, j) and q at (j, i).  Non-adjacent roots pair to 0."""
+    standard = form.variant == "standard"
+    if not standard and not g.is_simply_laced():
+        raise ValueError("dual pairing form requires all labels in {2, 3}")
+    rows = [[LaurentPoly.zero(ring)] * g.n for _ in g.vertices()]
+    for i in range(g.n):
+        rows[i][i] = LaurentPoly.from_dict(ring, {0: 1, 2 if standard else 1: 1})
+    for (i, j), m in g.edge_labels:
+        edge = LaurentPoly.q(ring) if m == 3 else LaurentPoly.monomial(ring, 1, 2)
+        rows[i - 1][j - 1] = edge if standard else LaurentPoly.one(ring)
+        rows[j - 1][i - 1] = edge
+    return tuple(tuple(row) for row in rows)
 
 
 def pairing(
@@ -206,31 +191,21 @@ def generator_matrix(
     form: PairingForm = STANDARD,
     ring: CoefficientRing = ZZ,
 ) -> BurauMatrix:
-    """Matrix of sigma_i (sign=+1) or its inverse (sign=-1).
-
-    Standard form: sigma_i(alpha_j) = alpha_j - <alpha_i, alpha_j> alpha_i and
-    sigma_i^{-1}(alpha_j) = alpha_j - q^{-2} <alpha_j, alpha_i> alpha_i.  The
-    dual form replaces the pairing by its 1+q variant and q^{-2} by q^{-1};
-    both ways round the generator and its inverse compose to the identity.
+    """Matrix of sigma_i (sign=+1) or its inverse (sign=-1): the identity
+    with row i replaced by e_i - q^s G_i, where G_i is row i of the form's
+    Gram matrix and s = 0 for sigma_i.  For sigma_i^{-1}, s = -2 in the
+    standard form and s = -1 in the dual form; both ways round the generator
+    and its inverse compose to the identity.  In the standard form this says
+    sigma_i(alpha_j) = alpha_j - <alpha_i, alpha_j> alpha_i.
     """
-    if not 1 <= i <= g.n:
-        raise ValueError(f"vertex {i} out of range 1..{g.n}")
+    validate_vertex(g, i)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    ident = identity_matrix(g, ring)
-    rows = [list(row) for row in ident.rows]
-    for j in g.vertices():
-        if form.variant == "standard":
-            coeff = (
-                _basis_pairing(g, form, ring, i, j)
-                if sign == 1
-                else _basis_pairing(g, form, ring, j, i).shift(-2)
-            )
-        else:
-            b = _basis_pairing(g, form, ring, i, j)
-            coeff = b if sign == 1 else b.shift(-1)
-        rows[i - 1][j - 1] = rows[i - 1][j - 1] - coeff
-    return BurauMatrix(g, ring, tuple(tuple(row) for row in rows))
+    s = 0 if sign == 1 else (-2 if form.variant == "standard" else -1)
+    rows = list(identity_matrix(g, ring).rows)
+    gram_row = gram_matrix(g, form, ring)[i - 1]
+    rows[i - 1] = tuple(e - b.shift(s) for e, b in zip(rows[i - 1], gram_row))
+    return BurauMatrix(g, ring, tuple(rows))
 
 
 def act(

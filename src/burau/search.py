@@ -50,6 +50,7 @@ from .graphs import (
     graph_from_json,
     graph_json,
     inverse_word,
+    validate_vertex,
     validate_word,
 )
 from .laurent import ZZ, IntegersMod, LaurentPoly
@@ -59,7 +60,6 @@ from .matrices import (
     BurauVector,
     act,
     basis_vector,
-    generator_matrix,
     gram_matrix,
     is_identity,
     pairing,
@@ -487,7 +487,7 @@ class _SlotCodec:
 class _Band(NamedTuple):
     """One walk step: right multiplication by the dual matrix of a
     reflection lift W sigma_j W^-1, which is I + u v^T with u = M(W) e_j and
-    v^T = (row j of M(sigma_j) - e_j^T) M(W^-1).  `u` and `v` list their
+    v^T = -(row j of the dual Gram matrix) M(W^-1).  `u` and `v` list their
     non-zero entries as (index, packed entry), each vector packed from its
     own lowest exponent, so u_a v_b = q^offset U_a V_b."""
 
@@ -524,8 +524,8 @@ def _walk_bands(g: CoxeterGraph, p: int) -> tuple:
         if j < 0 or lift[half + 1 :] != inverse_word(conj):
             raise AssertionError(f"lift {lift} is not a conjugate of a generator")
         u = word_matrix(g, conj, DUAL, ring).column(j).coords
-        r = list(generator_matrix(g, j, 1, DUAL, ring).rows[j - 1])
-        r[j - 1] -= one
+        # row j of M(sigma_j) - I is minus row j of the dual Gram matrix
+        r = [-b for b in gram_matrix(g, DUAL, ring)[j - 1]]
         inverse = word_matrix(g, inverse_word(conj), DUAL, ring)
         v = tuple(LaurentPoly.dot(r, col) for col in zip(*inverse.rows))
         rank_one = tuple(
@@ -680,8 +680,7 @@ def bucket_search(
         raise ValueError("a spread_zero walk takes no fix vertex")
     if target == "fix_vector":
         fix_vertex = 1 if fix_vertex is None else fix_vertex
-        if not 1 <= fix_vertex <= g.n:
-            raise ValueError(f"vertex {fix_vertex} out of range 1..{g.n}")
+        validate_vertex(g, fix_vertex)
     ctx = garside_context(g)
     codec, bands = _walk_bands(g, p)
     rng = random.Random(seed)

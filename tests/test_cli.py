@@ -321,6 +321,15 @@ def test_unknown_graph_and_bad_word_are_usage_errors(capsys):
     code, _, err = run(capsys, ["burau", "--graph", "A2", "--word", "5"])
     assert code == EXIT_USAGE
     assert "error:" in err
+    # a word that does not parse is refused by argparse, naming the argument
+    with pytest.raises(SystemExit) as info:
+        main(["burau", "--graph", "A2", "--word", "1,x"])
+    assert info.value.code == EXIT_USAGE
+    assert "argument --word: invalid braid word '1,x'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["hom", "--graph", "A2", "--w1", "1", "--i1", "1", "--w2", "2 y", "--i2", "2"])
+    assert info.value.code == EXIT_USAGE
+    assert "argument --w2" in capsys.readouterr().err
 
 
 def test_graph_files_load_at_parse_time(capsys, tmp_path):

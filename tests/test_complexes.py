@@ -42,6 +42,10 @@ def test_projective_shape():
     assert p1.diff == {}
     with pytest.raises(ValueError):
         projective(a, 3)
+    with pytest.raises(ValueError, match="out of range"):
+        projective(a, True)
+    with pytest.raises(ValueError, match="out of range"):
+        apply_twist(p1, True, 1)
 
 
 def test_twist_along_own_vertex_is_a_shift():

@@ -8,13 +8,14 @@ from coxeter_oracle import CoxeterGroup, mat_mul, moved_space_dim
 from burau.garside import (
     DualGarside,
     NotFiniteType,
+    _finite_type,
     _moved_rank,
     garside_context,
     interval,
     is_trivial_braid,
     samecurve_check,
 )
-from burau.graphs import CoxeterGraph, inverse_word, preset
+from burau.graphs import INF, CoxeterGraph, inverse_word, preset
 from burau.laurent import ZZ
 from burau.matrices import DUAL, spread, word_matrix
 
@@ -45,6 +46,46 @@ def test_infinite_graphs_are_rejected_without_enumeration():
     for name in INFINITE:
         with pytest.raises(NotFiniteType):
             DualGarside(preset(name))
+
+
+def _path(n, *extra):
+    return CoxeterGraph.from_edges(n, [(i, i + 1) for i in range(1, n)] + list(extra))
+
+
+def _star(*arms):
+    """A tree with centre 1 and one path of each given length hanging off it."""
+    edges, v = [], 1
+    for length in arms:
+        prev = 1
+        for _ in range(length):
+            v += 1
+            edges.append((prev, v))
+            prev = v
+    return CoxeterGraph.from_edges(v, edges)
+
+
+def test_finite_type_is_a_positive_definite_cartan_matrix():
+    # the predicate alone: E7 and E8 build no interval here
+    finite = [
+        CoxeterGraph(1, ()),  # A1
+        _path(5),  # A5
+        *(_star(1, 1, n - 3) for n in range(5, 9)),  # D5 .. D8
+        E6,
+        _star(1, 2, 3),  # E7
+        _star(1, 2, 4),  # E8
+        CoxeterGraph.from_edges(3, [(1, 2)]),  # A2 + A1
+        CoxeterGraph.from_edges(6, [(1, 2), (2, 3), (2, 4), (5, 6)]),  # D4 + A2
+    ]
+    infinite = [
+        _star(2, 2, 2),  # tildeE6
+        _star(1, 3, 3),  # tildeE7
+        _star(1, 2, 5),  # tildeE8
+        CoxeterGraph.from_edges(6, [(1, 3), (2, 3), (3, 4), (4, 5), (4, 6)]),  # tildeD5
+        _path(5, (1, 5)),  # a 5-cycle
+        CoxeterGraph.from_edges(3, [(1, 2, 3), (2, 3, INF)]),
+    ]
+    assert [_finite_type(g) for g in finite] == [True] * len(finite)
+    assert [_finite_type(g) for g in infinite] == [False] * len(infinite)
 
 
 def test_group_sizes():
@@ -284,7 +325,8 @@ def test_samecurve_examples():
     assert empty.zero_gamma_power
     assert empty.append_stays_greedy
     assert empty.atom_free_last_simple
-    assert empty.nf == "gamma^0 . [-]"
+    with pytest.raises(ValueError, match="out of range"):
+        samecurve_check(g, [], True)
 
 
 def test_e6_interval_and_word_problem():

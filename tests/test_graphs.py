@@ -17,6 +17,7 @@ from burau.graphs import (
     parse_graph,
     preset,
     preset_names,
+    validate_vertex,
     validate_word,
     word_from_string,
 )
@@ -92,6 +93,9 @@ def test_parse_graph_errors():
         parse_graph("1-2:3")
     with pytest.raises(ValueError):
         parse_graph("n=3\n1:2:3")
+    with pytest.raises(ValueError) as err:
+        parse_graph("n=2\n1-2:2")  # a missing edge means m = 2
+    assert "an edge takes 3 or inf" in str(err.value)
 
 
 def test_load_graph_from_file(tmp_path):
@@ -142,6 +146,14 @@ def test_validate_word_names_the_bad_position():
     with pytest.raises(ValueError) as err:
         validate_word(preset("A3"), [True, -1])
     assert "letter True at position 0" in str(err.value)
+
+
+def test_validate_vertex_refuses_bools_and_out_of_range():
+    g = preset("A3")
+    validate_vertex(g, 3)
+    for bad in (0, 4, True, 1.0):
+        with pytest.raises(ValueError, match="out of range"):
+            validate_vertex(g, bad)
 
 
 def test_word_helpers():

@@ -88,6 +88,16 @@ def test_dual_form_rejects_infinite_labels():
         pairing(basis_vector(g, 1), basis_vector(g, 2), DUAL)
 
 
+def test_vertex_arguments_refuse_bools():
+    g = preset("A3")
+    with pytest.raises(ValueError, match="out of range"):
+        basis_vector(g, True)
+    # a cached entry for vertex 1 would answer True, which hashes equal
+    generator_matrix.cache_clear()
+    with pytest.raises(ValueError, match="out of range"):
+        generator_matrix(g, True, 1)
+
+
 def test_braid_and_inverse_relations_both_forms():
     for name in RELATION_PRESETS:
         g = preset(name)

@@ -285,6 +285,12 @@ def test_store_json_rebuilds_the_keys_and_refuses_edited_coords():
     data["records"][7]["coords"][0][0] = [exponent, coefficient + 1]
     with pytest.raises(ValueError, match="disagree"):
         CurveStore.from_json(data)
+    # a seed vertex must be an index, not a JSON boolean
+    data["records"][7]["coords"][0][0] = [exponent, coefficient]
+    CurveStore.from_json(data)
+    data["records"][0]["seed_vertex"] = True
+    with pytest.raises(ValueError, match="out of range"):
+        CurveStore.from_json(data)
 
 
 def test_verify_bigelow3_certifies_the_bundled_words():
@@ -424,6 +430,8 @@ def test_bucket_search_zero_budget_and_errors():
         bucket_search(g, 5, 10, seed=0, target="orbit")
     with pytest.raises(ValueError):
         bucket_search(g, 5, 10, seed=0, fix_vertex=9)
+    with pytest.raises(ValueError, match="out of range"):
+        bucket_search(g, 5, 10, seed=0, fix_vertex=True)
     with pytest.raises(ValueError, match="no fix vertex"):
         bucket_search(g, 5, 10, seed=0, target="spread_zero", fix_vertex=1)
     with pytest.raises(NotFiniteType):
