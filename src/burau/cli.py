@@ -27,7 +27,13 @@ from .complexes import (
 )
 from .criteria import KernelCertificate, Rejection, criterion1
 from .fixtures import D4_MODULI, affine_fixture, d4_fixture
-from .graphs import graph_json, load_graph, word_from_string
+from .graphs import (
+    graph_json,
+    load_graph,
+    validate_vertex,
+    validate_word,
+    word_from_string,
+)
 from .laurent import ZZ, IntegersMod
 from .matrices import act, basis_vector, form_from_name, pairing, word_matrix
 from .search import (
@@ -72,11 +78,28 @@ def _graph(spec: str):
 
 def _word(text: str):
     """An argparse type: a braid word ('1,-2' or '1 -2'), parsed at parse
-    time.  The library checks its letters against the graph."""
+    time; `_check_graph_args` then holds its letters against the graph."""
     try:
         return word_from_string(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid braid word {text!r}") from None
+
+
+def _check_graph_args(parser: argparse.ArgumentParser, args) -> None:
+    """Hold each vertex and word argument against --graph, so that an error
+    names the argument.  A spread_zero walk takes no --start at all, which
+    the library reports."""
+    if getattr(args, "target", None) == "spread_zero":
+        return
+    for name in ("i1", "i2", "start", "word", "w1", "w2"):
+        value = getattr(args, name, None)
+        if value is None:
+            continue
+        check = validate_word if name in ("word", "w1", "w2") else validate_vertex
+        try:
+            check(args.graph, value)
+        except ValueError as exc:
+            parser.error(f"argument --{name}: {exc}")
 
 
 def _ring(args) -> object:
@@ -333,6 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_graph_args(parser, args)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

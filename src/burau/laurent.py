@@ -1,17 +1,17 @@
 """Exact Laurent polynomials in one variable q.
 
-Coefficients live in ZZ, QQ, or ZZ/p (p >= 2, composite allowed).  Nothing in
+Coefficients live in ZZ or ZZ/p (p >= 2, composite allowed).  Nothing in
 this module ever divides by a coefficient, so non-field moduli are safe; the
-only inversions happen in `evaluate`, which checks invertibility first.
+only inversion is of q0 in `evaluate`, which refuses a q0 with no inverse.
 
 Polynomials are immutable and dense: a polynomial is its ring, its lowest
 exponent `low`, and the tuple `coeffs` of the coefficients of q^low, q^(low+1),
 ... up to the top exponent.  The form is canonical: the first and last
 coefficients are non-zero, coefficients are normalised (ints over ZZ,
-Fractions over QQ, representatives 0..p-1 over ZZ/p), and zero is
-(ring, 0, ()).  Equality and hashing are therefore plain structural
-comparison, which the rest of the library leans on (kernel certificates
-assert exact matrix identity, never closeness).
+representatives 0..p-1 over ZZ/p), and zero is (ring, 0, ()).  Equality and
+hashing are therefore plain structural comparison, which the rest of the
+library leans on (kernel certificates assert exact matrix identity, never
+closeness).
 
 Arithmetic works on coefficient lists and reduces mod p once per output
 coefficient.  `LaurentPoly.dot` accumulates a whole sum of products in one
@@ -20,75 +20,37 @@ buffer, so a matrix entry is built without intermediate polynomials.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 
 @dataclass(frozen=True)
 class CoefficientRing:
-    """One of ZZ ("Z"), QQ ("Q"), or ZZ/pZZ ("mod" with modulus p)."""
+    """ZZ ("Z") when the modulus `p` is None, else ZZ/pZZ ("Z/p")."""
 
-    kind: str
     p: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("Z", "Q", "mod"):
-            raise ValueError(f"unknown coefficient ring kind {self.kind!r}")
-        if self.kind == "mod":
-            if self.p is None or self.p < 2:
-                raise ValueError("modulus must be an integer >= 2")
-        elif self.p is not None:
-            raise ValueError("only modular rings carry a modulus")
+        if self.p is not None and (type(self.p) is not int or self.p < 2):
+            raise ValueError(f"modulus must be an integer >= 2, not {self.p!r}")
 
-    def normalize(self, c):
-        if self.kind == "mod":
-            if not isinstance(c, int):
-                raise TypeError(f"mod-{self.p} coefficients must be integers")
-            return c % self.p
-        if self.kind == "Q":
-            if isinstance(c, (int, Fraction)):
-                return Fraction(c)
-            raise TypeError("rational coefficients must be int or Fraction")
-        if not isinstance(c, int):
-            raise TypeError("integer coefficients must be int")
-        return c
-
-    def is_unit(self, c) -> bool:
-        c = self.normalize(c)
-        if self.kind == "Z":
-            return c in (1, -1)
-        if self.kind == "Q":
-            return c != 0
-        return gcd(c, self.p) == 1
-
-    def invert(self, c):
-        c = self.normalize(c)
-        if not self.is_unit(c):
-            raise ZeroDivisionError(f"{c} is not invertible in {self}")
-        if self.kind == "mod":
-            return pow(c, -1, self.p)
-        if self.kind == "Q":
-            return 1 / c
-        return c  # +-1 are self-inverse
+    def normalize(self, c: int) -> int:
+        if type(c) is not int:
+            raise TypeError(f"coefficients over {self} must be int, not {c!r}")
+        return c if self.p is None else c % self.p
 
     def __str__(self) -> str:
-        if self.kind == "mod":
-            return f"Z/{self.p}"
-        return {"Z": "Z", "Q": "Q"}[self.kind]
+        return "Z" if self.p is None else f"Z/{self.p}"
 
 
-ZZ = CoefficientRing("Z")
-QQ = CoefficientRing("Q")
+ZZ = CoefficientRing()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def IntegersMod(p: int) -> CoefficientRing:
     # one object per modulus, so the ring checks in the arithmetic below
     # usually succeed on identity
-    return CoefficientRing("mod", p)
+    return CoefficientRing(p)
 
 
 def _check_ring(ring: CoefficientRing, other: CoefficientRing) -> None:
@@ -97,13 +59,11 @@ def _check_ring(ring: CoefficientRing, other: CoefficientRing) -> None:
 
 
 def _canonical(ring: CoefficientRing, low: int, buf: list) -> "LaurentPoly":
-    """The polynomial sum_k buf[k] q^(low + k).  `buf` holds coefficients of
-    the right type that are not yet reduced; each is reduced once here."""
+    """The polynomial sum_k buf[k] q^(low + k).  `buf` holds int
+    coefficients that are not yet reduced; each is reduced once here."""
     if ring.p is not None:
         p = ring.p
         buf = [c % p for c in buf]
-    elif ring.kind == "Q":
-        buf = [Fraction(c) for c in buf]  # an untouched slot holds int 0
     end = len(buf)
     while end and not buf[end - 1]:
         end -= 1
@@ -122,8 +82,7 @@ class LaurentPoly:
     `coeffs` holds normalised coefficients whose first and last entries are
     non-zero; zero is (ring, 0, ()).  The constructor trusts its arguments:
     build polynomials from outside values with `from_dict`, `const`,
-    `monomial`, `parse` or `from_json_terms`, which check and normalise
-    them."""
+    `monomial` or `from_json_terms`, which check and normalise them."""
 
     ring: CoefficientRing
     low: int
@@ -307,16 +266,20 @@ class LaurentPoly:
 
     def evaluate(self, q0):
         """Substitute q := q0 (Horner's rule).  q0 must be invertible
-        whenever negative exponents occur."""
+        whenever negative exponents occur: +-1 over ZZ, a unit over ZZ/p."""
         ring = self.ring
+        p = ring.p
         q0 = ring.normalize(q0)
-        if self.low < 0:
-            if not ring.is_unit(q0):
-                raise ZeroDivisionError(f"q0={q0} has no inverse in {ring}")
-            factor = ring.invert(q0) ** -self.low
+        if p is not None:
+            try:
+                factor = pow(q0, self.low, p)
+            except ValueError:  # pow's refusal of a non-unit to a negative power
+                raise ZeroDivisionError(f"q0={q0} has no inverse in {ring}") from None
+        elif self.low < 0 and q0 not in (1, -1):
+            raise ZeroDivisionError(f"q0={q0} has no inverse in {ring}")
         else:
-            factor = q0**self.low
-        total = ring.normalize(0)
+            factor = q0 ** abs(self.low)  # q0 = +-1 is its own inverse when low < 0
+        total = 0
         for c in reversed(self.coeffs):
             total = ring.normalize(total * q0 + c)
         return ring.normalize(total * factor)
@@ -346,56 +309,10 @@ class LaurentPoly:
                 chunks.append(f"- {body}" if negative else f"+ {body}")
         return " ".join(chunks)
 
-    _TOKEN = re.compile(r"\s*([+-]|\*|\d+(?:/\d+)?|q(?:\^-?\d+)?)")
-
-    @staticmethod
-    def parse(text: str, ring: CoefficientRing = ZZ) -> "LaurentPoly":
-        """Inverse of str(): accepts e.g. '-q^2 + 1', '3*q^-1', '0'."""
-        s = text.strip()
-        if not s:
-            raise ValueError("empty polynomial string")
-        tokens: list[str] = []
-        pos = 0
-        while pos < len(s):
-            m = LaurentPoly._TOKEN.match(s, pos)
-            if m is None:
-                raise ValueError(f"cannot tokenize {text!r} at offset {pos}")
-            tokens.append(m.group(1))
-            pos = m.end()
-        acc: dict[int, object] = {}
-        i = 0
-        while i < len(tokens):
-            sign = 1
-            while i < len(tokens) and tokens[i] in "+-":
-                if tokens[i] == "-":
-                    sign = -sign
-                i += 1
-            coeff = None
-            exp = None
-            if i < len(tokens) and tokens[i][0].isdigit():
-                cs = tokens[i]
-                coeff = Fraction(cs) if "/" in cs else int(cs)
-                i += 1
-                if i < len(tokens) and tokens[i] == "*":
-                    i += 1
-            if i < len(tokens) and tokens[i].startswith("q"):
-                t = tokens[i]
-                exp = int(t[2:]) if "^" in t else 1
-                i += 1
-            if coeff is None and exp is None:
-                raise ValueError(f"dangling operator in {text!r}")
-            c = coeff if coeff is not None else 1
-            e = exp if exp is not None else 0
-            acc[e] = acc.get(e, 0) + sign * c
-        return LaurentPoly.from_dict(ring, acc)
-
     def to_json_terms(self) -> list:
         """Terms as [exponent, coefficient] lists, descending exponent."""
-        return [[e, str(c) if isinstance(c, Fraction) else c] for e, c in self.terms]
+        return [[e, c] for e, c in self.terms]
 
     @staticmethod
     def from_json_terms(ring: CoefficientRing, terms) -> "LaurentPoly":
-        acc: dict[int, object] = {}
-        for e, c in terms:
-            acc[int(e)] = Fraction(c) if isinstance(c, str) else c
-        return LaurentPoly.from_dict(ring, acc)
+        return LaurentPoly.from_dict(ring, {int(e): c for e, c in terms})

@@ -183,7 +183,7 @@ def is_identity(m: BurauMatrix) -> bool:
     return m == identity_matrix(m.graph, m.ring)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def generator_matrix(
     g: CoxeterGraph,
     i: int,

@@ -367,10 +367,8 @@ def verify_bigelow3(g: CoxeterGraph, beta, i: int, p: int):
     both: it takes beta, then sigma_i (the report), then beta^-1 sigma_i^-1
     (the word problem)."""
     validate_word(g, beta)
-    if p < 2:
-        raise ValueError("p must be at least 2")
+    ring = IntegersMod(p)  # refuses a modulus that is not an int >= 2
     ctx = garside_context(g)  # raises NotFiniteType early for bad graphs
-    ring = IntegersMod(p)
     image = act(g, beta, basis_vector(g, i, ring), DUAL)
     fixing = _fixing_exponent(image, i)
     if fixing is None:
@@ -498,7 +496,7 @@ class _Band(NamedTuple):
     offset: int
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)
 def _walk_bands(g: CoxeterGraph, p: int) -> tuple:
     """(codec, bands), one `_Band` per reflection, built once per (graph, p)
     and shared by every walk.

@@ -293,9 +293,10 @@ def test_search_buckets_start_is_for_fix_vector_walks_only(capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert "takes no fix vertex" in err
-    code, _, err = run(capsys, base + ["--target", "fix_vector", "--start", "99"])
-    assert code == EXIT_USAGE
-    assert "out of range" in err
+    with pytest.raises(SystemExit) as info:
+        main(base + ["--target", "fix_vector", "--start", "99"])
+    assert info.value.code == EXIT_USAGE
+    assert "argument --start: vertex 99 out of range" in capsys.readouterr().err
     code, out, _ = run(capsys, base)
     assert code == EXIT_OK
     assert json.loads(out)["manifest"]["fix_vertex"] == 1
@@ -318,9 +319,15 @@ def test_unknown_graph_and_bad_word_are_usage_errors(capsys):
         main(["burau", "--graph", "nosuch", "--word", "1"])
     assert info.value.code == EXIT_USAGE
     assert "argument --graph" in capsys.readouterr().err
-    code, _, err = run(capsys, ["burau", "--graph", "A2", "--word", "5"])
-    assert code == EXIT_USAGE
-    assert "error:" in err
+    # letters and vertices are held against the graph, naming the argument
+    with pytest.raises(SystemExit) as info:
+        main(["burau", "--graph", "A2", "--word", "5"])
+    assert info.value.code == EXIT_USAGE
+    assert "argument --word: letter 5 at position 0" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["hom", "--graph", "A2", "--w1", "1", "--i1", "1", "--w2", "2", "--i2", "3"])
+    assert info.value.code == EXIT_USAGE
+    assert "argument --i2: vertex 3 out of range" in capsys.readouterr().err
     # a word that does not parse is refused by argparse, naming the argument
     with pytest.raises(SystemExit) as info:
         main(["burau", "--graph", "A2", "--word", "1,x"])

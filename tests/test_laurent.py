@@ -1,16 +1,10 @@
-"""Exact Laurent polynomial arithmetic over Z, Q, and Z/nZ."""
+"""Exact Laurent polynomial arithmetic over Z and Z/nZ."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
-from burau.laurent import (
-    QQ,
-    ZZ,
-    IntegersMod,
-    LaurentPoly,
-)
+from burau.laurent import ZZ, CoefficientRing, IntegersMod, LaurentPoly
 
 
 def poly(d, ring=ZZ):
@@ -67,32 +61,10 @@ def test_str_is_sign_aware():
     assert str(poly({2: -1, 0: 1})) == "-q^2 + 1"
     assert str(poly({1: 1})) == "q"
     assert str(poly({-3: 4, 1: -2})) == "-2*q + 4*q^-3"
-
-
-def test_parse_round_trip_simple():
-    for text in ["0", "1", "q", "-q^2 + 1", "-7 + 3*q^-1", "q^5 + q^-5"]:
-        p = LaurentPoly.parse(text)
-        assert str(p) == text
-
-
-def test_parse_accepts_compact_forms():
-    assert LaurentPoly.parse("q^2-1") == poly({2: 1, 0: -1})
-    assert LaurentPoly.parse("-q") == poly({1: -1})
-    assert LaurentPoly.parse("1/2*q", QQ) == poly({1: Fraction(1, 2)}, QQ)
-
-
-def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        LaurentPoly.parse("q^")
-    with pytest.raises(ValueError):
-        LaurentPoly.parse("2q+")
-
-
-def test_str_parse_round_trip_random():
-    rng = random.Random(41)
-    for _ in range(300):
-        p = random_poly(rng)
-        assert LaurentPoly.parse(str(p)) == p
+    assert str(poly({})) == "0"
+    assert str(poly({0: 1})) == "1"
+    assert str(poly({0: -7, -1: 3})) == "-7 + 3*q^-1"
+    assert str(poly({5: 1, -5: 1})) == "q^5 + q^-5"
 
 
 def test_ring_arithmetic_is_distributive():
@@ -102,6 +74,20 @@ def test_ring_arithmetic_is_distributive():
         assert (x + y) * z == x * z + y * z
         assert x * y == y * x
         assert x.bar() * y.bar() == (x * y).bar()
+
+
+def test_rings_take_only_int_moduli_and_coefficients():
+    assert CoefficientRing() == ZZ and str(ZZ) == "Z"
+    assert IntegersMod(5) is IntegersMod(5) and str(IntegersMod(5)) == "Z/5"
+    for bad in (5.0, True, 1, 0, "5"):
+        with pytest.raises(ValueError, match="modulus"):
+            IntegersMod(bad)
+    with pytest.raises(TypeError):
+        LaurentPoly.from_dict(ZZ, {0: True, 1: True})
+    with pytest.raises(TypeError):
+        LaurentPoly.from_dict(IntegersMod(5), {0: 2.0})
+    with pytest.raises(TypeError):
+        LaurentPoly.from_json_terms(ZZ, [[1, "1/2"]])
 
 
 def test_mod_ring_normalizes_into_range():
@@ -127,15 +113,12 @@ def test_reduce_mod_matches_integer_arithmetic():
         assert (x + y).reduce_mod(m) == x.reduce_mod(m) + y.reduce_mod(m)
 
 
-def test_rational_ring_uses_fractions():
-    p = poly({0: Fraction(1, 3)}, QQ)
-    assert (p + p + p).is_one()
-
-
 def test_evaluate_at_units():
     p = poly({2: 1, 0: 1})
     assert p.evaluate(-1) == 2
     assert poly({-1: 3}).evaluate(-1) == -3
+    with pytest.raises(ZeroDivisionError):
+        poly({-1: 1}).evaluate(2)  # only +-1 are units over Z
     with pytest.raises(ZeroDivisionError):
         poly({-1: 1}, IntegersMod(6)).evaluate(2)  # 2 has no inverse mod 6
     assert poly({-2: 1}, IntegersMod(9)).evaluate(2) == 7  # 2^-2 = 25 = 7

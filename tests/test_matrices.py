@@ -92,8 +92,8 @@ def test_vertex_arguments_refuse_bools():
     g = preset("A3")
     with pytest.raises(ValueError, match="out of range"):
         basis_vector(g, True)
-    # a cached entry for vertex 1 would answer True, which hashes equal
-    generator_matrix.cache_clear()
+    # True hashes equal to the cached vertex 1; the typed cache keeps them apart
+    generator_matrix(g, 1, 1)
     with pytest.raises(ValueError, match="out of range"):
         generator_matrix(g, True, 1)
 
