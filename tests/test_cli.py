@@ -324,10 +324,6 @@ def test_unknown_graph_and_bad_word_are_usage_errors(capsys):
         main(["burau", "--graph", "A2", "--word", "5"])
     assert info.value.code == EXIT_USAGE
     assert "argument --word: letter 5 at position 0" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as info:
-        main(["hom", "--graph", "A2", "--w1", "1", "--i1", "1", "--w2", "2", "--i2", "3"])
-    assert info.value.code == EXIT_USAGE
-    assert "argument --i2: vertex 3 out of range" in capsys.readouterr().err
     # a word that does not parse is refused by argparse, naming the argument
     with pytest.raises(SystemExit) as info:
         main(["burau", "--graph", "A2", "--word", "1,x"])
@@ -337,6 +333,35 @@ def test_unknown_graph_and_bad_word_are_usage_errors(capsys):
         main(["hom", "--graph", "A2", "--w1", "1", "--i1", "1", "--w2", "2 y", "--i2", "2"])
     assert info.value.code == EXIT_USAGE
     assert "argument --w2" in capsys.readouterr().err
+
+
+PAIR_ARGS = ["--graph", "A2", "--w1", "1", "--i1", "1", "--w2", "2", "--i2", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, name, bad, message",
+    [
+        (["pairing"] + PAIR_ARGS, "--i1", "3", "vertex 3 out of range"),
+        (["hom"] + PAIR_ARGS, "--i2", "3", "vertex 3 out of range"),
+        (["twist", "--graph", "A2", "--word", "1", "--start", "1"], "--start", "0",
+         "vertex 0 out of range"),
+        (["twist", "--graph", "A2", "--word", "1", "--start", "1"], "--word", "1,-3",
+         "letter -3 at position 1"),
+        (["pairing"] + PAIR_ARGS, "--w1", "4", "letter 4 at position 0"),
+        (["hom"] + PAIR_ARGS, "--w2", "2,2,9", "letter 9 at position 2"),
+    ],
+)
+def test_vertex_and_word_arguments_are_held_against_the_graph(
+    capsys, argv, name, bad, message
+):
+    argv = list(argv)
+    argv[argv.index(name) + 1] = bad
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {name}: {message}" in captured.err
 
 
 def test_graph_files_load_at_parse_time(capsys, tmp_path):

@@ -76,18 +76,26 @@ def test_ring_arithmetic_is_distributive():
         assert x.bar() * y.bar() == (x * y).bar()
 
 
-def test_rings_take_only_int_moduli_and_coefficients():
+def test_rings_take_only_int_moduli():
     assert CoefficientRing() == ZZ and str(ZZ) == "Z"
     assert IntegersMod(5) is IntegersMod(5) and str(IntegersMod(5)) == "Z/5"
     for bad in (5.0, True, 1, 0, "5"):
         with pytest.raises(ValueError, match="modulus"):
             IntegersMod(bad)
+
+
+def test_coefficients_must_be_ints_not_bools_or_floats():
     with pytest.raises(TypeError):
         LaurentPoly.from_dict(ZZ, {0: True, 1: True})
     with pytest.raises(TypeError):
         LaurentPoly.from_dict(IntegersMod(5), {0: 2.0})
+
+
+def test_json_terms_refuse_string_coefficients():
     with pytest.raises(TypeError):
         LaurentPoly.from_json_terms(ZZ, [[1, "1/2"]])
+    with pytest.raises(TypeError):
+        LaurentPoly.from_json_terms(IntegersMod(5), [[0, "3"]])
 
 
 def test_mod_ring_normalizes_into_range():

@@ -343,8 +343,6 @@ def test_verify_bigelow3_rejections_and_errors():
     assert moved.clause == "fix-vector"
     with pytest.raises(ValueError):
         verify_bigelow3(g, (1,), 1, 1)
-    with pytest.raises(ValueError, match="modulus"):
-        verify_bigelow3(g, (1, 2), 1, 5.0)
     with pytest.raises(NotFiniteType):
         verify_bigelow3(preset("tildeA3"), (1,), 1, 7)
 
@@ -438,7 +436,13 @@ def test_bucket_search_zero_budget_and_errors():
         bucket_search(g, 5, 10, seed=0, target="spread_zero", fix_vertex=1)
     with pytest.raises(NotFiniteType):
         bucket_search(preset("tildeA2"), 5, 10, seed=0)
-    # 5.0 hashes equal to the cached modulus 5; the typed cache keeps them apart
+
+
+def test_float_moduli_are_refused_even_when_an_equal_int_is_cached():
+    # 5.0 hashes equal to the cached modulus 5; the typed caches keep them apart
+    verify_bigelow3(preset("D4"), (1, 2), 1, 5)
+    with pytest.raises(ValueError, match="modulus"):
+        verify_bigelow3(preset("D4"), (1, 2), 1, 5.0)
     bucket_search(preset("A3"), 5, 20, 1)
     with pytest.raises(ValueError, match="modulus"):
         bucket_search(preset("A3"), 5.0, 20, 1)
