@@ -85,12 +85,9 @@ def _word(text: str):
         raise argparse.ArgumentTypeError(f"invalid braid word {text!r}") from None
 
 
-def _check_graph_args(parser: argparse.ArgumentParser, args) -> None:
+def _check_graph_args(args) -> None:
     """Hold each vertex and word argument against --graph, so that an error
-    names the argument.  A spread_zero walk takes no --start at all, which
-    the library reports."""
-    if getattr(args, "target", None) == "spread_zero":
-        return
+    names the argument under its subcommand's usage."""
     for name in ("i1", "i2", "start", "word", "w1", "w2"):
         value = getattr(args, name, None)
         if value is None:
@@ -99,7 +96,7 @@ def _check_graph_args(parser: argparse.ArgumentParser, args) -> None:
         try:
             check(args.graph, value)
         except ValueError as exc:
-            parser.error(f"argument --{name}: {exc}")
+            args.parser.error(f"argument --{name}: {exc}")
 
 
 def _ring(args) -> object:
@@ -250,7 +247,6 @@ def cmd_search(args) -> int:
             p=args.p,
             budget=args.budget,
             seed=args.seed,
-            target=args.target,
             fix_vertex=args.start,
         )
     text = json.dumps(result, indent=2, sort_keys=True)
@@ -278,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("p", type=int, nargs="?", help="modulus for d4-mod")
     p_verify.add_argument("--json", action="store_true")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=cmd_verify, parser=p_verify)
 
     p_burau = sub.add_parser("burau", help="Burau matrix of a word")
     p_burau.add_argument("--graph", type=_graph, required=True)
@@ -286,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_burau.add_argument("--form", choices=["standard", "dual"], default="standard")
     p_burau.add_argument("--mod", type=_int_at_least(2))
     p_burau.add_argument("--json", action="store_true")
-    p_burau.set_defaults(func=cmd_burau)
+    p_burau.set_defaults(func=cmd_burau, parser=p_burau)
 
     p_pair = sub.add_parser("pairing", help="pairing of two twisted roots")
     p_pair.add_argument("--graph", type=_graph, required=True)
@@ -297,14 +293,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_pair.add_argument("--form", choices=["standard", "dual"], default="standard")
     p_pair.add_argument("--mod", type=_int_at_least(2))
     p_pair.add_argument("--json", action="store_true")
-    p_pair.set_defaults(func=cmd_pairing)
+    p_pair.set_defaults(func=cmd_pairing, parser=p_pair)
 
     p_twist = sub.add_parser("twist", help="twisted projective complex of a word")
     p_twist.add_argument("--graph", type=_graph, required=True)
     p_twist.add_argument("--word", type=_word, required=True)
     p_twist.add_argument("--start", type=int, required=True)
     p_twist.add_argument("--json", action="store_true")
-    p_twist.set_defaults(func=cmd_twist)
+    p_twist.set_defaults(func=cmd_twist, parser=p_twist)
 
     p_hom = sub.add_parser("hom", help="bigraded hom table of two twisted projectives")
     p_hom.add_argument("--graph", type=_graph, required=True)
@@ -313,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hom.add_argument("--w2", type=_word, required=True)
     p_hom.add_argument("--i2", type=int, required=True)
     p_hom.add_argument("--json", action="store_true")
-    p_hom.set_defaults(func=cmd_hom)
+    p_hom.set_defaults(func=cmd_hom, parser=p_hom)
 
     p_search = sub.add_parser("search", help="run a counterexample search")
     kinds = p_search.add_subparsers(dest="kind", required=True)
@@ -336,19 +332,15 @@ def build_parser() -> argparse.ArgumentParser:
         "then confirmed, so this caps candidates, not certificates",
     )
     p_curves.add_argument("--store", help="write the curve store to this path")
+    p_curves.set_defaults(func=cmd_search, parser=p_curves)
 
     p_buckets = kinds.add_parser(
         "buckets", parents=[common], help="seeded bucket walk in the dual monoid mod p"
     )
     p_buckets.add_argument("--seed", type=int, default=0)
     p_buckets.add_argument("--p", type=_int_at_least(2), default=5)
-    p_buckets.add_argument(
-        "--target", choices=["fix_vector", "spread_zero"], default="fix_vector"
-    )
-    p_buckets.add_argument(
-        "--start", type=int, help="vertex to fix (fix_vector only; default 1)"
-    )
-    p_search.set_defaults(func=cmd_search)
+    p_buckets.add_argument("--start", type=int, default=1, help="vertex to fix")
+    p_buckets.set_defaults(func=cmd_search, parser=p_buckets)
 
     return parser
 
@@ -356,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _check_graph_args(parser, args)
+    _check_graph_args(args)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

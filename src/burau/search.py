@@ -2,13 +2,12 @@
 
 Two complementary strategies.  Over the integers, curves (orbit vectors of
 the standard Burau action) are enumerated breadth-first from the basis roots,
-bucketed by their root at q = 1 and a coefficient-mass key, and scanned for
-pairs whose pairing vanishes or is a signed power of q (a modular prefilter
-prunes the scan, the exact pairing decides); candidate pairs are then
-confirmed categorically.  Over Z/pZ, a seeded random walk in the dual
-positive monoid files braids into buckets keyed by canonical length and
-spread, watching for words that fix a basis root up to a power of q (or reach
-spread zero at positive length); fixing words feed the twist-quotient
+indexed by their root at q = 1, and scanned for pairs whose pairing vanishes
+or is a signed power of q (a modular prefilter prunes the scan, the exact
+pairing decides); candidate pairs are then confirmed categorically.  Over
+Z/pZ, a seeded random walk in the dual positive monoid files braids into
+buckets keyed by canonical length and spread, watching for words that fix a
+basis root up to a power of q; fixing words feed the twist-quotient
 verifier, which is also usable standalone on explicit words.
 
 Each walk step multiplies by the dual matrix of a reflection lift
@@ -69,38 +68,24 @@ from .matrices import (
 
 @dataclass(frozen=True, slots=True)
 class CurveRecord:
-    """One stored curve: the exact vector, the word that produced it from the
-    seed root, and the two keys used to organize the store."""
+    """One stored curve: the exact vector and the word that produced it from
+    the seed root."""
 
     coords: tuple  # LaurentPoly coordinates of the curve vector
     witness: tuple
     seed_vertex: int
-    root_key: tuple
-    length_key: int
+
+    @property
+    def root_key(self) -> tuple:
+        """The vector at q = 1, which indexes the store."""
+        return tuple(sum(c.coeffs) for c in self.coords)
 
     def vector(self, g: CoxeterGraph) -> BurauVector:
         return BurauVector(g, ZZ, self.coords)
 
 
-def _keys(coords):
-    root = []
-    mass = 0
-    for c in coords:
-        root.append(sum(c.coeffs))  # the coordinate at q = 1
-        mass += sum(map(abs, c.coeffs))
-    return tuple(root), mass
-
-
 def curve_record(g: CoxeterGraph, word, vertex: int) -> CurveRecord:
-    vec = act(g, word, basis_vector(g, vertex))
-    root, mass = _keys(vec.coords)
-    return CurveRecord(
-        coords=vec.coords,
-        witness=tuple(word),
-        seed_vertex=vertex,
-        root_key=root,
-        length_key=mass,
-    )
+    return CurveRecord(act(g, word, basis_vector(g, vertex)).coords, tuple(word), vertex)
 
 
 class CurveStore:
@@ -168,42 +153,28 @@ class CurveStore:
             return CurveStore.from_json(json.load(fh))
 
 
-def enumerate_curves(
-    g: CoxeterGraph,
-    seeds=None,
-    budget: int = 10000,
-    max_depth: int | None = None,
-) -> CurveStore:
+def enumerate_curves(g: CoxeterGraph, budget: int = 10000) -> CurveStore:
     """Breadth-first orbit enumeration: apply every generator and inverse to
-    every stored curve, starting from the seed basis roots, until the record
-    budget or the depth cutoff is reached."""
-    seeds = list(g.vertices()) if seeds is None else sorted(set(seeds))
-    if budget < len(seeds) or budget == 0:
-        raise ValueError("budget must cover at least the seed vectors")
+    every stored curve, starting from the basis roots, until the store holds
+    `budget` records or the orbit is exhausted."""
+    if type(budget) is not int:
+        raise ValueError("budget must be an int")
+    if budget < g.n:
+        raise ValueError("budget must cover the basis roots")
     store = CurveStore(g)
     queue = deque()
-    for s in seeds:
+    for s in g.vertices():
         rec = curve_record(g, (), s)
-        if store.insert(rec):
-            queue.append((rec.coords, (), s, 0))
+        store.insert(rec)
+        queue.append(rec)
     letters = [sign * j for j in g.vertices() for sign in (1, -1)]
     while queue and len(store) < budget:
-        coords, word, s, depth = queue.popleft()
-        if max_depth is not None and depth >= max_depth:
-            continue
-        vec = BurauVector(g, ZZ, coords)
+        parent = queue.popleft()
+        vec, word, s = parent.vector(g), parent.witness, parent.seed_vertex
         for letter in letters:
-            new_vec = act(g, (letter,), vec)
-            root, mass = _keys(new_vec.coords)
-            rec = CurveRecord(
-                coords=new_vec.coords,
-                witness=(letter,) + word,
-                seed_vertex=s,
-                root_key=root,
-                length_key=mass,
-            )
+            rec = CurveRecord(act(g, (letter,), vec).coords, (letter,) + word, s)
             if store.insert(rec):
-                queue.append((rec.coords, rec.witness, s, depth + 1))
+                queue.append(rec)
                 if len(store) >= budget:
                     break
     return store
@@ -341,6 +312,8 @@ def find_pairs(
 
 def confirm_pair(g: CoxeterGraph, pair, criterion: int):
     """Run the categorical check and the final matrix gate on one pair."""
+    if criterion not in (1, 2):
+        raise ValueError("criterion must be 1 or 2")
     r1, r2 = pair
     check = criterion1 if criterion == 1 else criterion2
     return check(r1.witness, r1.seed_vertex, r2.witness, r2.seed_vertex, g)
@@ -646,15 +619,15 @@ def bucket_search(
     budget: int,
     seed: int,
     target: str = "fix_vector",
-    fix_vertex: int | None = None,
+    fix_vertex: int = 1,
 ) -> dict:
     """Seeded random walk in the dual positive monoid mod p.  Each step
     right-multiplies by a uniformly random reflection band, updates the dual
     matrix incrementally, and files the braid under its (canonical length,
-    spread) bucket.  Hits of the chosen target are verified before being
-    reported.  A run is reproducible for a fixed seed.  A fix_vector walk
-    watches alpha_{fix_vertex} (vertex 1 by default); a spread_zero walk
-    takes no fix vertex.
+    spread) bucket.  Words whose matrix fixes alpha_{fix_vertex} up to a
+    signed power of q are verified before being reported.  `target` names
+    that test and takes no other value.  A run is reproducible for a fixed
+    seed.
 
     The matrix is kept packed (`_SlotCodec`) and each step is a rank-one
     update (`_walk_step`).  Once the spread passes SPREAD_CAP the walk
@@ -670,15 +643,11 @@ def bucket_search(
 
     Words, buckets and the manifest's graph edges are tuples in the result;
     they serialise as JSON lists."""
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
-    if target not in ("fix_vector", "spread_zero"):
-        raise ValueError("target must be 'fix_vector' or 'spread_zero'")
-    if target == "spread_zero" and fix_vertex is not None:
-        raise ValueError("a spread_zero walk takes no fix vertex")
-    if target == "fix_vector":
-        fix_vertex = 1 if fix_vertex is None else fix_vertex
-        validate_vertex(g, fix_vertex)
+    if type(budget) is not int or budget < 0:
+        raise ValueError("budget must be a non-negative int")
+    if target != "fix_vector":
+        raise ValueError("target must be 'fix_vector'")
+    validate_vertex(g, fix_vertex)
     ctx = garside_context(g)
     codec, bands = _walk_bands(g, p)
     rng = random.Random(seed)
@@ -720,23 +689,13 @@ def bucket_search(
             saved[key].append((tuple(path), rows, low, mat_spread, nf.k, nf.factors()))
         if key[0] == 0:
             continue
-        if target == "spread_zero":
-            if mat_spread:
-                continue
-            fixing = None
-        else:
-            fixing = _packed_fixing_exponent(codec, g, rows, low, fix_vertex)
-            if fixing is None:
-                continue
+        fixing = _packed_fixing_exponent(codec, g, rows, low, fix_vertex)
+        if fixing is None:
+            continue
         word = tuple(letter for b in path for letter in b.lift)
         if word in seen_hits:
             continue
         seen_hits.add(word)
-        if fixing is None:
-            candidates.append(
-                {"step": step, "word": word, "bucket": key, "status": "spread-zero"}
-            )
-            continue
         outcome = verify_bigelow3(g, word, fix_vertex, p)
         if isinstance(outcome, KernelCertificate):
             status = "certified"
@@ -774,7 +733,7 @@ def bucket_search(
         "counters": {
             "steps": budget,
             "restarts": restarts,
-            "fix_vector_hits": len(candidates) if target == "fix_vector" else 0,
+            "fix_vector_hits": len(candidates),
             "certified": len(certificates),
             "rejected": dict(sorted(rejected.items())),
         },

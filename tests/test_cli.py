@@ -287,22 +287,23 @@ def test_search_buckets_deterministic_output(capsys):
         assert int(length) >= 0 and int(sp) >= 0
 
 
-def test_search_buckets_start_is_for_fix_vector_walks_only(capsys):
+def test_search_buckets_start_is_a_vertex_and_there_is_no_target(capsys):
     base = ["search", "buckets", "--graph", "A3", "--p", "3", "--budget", "50"]
-    code, out, err = run(capsys, base + ["--target", "spread_zero", "--start", "99"])
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert "takes no fix vertex" in err
     with pytest.raises(SystemExit) as info:
-        main(base + ["--target", "fix_vector", "--start", "99"])
+        main(base + ["--target", "fix_vector"])
     assert info.value.code == EXIT_USAGE
-    assert "argument --start: vertex 99 out of range" in capsys.readouterr().err
+    assert "unrecognized arguments: --target" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(base + ["--start", "99"])
+    assert info.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: burau search buckets [-h]")
+    assert "argument --start: vertex 99 out of range" in err
     code, out, _ = run(capsys, base)
     assert code == EXIT_OK
-    assert json.loads(out)["manifest"]["fix_vertex"] == 1
-    code, out, _ = run(capsys, base + ["--target", "spread_zero"])
-    assert code == EXIT_OK
-    assert json.loads(out)["manifest"]["fix_vertex"] is None
+    manifest = json.loads(out)["manifest"]
+    assert manifest["fix_vertex"] == 1
+    assert manifest["target"] == "fix_vector"
 
 
 def test_search_buckets_rejects_infinite_graphs(capsys):
@@ -361,6 +362,8 @@ def test_vertex_and_word_arguments_are_held_against_the_graph(
     assert info.value.code == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
+    # the usage shown is the subcommand's, not the top-level one
+    assert captured.err.startswith(f"usage: burau {argv[0]} [-h] --graph GRAPH")
     assert f"argument {name}: {message}" in captured.err
 
 

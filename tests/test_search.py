@@ -44,7 +44,6 @@ def test_curve_record_of_empty_word_is_the_basis_root():
     assert rec.witness == ()
     assert rec.seed_vertex == 2
     assert rec.root_key == (0, 1, 0)
-    assert rec.length_key == 1
     assert str(rec.vector(g)) == "(0, 1, 0)"
 
 
@@ -55,15 +54,13 @@ def test_record_keys_are_recomputable_from_the_witness():
         again = curve_record(g, rec.witness, rec.seed_vertex)
         assert again.coords == rec.coords
         assert again.root_key == rec.root_key
-        assert again.length_key == rec.length_key
 
 
-def test_enumerate_single_seed_depth_one():
-    store = enumerate_curves(preset("A2"), seeds=[1], budget=5, max_depth=1)
-    assert [r.witness for r in store.records] == [(), (1,), (-1,), (2,), (-2,)]
-    # the depth cutoff caps the orbit even with budget to spare
-    capped = enumerate_curves(preset("A2"), seeds=[1], budget=500, max_depth=1)
-    assert len(capped) == 5
+def test_enumerate_is_breadth_first_from_the_basis_roots():
+    # every basis root first, then each letter applied to alpha_1 in turn
+    store = enumerate_curves(preset("A2"), budget=6)
+    assert [r.witness for r in store.records] == [(), (), (1,), (-1,), (2,), (-2,)]
+    assert [r.seed_vertex for r in store.records] == [1, 2, 1, 1, 1, 1]
 
 
 def test_enumeration_is_a_prefix_of_a_larger_run():
@@ -81,10 +78,14 @@ def test_budget_must_cover_the_seeds():
         enumerate_curves(g, budget=2)
     with pytest.raises(ValueError):
         enumerate_curves(g, budget=0)
+    # a budget is an int: not a bool, a float or a string
+    for budget in (True, 10.5, "10"):
+        with pytest.raises(ValueError, match="int"):
+            enumerate_curves(g, budget=budget)
 
 
 def test_store_keeps_one_record_per_vector():
-    store = enumerate_curves(preset("A2"), budget=30, max_depth=2)
+    store = enumerate_curves(preset("A2"), budget=30)
     keys = [r.coords for r in store.records]
     assert len(set(keys)) == len(keys)
     # sigma_1 sigma_1^-1 moves nothing, so alpha_1 is already stored
@@ -93,7 +94,7 @@ def test_store_keeps_one_record_per_vector():
 
 
 def test_find_pairs_on_basis_roots():
-    store = enumerate_curves(preset("A3"), budget=3, max_depth=0)
+    store = enumerate_curves(preset("A3"), budget=3)
     orthogonal = find_pairs(store, 1)
     assert [(r1.seed_vertex, r2.seed_vertex) for r1, r2 in orthogonal] == [(1, 3)]
     crossing = find_pairs(store, 2)
@@ -256,6 +257,10 @@ def test_confirm_pair_produces_a_verified_certificate():
     bad = (curve_record(g, (), 1), curve_record(g, (), 3))
     out = confirm_pair(g, bad, 1)
     assert isinstance(out, Rejection)
+    # a criterion other than 1 or 2 is refused, not run as criterion 2
+    for criterion in ("1", 3):
+        with pytest.raises(ValueError, match="criterion must be 1 or 2"):
+            confirm_pair(g, pair, criterion)
 
 
 def test_store_json_round_trip(tmp_path):
@@ -275,7 +280,6 @@ def test_store_json_rebuilds_the_keys_and_refuses_edited_coords():
     assert all(set(r) == {"coords", "witness", "seed_vertex"} for r in data["records"])
     # keys in the file are not read: an edited root key changes no index
     data["records"][7]["root_key"] = [9, 9, 9, 9]
-    data["records"][7]["length_key"] = 0
     loaded = CurveStore.from_json(data)
     assert loaded.records == store.records
     assert loaded.by_root == store.by_root
@@ -399,26 +403,6 @@ def test_bucket_search_prefix_property():
     assert early == short_run["candidates"]
 
 
-def test_bucket_search_spread_zero_target():
-    # hits for this target are stochastic and rare, so the assertions cover
-    # the walk mechanics and the hit invariant rather than demanding a find
-    g = preset("A2")
-    result = bucket_search(g, 3, 600, seed=4, target="spread_zero")
-    assert result["manifest"]["fix_vertex"] is None
-    assert result["certificates"] == []
-    summary = result["buckets"]
-    assert summary, "the walk should have filed braids into buckets"
-    for key in summary:
-        length, sp = (int(part) for part in key.split(","))
-        assert length >= 0 and sp >= 0
-    ring = IntegersMod(3)
-    for entry in result["candidates"]:
-        length, sp = entry["bucket"]
-        assert entry["status"] == "spread-zero"
-        assert length > 0 and sp == 0
-        assert spread(word_matrix(g, entry["word"], DUAL, ring)) == 0
-
-
 def test_bucket_search_zero_budget_and_errors():
     g = preset("A2")
     empty = bucket_search(g, 5, 0, seed=0)
@@ -426,14 +410,17 @@ def test_bucket_search_zero_budget_and_errors():
     assert empty["certificates"] == []
     with pytest.raises(ValueError):
         bucket_search(g, 5, -1, seed=0)
-    with pytest.raises(ValueError):
-        bucket_search(g, 5, 10, seed=0, target="orbit")
+    # a budget is an int: True would run one step, 2.5 would fail in range()
+    for budget in (True, 2.5):
+        with pytest.raises(ValueError, match="int"):
+            bucket_search(g, 5, budget, seed=0)
+    for target in ("orbit", "spread_zero"):
+        with pytest.raises(ValueError, match="target"):
+            bucket_search(g, 5, 10, seed=0, target=target)
     with pytest.raises(ValueError):
         bucket_search(g, 5, 10, seed=0, fix_vertex=9)
     with pytest.raises(ValueError, match="out of range"):
         bucket_search(g, 5, 10, seed=0, fix_vertex=True)
-    with pytest.raises(ValueError, match="no fix vertex"):
-        bucket_search(g, 5, 10, seed=0, target="spread_zero", fix_vertex=1)
     with pytest.raises(NotFiniteType):
         bucket_search(preset("tildeA2"), 5, 10, seed=0)
 
@@ -462,9 +449,6 @@ def test_bucket_search_counters_account_for_every_candidate():
     assert hits == counters["certified"] + sum(counters["rejected"].values())
     assert hits == len(result["candidates"])
     assert counters["certified"] == len(result["certificates"])
-    spread_run = bucket_search(preset("A2"), 3, 600, seed=4, target="spread_zero")
-    assert spread_run["counters"]["fix_vector_hits"] == 0
-    assert spread_run["counters"]["steps"] == 600
 
 
 WALK_GRAPHS = {
@@ -514,23 +498,14 @@ def test_packed_walk_steps_match_matrix_products(case):
 # LaurentPoly entries and replayed each restart word from scratch
 PINNED_WALKS = {
     ("A3", 2, "fix_vector"): "e2619b6a6c68e84306e68abfc083dff6d8a84fac90484023eb9b43ab8f445df1",
-    ("A3", 2, "spread_zero"): "242904d66cd8aae20b36da0977b9615068dce73d440de1223c00b4906034828b",
     ("A3", 6, "fix_vector"): "a93f651c777c87d1947cd17e511288cabf3d9a27339b67a9eb2574a54686dff1",
-    ("A3", 6, "spread_zero"): "f1249d9402798827fc415e0803f8926cc8b089326f9af4f4cfb5696ac8a1d949",
     ("A3", 257, "fix_vector"): "db3c65a9cbdc3a01380a84d765fedbf68dae330cd17d7971fbb0c3aa9d720dd0",
-    ("A3", 257, "spread_zero"): "9f47af2299ef087a2a8cc76c2853f972cfc4eba762aeab32688c0528b30a92f5",
     ("D4", 2, "fix_vector"): "33919a7f8afb4b66429872846c1a130ac8f1b32250c1f0b5d7b81856cb7075cd",
-    ("D4", 2, "spread_zero"): "fb950fac90149c2b50079f6cf4aad948cc29a794419a3edb23b7d915ad708d27",
     ("D4", 6, "fix_vector"): "6584018a94a74edb250bcd0d8fcbd85b11f0401dd6fb8b7f852c9b23c39ad9d2",
-    ("D4", 6, "spread_zero"): "3b1562a9d06ba2bb4b04ac2c64945e10c4cfb0e710370797c9690cc9d12a4972",
     ("D4", 257, "fix_vector"): "ca6bbd57ca41acdd7faa5c6087653787af3df73f863c5f2481b06794039e6abc",
-    ("D4", 257, "spread_zero"): "a96ce8a880bb1b05d78679f6a712de2bdf7b014ef72aabfca7566e577e84bbd2",
     ("D5", 2, "fix_vector"): "d1454674b9eb1385e478103ab8fef4a45173251d35c453ab8c7ede444fc7d0f4",
-    ("D5", 2, "spread_zero"): "80c8e28efd6eea80a205eda3cffb9d6b08c6e0a060ccde20c1390dc673b984d3",
     ("D5", 6, "fix_vector"): "1a66bb5930e7c0785e6155c750f6b6e0cb67d2479ff6fbf379d032e668edc1c0",
-    ("D5", 6, "spread_zero"): "ee43e4d94491194e57330a97551cf01ff2778421cbb8b3e8ab10ae2535ea1160",
     ("D5", 257, "fix_vector"): "f302f9412a5aa24bef3405be5cda92102baa835501dd5533aaa06063a31f15f7",
-    ("D5", 257, "spread_zero"): "49da4408fb2bbadfd7ea315d8e2e2662b64ff9825852cef5d48e82d2dc5248f4",
 }
 
 
