@@ -287,12 +287,19 @@ def test_search_buckets_deterministic_output(capsys):
         assert int(length) >= 0 and int(sp) >= 0
 
 
-def test_search_buckets_start_is_a_vertex_and_there_is_no_target(capsys):
+def test_search_buckets_has_no_target_option(capsys):
     base = ["search", "buckets", "--graph", "A3", "--p", "3", "--budget", "50"]
-    with pytest.raises(SystemExit) as info:
-        main(base + ["--target", "fix_vector"])
-    assert info.value.code == EXIT_USAGE
-    assert "unrecognized arguments: --target" in capsys.readouterr().err
+    for target in ("fix_vector", "spread_zero"):
+        with pytest.raises(SystemExit) as info:
+            main(base + ["--target", target])
+        assert info.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --target" in captured.err
+
+
+def test_search_buckets_start_is_a_vertex(capsys):
+    base = ["search", "buckets", "--graph", "A3", "--p", "3", "--budget", "50"]
     with pytest.raises(SystemExit) as info:
         main(base + ["--start", "99"])
     assert info.value.code == EXIT_USAGE

@@ -1,6 +1,8 @@
 """Curve enumeration, pair scanning, the mod-p verifier, and bucket walks."""
 
+import dataclasses
 import hashlib
+import inspect
 import json
 
 import pytest
@@ -21,6 +23,7 @@ from burau.matrices import (
     word_matrix,
 )
 from burau.search import (
+    CurveRecord,
     CurveStore,
     _fixing_exponent,
     _identity_rows,
@@ -56,6 +59,20 @@ def test_record_keys_are_recomputable_from_the_witness():
         assert again.root_key == rec.root_key
 
 
+def test_curve_record_stores_three_fields_and_computes_its_root_key():
+    g = preset("tildeA3")
+    fields = [f.name for f in dataclasses.fields(CurveRecord)]
+    assert fields == ["coords", "witness", "seed_vertex"]
+    store = enumerate_curves(g, budget=60)
+    for rec in store.records:
+        assert rec.root_key == tuple(c.evaluate(1) for c in rec.coords)
+    # the store indexes every record exactly once, under its root key
+    indexed = sorted(i for slice_ in store.by_root.values() for i in slice_)
+    assert indexed == list(range(len(store)))
+    for key, slice_ in store.by_root.items():
+        assert all(store.records[i].root_key == key for i in slice_)
+
+
 def test_enumerate_is_breadth_first_from_the_basis_roots():
     # every basis root first, then each letter applied to alpha_1 in turn
     store = enumerate_curves(preset("A2"), budget=6)
@@ -78,10 +95,22 @@ def test_budget_must_cover_the_seeds():
         enumerate_curves(g, budget=2)
     with pytest.raises(ValueError):
         enumerate_curves(g, budget=0)
-    # a budget is an int: not a bool, a float or a string
+
+
+def test_enumerate_budget_must_be_an_int():
+    g = preset("A3")
+    # 10.5 would store 11 records; a bool or a string is not a count either
     for budget in (True, 10.5, "10"):
         with pytest.raises(ValueError, match="int"):
             enumerate_curves(g, budget=budget)
+    assert len(enumerate_curves(g, budget=10)) == 10
+
+
+def test_enumerate_curves_takes_only_a_graph_and_a_budget():
+    assert list(inspect.signature(enumerate_curves).parameters) == ["g", "budget"]
+    for extra in ({"seeds": [1]}, {"max_depth": 1}):
+        with pytest.raises(TypeError):
+            enumerate_curves(preset("A2"), budget=5, **extra)
 
 
 def test_store_keeps_one_record_per_vector():
@@ -257,7 +286,14 @@ def test_confirm_pair_produces_a_verified_certificate():
     bad = (curve_record(g, (), 1), curve_record(g, (), 3))
     out = confirm_pair(g, bad, 1)
     assert isinstance(out, Rejection)
-    # a criterion other than 1 or 2 is refused, not run as criterion 2
+
+
+def test_confirm_pair_refuses_an_unknown_criterion():
+    g = preset("tildeA3")
+    (a, i1), (b, i2) = affine_fixture().witnesses
+    pair = (curve_record(g, a, i1), curve_record(g, b, i2))
+    # a criterion other than 1 or 2 is refused, not run as criterion 2,
+    # which would reject this pair on its braid relator or its pairing
     for criterion in ("1", 3):
         with pytest.raises(ValueError, match="criterion must be 1 or 2"):
             confirm_pair(g, pair, criterion)
@@ -410,19 +446,39 @@ def test_bucket_search_zero_budget_and_errors():
     assert empty["certificates"] == []
     with pytest.raises(ValueError):
         bucket_search(g, 5, -1, seed=0)
-    # a budget is an int: True would run one step, 2.5 would fail in range()
-    for budget in (True, 2.5):
-        with pytest.raises(ValueError, match="int"):
-            bucket_search(g, 5, budget, seed=0)
-    for target in ("orbit", "spread_zero"):
-        with pytest.raises(ValueError, match="target"):
-            bucket_search(g, 5, 10, seed=0, target=target)
     with pytest.raises(ValueError):
         bucket_search(g, 5, 10, seed=0, fix_vertex=9)
     with pytest.raises(ValueError, match="out of range"):
         bucket_search(g, 5, 10, seed=0, fix_vertex=True)
     with pytest.raises(NotFiniteType):
         bucket_search(preset("tildeA2"), 5, 10, seed=0)
+
+
+def test_bucket_search_budget_must_be_an_int():
+    g = preset("A2")
+    # True would run one step and write "budget": true; 2.5 would fail in range()
+    for budget in (True, 2.5, "10"):
+        with pytest.raises(ValueError, match="int"):
+            bucket_search(g, 5, budget, seed=0)
+    assert bucket_search(g, 5, 10, seed=0)["counters"]["steps"] == 10
+
+
+def test_bucket_search_has_one_target_in_fifth_place():
+    g = preset("A3")
+    for target in ("orbit", "spread_zero"):
+        with pytest.raises(ValueError, match="target"):
+            bucket_search(g, 2, 10, 0, target)
+    # the positional call (target fifth, fix vertex sixth) is the default run,
+    # and the manifest still names both
+    default = bucket_search(g, 2, 1300, 1)
+    assert bucket_search(g, 2, 1300, 1, "fix_vector", 1) == default
+    assert default["manifest"]["target"] == "fix_vector"
+    assert default["manifest"]["fix_vertex"] == 1
+    # every candidate is a verified fix-vector hit
+    assert default["candidates"]
+    assert default["counters"]["fix_vector_hits"] == len(default["candidates"])
+    for c in default["candidates"]:
+        assert c["status"] == "certified" or c["status"].startswith("rejected:")
 
 
 def test_float_moduli_are_refused_even_when_an_equal_int_is_cached():
