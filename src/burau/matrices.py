@@ -9,6 +9,16 @@ atom act with q-degrees 0 and 1 only.  Only `gram_matrix` knows the forms.
 Matrices are column-convention: column j holds the image of alpha_j, so the
 matrix of a word w1 w2 is M(w1) . M(w2) and acting on vectors is plain left
 multiplication.  Everything is exact over the chosen coefficient ring.
+
+`word_matrix` has two paths.  Over Z the entries are dense `LaurentPoly`s,
+built with fused `LaurentPoly.dot` sums.  Over Z/p they are packed: one
+shared lowest exponent and one Python int per entry, its coefficients in
+fixed-width bit slots (Kronecker substitution, `_SlotCodec`, which the
+bucket walk in `search` shares).  Every entry of a generator's row is a
+monomial c q^k, so a letter shifts and scales packed entries, and each
+changed entry is reduced mod p, every slot at once.  Fixed slots cannot hold
+the unbounded coefficients over Z, so Z stays dense, and it is the
+reference the packed path is tested against.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .graphs import CoxeterGraph, validate_vertex, validate_word
-from .laurent import ZZ, CoefficientRing, LaurentPoly
+from .laurent import ZZ, CoefficientRing, IntegersMod, LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -144,8 +154,6 @@ class BurauMatrix:
         )
 
     def reduce_mod(self, p: int) -> "BurauMatrix":
-        from .laurent import IntegersMod
-
         return BurauMatrix(
             self.graph,
             IntegersMod(p),
@@ -230,6 +238,72 @@ def act(
     return BurauVector(g, ring, tuple(coords))
 
 
+class _SlotCodec:
+    """Mod-p Laurent polynomials packed into Python ints (Kronecker
+    substitution): the coefficient of q^(low + k) sits in bits
+    [k * width, (k + 1) * width) for a shared exponent `low`.
+
+    `reduce` takes a packed value whose slots are at most `bound` back to
+    residues 0..p-1, every slot at once, by Barrett reduction in big-int
+    arithmetic: with s the bit length of `bound` and m = 2^s // p, the
+    estimate (c m) >> s is floor(c / p) or one less, so one masked
+    conditional subtraction of p finishes.  `width` leaves room for c m, so
+    no slot ever carries into the next, whatever p is.  The slotwise masks
+    grow on demand to cover the longest value reduced so far."""
+
+    __slots__ = ("p", "width", "_shift", "_magic", "_bits", "_quotients", "_bias", "_tops")
+
+    def __init__(self, p: int, bound: int):
+        self.p = p
+        self._shift = bound.bit_length()
+        self._magic = (1 << self._shift) // p
+        self.width = max((bound * self._magic).bit_length(), p.bit_length() + 1)
+        self._cover(1)
+
+    def _cover(self, bits: int) -> None:
+        """Size the slotwise masks for values of up to twice `bits` bits."""
+        w = self.width
+        slots = 2 * -(-bits // w)
+        ones = ((1 << (w * slots)) - 1) // ((1 << w) - 1)  # 1 in every slot
+        self._bits = w * slots
+        self._quotients = ones * ((1 << (w - self._shift)) - 1)
+        self._bias = ones * ((1 << (w - 1)) - self.p)
+        self._tops = ones << (w - 1)
+
+    def reduce(self, x: int) -> int:
+        if x.bit_length() > self._bits:
+            self._cover(x.bit_length())
+        p = self.p
+        x -= ((x * self._magic >> self._shift) & self._quotients) * p
+        # every slot is now below 2p; take p off the ones at p or above
+        return x - (((x + self._bias) & self._tops) >> (self.width - 1)) * p
+
+    def pack(self, poly: LaurentPoly, low: int) -> int:
+        """The polynomial divided by q^low; it must have no term below it."""
+        w = self.width
+        start = poly.low - low
+        return sum(c << (w * (start + k)) for k, c in enumerate(poly.coeffs))
+
+    def unpack(self, x: int, low: int) -> LaurentPoly:
+        if x < 0:  # reduced values never are; the loop below would not end
+            raise AssertionError(f"negative packed value {x}")
+        w = self.width
+        mask = (1 << w) - 1
+        terms = {}
+        e = low
+        while x:
+            terms[e] = x & mask
+            x >>= w
+            e += 1
+        return LaurentPoly.from_dict(IntegersMod(self.p), terms)
+
+    def low_slot(self, x: int) -> int:
+        return ((x & -x).bit_length() - 1) // self.width
+
+    def top_slot(self, x: int) -> int:
+        return (x.bit_length() - 1) // self.width
+
+
 def word_matrix(
     g: CoxeterGraph, word, form: PairingForm = STANDARD, ring: CoefficientRing = ZZ
 ) -> BurauMatrix:
@@ -238,14 +312,27 @@ def word_matrix(
     Right multiplication by sigma_i^(+-1), which differs from the identity
     only in row i, is a column update: column j gains column i times the
     generator's entry (i, j), and column i is scaled by the diagonal entry.
+    The generator rows are looked up once per distinct letter.
+
+    Over Z the entries are dense and each update is one `LaurentPoly.dot`.
+    Over Z/p the matrix is packed (`_packed_word_matrix`) and unpacked once,
+    at the end.
     """
     validate_word(g, word)
+    gen_rows = {}
+    for letter in word:
+        if letter not in gen_rows:
+            i = abs(letter)
+            sign = 1 if letter > 0 else -1
+            gen_rows[letter] = generator_matrix(g, i, sign, form, ring).rows[i - 1]
+    if ring.p is not None:
+        return _packed_word_matrix(g, word, ring, gen_rows)
     dot = LaurentPoly.dot
     one = LaurentPoly.one(ring)
     rows = [list(row) for row in identity_matrix(g, ring).rows]
     for letter in word:
         i = abs(letter) - 1
-        gen_row = generator_matrix(g, i + 1, 1 if letter > 0 else -1, form, ring).rows[i]
+        gen_row = gen_rows[letter]
         updates = [(j, e) for j, e in enumerate(gen_row) if j != i and e.coeffs]
         diagonal = gen_row[i]
         for row in rows:
@@ -256,6 +343,62 @@ def word_matrix(
                 row[j] = dot((row[j], a), (one, e))
             row[i] = a * diagonal
     return BurauMatrix(g, ring, tuple(tuple(row) for row in rows))
+
+
+def _packed_word_matrix(
+    g: CoxeterGraph, word, ring: CoefficientRing, gen_rows: dict
+) -> BurauMatrix:
+    """`word_matrix` over Z/p on packed entries.
+
+    A generator row's entry c q^k multiplies a packed entry a by c and
+    shifts it by k slots, so a slot of an updated entry is at most
+    (p - 1) + (p - 1)^2 = p (p - 1) before its reduction.  Inverse letters
+    shift down, by at most `head` slots; after every letter the shared
+    exponent is renormalised so that the lowest non-zero slot over all
+    entries is slot `head`, and no shift ever drops a coefficient."""
+    p = ring.p
+    codec = _SlotCodec(p, p * (p - 1))
+    width = codec.width
+    reduce = codec.reduce
+    steps = {}
+    for letter, gen_row in gen_rows.items():
+        terms = []
+        for j, e in enumerate(gen_row):
+            if len(e.coeffs) > 1:
+                raise AssertionError(f"generator entry {e} is not a monomial")
+            if e.coeffs:
+                terms.append((j, e.coeffs[0], e.low))
+        steps[letter] = terms
+    head = max([0] + [-k for terms in steps.values() for _, _, k in terms])
+    rows = [[int(a == b) << head * width for b in range(g.n)] for a in range(g.n)]
+    low = -head
+    for letter in word:
+        i = abs(letter) - 1
+        terms = steps[letter]
+        for row in rows:
+            a = row[i]
+            if not a:
+                continue
+            row[i] = 0  # unless the diagonal entry puts it back
+            for j, c, k in terms:
+                x = a * c
+                x = x << k * width if k >= 0 else x >> -k * width
+                row[j] = reduce(row[j] + x)
+        support = 0  # the OR of all entries: its lowest slot bounds them all
+        for row in rows:
+            for x in row:
+                support |= x
+        if support <= 0:  # reduced entries are never negative, M(word) never 0
+            raise AssertionError("packed entries out of range")
+        move = codec.low_slot(support) - head
+        if move > 0:
+            rows = [[x >> move * width for x in row] for row in rows]
+        elif move < 0:
+            rows = [[x << -move * width for x in row] for row in rows]
+        low += move
+    return BurauMatrix(
+        g, ring, tuple(tuple(codec.unpack(x, low) for x in row) for row in rows)
+    )
 
 
 def spread(m: BurauMatrix) -> int:

@@ -14,7 +14,8 @@ Each walk step multiplies by the dual matrix of a reflection lift
 W sigma_j W^-1, which is a rank-one update I + u v^T, so a step costs
 M -> M + (M u) v^T instead of a matrix product.  The walk keeps its matrix
 mod p packed: one shared lowest exponent and one Python int per entry, with
-the coefficients in fixed-width bit slots (Kronecker substitution), so the
+the coefficients in fixed-width bit slots (Kronecker substitution, the
+`matrices._SlotCodec` that `word_matrix` uses mod p), so the
 update is a few big-int products per row followed by one slotwise reduction
 mod p per changed entry; spread and the fix test read bit lengths.  Buckets
 that restarts can choose keep each braid's packed matrix and normal-form
@@ -57,6 +58,7 @@ from .matrices import (
     DUAL,
     STANDARD,
     BurauVector,
+    _SlotCodec,
     act,
     basis_vector,
     gram_matrix,
@@ -255,10 +257,10 @@ def find_pairs(
     criterion 2 drops it unless p(q0) is non-zero and p(q0^2) = +-p(q0)^2.
     A pair meeting the condition exactly always passes, and every pair that
     passes is decided by the exact `pairing`."""
-    if criterion not in (1, 2):
+    if type(criterion) is not int or criterion not in (1, 2):
         raise ValueError("criterion must be 1 or 2")
-    if limit is not None and limit < 0:
-        raise ValueError("limit must be non-negative")
+    if limit is not None and (type(limit) is not int or limit < 0):
+        raise ValueError("limit must be a non-negative int")
     if limit == 0:
         return []
     g = store.graph
@@ -312,7 +314,7 @@ def find_pairs(
 
 def confirm_pair(g: CoxeterGraph, pair, criterion: int):
     """Run the categorical check and the final matrix gate on one pair."""
-    if criterion not in (1, 2):
+    if type(criterion) is not int or criterion not in (1, 2):
         raise ValueError("criterion must be 1 or 2")
     r1, r2 = pair
     check = criterion1 if criterion == 1 else criterion2
@@ -389,70 +391,6 @@ def verify_bigelow3(g: CoxeterGraph, beta, i: int, p: int):
             f"the commutator word is not in the kernel of the dual form mod {p}",
         )
     return sealed
-
-
-class _SlotCodec:
-    """Mod-p Laurent polynomials packed into Python ints (Kronecker
-    substitution): the coefficient of q^(low + k) sits in bits
-    [k * width, (k + 1) * width) for a shared exponent `low`.
-
-    `reduce` takes a packed value whose slots are at most `bound` back to
-    residues 0..p-1, every slot at once, by Barrett reduction in big-int
-    arithmetic: with s the bit length of `bound` and m = 2^s // p, the
-    estimate (c m) >> s is floor(c / p) or one less, so one masked
-    conditional subtraction of p finishes.  `width` leaves room for c m, so
-    no slot ever carries into the next, whatever p is.  The slotwise masks
-    grow on demand to cover the longest value reduced so far."""
-
-    __slots__ = ("p", "width", "_shift", "_magic", "_bits", "_quotients", "_bias", "_tops")
-
-    def __init__(self, p: int, bound: int):
-        self.p = p
-        self._shift = bound.bit_length()
-        self._magic = (1 << self._shift) // p
-        self.width = max((bound * self._magic).bit_length(), p.bit_length() + 1)
-        self._cover(1)
-
-    def _cover(self, bits: int) -> None:
-        """Size the slotwise masks for values of up to twice `bits` bits."""
-        w = self.width
-        slots = 2 * -(-bits // w)
-        ones = ((1 << (w * slots)) - 1) // ((1 << w) - 1)  # 1 in every slot
-        self._bits = w * slots
-        self._quotients = ones * ((1 << (w - self._shift)) - 1)
-        self._bias = ones * ((1 << (w - 1)) - self.p)
-        self._tops = ones << (w - 1)
-
-    def reduce(self, x: int) -> int:
-        if x.bit_length() > self._bits:
-            self._cover(x.bit_length())
-        p = self.p
-        x -= ((x * self._magic >> self._shift) & self._quotients) * p
-        # every slot is now below 2p; take p off the ones at p or above
-        return x - (((x + self._bias) & self._tops) >> (self.width - 1)) * p
-
-    def pack(self, poly: LaurentPoly, low: int) -> int:
-        """The polynomial divided by q^low; it must have no term below it."""
-        w = self.width
-        start = poly.low - low
-        return sum(c << (w * (start + k)) for k, c in enumerate(poly.coeffs))
-
-    def unpack(self, x: int, low: int) -> LaurentPoly:
-        w = self.width
-        mask = (1 << w) - 1
-        terms = {}
-        e = low
-        while x:
-            terms[e] = x & mask
-            x >>= w
-            e += 1
-        return LaurentPoly.from_dict(IntegersMod(self.p), terms)
-
-    def low_slot(self, x: int) -> int:
-        return ((x & -x).bit_length() - 1) // self.width
-
-    def top_slot(self, x: int) -> int:
-        return (x.bit_length() - 1) // self.width
 
 
 class _Band(NamedTuple):
@@ -645,6 +583,8 @@ def bucket_search(
     they serialise as JSON lists."""
     if type(budget) is not int or budget < 0:
         raise ValueError("budget must be a non-negative int")
+    if type(seed) is not int:
+        raise ValueError("seed must be an int")
     if target != "fix_vector":
         raise ValueError("target must be 'fix_vector'")
     validate_vertex(g, fix_vertex)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output shapes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -26,6 +27,17 @@ def test_verify_affine(capsys):
     assert code == EXIT_OK
     assert out.strip() == "PASS affine-a3"
     assert err == ""
+
+
+# sha256 of `burau verify all --json`: all 13 certificates, gates included
+VERIFY_ALL_SHA256 = "8e1468365eee04126534c2733faee2a4394671e1a8d2e31104ec95342deccfe5"
+
+
+def test_verify_all_json_is_pinned(capsys):
+    code, out, err = run(capsys, ["verify", "all", "--json"])
+    assert code == EXIT_OK
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
 
 
 def test_verify_affine_json(capsys):

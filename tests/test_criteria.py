@@ -16,10 +16,11 @@ from burau.criteria import (
     seal_certificate,
     verify_kernel_word,
 )
-from burau.fixtures import affine_fixture
+from burau.fixtures import D4_MODULI, affine_fixture, d4_fixture
 from burau.graphs import conjugated_generator, inverse_word, preset
 from burau.laurent import ZZ
 from burau.matrices import STANDARD
+from burau.search import verify_bigelow3
 from burau.zigzag import zigzag
 
 
@@ -109,6 +110,23 @@ def test_tampered_certificate_fails_the_gate():
     out = seal_certificate(tampered)
     assert isinstance(out, Rejection)
     assert out.clause == "verification"
+
+
+@pytest.mark.parametrize("p", D4_MODULI)
+def test_d4_certificate_with_one_kernel_letter_flipped_fails_the_gate(p):
+    # the gate of a D4 certificate is a packed mod-p word_matrix
+    (beta, i), = d4_fixture(p).witnesses
+    cert = verify_bigelow3(preset("D4"), beta, i, p)
+    assert isinstance(cert, KernelCertificate) and cert.verified
+    assert verify_kernel_word(cert)
+    word = list(cert.kernel_word)
+    middle = len(word) // 2
+    word[middle] = -word[middle]
+    tampered = replace(cert, kernel_word=tuple(word))
+    assert not verify_kernel_word(tampered)
+    out = seal_certificate(tampered)
+    assert isinstance(out, Rejection)
+    assert (out.criterion, out.clause) == (CRITERION_TWIST_QUOTIENT, "verification")
 
 
 def test_braid_relator_word_seals_when_pairing_is_a_q_power():

@@ -3,12 +3,15 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from burau.graphs import INF, CoxeterGraph, inverse_word, preset
 from burau.laurent import ZZ, IntegersMod, LaurentPoly
 from burau.matrices import (
     DUAL,
     STANDARD,
+    BurauMatrix,
     act,
     basis_vector,
     form_from_name,
@@ -308,3 +311,58 @@ def test_inverse_word_inverts_action():
     for _ in range(20):
         w = random_word(rng, g, 5)
         assert is_identity(word_matrix(g, list(w) + list(inverse_word(w)), STANDARD, ZZ))
+
+
+# (graph, form) cases for the packed mod-p word_matrix; the inf edge has no
+# dual form
+PACKED_CASES = {
+    (name, form.variant): (graph, form)
+    for name, graph in (
+        ("A3", preset("A3")),
+        ("D4", preset("D4")),
+        ("D5", CoxeterGraph.from_edges(5, [(1, 2, 3), (2, 3, 3), (3, 4, 3), (3, 5, 3)])),
+        ("tildeA3", preset("tildeA3")),
+    )
+    for form in (STANDARD, DUAL)
+}
+PACKED_CASES["inf-edge", "standard"] = (
+    CoxeterGraph.from_edges(3, [(1, 2, INF), (2, 3)]),
+    STANDARD,
+)
+PACKED_MODULI = (2, 3, 6, 7, 16, 257, 2**31 - 1)
+
+
+@st.composite
+def packed_words(draw):
+    """A (graph, form) case, a modulus and a word of up to 800 letters,
+    three in four of them inverse letters."""
+    key = draw(st.sampled_from(sorted(PACKED_CASES)))
+    g, _ = PACKED_CASES[key]
+    p = draw(st.sampled_from(PACKED_MODULI))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    length = draw(st.integers(0, 800))
+    word = [rng.choice((1, -1, -1, -1)) * rng.randrange(1, g.n + 1) for _ in range(length)]
+    return key, p, word
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(packed_words())
+@example((("D4", "dual"), 7, []))
+@example((("inf-edge", "standard"), 2, [-1, -2] * 300))
+def test_packed_word_matrix_matches_the_integer_matrix_mod_p(case):
+    # the packed path over Z/p against the dense path over Z, reduced
+    key, p, word = case
+    g, form = PACKED_CASES[key]
+    packed = word_matrix(g, word, form, IntegersMod(p))
+    assert packed == word_matrix(g, word, form, ZZ).reduce_mod(p), (key, p, len(word))
+
+
+def test_packed_word_matrix_refuses_a_generator_entry_of_two_terms(monkeypatch):
+    g = preset("A2")
+    ring = IntegersMod(5)
+    good = generator_matrix(g, 1, 1, DUAL, ring)
+    row = (good.rows[0][0] + LaurentPoly.one(ring),) + good.rows[0][1:]
+    bad = BurauMatrix(g, ring, (row,) + good.rows[1:])
+    monkeypatch.setattr("burau.matrices.generator_matrix", lambda *args: bad)
+    with pytest.raises(AssertionError, match="not a monomial"):
+        word_matrix(g, [1, 2], DUAL, ring)

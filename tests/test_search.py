@@ -13,7 +13,7 @@ from burau.criteria import KernelCertificate, Rejection, verify_kernel_word
 from burau.fixtures import affine_fixture, d4_fixture
 from burau.garside import NotFiniteType, _NFState, samecurve_check
 from burau.graphs import CoxeterGraph, inverse_word, preset
-from burau.laurent import IntegersMod
+from burau.laurent import ZZ, IntegersMod
 from burau.matrices import (
     DUAL,
     identity_matrix,
@@ -174,6 +174,22 @@ def test_find_pairs_limit_zero_returns_nothing_and_negative_is_refused():
         find_pairs(store, 1, limit=-1)
 
 
+def test_find_pairs_refuses_a_criterion_that_is_not_an_int():
+    store = enumerate_curves(preset("A3"), budget=60)
+    # True equals 1 and would run criterion 1
+    for criterion in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="criterion must be 1 or 2"):
+            find_pairs(store, criterion)
+
+
+def test_find_pairs_refuses_a_limit_that_is_not_an_int():
+    store = enumerate_curves(preset("A3"), budget=60)
+    # 2.5 would return 3 pairs, True 1 pair
+    for limit in (2.5, True, "2"):
+        with pytest.raises(ValueError, match="limit must be a non-negative int"):
+            find_pairs(store, 1, limit=limit)
+
+
 def _visited_pairs(store, root_filter=None):
     """The pairs find_pairs visits, in its order: both slices of the root
     filter (or the whole store), minus pairs whose witnesses share a first
@@ -297,6 +313,15 @@ def test_confirm_pair_refuses_an_unknown_criterion():
     for criterion in ("1", 3):
         with pytest.raises(ValueError, match="criterion must be 1 or 2"):
             confirm_pair(g, pair, criterion)
+
+
+def test_confirm_pair_refuses_a_bool_criterion():
+    g = preset("tildeA3")
+    (a, i1), (b, i2) = affine_fixture().witnesses
+    pair = (curve_record(g, a, i1), curve_record(g, b, i2))
+    # True equals 1, and used to certify this pair as criterion 1
+    with pytest.raises(ValueError, match="criterion must be 1 or 2"):
+        confirm_pair(g, pair, True)
 
 
 def test_store_json_round_trip(tmp_path):
@@ -463,6 +488,15 @@ def test_bucket_search_budget_must_be_an_int():
     assert bucket_search(g, 5, 10, seed=0)["counters"]["steps"] == 10
 
 
+def test_bucket_search_seed_must_be_an_int():
+    g = preset("A2")
+    # random.Random takes any hashable seed, and the manifest would record it
+    for seed in ("abc", 1.5, True, None):
+        with pytest.raises(ValueError, match="seed must be an int"):
+            bucket_search(g, 5, 10, seed)
+    assert bucket_search(g, 5, 10, 3)["manifest"]["seed"] == 3
+
+
 def test_bucket_search_has_one_target_in_fifth_place():
     g = preset("A3")
     for target in ("orbit", "spread_zero"):
@@ -541,7 +575,8 @@ def test_packed_walk_steps_match_matrix_products(case):
     for index in steps:
         band = bands[index]
         rows, low, packed_spread = _walk_step(codec, rows, low, band)
-        mat = mat.mat_mul(word_matrix(g, band.lift, DUAL, ring))
+        # over Z, so the reference shares no slot arithmetic with the walk
+        mat = mat.mat_mul(word_matrix(g, band.lift, DUAL, ZZ).reduce_mod(p))
         assert tuple(tuple(codec.unpack(x, low) for x in row) for row in rows) == mat.rows
         assert packed_spread == spread(mat)
         assert _packed_fixing_exponent(codec, g, rows, low, i) == _fixing_exponent(
