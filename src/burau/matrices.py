@@ -13,12 +13,15 @@ multiplication.  Everything is exact over the chosen coefficient ring.
 `word_matrix` has two paths.  Over Z the entries are dense `LaurentPoly`s,
 built with fused `LaurentPoly.dot` sums.  Over Z/p they are packed: one
 shared lowest exponent and one Python int per entry, its coefficients in
-fixed-width bit slots (Kronecker substitution, `_SlotCodec`, which the
-bucket walk in `search` shares).  Every entry of a generator's row is a
-monomial c q^k, so a letter shifts and scales packed entries, and each
-changed entry is reduced mod p, every slot at once.  Fixed slots cannot hold
-the unbounded coefficients over Z, so Z stays dense, and it is the
-reference the packed path is tested against.
+fixed-width bit slots (Kronecker substitution, `_SlotCodec`).  A generator
+is the rank-one update I + e_i (r_i - e_i)^T of the identity, r_i its row
+i, so a letter is one step M -> M + (M u) v^T of `_rank_one_steps`, the
+step the bucket walk in `search` takes for its reflection lifts.  One slot bound,
+from the residue sums of the factors' entries (`_rank_one_factors`), keeps
+every slot below overflow, and each changed entry is reduced mod p, every
+slot at once.  Fixed slots cannot hold the unbounded coefficients over Z,
+so Z stays dense, and it is the reference the packed path is tested
+against.
 """
 
 from __future__ import annotations
@@ -249,12 +252,18 @@ class _SlotCodec:
     estimate (c m) >> s is floor(c / p) or one less, so one masked
     conditional subtraction of p finishes.  `width` leaves room for c m, so
     no slot ever carries into the next, whatever p is.  The slotwise masks
-    grow on demand to cover the longest value reduced so far."""
+    grow on demand to cover the longest value reduced so far.  A packed
+    matrix keeps `head` empty slots below its lowest non-zero slot, room
+    for the downward shifts of `_rank_one_steps`."""
 
-    __slots__ = ("p", "width", "_shift", "_magic", "_bits", "_quotients", "_bias", "_tops")
+    __slots__ = (
+        "p", "head", "width", "_shift", "_magic", "_bits", "_quotients", "_bias",
+        "_tops",
+    )
 
-    def __init__(self, p: int, bound: int):
+    def __init__(self, p: int, bound: int, head: int):
         self.p = p
+        self.head = head
         self._shift = bound.bit_length()
         self._magic = (1 << self._shift) // p
         self.width = max((bound * self._magic).bit_length(), p.bit_length() + 1)
@@ -304,6 +313,79 @@ class _SlotCodec:
         return (x.bit_length() - 1) // self.width
 
 
+def _rank_one_factors(p: int, factors) -> tuple:
+    """(codec, packed): the factors I + u v^T, given as (u, v) pairs of
+    non-zero vectors of Z/p LaurentPoly entries, one pair at least, packed for
+    `_rank_one_steps`.  Each packed factor is (u, v, offset): u and v list
+    their non-zero entries as (index, packed entry), each vector packed from
+    its own lowest exponent, so u_a v_b = q^offset U_a V_b.
+
+    One slot bound covers every step.  With S(f) the sum of an entry's
+    residues, a slot of a reduced entry of M is at most p - 1, of (M u)_a at
+    most (p - 1) sum_k S(u_k), and of an updated entry at most
+    (p - 1) (1 + sum_k S(u_k) max_j S(v_j)).  A negative offset shifts
+    down, by at most `head` = -(least offset) slots."""
+
+    def low(vec) -> int:
+        return min(c.low for c in vec if c.coeffs)
+
+    def pack(vec) -> tuple:
+        base = low(vec)
+        return tuple((a, codec.pack(c, base)) for a, c in enumerate(vec) if c.coeffs)
+
+    def residue_sum(entry) -> int:
+        return sum(entry.coeffs)
+
+    weight = max(
+        sum(map(residue_sum, u)) * max(map(residue_sum, v)) for u, v in factors
+    )
+    head = max([0] + [-low(u) - low(v) for u, v in factors])
+    codec = _SlotCodec(p, (p - 1) * (1 + weight), head)
+    return codec, [(pack(u), pack(v), low(u) + low(v)) for u, v in factors]
+
+
+def _packed_identity(codec: _SlotCodec, n: int) -> tuple:
+    """(rows, low): the packed identity matrix, `head` slots up."""
+    one = 1 << codec.head * codec.width
+    return [[one if a == b else 0 for b in range(n)] for a in range(n)], -codec.head
+
+
+def _rank_one_steps(codec: _SlotCodec, rows: list, low: int, factors) -> tuple:
+    """M (I + u_1 v_1^T) (I + u_2 v_2^T) ... on a packed matrix: a list of
+    rows of packed entries over the shared lowest exponent `low`, with each
+    (u, v, offset) a factor from `_rank_one_factors`, one at least.  Each
+    factor is one step M -> M + (M u) v^T, after which the shared exponent
+    is renormalised so that the lowest non-zero slot is slot `head`.
+    Returns the new rows, shared exponent and spread.  The rows are copied
+    before the first step, so the caller's matrix is never altered."""
+    width = codec.width
+    reduce = codec.reduce
+    rows = [row.copy() for row in rows]
+    for u, v, offset in factors:
+        shift = offset * width
+        for row in rows:
+            mu = 0
+            for k, uk in u:
+                mu += row[k] * uk
+            if mu:
+                # M has nothing below slot head, so a downward shift drops nothing
+                mu = mu << shift if shift >= 0 else mu >> -shift
+                for j, vj in v:
+                    row[j] = reduce(row[j] + mu * vj)
+        support = 0  # the OR of all entries: its lowest and top slots bound them all
+        for row in rows:
+            for x in row:
+                support |= x
+        bottom = codec.low_slot(support)
+        move = bottom - codec.head
+        if move > 0:
+            rows = [[x >> move * width for x in row] for row in rows]
+        elif move < 0:
+            rows = [[x << -move * width for x in row] for row in rows]
+        low += move
+    return rows, low, codec.top_slot(support) - bottom
+
+
 def word_matrix(
     g: CoxeterGraph, word, form: PairingForm = STANDARD, ring: CoefficientRing = ZZ
 ) -> BurauMatrix:
@@ -315,20 +397,34 @@ def word_matrix(
     The generator rows are looked up once per distinct letter.
 
     Over Z the entries are dense and each update is one `LaurentPoly.dot`.
-    Over Z/p the matrix is packed (`_packed_word_matrix`) and unpacked once,
-    at the end.
+    Over Z/p the generator is the rank-one factor I + e_i (r_i - e_i)^T,
+    with r_i its row i, and the matrix is packed, updated by
+    `_rank_one_steps` and unpacked once, at the end.
     """
     validate_word(g, word)
+    if not word:
+        return identity_matrix(g, ring)
     gen_rows = {}
     for letter in word:
         if letter not in gen_rows:
             i = abs(letter)
             sign = 1 if letter > 0 else -1
             gen_rows[letter] = generator_matrix(g, i, sign, form, ring).rows[i - 1]
-    if ring.p is not None:
-        return _packed_word_matrix(g, word, ring, gen_rows)
-    dot = LaurentPoly.dot
     one = LaurentPoly.one(ring)
+    if ring.p is not None:
+        zero = LaurentPoly.zero(ring)
+        factors = []
+        for letter, gen_row in gen_rows.items():
+            e_i = tuple(one if j == abs(letter) - 1 else zero for j in range(g.n))
+            factors.append((e_i, tuple(e - f for e, f in zip(gen_row, e_i))))
+        codec, packed = _rank_one_factors(ring.p, factors)
+        steps = dict(zip(gen_rows, packed))
+        rows, low = _packed_identity(codec, g.n)
+        rows, low, _ = _rank_one_steps(codec, rows, low, [steps[x] for x in word])
+        return BurauMatrix(
+            g, ring, tuple(tuple(codec.unpack(x, low) for x in row) for row in rows)
+        )
+    dot = LaurentPoly.dot
     rows = [list(row) for row in identity_matrix(g, ring).rows]
     for letter in word:
         i = abs(letter) - 1
@@ -343,62 +439,6 @@ def word_matrix(
                 row[j] = dot((row[j], a), (one, e))
             row[i] = a * diagonal
     return BurauMatrix(g, ring, tuple(tuple(row) for row in rows))
-
-
-def _packed_word_matrix(
-    g: CoxeterGraph, word, ring: CoefficientRing, gen_rows: dict
-) -> BurauMatrix:
-    """`word_matrix` over Z/p on packed entries.
-
-    A generator row's entry c q^k multiplies a packed entry a by c and
-    shifts it by k slots, so a slot of an updated entry is at most
-    (p - 1) + (p - 1)^2 = p (p - 1) before its reduction.  Inverse letters
-    shift down, by at most `head` slots; after every letter the shared
-    exponent is renormalised so that the lowest non-zero slot over all
-    entries is slot `head`, and no shift ever drops a coefficient."""
-    p = ring.p
-    codec = _SlotCodec(p, p * (p - 1))
-    width = codec.width
-    reduce = codec.reduce
-    steps = {}
-    for letter, gen_row in gen_rows.items():
-        terms = []
-        for j, e in enumerate(gen_row):
-            if len(e.coeffs) > 1:
-                raise AssertionError(f"generator entry {e} is not a monomial")
-            if e.coeffs:
-                terms.append((j, e.coeffs[0], e.low))
-        steps[letter] = terms
-    head = max([0] + [-k for terms in steps.values() for _, _, k in terms])
-    rows = [[int(a == b) << head * width for b in range(g.n)] for a in range(g.n)]
-    low = -head
-    for letter in word:
-        i = abs(letter) - 1
-        terms = steps[letter]
-        for row in rows:
-            a = row[i]
-            if not a:
-                continue
-            row[i] = 0  # unless the diagonal entry puts it back
-            for j, c, k in terms:
-                x = a * c
-                x = x << k * width if k >= 0 else x >> -k * width
-                row[j] = reduce(row[j] + x)
-        support = 0  # the OR of all entries: its lowest slot bounds them all
-        for row in rows:
-            for x in row:
-                support |= x
-        if support <= 0:  # reduced entries are never negative, M(word) never 0
-            raise AssertionError("packed entries out of range")
-        move = codec.low_slot(support) - head
-        if move > 0:
-            rows = [[x >> move * width for x in row] for row in rows]
-        elif move < 0:
-            rows = [[x << -move * width for x in row] for row in rows]
-        low += move
-    return BurauMatrix(
-        g, ring, tuple(tuple(codec.unpack(x, low) for x in row) for row in rows)
-    )
 
 
 def spread(m: BurauMatrix) -> int:

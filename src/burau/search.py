@@ -11,15 +11,12 @@ basis root up to a power of q; fixing words feed the twist-quotient
 verifier, which is also usable standalone on explicit words.
 
 Each walk step multiplies by the dual matrix of a reflection lift
-W sigma_j W^-1, which is a rank-one update I + u v^T, so a step costs
-M -> M + (M u) v^T instead of a matrix product.  The walk keeps its matrix
-mod p packed: one shared lowest exponent and one Python int per entry, with
-the coefficients in fixed-width bit slots (Kronecker substitution, the
-`matrices._SlotCodec` that `word_matrix` uses mod p), so the
-update is a few big-int products per row followed by one slotwise reduction
-mod p per changed entry; spread and the fix test read bit lengths.  Buckets
-that restarts can choose keep each braid's packed matrix and normal-form
-state beside its bands, so a restart recomputes nothing.
+W sigma_j W^-1, which is a rank-one update I + u v^T.  The walk keeps its
+matrix mod p packed and takes each step with `matrices._rank_one_steps`,
+which `word_matrix` runs mod p, so a step is M -> M + (M u) v^T in a few
+big-int products per row; spread and the fix test read bit lengths.
+Buckets that restarts can choose keep each braid's packed matrix and
+normal-form state beside its bands, so a restart recomputes nothing.
 
 Everything here is deterministic: the curve search takes no seed, and a walk
 is reproducible for a fixed seed.
@@ -59,6 +56,9 @@ from .matrices import (
     STANDARD,
     BurauVector,
     _SlotCodec,
+    _packed_identity,
+    _rank_one_factors,
+    _rank_one_steps,
     act,
     basis_vector,
     gram_matrix,
@@ -360,7 +360,7 @@ def verify_bigelow3(g: CoxeterGraph, beta, i: int, p: int):
     report = state.samecurve_report(i)
     for letter in kernel[len(beta) + 1 :]:
         state.push_letter(letter)
-    if state.result().is_trivial():
+    if state.k == 0 and not state.simples:
         return Rejection(
             CRITERION_TWIST_QUOTIENT,
             "trivial-braid",
@@ -396,15 +396,12 @@ def verify_bigelow3(g: CoxeterGraph, beta, i: int, p: int):
 class _Band(NamedTuple):
     """One walk step: right multiplication by the dual matrix of a
     reflection lift W sigma_j W^-1, which is I + u v^T with u = M(W) e_j and
-    v^T = -(row j of the dual Gram matrix) M(W^-1).  `u` and `v` list their
-    non-zero entries as (index, packed entry), each vector packed from its
-    own lowest exponent, so u_a v_b = q^offset U_a V_b."""
+    v^T = -(row j of the dual Gram matrix) M(W^-1).  `factor` is (u, v,
+    offset) as `matrices._rank_one_factors` packs it."""
 
     refl: int
     lift: tuple
-    u: tuple
-    v: tuple
-    offset: int
+    factor: tuple
 
 
 @lru_cache(maxsize=8, typed=True)
@@ -414,20 +411,16 @@ def _walk_bands(g: CoxeterGraph, p: int) -> tuple:
 
     Every Hurwitz lift is literally a word W sigma_j W^-1 (a Hurwitz move
     conjugates one such word by another), so its dual matrix is the rank-one
-    update I + u v^T; that is checked exactly against `word_matrix` of the
-    lift, and a mismatch raises.  A walk step M -> M + (M u) v^T then costs a
-    few big-int products per row of packed entries.  The codec's slot bound
-    covers one step: an entry of M u sums at most n products of a reduced
-    entry with a u entry of at most du terms, and an updated entry adds the
-    product of such a sum with a v entry of at most dv terms to a reduced
-    entry."""
+    update I + u v^T.  That is checked exactly against the lift's matrix
+    over Z reduced mod p, which shares no slot arithmetic with the packed
+    u and v, and a mismatch raises."""
     ctx = garside_context(g)
     ring = IntegersMod(p)
     one = LaurentPoly.one(ring)
     zero = LaurentPoly.zero(ring)
+    lifts = [ctx.reflection_lifts[t] for t in ctx.refl_ids]
     factors = []
-    for t in ctx.refl_ids:
-        lift = ctx.reflection_lifts[t]
+    for lift in lifts:
         half = len(lift) // 2
         conj, j = lift[:half], lift[half]
         if j < 0 or lift[half + 1 :] != inverse_word(conj):
@@ -441,71 +434,14 @@ def _walk_bands(g: CoxeterGraph, p: int) -> tuple:
             tuple((one if a == b else zero) + ua * vb for b, vb in enumerate(v))
             for a, ua in enumerate(u)
         )
-        if word_matrix(g, lift, DUAL, ring).rows != rank_one:
+        if word_matrix(g, lift, DUAL, ZZ).reduce_mod(p).rows != rank_one:
             raise AssertionError(f"the matrix of lift {lift} is not I + u v^T")
-        factors.append((t, lift, u, v))
-
-    def extent(vec) -> tuple:
-        """(lowest exponent, slots from it to the top) over the entries."""
-        live = [c for c in vec if c.coeffs]
-        low = min(c.low for c in live)
-        return low, max(c.low + len(c.coeffs) for c in live) - low
-
-    du = max(extent(u)[1] for _, _, u, _ in factors)
-    dv = max(extent(v)[1] for _, _, _, v in factors)
-    codec = _SlotCodec(p, g.n * du * dv * (p - 1) ** 3 + p - 1)
-    bands = []
-    for t, lift, u, v in factors:
-        lu, lv = extent(u)[0], extent(v)[0]
-        if lu + lv < 0:  # a step must not reach below the shared exponent
-            raise AssertionError(f"the rank-one factors of lift {lift} start below q^0")
-        bands.append(
-            _Band(
-                refl=t,
-                lift=lift,
-                u=tuple((a, codec.pack(c, lu)) for a, c in enumerate(u) if c.coeffs),
-                v=tuple((b, codec.pack(c, lv)) for b, c in enumerate(v) if c.coeffs),
-                offset=lu + lv,
-            )
-        )
-    return codec, tuple(bands)
-
-
-def _identity_rows(n: int) -> tuple:
-    """The packed identity matrix, over the shared exponent 0."""
-    return tuple(tuple(int(a == b) for b in range(n)) for a in range(n))
-
-
-def _walk_step(codec: _SlotCodec, rows: tuple, low: int, band: _Band) -> tuple:
-    """M (I + u v^T) = M + (M u) v^T on a packed matrix: rows of packed
-    entries over the shared lowest exponent `low`.  Returns the new rows,
-    shared exponent and spread.  The update starts at q^(low + offset) with
-    offset >= 0, so only the lowest exponent can rise.  A row whose (M u)
-    entry is zero is kept as the same object, so saved states share it."""
-    width = codec.width
-    reduce = codec.reduce
-    offset = band.offset * width
-    out = []
-    support = 0  # the OR of all entries: its lowest and top slots bound them all
-    for row in rows:
-        mu = 0
-        for k, uk in band.u:
-            mu += row[k] * uk
-        if mu:
-            mu <<= offset
-            row = list(row)
-            for j, vj in band.v:
-                row[j] = reduce(row[j] + mu * vj)
-            row = tuple(row)
-        out.append(row)
-        for x in row:
-            support |= x
-    bottom = codec.low_slot(support)
-    if bottom:
-        cut = bottom * width
-        out = [tuple(x >> cut for x in row) for row in out]
-        low += bottom
-    return tuple(out), low, codec.top_slot(support) - bottom
+        factors.append((u, v))
+    codec, packed = _rank_one_factors(p, factors)
+    bands = tuple(
+        _Band(t, lift, factor) for t, lift, factor in zip(ctx.refl_ids, lifts, packed)
+    )
+    return codec, bands
 
 
 def _packed_fixing_exponent(codec: _SlotCodec, g: CoxeterGraph, rows, low, i: int):
@@ -567,8 +503,8 @@ def bucket_search(
     that test and takes no other value.  A run is reproducible for a fixed
     seed.
 
-    The matrix is kept packed (`_SlotCodec`) and each step is a rank-one
-    update (`_walk_step`).  Once the spread passes SPREAD_CAP the walk
+    The matrix is kept packed and each step is a rank-one update
+    (`matrices._rank_one_steps`).  Once the spread passes SPREAD_CAP the walk
     restarts from a braid saved in the lowest-spread bucket whose spread is
     at most SPREAD_CAP // 2: those buckets keep each braid's bands (its word
     is their lifts), packed matrix, spread and normal form (gamma power and
@@ -593,7 +529,8 @@ def bucket_search(
     rng = random.Random(seed)
     restart_spread = SPREAD_CAP // 2
     path: list[_Band] = []  # the braid so far, one band per step
-    rows, low, mat_spread = _identity_rows(g.n), 0, 0
+    rows, low = _packed_identity(codec, g.n)
+    mat_spread = 0
     nf = ctx.new_nf_state(())
     # buckets are keyed by (canonical length, spread)
     filed: dict[tuple, int] = {}
@@ -615,11 +552,12 @@ def bucket_search(
                 nf = ctx.restore_nf_state(k, factors)
             else:
                 path = []
-                rows, low, mat_spread = _identity_rows(g.n), 0, 0
+                rows, low = _packed_identity(codec, g.n)
+                mat_spread = 0
                 nf = ctx.new_nf_state(())
         band = bands[rng.randrange(len(bands))]
         path.append(band)
-        rows, low, mat_spread = _walk_step(codec, rows, low, band)
+        rows, low, mat_spread = _rank_one_steps(codec, rows, low, (band.factor,))
         nf.push_simple(band.refl)
         key = _bucket_key(nf.canonical_length(), mat_spread)
         filed[key] = filed.get(key, 0) + 1

@@ -16,6 +16,9 @@ from burau.graphs import CoxeterGraph, inverse_word, preset
 from burau.laurent import ZZ, IntegersMod
 from burau.matrices import (
     DUAL,
+    _SlotCodec,
+    _packed_identity,
+    _rank_one_steps,
     identity_matrix,
     is_identity,
     pairing,
@@ -26,10 +29,8 @@ from burau.search import (
     CurveRecord,
     CurveStore,
     _fixing_exponent,
-    _identity_rows,
     _packed_fixing_exponent,
     _walk_bands,
-    _walk_step,
     bucket_search,
     confirm_pair,
     curve_record,
@@ -377,7 +378,8 @@ def test_verify_bigelow3_certifies_the_bundled_words():
 
 def test_verify_bigelow3_pushes_each_letter_once(monkeypatch):
     # one normal-form state takes beta, sigma_i (the samecurve report), then
-    # beta^-1 sigma_i^-1 (the word problem)
+    # beta^-1 sigma_i^-1 (the word problem), whose answer is read off the
+    # state without building the factors' lifts
     pushed = []
     push_letter = _NFState.push_letter
 
@@ -385,10 +387,14 @@ def test_verify_bigelow3_pushes_each_letter_once(monkeypatch):
         pushed.append(letter)
         push_letter(state, letter)
 
+    def no_result(state):
+        raise AssertionError("the verifier built a GarsideNF")
+
     fx = d4_fixture(16)
     (beta, i) = fx.witnesses[0]
     report = samecurve_check(fx.graph, beta, i)
     monkeypatch.setattr(_NFState, "push_letter", counting_push)
+    monkeypatch.setattr(_NFState, "result", no_result)
     cert = verify_bigelow3(fx.graph, beta, i, 16)
     assert isinstance(cert, KernelCertificate)
     assert len(pushed) == 2 * len(beta) + 2 == 414
@@ -570,11 +576,11 @@ def test_packed_walk_steps_match_matrix_products(case):
     g = WALK_GRAPHS[name]
     ring = IntegersMod(p)
     codec, bands = _walk_bands(g, p)
-    rows, low = _identity_rows(g.n), 0
+    rows, low = _packed_identity(codec, g.n)
     mat = identity_matrix(g, ring)
     for index in steps:
         band = bands[index]
-        rows, low, packed_spread = _walk_step(codec, rows, low, band)
+        rows, low, packed_spread = _rank_one_steps(codec, rows, low, (band.factor,))
         # over Z, so the reference shares no slot arithmetic with the walk
         mat = mat.mat_mul(word_matrix(g, band.lift, DUAL, ZZ).reduce_mod(p))
         assert tuple(tuple(codec.unpack(x, low) for x in row) for row in rows) == mat.rows
@@ -582,6 +588,24 @@ def test_packed_walk_steps_match_matrix_products(case):
         assert _packed_fixing_exponent(codec, g, rows, low, i) == _fixing_exponent(
             mat.column(i), i
         )
+
+
+def test_walk_bands_refuse_a_faulty_slot_reduction(monkeypatch):
+    # without its conditional subtraction the reduction leaves slots of up
+    # to 2p - 1, so later sums outgrow the slot bound; the band check, made
+    # against the lift's matrix over Z, must see the faulty u and v
+    def reduce_without_correction(self, x):
+        if x.bit_length() > self._bits:
+            self._cover(x.bit_length())
+        return x - ((x * self._magic >> self._shift) & self._quotients) * self.p
+
+    monkeypatch.setattr(_SlotCodec, "reduce", reduce_without_correction)
+    _walk_bands.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="is not I \\+ u v\\^T"):
+            _walk_bands(WALK_GRAPHS["D5"], 5)
+    finally:
+        _walk_bands.cache_clear()
 
 
 # sha256 of the JSON of `bucket_search(graph, p, 600, 3, target)` without its
