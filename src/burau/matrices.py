@@ -10,24 +10,30 @@ Matrices are column-convention: column j holds the image of alpha_j, so the
 matrix of a word w1 w2 is M(w1) . M(w2) and acting on vectors is plain left
 multiplication.  Everything is exact over the chosen coefficient ring.
 
-`word_matrix` has two paths.  Over Z the entries are dense `LaurentPoly`s,
-built with fused `LaurentPoly.dot` sums.  Over Z/p they are packed: one
-shared lowest exponent and one Python int per entry, its coefficients in
-fixed-width bit slots (Kronecker substitution, `_SlotCodec`).  A generator
-is the rank-one update I + e_i (r_i - e_i)^T of the identity, r_i its row
-i, so a letter is one step M -> M + (M u) v^T of `_rank_one_steps`, the
-step the bucket walk in `search` takes for its reflection lifts.  One slot bound,
-from the residue sums of the factors' entries (`_rank_one_factors`), keeps
-every slot below overflow, and each changed entry is reduced mod p, every
-slot at once.  Fixed slots cannot hold the unbounded coefficients over Z,
-so Z stays dense, and it is the reference the packed path is tested
-against.
+`word_matrix` applies a generator one way per ring.  Over Z, column j is
+`act(g, word, alpha_j, form)`: dense `LaurentPoly` entries, one coordinate
+changed per letter by a fused `LaurentPoly.dot`.  Over Z/p the matrix is a
+`_PackedMatrix`: its rows of Python ints over one shared lowest exponent,
+each int holding an entry's coefficients in fixed-width bit slots
+(Kronecker substitution, `_SlotCodec`), with the matrix's spread and its
+codec.  A generator is the rank-one update I + e_i (r_i - e_i)^T of the
+identity, r_i its row i, so a letter is one step M -> M + (M u) v^T of
+`_PackedMatrix.times`, the step the bucket walk in `search` takes for its
+reflection lifts.  One slot bound, from the residue sums of the factors'
+entries (`_rank_one_factors`), keeps every slot below overflow; each
+changed entry is reduced mod p, every slot at once; and a step that leaves
+a slot at or above 2^b, b the bit length of p - 1, raises.  Fixed slots
+cannot hold the unbounded coefficients over Z, so Z stays dense, and it is
+the reference the packed path is tested against.  The packed format stays
+in this module: other modules step, fix-test and unpack a `_PackedMatrix`
+only through its methods.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .graphs import CoxeterGraph, validate_vertex, validate_word
 from .laurent import ZZ, CoefficientRing, IntegersMod, LaurentPoly
@@ -252,13 +258,15 @@ class _SlotCodec:
     estimate (c m) >> s is floor(c / p) or one less, so one masked
     conditional subtraction of p finishes.  `width` leaves room for c m, so
     no slot ever carries into the next, whatever p is.  The slotwise masks
-    grow on demand to cover the longest value reduced so far.  A packed
-    matrix keeps `head` empty slots below its lowest non-zero slot, room
-    for the downward shifts of `_rank_one_steps`."""
+    grow on demand to cover the longest value reduced or checked so far;
+    `_excess` has the bits at or above (p - 1).bit_length() of every slot,
+    which no reduced slot sets.  A packed matrix keeps `head` empty slots
+    below its lowest non-zero slot, room for the downward shifts of
+    `_PackedMatrix.times`."""
 
     __slots__ = (
         "p", "head", "width", "_shift", "_magic", "_bits", "_quotients", "_bias",
-        "_tops",
+        "_tops", "_excess",
     )
 
     def __init__(self, p: int, bound: int, head: int):
@@ -278,6 +286,7 @@ class _SlotCodec:
         self._quotients = ones * ((1 << (w - self._shift)) - 1)
         self._bias = ones * ((1 << (w - 1)) - self.p)
         self._tops = ones << (w - 1)
+        self._excess = ones * ((1 << w) - (1 << (self.p - 1).bit_length()))
 
     def reduce(self, x: int) -> int:
         if x.bit_length() > self._bits:
@@ -286,6 +295,19 @@ class _SlotCodec:
         x -= ((x * self._magic >> self._shift) & self._quotients) * p
         # every slot is now below 2p; take p off the ones at p or above
         return x - (((x + self._bias) & self._tops) >> (self.width - 1)) * p
+
+    def check(self, x: int) -> None:
+        """Raise AssertionError if a slot of `x` has a bit at or above
+        (p - 1).bit_length(), which no reduced slot has: the slot bound or
+        the reduction is wrong."""
+        if x.bit_length() > self._bits:
+            self._cover(x.bit_length())
+        if x & self._excess:
+            raise AssertionError(
+                f"a packed slot reached {1 << (self.p - 1).bit_length()} or "
+                f"more, above p - 1 = {self.p - 1}: the slot bound or the "
+                "reduction is wrong"
+            )
 
     def pack(self, poly: LaurentPoly, low: int) -> int:
         """The polynomial divided by q^low; it must have no term below it."""
@@ -314,17 +336,19 @@ class _SlotCodec:
 
 
 def _rank_one_factors(p: int, factors) -> tuple:
-    """(codec, packed): the factors I + u v^T, given as (u, v) pairs of
-    non-zero vectors of Z/p LaurentPoly entries, one pair at least, packed for
-    `_rank_one_steps`.  Each packed factor is (u, v, offset): u and v list
-    their non-zero entries as (index, packed entry), each vector packed from
-    its own lowest exponent, so u_a v_b = q^offset U_a V_b.
+    """(identity, packed): the identity as a `_PackedMatrix`, and the factors
+    I + u v^T, given as (u, v) pairs of non-zero vectors of Z/p LaurentPoly
+    entries, one pair at least, packed for `_PackedMatrix.times`.  Each
+    packed factor is (u, v, offset): u and v list their non-zero entries as
+    (index, packed entry), each vector packed from its own lowest exponent,
+    so u_a v_b = q^offset U_a V_b.
 
     One slot bound covers every step.  With S(f) the sum of an entry's
     residues, a slot of a reduced entry of M is at most p - 1, of (M u)_a at
     most (p - 1) sum_k S(u_k), and of an updated entry at most
     (p - 1) (1 + sum_k S(u_k) max_j S(v_j)).  A negative offset shifts
-    down, by at most `head` = -(least offset) slots."""
+    down, by at most `head` = -(least offset) slots, so the identity starts
+    `head` slots up."""
 
     def low(vec) -> int:
         return min(c.low for c in vec if c.coeffs)
@@ -341,49 +365,83 @@ def _rank_one_factors(p: int, factors) -> tuple:
     )
     head = max([0] + [-low(u) - low(v) for u, v in factors])
     codec = _SlotCodec(p, (p - 1) * (1 + weight), head)
-    return codec, [(pack(u), pack(v), low(u) + low(v)) for u, v in factors]
+    n = len(factors[0][0])
+    one = 1 << head * codec.width
+    rows = [[one if a == b else 0 for b in range(n)] for a in range(n)]
+    packed = [(pack(u), pack(v), low(u) + low(v)) for u, v in factors]
+    return _PackedMatrix(codec, rows, -head, 0), packed
 
 
-def _packed_identity(codec: _SlotCodec, n: int) -> tuple:
-    """(rows, low): the packed identity matrix, `head` slots up."""
-    one = 1 << codec.head * codec.width
-    return [[one if a == b else 0 for b in range(n)] for a in range(n)], -codec.head
+class _PackedMatrix(NamedTuple):
+    """A Z/p matrix in packed form: rows of packed entries over one shared
+    lowest exponent `low`, whose lowest non-zero slot is slot `head`, with
+    the matrix's spread and the codec that packs it.  A value is never
+    altered, so values may share rows."""
 
+    codec: _SlotCodec
+    rows: list
+    low: int
+    spread: int
 
-def _rank_one_steps(codec: _SlotCodec, rows: list, low: int, factors) -> tuple:
-    """M (I + u_1 v_1^T) (I + u_2 v_2^T) ... on a packed matrix: a list of
-    rows of packed entries over the shared lowest exponent `low`, with each
-    (u, v, offset) a factor from `_rank_one_factors`, one at least.  Each
-    factor is one step M -> M + (M u) v^T, after which the shared exponent
-    is renormalised so that the lowest non-zero slot is slot `head`.
-    Returns the new rows, shared exponent and spread.  The rows are copied
-    before the first step, so the caller's matrix is never altered."""
-    width = codec.width
-    reduce = codec.reduce
-    rows = [row.copy() for row in rows]
-    for u, v, offset in factors:
-        shift = offset * width
-        for row in rows:
-            mu = 0
-            for k, uk in u:
-                mu += row[k] * uk
-            if mu:
-                # M has nothing below slot head, so a downward shift drops nothing
-                mu = mu << shift if shift >= 0 else mu >> -shift
-                for j, vj in v:
-                    row[j] = reduce(row[j] + mu * vj)
-        support = 0  # the OR of all entries: its lowest and top slots bound them all
-        for row in rows:
-            for x in row:
-                support |= x
-        bottom = codec.low_slot(support)
-        move = bottom - codec.head
-        if move > 0:
-            rows = [[x >> move * width for x in row] for row in rows]
-        elif move < 0:
-            rows = [[x << -move * width for x in row] for row in rows]
-        low += move
-    return rows, low, codec.top_slot(support) - bottom
+    def times(self, factors) -> "_PackedMatrix":
+        """M (I + u_1 v_1^T) (I + u_2 v_2^T) ..., with each (u, v, offset) a
+        factor from `_rank_one_factors`, one at least.  Each factor is one
+        step M -> M + (M u) v^T, after which the shared exponent is
+        renormalised so that the lowest non-zero slot is slot `head`.  The
+        rows are copied before the first step, so this value is unchanged.
+
+        After each step the OR of all entries goes through `codec.check`,
+        which raises AssertionError on a slot no reduction leaves."""
+        codec = self.codec
+        width = codec.width
+        reduce = codec.reduce
+        low = self.low
+        rows = [row.copy() for row in self.rows]
+        for u, v, offset in factors:
+            shift = offset * width
+            for row in rows:
+                mu = 0
+                for k, uk in u:
+                    mu += row[k] * uk
+                if mu:
+                    # M has nothing below slot head, so a downward shift drops nothing
+                    mu = mu << shift if shift >= 0 else mu >> -shift
+                    for j, vj in v:
+                        row[j] = reduce(row[j] + mu * vj)
+            support = 0  # the OR of all entries: its lowest and top slots bound them all
+            for row in rows:
+                for x in row:
+                    support |= x
+            codec.check(support)
+            bottom = codec.low_slot(support)
+            move = bottom - codec.head
+            if move > 0:
+                rows = [[x >> move * width for x in row] for row in rows]
+            elif move < 0:
+                rows = [[x << -move * width for x in row] for row in rows]
+            low += move
+        return _PackedMatrix(codec, rows, low, codec.top_slot(support) - bottom)
+
+    def fixing_exponent(self, i: int):
+        """(l, sign) if column i is sign q^l alpha_i with sign +1 or -1, as
+        `LaurentPoly.signed_q_power` decides, else None.  Only a column with
+        one non-zero slot, in row i, is decoded."""
+        codec = self.codec
+        col = i - 1
+        x = self.rows[col][col]
+        if not x or codec.low_slot(x) != codec.top_slot(x):
+            return None
+        if any(row[col] for r, row in enumerate(self.rows) if r != col):
+            return None
+        return codec.unpack(x, self.low).signed_q_power()
+
+    def unpack(self, g: CoxeterGraph) -> BurauMatrix:
+        codec, low = self.codec, self.low
+        return BurauMatrix(
+            g,
+            IntegersMod(codec.p),
+            tuple(tuple(codec.unpack(x, low) for x in row) for row in self.rows),
+        )
 
 
 def word_matrix(
@@ -391,54 +449,33 @@ def word_matrix(
 ) -> BurauMatrix:
     """The matrix of a braid word (identity for the empty word).
 
-    Right multiplication by sigma_i^(+-1), which differs from the identity
-    only in row i, is a column update: column j gains column i times the
-    generator's entry (i, j), and column i is scaled by the diagonal entry.
-    The generator rows are looked up once per distinct letter.
-
-    Over Z the entries are dense and each update is one `LaurentPoly.dot`.
-    Over Z/p the generator is the rank-one factor I + e_i (r_i - e_i)^T,
-    with r_i its row i, and the matrix is packed, updated by
-    `_rank_one_steps` and unpacked once, at the end.
+    Over Z, column j is `act(g, word, alpha_j, form)`.  Over Z/p, right
+    multiplication by sigma_i^(+-1) is the rank-one factor
+    I + e_i (r_i - e_i)^T, with r_i the generator's row i, looked up once per
+    distinct letter; the matrix is a `_PackedMatrix`, stepped once per
+    letter and unpacked once, at the end.
     """
     validate_word(g, word)
     if not word:
         return identity_matrix(g, ring)
-    gen_rows = {}
+    if ring.p is None:
+        columns = [
+            act(g, word, basis_vector(g, j, ring), form).coords for j in g.vertices()
+        ]
+        return BurauMatrix(g, ring, tuple(zip(*columns)))
+    one = LaurentPoly.one(ring)
+    zero = LaurentPoly.zero(ring)
+    factors = {}
     for letter in word:
-        if letter not in gen_rows:
+        if letter not in factors:
             i = abs(letter)
             sign = 1 if letter > 0 else -1
-            gen_rows[letter] = generator_matrix(g, i, sign, form, ring).rows[i - 1]
-    one = LaurentPoly.one(ring)
-    if ring.p is not None:
-        zero = LaurentPoly.zero(ring)
-        factors = []
-        for letter, gen_row in gen_rows.items():
-            e_i = tuple(one if j == abs(letter) - 1 else zero for j in range(g.n))
-            factors.append((e_i, tuple(e - f for e, f in zip(gen_row, e_i))))
-        codec, packed = _rank_one_factors(ring.p, factors)
-        steps = dict(zip(gen_rows, packed))
-        rows, low = _packed_identity(codec, g.n)
-        rows, low, _ = _rank_one_steps(codec, rows, low, [steps[x] for x in word])
-        return BurauMatrix(
-            g, ring, tuple(tuple(codec.unpack(x, low) for x in row) for row in rows)
-        )
-    dot = LaurentPoly.dot
-    rows = [list(row) for row in identity_matrix(g, ring).rows]
-    for letter in word:
-        i = abs(letter) - 1
-        gen_row = gen_rows[letter]
-        updates = [(j, e) for j, e in enumerate(gen_row) if j != i and e.coeffs]
-        diagonal = gen_row[i]
-        for row in rows:
-            a = row[i]
-            if not a.coeffs:
-                continue
-            for j, e in updates:
-                row[j] = dot((row[j], a), (one, e))
-            row[i] = a * diagonal
-    return BurauMatrix(g, ring, tuple(tuple(row) for row in rows))
+            gen_row = generator_matrix(g, i, sign, form, ring).rows[i - 1]
+            e_i = tuple(one if j == i else zero for j in g.vertices())
+            factors[letter] = (e_i, tuple(e - f for e, f in zip(gen_row, e_i)))
+    identity, packed = _rank_one_factors(ring.p, list(factors.values()))
+    steps = dict(zip(factors, packed))
+    return identity.times([steps[x] for x in word]).unpack(g)
 
 
 def spread(m: BurauMatrix) -> int:

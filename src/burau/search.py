@@ -12,11 +12,12 @@ verifier, which is also usable standalone on explicit words.
 
 Each walk step multiplies by the dual matrix of a reflection lift
 W sigma_j W^-1, which is a rank-one update I + u v^T.  The walk keeps its
-matrix mod p packed and takes each step with `matrices._rank_one_steps`,
-which `word_matrix` runs mod p, so a step is M -> M + (M u) v^T in a few
-big-int products per row; spread and the fix test read bit lengths.
-Buckets that restarts can choose keep each braid's packed matrix and
-normal-form state beside its bands, so a restart recomputes nothing.
+matrix mod p as the packed value that `word_matrix` steps mod p
+(`matrices._PackedMatrix`): its `times` takes a step M -> M + (M u) v^T in
+a few big-int products per row, it carries its spread, and its fix test
+decodes only a column that can pass.  Buckets that restarts can choose
+keep each braid's packed matrix and normal-form state beside its bands, so
+a restart recomputes nothing.
 
 Everything here is deterministic: the curve search takes no seed, and a walk
 is reproducible for a fixed seed.
@@ -55,10 +56,7 @@ from .matrices import (
     DUAL,
     STANDARD,
     BurauVector,
-    _SlotCodec,
-    _packed_identity,
     _rank_one_factors,
-    _rank_one_steps,
     act,
     basis_vector,
     gram_matrix,
@@ -406,8 +404,9 @@ class _Band(NamedTuple):
 
 @lru_cache(maxsize=8, typed=True)
 def _walk_bands(g: CoxeterGraph, p: int) -> tuple:
-    """(codec, bands), one `_Band` per reflection, built once per (graph, p)
-    and shared by every walk.
+    """(identity, bands): the packed identity matrix that every walk starts
+    from, and one `_Band` per reflection, built once per (graph, p) and
+    shared by every walk.
 
     Every Hurwitz lift is literally a word W sigma_j W^-1 (a Hurwitz move
     conjugates one such word by another), so its dual matrix is the rank-one
@@ -437,24 +436,11 @@ def _walk_bands(g: CoxeterGraph, p: int) -> tuple:
         if word_matrix(g, lift, DUAL, ZZ).reduce_mod(p).rows != rank_one:
             raise AssertionError(f"the matrix of lift {lift} is not I + u v^T")
         factors.append((u, v))
-    codec, packed = _rank_one_factors(p, factors)
+    identity, packed = _rank_one_factors(p, factors)
     bands = tuple(
         _Band(t, lift, factor) for t, lift, factor in zip(ctx.refl_ids, lifts, packed)
     )
-    return codec, bands
-
-
-def _packed_fixing_exponent(codec: _SlotCodec, g: CoxeterGraph, rows, low, i: int):
-    """`_fixing_exponent` of column i of a packed matrix.  Only columns with
-    one non-zero slot, in row i, are decoded and tested."""
-    col = i - 1
-    x = rows[col][col]
-    if not x or codec.low_slot(x) != codec.top_slot(x):
-        return None
-    if any(row[col] for r, row in enumerate(rows) if r != col):
-        return None
-    column = tuple(codec.unpack(row[col], low) for row in rows)
-    return _fixing_exponent(BurauVector(g, IntegersMod(codec.p), column), i)
+    return identity, bands
 
 
 # Callers that run many walks keep the results, so results hold tuples where
@@ -504,12 +490,12 @@ def bucket_search(
     seed.
 
     The matrix is kept packed and each step is a rank-one update
-    (`matrices._rank_one_steps`).  Once the spread passes SPREAD_CAP the walk
-    restarts from a braid saved in the lowest-spread bucket whose spread is
-    at most SPREAD_CAP // 2: those buckets keep each braid's bands (its word
-    is their lifts), packed matrix, spread and normal form (gamma power and
-    factors), so a restart recomputes nothing.  Other buckets only count
-    their braids.
+    (`matrices._PackedMatrix.times`).  Once the spread passes SPREAD_CAP the
+    walk restarts from a braid saved in the lowest-spread bucket whose spread
+    is at most SPREAD_CAP // 2: those buckets keep each braid's bands (its
+    word is their lifts), packed matrix (with its spread) and normal form
+    (gamma power and factors), so a restart recomputes nothing.  Other
+    buckets only count their braids.
 
     `counters` reports the steps, restarts, fix-vector hits (new words whose
     matrix fixes alpha_i up to a signed power of q, each one verified) and
@@ -525,12 +511,11 @@ def bucket_search(
         raise ValueError("target must be 'fix_vector'")
     validate_vertex(g, fix_vertex)
     ctx = garside_context(g)
-    codec, bands = _walk_bands(g, p)
+    identity, bands = _walk_bands(g, p)
     rng = random.Random(seed)
     restart_spread = SPREAD_CAP // 2
     path: list[_Band] = []  # the braid so far, one band per step
-    rows, low = _packed_identity(codec, g.n)
-    mat_spread = 0
+    matrix = identity
     nf = ctx.new_nf_state(())
     # buckets are keyed by (canonical length, spread)
     filed: dict[tuple, int] = {}
@@ -542,32 +527,31 @@ def bucket_search(
     rejected = Counter()
 
     for step in range(budget):
-        if mat_spread > SPREAD_CAP:
+        if matrix.spread > SPREAD_CAP:
             restarts += 1
             usable = [k for k, kept in saved.items() if kept]
             if usable:
                 key = min(usable, key=lambda k: (k[1], k[0]))
-                kept_path, rows, low, mat_spread, k, factors = rng.choice(list(saved[key]))
+                kept_path, matrix, k, factors = rng.choice(list(saved[key]))
                 path = list(kept_path)
                 nf = ctx.restore_nf_state(k, factors)
             else:
                 path = []
-                rows, low = _packed_identity(codec, g.n)
-                mat_spread = 0
+                matrix = identity
                 nf = ctx.new_nf_state(())
         band = bands[rng.randrange(len(bands))]
         path.append(band)
-        rows, low, mat_spread = _rank_one_steps(codec, rows, low, (band.factor,))
+        matrix = matrix.times((band.factor,))
         nf.push_simple(band.refl)
-        key = _bucket_key(nf.canonical_length(), mat_spread)
+        key = _bucket_key(nf.canonical_length(), matrix.spread)
         filed[key] = filed.get(key, 0) + 1
-        if mat_spread <= restart_spread:
+        if matrix.spread <= restart_spread:
             if key not in saved:
                 saved[key] = deque(maxlen=BUCKET_CAPACITY)
-            saved[key].append((tuple(path), rows, low, mat_spread, nf.k, nf.factors()))
+            saved[key].append((tuple(path), matrix, nf.k, nf.factors()))
         if key[0] == 0:
             continue
-        fixing = _packed_fixing_exponent(codec, g, rows, low, fix_vertex)
+        fixing = matrix.fixing_exponent(fix_vertex)
         if fixing is None:
             continue
         word = tuple(letter for b in path for letter in b.lift)

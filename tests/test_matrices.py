@@ -6,11 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from burau.graphs import INF, CoxeterGraph, inverse_word, preset
+from burau.fixtures import D4_MODULI, d4_fixture
+from burau.graphs import INF, CoxeterGraph, commutator_word, inverse_word, preset
 from burau.laurent import ZZ, IntegersMod, LaurentPoly
 from burau.matrices import (
     DUAL,
     STANDARD,
+    _SlotCodec,
     act,
     basis_vector,
     form_from_name,
@@ -136,15 +138,18 @@ def test_q_equals_minus_one_gives_involutions():
 
 
 def test_act_on_vector_matches_matrix_action():
+    # over Z, word_matrix is made of act's columns, so act is checked against
+    # the packed mod-p matrix, which shares no arithmetic with it
     rng = random.Random(7)
     for name in ["A3", "D4"]:
         g = preset(name)
-        for _ in range(25):
-            w = random_word(rng, g, rng.randrange(0, 8))
-            i = rng.randrange(1, g.n + 1)
-            via_vector = act(g, w, basis_vector(g, i))
-            via_matrix = word_matrix(g, w, STANDARD, ZZ).column(i)
-            assert via_vector == via_matrix
+        for p in (2, 7, 2**31 - 1):
+            for _ in range(10):
+                w = random_word(rng, g, rng.randrange(0, 40))
+                i = rng.randrange(1, g.n + 1)
+                via_vector = act(g, w, basis_vector(g, i))
+                via_matrix = word_matrix(g, w, STANDARD, IntegersMod(p)).column(i)
+                assert tuple(c.reduce_mod(p) for c in via_vector.coords) == via_matrix.coords
 
 
 def _generator(g, letter, form, ring):
@@ -152,8 +157,9 @@ def _generator(g, letter, form, ring):
 
 
 def test_sparse_act_and_word_matrix_match_full_products():
-    # act updates one coordinate per letter and word_matrix one column set
-    # per letter; the reference applies full generator matrices
+    # act updates one coordinate per letter, word_matrix takes act's columns
+    # over Z and one packed rank-one step per letter over Z/p; the reference
+    # applies full generator matrices
     rng = random.Random(13)
     mixed = CoxeterGraph.from_edges(3, [(1, 2, INF), (2, 3)])
     cases = [
@@ -363,3 +369,19 @@ def test_packed_word_matrix_matches_the_integer_matrix_mod_p(case):
     g, form = PACKED_CASES[key]
     packed = word_matrix(g, word, form, IntegersMod(p))
     assert packed == word_matrix(g, word, form, ZZ).reduce_mod(p), (key, p, len(word))
+
+
+def test_packed_steps_refuse_a_slot_bound_below_the_true_maximum(monkeypatch):
+    # a dual-form generator factor reaches (p - 1)(2p - 1) in a slot; sized
+    # for p(p - 1), the slots carry into each other, and the step's slot
+    # check must stop the kernel matrices before the entries grow unbounded
+    sized = _SlotCodec.__init__
+
+    def too_small(self, p, bound, head):
+        sized(self, p, p * (p - 1), head)
+
+    monkeypatch.setattr(_SlotCodec, "__init__", too_small)
+    for p in D4_MODULI:
+        ((beta, i),) = d4_fixture(p).witnesses
+        with pytest.raises(AssertionError, match="packed slot"):
+            word_matrix(preset("D4"), commutator_word(beta, (i,)), DUAL, IntegersMod(p))

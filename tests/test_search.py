@@ -9,16 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import burau.search as search_module
 from burau.criteria import KernelCertificate, Rejection, verify_kernel_word
 from burau.fixtures import affine_fixture, d4_fixture
 from burau.garside import NotFiniteType, _NFState, samecurve_check
 from burau.graphs import CoxeterGraph, inverse_word, preset
-from burau.laurent import ZZ, IntegersMod
+from burau.laurent import ZZ, IntegersMod, LaurentPoly
 from burau.matrices import (
     DUAL,
     _SlotCodec,
-    _packed_identity,
-    _rank_one_steps,
     identity_matrix,
     is_identity,
     pairing,
@@ -29,7 +28,6 @@ from burau.search import (
     CurveRecord,
     CurveStore,
     _fixing_exponent,
-    _packed_fixing_exponent,
     _walk_bands,
     bucket_search,
     confirm_pair,
@@ -575,37 +573,102 @@ def test_packed_walk_steps_match_matrix_products(case):
     name, p, steps, i = case
     g = WALK_GRAPHS[name]
     ring = IntegersMod(p)
-    codec, bands = _walk_bands(g, p)
-    rows, low = _packed_identity(codec, g.n)
+    matrix, bands = _walk_bands(g, p)
     mat = identity_matrix(g, ring)
     for index in steps:
         band = bands[index]
-        rows, low, packed_spread = _rank_one_steps(codec, rows, low, (band.factor,))
+        matrix = matrix.times((band.factor,))
         # over Z, so the reference shares no slot arithmetic with the walk
         mat = mat.mat_mul(word_matrix(g, band.lift, DUAL, ZZ).reduce_mod(p))
-        assert tuple(tuple(codec.unpack(x, low) for x in row) for row in rows) == mat.rows
-        assert packed_spread == spread(mat)
-        assert _packed_fixing_exponent(codec, g, rows, low, i) == _fixing_exponent(
-            mat.column(i), i
-        )
+        assert matrix.unpack(g) == mat
+        assert matrix.spread == spread(mat)
+        assert matrix.fixing_exponent(i) == _fixing_exponent(mat.column(i), i)
+
+
+@pytest.mark.parametrize("name,p", [("A3", 2), ("D4", 257), ("D5", 7)])
+def test_a_packed_step_leaves_its_receiver_unchanged(name, p):
+    # restart snapshots share their rows with the walk, so two children of
+    # one value must both leave it as it was
+    g = WALK_GRAPHS[name]
+    identity, bands = _walk_bands(g, p)
+    prefix = bands[1:4]
+    receiver = identity.times([band.factor for band in prefix])
+    rows = [row.copy() for row in receiver.rows]
+    low, receiver_spread = receiver.low, receiver.spread
+    word = tuple(letter for band in prefix for letter in band.lift)
+    for band in (bands[0], bands[-1]):
+        child = receiver.times((band.factor,))
+        assert receiver.rows == rows
+        assert (receiver.low, receiver.spread) == (low, receiver_spread)
+        lifted = word + band.lift
+        assert child.unpack(g) == word_matrix(g, lifted, DUAL, ZZ).reduce_mod(p)
+
+
+def _reduce_without_correction(self, x):
+    # `_SlotCodec.reduce` without its conditional subtraction: slots of up
+    # to 2p - 1 are left behind
+    if x.bit_length() > self._bits:
+        self._cover(x.bit_length())
+    return x - ((x * self._magic >> self._shift) & self._quotients) * self.p
 
 
 def test_walk_bands_refuse_a_faulty_slot_reduction(monkeypatch):
-    # without its conditional subtraction the reduction leaves slots of up
-    # to 2p - 1, so later sums outgrow the slot bound; the band check, made
-    # against the lift's matrix over Z, must see the faulty u and v
-    def reduce_without_correction(self, x):
-        if x.bit_length() > self._bits:
-            self._cover(x.bit_length())
-        return x - ((x * self._magic >> self._shift) & self._quotients) * self.p
+    # the mod-p matrices the bands are built from take the faulty steps, and
+    # the step's slot check stops them before the band comparison
+    monkeypatch.setattr(_SlotCodec, "reduce", _reduce_without_correction)
+    _walk_bands.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="packed slot reached 8 or more, above p - 1 = 4"):
+            _walk_bands(WALK_GRAPHS["D5"], 5)
+    finally:
+        _walk_bands.cache_clear()
 
-    monkeypatch.setattr(_SlotCodec, "reduce", reduce_without_correction)
+
+def test_walk_bands_refuse_a_band_whose_v_is_wrong(monkeypatch):
+    # v is built from row j of the dual Gram matrix; a wrong entry there
+    # leaves every slot reduced, so only the comparison of I + u v^T with
+    # the lift's matrix over Z can see it
+    real = search_module.gram_matrix
+
+    def corrupted(g, form, ring):
+        rows = [list(row) for row in real(g, form, ring)]
+        rows[0][0] = rows[0][0] + LaurentPoly.one(ring)
+        return tuple(tuple(row) for row in rows)
+
+    monkeypatch.setattr(search_module, "gram_matrix", corrupted)
     _walk_bands.cache_clear()
     try:
         with pytest.raises(AssertionError, match="is not I \\+ u v\\^T"):
             _walk_bands(WALK_GRAPHS["D5"], 5)
     finally:
         _walk_bands.cache_clear()
+
+
+@pytest.mark.parametrize("p", [5, 257])
+def test_bucket_search_refuses_a_faulty_slot_reduction(monkeypatch, p):
+    monkeypatch.setattr(_SlotCodec, "reduce", _reduce_without_correction)
+    _walk_bands.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="packed slot"):
+            bucket_search(WALK_GRAPHS["A3"], p, 2000, 1)
+    finally:
+        _walk_bands.cache_clear()
+
+
+def test_walk_steps_refuse_a_faulty_slot_reduction(monkeypatch):
+    # the bands are built on the correct reduction, and the gate of a hit
+    # fails the test if reached, so the error comes from a step the walk
+    # itself takes on the faulty one
+    g = WALK_GRAPHS["A3"]
+    _walk_bands(g, 5)
+
+    def gate_reached(*args):
+        pytest.fail("the slot check of a walk step should have raised first")
+
+    monkeypatch.setattr(search_module, "verify_bigelow3", gate_reached)
+    monkeypatch.setattr(_SlotCodec, "reduce", _reduce_without_correction)
+    with pytest.raises(AssertionError, match="packed slot reached 8 or more, above p - 1 = 4"):
+        bucket_search(g, 5, 2000, 1)
 
 
 # sha256 of the JSON of `bucket_search(graph, p, 600, 3, target)` without its
