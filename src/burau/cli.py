@@ -238,6 +238,7 @@ def cmd_search(args) -> int:
             "candidate_pairs": len(pairs),
             "certificates": confirmed,
             "rejections": dict(rejections),
+            "twisted_complexes": len(store.memo),
         }
         if args.store:
             store.save(args.store)

@@ -7,6 +7,9 @@ pairing is a signed power of q, the twists satisfy the braid relation and the
 relator word maps to the identity.  In both cases non-triviality of the braid
 itself is certified categorically, by a non-zero (respectively more than
 one-dimensional) space of morphisms between the twisted projective complexes.
+`criterion1` and `criterion2` compute the pairing and the complexes from the
+words; the curve search's `confirm_pair` hands the same body the ones its
+store has already built.
 
 A third certificate shape, the twist quotient, is produced by the search
 module for the mod-p dual form; its verification logic lives there since it
@@ -158,11 +161,13 @@ _NO_MORPHISMS = Rejection(
 )
 
 
-def _pairing_criterion(criterion: str, w1, i1: int, w2, i2: int, g: CoxeterGraph):
-    """The body of both pairing criteria; `criterion` picks the pairing test,
-    the hom threshold and the kernel word."""
+def _pairing_criterion(criterion: str, g: CoxeterGraph, witnesses, p, complexes):
+    """The body of both pairing criteria.  `witnesses` holds the two
+    (word, vertex) pairs, `p` is the exact pairing of their curve vectors
+    and `complexes()` returns their two twisted projectives, called only
+    once the pairing has passed; `criterion` picks the pairing test, the hom
+    threshold and the kernel word."""
     commutator = criterion == CRITERION_COMMUTATOR
-    p = pairing(act(g, w1, basis_vector(g, i1)), act(g, w2, basis_vector(g, i2)))
     if commutator:
         shift = None
         if not p.is_zero():
@@ -174,11 +179,7 @@ def _pairing_criterion(criterion: str, w1, i1: int, w2, i2: int, g: CoxeterGraph
                 criterion, "pairing", f"pairing is {p}, expected a signed power of q"
             )
         shift = power[0]
-    algebra = zigzag(g)
-    table = hom_table(
-        act_complex(g, w1, projective(algebra, i1)),
-        act_complex(g, w2, projective(algebra, i2)),
-    )
+    table = hom_table(*complexes())
     total = sum(table.values())
     if commutator and total == 0:
         return _NO_MORPHISMS
@@ -189,6 +190,7 @@ def _pairing_criterion(criterion: str, w1, i1: int, w2, i2: int, g: CoxeterGraph
             f"total hom dimension is {total}, expected more than 1: the "
             "relator word is the trivial braid for categorical reasons",
         )
+    (w1, i1), (w2, i2) = witnesses
     t1 = conjugated_generator(w1, i1)
     t2 = conjugated_generator(w2, i2)
     if commutator:
@@ -198,7 +200,7 @@ def _pairing_criterion(criterion: str, w1, i1: int, w2, i2: int, g: CoxeterGraph
     cert = KernelCertificate(
         graph=g,
         criterion=criterion,
-        witnesses=((tuple(w1), i1), (tuple(w2), i2)),
+        witnesses=witnesses,
         kernel_word=kernel,
         ring=ZZ,
         form=STANDARD,
@@ -210,11 +212,30 @@ def _pairing_criterion(criterion: str, w1, i1: int, w2, i2: int, g: CoxeterGraph
     return seal_certificate(cert)
 
 
+def _word_evidence(g: CoxeterGraph, w1, i1: int, w2, i2: int) -> tuple:
+    """(witnesses, pairing, complexes) for `_pairing_criterion`, computed
+    from the words alone: the pairing of the two acted roots, and a callable
+    that twists the two projectives only when the pairing test asks."""
+
+    def complexes():
+        algebra = zigzag(g)
+        return (
+            act_complex(g, w1, projective(algebra, i1)),
+            act_complex(g, w2, projective(algebra, i2)),
+        )
+
+    return (
+        ((tuple(w1), i1), (tuple(w2), i2)),
+        pairing(act(g, w1, basis_vector(g, i1)), act(g, w2, basis_vector(g, i2))),
+        complexes,
+    )
+
+
 def criterion1(w1, i1: int, w2, i2: int, g: CoxeterGraph):
     """Orthogonal curves: accept when the pairing of the two curve vectors is
     exactly zero and the twisted projectives still see each other (non-zero
     total hom dimension).  The kernel word is the commutator of the twists."""
-    return _pairing_criterion(CRITERION_COMMUTATOR, w1, i1, w2, i2, g)
+    return _pairing_criterion(CRITERION_COMMUTATOR, g, *_word_evidence(g, w1, i1, w2, i2))
 
 
 def criterion2(w1, i1: int, w2, i2: int, g: CoxeterGraph):
@@ -222,4 +243,4 @@ def criterion2(w1, i1: int, w2, i2: int, g: CoxeterGraph):
     power of q (the power records the normalizing shift) and the total hom
     dimension exceeds one.  The kernel word is the braid-relator word of the
     two twists."""
-    return _pairing_criterion(CRITERION_BRAID_RELATOR, w1, i1, w2, i2, g)
+    return _pairing_criterion(CRITERION_BRAID_RELATOR, g, *_word_evidence(g, w1, i1, w2, i2))

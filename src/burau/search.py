@@ -4,8 +4,9 @@ Two complementary strategies.  Over the integers, curves (orbit vectors of
 the standard Burau action) are enumerated breadth-first from the basis roots,
 indexed by their root at q = 1, and scanned for pairs whose pairing vanishes
 or is a signed power of q (a modular prefilter prunes the scan, the exact
-pairing decides); candidate pairs are then confirmed categorically.  Over
-Z/pZ, a seeded random walk in the dual positive monoid files braids into
+pairing decides); candidate pairs are then confirmed categorically, from
+twisted complexes that each store builds once per record (`TwistMemo`).
+Over Z/pZ, a seeded random walk in the dual positive monoid files braids into
 buckets keyed by canonical length and spread, watching for words that fix a
 basis root up to a power of q; fixing words feed the twist-quotient
 verifier, which is also usable standalone on explicit words.
@@ -27,19 +28,22 @@ from __future__ import annotations
 
 import json
 import random
+import weakref
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 from typing import NamedTuple
 
+from .complexes import ProjComplex, apply_twist, k0_class, projective
 from .criteria import (
+    CRITERION_BRAID_RELATOR,
+    CRITERION_COMMUTATOR,
     CRITERION_TWIST_QUOTIENT,
     KernelCertificate,
     Rejection,
+    _pairing_criterion,
     seal_certificate,
-    criterion1,
-    criterion2,
 )
 from .garside import garside_context
 from .graphs import (
@@ -64,16 +68,20 @@ from .matrices import (
     pairing,
     word_matrix,
 )
+from .zigzag import ZigzagAlgebra, zigzag
 
 
 @dataclass(frozen=True, slots=True)
 class CurveRecord:
     """One stored curve: the exact vector and the word that produced it from
-    the seed root."""
+    the seed root.  A record held by a store also holds a weak reference to
+    the store's `TwistMemo`, for `confirm_pair`; it takes no part in
+    comparisons, and it keeps the memo alive no longer than the store."""
 
     coords: tuple  # LaurentPoly coordinates of the curve vector
     witness: tuple
     seed_vertex: int
+    memo_ref: weakref.ref | None = field(default=None, compare=False, repr=False)
 
     @property
     def root_key(self) -> tuple:
@@ -88,23 +96,91 @@ def curve_record(g: CoxeterGraph, word, vertex: int) -> CurveRecord:
     return CurveRecord(act(g, word, basis_vector(g, vertex)).coords, tuple(word), vertex)
 
 
+class TwistMemo:
+    """The twisted projectives of one store's records, over one zigzag
+    algebra: (word, vertex) -> the complex of the word applied to P_vertex.
+    A complex is one twist of the complex of its word without the first
+    letter, which for a BFS record is its parent's, so each suffix of a
+    witness is twisted at most once per memo.  The algebra is built by the
+    first twist, so a store, an enumeration or a pair scan over a graph that
+    has none (an infinite label, or one vertex) never asks for it.  The
+    store owns the memo and its records refer to it weakly, so it is freed
+    with the store even where the records are kept."""
+
+    __slots__ = ("graph", "_algebra", "_complexes", "_k0", "__weakref__")
+
+    def __init__(self, g: CoxeterGraph):
+        self.graph = g
+        self._algebra = None
+        self._complexes: dict[tuple, ProjComplex] = {}
+        self._k0: dict[tuple, tuple] = {}  # k0 coordinates of checked records
+
+    def __len__(self) -> int:
+        """The number of distinct complexes built, untwisted ones included."""
+        return len(self._complexes)
+
+    @property
+    def algebra(self) -> ZigzagAlgebra:
+        """The zigzag algebra of the graph, built on first use."""
+        if self._algebra is None:
+            self._algebra = zigzag(self.graph)
+        return self._algebra
+
+    def twisted(self, record: CurveRecord) -> ProjComplex:
+        """The record's witness applied to P_(seed vertex), twisted from the
+        longest suffix of the witness already held.  Raises ValueError
+        unless the record's coordinates are the k0 class of that complex,
+        so a record supplies its stored vector only where its witness makes
+        it."""
+        word, vertex = key = (record.witness, record.seed_vertex)
+        complexes = self._complexes
+        for k in range(len(word) + 1):
+            x = complexes.get((word[k:], vertex))
+            if x is not None:
+                break
+        else:
+            x = complexes[((), vertex)] = projective(self.algebra, vertex)
+        validate_word(self.graph, word[:k])
+        for k in range(k - 1, -1, -1):
+            letter = word[k]
+            x = apply_twist(x, abs(letter), 1 if letter > 0 else -1)
+            complexes[(word[k:], vertex)] = x
+        coords = self._k0.get(key)
+        if coords is None:
+            coords = self._k0[key] = k0_class(x).coords
+        if record.coords != coords:
+            raise ValueError(
+                f"stored coordinates of witness {record.witness} at vertex "
+                f"{record.seed_vertex} are not its vector"
+            )
+        return x
+
+
 class CurveStore:
-    """Curve records with exact-vector deduplication and a root-key index."""
+    """Curve records with exact-vector deduplication and a root-key index.
+    `memo` holds the twisted projectives that `confirm_pair` builds for the
+    store's records; it lives as long as the store."""
 
     def __init__(self, g: CoxeterGraph):
         self.graph = g
         self.records: list[CurveRecord] = []
         self.by_root: dict[tuple, list[int]] = {}
         self._seen: set[tuple] = set()
+        self.memo = TwistMemo(g)
+        self._memo_ref = weakref.ref(self.memo)
 
     def __len__(self) -> int:
         return len(self.records)
 
     def insert(self, record: CurveRecord) -> bool:
-        """Add the record unless its vector is already stored."""
+        """Add the record unless its vector is already stored.  The stored
+        record refers to this store's memo; this is the one place that sets
+        a record's handle."""
         key = record.coords
         if key in self._seen:
             return False
+        if record.memo_ref is not self._memo_ref:
+            record = CurveRecord(key, record.witness, record.seed_vertex, self._memo_ref)
         self._seen.add(key)
         self.by_root.setdefault(record.root_key, []).append(len(self.records))
         self.records.append(record)
@@ -162,11 +238,9 @@ def enumerate_curves(g: CoxeterGraph, budget: int = 10000) -> CurveStore:
     if budget < g.n:
         raise ValueError("budget must cover the basis roots")
     store = CurveStore(g)
-    queue = deque()
     for s in g.vertices():
-        rec = curve_record(g, (), s)
-        store.insert(rec)
-        queue.append(rec)
+        store.insert_witness((), s)
+    queue = deque(store.records)
     letters = [sign * j for j in g.vertices() for sign in (1, -1)]
     while queue and len(store) < budget:
         parent = queue.popleft()
@@ -311,12 +385,35 @@ def find_pairs(
 
 
 def confirm_pair(g: CoxeterGraph, pair, criterion: int):
-    """Run the categorical check and the final matrix gate on one pair."""
+    """Run the categorical check and the final matrix gate on one pair, with
+    the outcome `criterion1` or `criterion2` gives on the witness words.
+
+    Each twisted projective comes from the memo of the store that holds the
+    record (a fresh memo serves records that no store of `g` holds), so a
+    search twists each record once.  The pairing is that of the records'
+    stored vectors, each first checked against the k0 class of its complex;
+    a record whose witness does not make its vector raises ValueError.  The
+    check comes before the pairing is read, so both records are twisted even
+    for a pair that the pairing rejects; every `find_pairs` hit passes it."""
     if type(criterion) is not int or criterion not in (1, 2):
         raise ValueError("criterion must be 1 or 2")
+    fresh = None
+    complexes = []
+    for record in pair:
+        memo = record.memo_ref and record.memo_ref()
+        if memo is None or memo.graph != g:
+            if fresh is None:
+                fresh = TwistMemo(g)
+            memo = fresh
+        complexes.append(memo.twisted(record))
     r1, r2 = pair
-    check = criterion1 if criterion == 1 else criterion2
-    return check(r1.witness, r1.seed_vertex, r2.witness, r2.seed_vertex, g)
+    return _pairing_criterion(
+        CRITERION_COMMUTATOR if criterion == 1 else CRITERION_BRAID_RELATOR,
+        g,
+        ((r1.witness, r1.seed_vertex), (r2.witness, r2.seed_vertex)),
+        pairing(r1.vector(g), r2.vector(g)),
+        lambda: complexes,
+    )
 
 
 def _fixing_exponent(column, i: int):

@@ -12,7 +12,7 @@ from burau.criteria import Rejection
 from burau.fixtures import affine_fixture
 from burau.laurent import ZZ
 from burau.matrices import STANDARD, word_matrix
-from burau.search import CurveStore
+from burau.search import CurveStore, enumerate_curves, find_pairs
 from burau.graphs import preset
 
 
@@ -231,6 +231,41 @@ def test_search_curves_is_deterministic(capsys):
     code2, out2, _ = run(capsys, argv)
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
+
+
+def test_search_curves_counts_the_complexes_its_confirms_twist(capsys):
+    argv = ["search", "curves", "--graph", "tildeA2", "--budget", "30",
+            "--criterion", "2", "--limit", "4"]
+    code1, out1, _ = run(capsys, argv)
+    code2, out2, _ = run(capsys, argv)
+    assert code1 == code2 == EXIT_OK
+    assert out1 == out2
+    # one complex per distinct suffix of the candidates' witnesses
+    pairs = find_pairs(enumerate_curves(preset("tildeA2"), budget=30), 2, limit=4)
+    suffixes = {
+        (r.witness[k:], r.seed_vertex)
+        for pair in pairs
+        for r in pair
+        for k in range(len(r.witness) + 1)
+    }
+    result = json.loads(out1)
+    assert result["candidate_pairs"] == len(pairs) == 4
+    assert result["twisted_complexes"] == len(suffixes) > 4
+
+
+def test_search_curves_stores_a_graph_with_an_infinite_label(capsys, tmp_path):
+    # a store and its pair scan need no zigzag algebra; with no candidate
+    # pair to confirm, nothing is twisted
+    graph = tmp_path / "inf.txt"
+    graph.write_text("n=3\n1-2:inf\n2-3:3\n")
+    store_path = tmp_path / "store.json"
+    code, out, _ = run(capsys, ["search", "curves", "--graph", str(graph), "--budget", "40",
+                                "--limit", "0", "--store", str(store_path)])
+    assert code == EXIT_OK
+    result = json.loads(out)
+    assert (result["store_size"], result["candidate_pairs"]) == (40, 0)
+    assert result["twisted_complexes"] == 0
+    assert len(CurveStore.load(store_path)) == 40
 
 
 @pytest.mark.parametrize("flag", ["--seed", "--workers"])

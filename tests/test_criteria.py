@@ -17,7 +17,7 @@ from burau.criteria import (
     verify_kernel_word,
 )
 from burau.fixtures import D4_MODULI, affine_fixture, d4_fixture
-from burau.graphs import conjugated_generator, inverse_word, preset
+from burau.graphs import INF, CoxeterGraph, conjugated_generator, inverse_word, preset
 from burau.laurent import ZZ
 from burau.matrices import STANDARD
 from burau.search import verify_bigelow3
@@ -34,6 +34,22 @@ def test_criterion1_rejects_on_pairing():
     assert isinstance(out, Rejection)
     assert (out.criterion, out.clause) == (CRITERION_COMMUTATOR, "pairing")
     assert "q" in out.detail
+
+
+@pytest.mark.parametrize("check", [criterion1, criterion2])
+def test_a_pairing_rejection_twists_nothing(monkeypatch, check):
+    # the pairing is tested before either projective is twisted, so a graph
+    # with an infinite label, which has no zigzag algebra, still gets its
+    # pairing rejection, and a pairing rejection elsewhere builds no complex
+    g = CoxeterGraph.from_edges(3, [(1, 2, INF), (2, 3, 3)])
+    out = check((), 1, (), 2, g)
+    assert isinstance(out, Rejection)
+    assert out.clause == "pairing"
+    assert "2*q" in out.detail
+    monkeypatch.setattr("burau.criteria.zigzag", lambda g: pytest.fail("twisted"))
+    out = check((1, 2), 1, (), 2, preset("A3"))
+    assert isinstance(out, Rejection)
+    assert out.clause == "pairing"
 
 
 def test_criterion1_rejects_on_hom():

@@ -4,16 +4,24 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import burau.search as search_module
-from burau.criteria import KernelCertificate, Rejection, verify_kernel_word
+from burau.complexes import act_complex, projective
+from burau.criteria import (
+    KernelCertificate,
+    Rejection,
+    criterion1,
+    criterion2,
+    verify_kernel_word,
+)
 from burau.fixtures import affine_fixture, d4_fixture
 from burau.garside import NotFiniteType, _NFState, samecurve_check
-from burau.graphs import CoxeterGraph, inverse_word, preset
+from burau.graphs import INF, CoxeterGraph, inverse_word, preset
 from burau.laurent import ZZ, IntegersMod, LaurentPoly
 from burau.matrices import (
     DUAL,
@@ -36,6 +44,7 @@ from burau.search import (
     find_pairs,
     verify_bigelow3,
 )
+from burau.zigzag import zigzag
 
 D4_FIX_DATA = {6: (-6, 1), 11: (-10, 1), 16: (-15, -1)}
 
@@ -60,8 +69,11 @@ def test_record_keys_are_recomputable_from_the_witness():
 
 def test_curve_record_stores_three_fields_and_computes_its_root_key():
     g = preset("tildeA3")
-    fields = [f.name for f in dataclasses.fields(CurveRecord)]
+    # three value fields, plus a weak handle on the store's twist memo that
+    # takes no part in comparisons
+    fields = [f.name for f in dataclasses.fields(CurveRecord) if f.compare]
     assert fields == ["coords", "witness", "seed_vertex"]
+    assert [f.name for f in dataclasses.fields(CurveRecord)][3:] == ["memo_ref"]
     store = enumerate_curves(g, budget=60)
     for rec in store.records:
         assert rec.root_key == tuple(c.evaluate(1) for c in rec.coords)
@@ -321,6 +333,128 @@ def test_confirm_pair_refuses_a_bool_criterion():
     # True equals 1, and used to certify this pair as criterion 1
     with pytest.raises(ValueError, match="criterion must be 1 or 2"):
         confirm_pair(g, pair, True)
+
+
+def _same_outcome(a, b) -> bool:
+    if isinstance(a, KernelCertificate):
+        return isinstance(b, KernelCertificate) and a.to_json() == b.to_json()
+    return isinstance(a, Rejection) and a == b
+
+
+@pytest.mark.parametrize("name,budget", [("tildeA3", 60), ("A3", 40), ("D4", 60)])
+def test_confirm_pair_matches_the_criteria_on_the_words(name, budget):
+    g = preset(name)
+    store = enumerate_curves(g, budget=budget)
+    if name == "tildeA3":  # a pair that certifies, beside the rejections
+        for word, vertex in affine_fixture().witnesses:
+            store.insert_witness(word, vertex)
+    certified = 0
+    for criterion, check in ((1, criterion1), (2, criterion2)):
+        pairs = find_pairs(store, criterion)
+        assert pairs
+        for r1, r2 in pairs:
+            got = confirm_pair(g, (r1, r2), criterion)
+            want = check(r1.witness, r1.seed_vertex, r2.witness, r2.seed_vertex, g)
+            assert _same_outcome(got, want), (r1.witness, r2.witness)
+            certified += isinstance(got, KernelCertificate)
+    assert certified == (name == "tildeA3")
+    # every complex the memo holds is the one built from scratch
+    algebra = zigzag(g)
+    held = store.memo._complexes
+    assert held
+    for (word, vertex), x in held.items():
+        assert x == act_complex(g, word, projective(algebra, vertex))
+
+
+def test_confirm_pair_twists_each_suffix_once_per_store(monkeypatch):
+    g = preset("tildeA3")
+    store = enumerate_curves(g, budget=120)
+    pairs = find_pairs(store, 1)
+    twists = []
+    real = search_module.apply_twist
+    monkeypatch.setattr(
+        search_module, "apply_twist", lambda x, i, sign: twists.append(i) or real(x, i, sign)
+    )
+    for pair in pairs:
+        confirm_pair(g, pair, 1)
+    suffixes = {
+        (r.witness[k:], r.seed_vertex)
+        for pair in pairs
+        for r in pair
+        for k in range(len(r.witness) + 1)
+    }
+    assert len(store.memo) == len(suffixes)
+    assert len(twists) == sum(1 for word, _ in suffixes if word)
+    # confirming them again twists nothing
+    before = len(twists)
+    for pair in pairs:
+        confirm_pair(g, pair, 1)
+    assert len(twists) == before
+
+
+def test_confirm_pair_refuses_a_record_whose_coords_are_not_its_vector():
+    g = preset("tildeA3")
+    (a, i1), (b, i2) = affine_fixture().witnesses
+    real = curve_record(g, a, i1)
+    other = curve_record(g, b, i2)
+    # the coordinates of one witness under the word of another: the stored
+    # vector would supply the pairing, so the record is refused
+    forged = CurveRecord(other.coords, real.witness, real.seed_vertex)
+    with pytest.raises(ValueError, match="not its vector"):
+        confirm_pair(g, (forged, other), 1)
+    # the same inside a store, after the memo has checked the real record
+    store = CurveStore(g)
+    store.insert(real)
+    store.insert(other)
+    r1, r2 = store.records
+    assert isinstance(confirm_pair(g, (r1, r2), 1), KernelCertificate)
+    bumped = (real.coords[0] + LaurentPoly.one(ZZ),) + real.coords[1:]
+    assert store.insert(CurveRecord(bumped, real.witness, real.seed_vertex))
+    with pytest.raises(ValueError, match="not its vector"):
+        confirm_pair(g, (store.records[-1], r2), 1)
+
+
+def test_the_twist_memo_is_freed_with_its_store():
+    g = preset("tildeA3")
+    store = enumerate_curves(g, budget=120)
+    for word, vertex in affine_fixture().witnesses:
+        store.insert_witness(word, vertex)
+    pairs = find_pairs(store, 1)
+    outcomes = [confirm_pair(g, pair, 1) for pair in pairs]
+    assert len(store.memo) > 0
+    memo = weakref.ref(store.memo)
+    algebra = weakref.ref(store.memo.algebra)
+    del store
+    # the kept pairs and outcomes hold the memo only weakly
+    assert memo() is None
+    assert algebra() is None
+    # a kept pair still confirms, from a fresh memo, to the same outcome
+    assert all(
+        _same_outcome(confirm_pair(g, pair, 1), out)
+        for pair, out in zip(pairs[:5] + pairs[-5:], outcomes[:5] + outcomes[-5:])
+    )
+    assert any(isinstance(out, KernelCertificate) for out in outcomes)
+
+
+@pytest.mark.parametrize(
+    "g", [CoxeterGraph.from_edges(3, [(1, 2, INF), (2, 3, 3)]), CoxeterGraph.from_edges(1, [])]
+)
+def test_a_store_needs_no_zigzag_algebra_until_a_confirm(tmp_path, g):
+    # the standard form takes an infinite label and one vertex, the zigzag
+    # algebra neither: enumerating, scanning and saving a store build no
+    # algebra, and only a confirm, which twists, refuses the graph
+    budget = 40 if g.n > 1 else 1
+    store = enumerate_curves(g, budget=budget)
+    assert len(store) == budget
+    pairs = find_pairs(store, 1)
+    assert len(pairs) == (29 if g.n > 1 else 0)
+    assert len(store.memo) == 0
+    path = tmp_path / "store.json"
+    store.save(path)
+    assert CurveStore.load(path).records == store.records
+    if pairs:
+        with pytest.raises(ValueError, match="zigzag algebra"):
+            confirm_pair(g, pairs[0], 1)
 
 
 def test_store_json_round_trip(tmp_path):
