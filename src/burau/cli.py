@@ -35,7 +35,7 @@ from .graphs import (
     word_from_string,
 )
 from .laurent import ZZ, IntegersMod
-from .matrices import act, basis_vector, form_from_name, pairing, word_matrix
+from .matrices import PairingForm, act, basis_vector, pairing, word_matrix
 from .search import (
     bucket_search,
     confirm_pair,
@@ -161,7 +161,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_burau(args) -> int:
-    form = form_from_name(args.form)
+    form = PairingForm(args.form)
     m = word_matrix(args.graph, args.word, form, _ring(args))
     _emit(args, str(m), m.to_json())
     return EXIT_OK
@@ -169,7 +169,7 @@ def cmd_burau(args) -> int:
 
 def cmd_pairing(args) -> int:
     g = args.graph
-    form = form_from_name(args.form)
+    form = PairingForm(args.form)
     ring = _ring(args)
     x = act(g, args.w1, basis_vector(g, args.i1, ring), form)
     y = act(g, args.w2, basis_vector(g, args.i2, ring), form)

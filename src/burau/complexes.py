@@ -31,9 +31,6 @@ from .laurent import ZZ, LaurentPoly
 from .matrices import BurauVector
 from .zigzag import Elt, ZigzagAlgebra, token_degree, token_mul
 
-Summand = tuple  # (vertex, g, h)
-
-
 class ProjComplex:
     """Summands P_v{g}[h] as (vertex, g, h) triples and a differential
     (src_idx, dst_idx) -> Elt.  Treated as immutable.  The differential is

@@ -42,15 +42,8 @@ class Fixture:
     name: str
     graph: CoxeterGraph
     graph_name: str
-    words: tuple
     witnesses: tuple
     ring_label: str
-
-    def word(self, label: str) -> tuple:
-        for key, value in self.words:
-            if key == label:
-                return value
-        raise KeyError(label)
 
 
 def affine_fixture(variant: bool = False) -> Fixture:
@@ -65,7 +58,6 @@ def affine_fixture(variant: bool = False) -> Fixture:
         name="affine-a3-variant" if variant else "affine-a3",
         graph=preset("tildeA3"),
         graph_name="tildeA3",
-        words=((a_label, a), (b_label, b)),
         witnesses=((a, i1), (b, i2)),
         ring_label="Z",
     )
@@ -79,7 +71,6 @@ def d4_fixture(p: int) -> Fixture:
         name=f"d4-mod-{p}",
         graph=preset("D4"),
         graph_name="D4",
-        words=(("beta", beta),),
         witnesses=((beta, 1),),
         ring_label=f"Z/{p}",
     )
@@ -89,7 +80,3 @@ def all_fixtures() -> list[Fixture]:
     out = [affine_fixture(False), affine_fixture(True)]
     out.extend(d4_fixture(p) for p in D4_MODULI)
     return out
-
-
-def fixture_names() -> list[str]:
-    return [f.name for f in all_fixtures()]

@@ -88,9 +88,6 @@ class GarsideNF:
     def is_trivial(self) -> bool:
         return self.k == 0 and not self.simples
 
-    def canonical_length(self) -> int:
-        return len(self.simples)
-
     def braid_word(self) -> tuple:
         if self.k >= 0:
             word = self.gamma_word * self.k
@@ -193,7 +190,6 @@ class DualGarside:
         for w, img in enumerate(self.phi):
             self.phi_inv[img] = w
         self._lifts: dict[int, tuple] | None = None
-        self._simple_lift_cache: dict[int, tuple] = {}
         self._simple_cache: dict[int, DualSimple] = {}
 
     # ---- the interval ------------------------------------------------------
@@ -321,26 +317,21 @@ class DualGarside:
             self._lifts = self._hurwitz_lifts()
         return self._lifts
 
-    def simple_lift(self, w: int) -> tuple:
-        """A braid word lifting the interval element w, by greedily peeling
-        reflections off the right."""
-        if w == self.identity:
-            return ()
-        cached = self._simple_lift_cache.get(w)
-        if cached is None:
-            t = self.rdiv[w][0]
-            cached = self.simple_lift(self.product(w, t)) + self.reflection_lifts[t]
-            self._simple_lift_cache[w] = cached
-        return cached
-
     def simple(self, w: int) -> DualSimple:
+        """The interval element w.  Its lift peels the least reflection
+        divisor t off the right: lift(w) = lift(w t) + lift(t)."""
         got = self._simple_cache.get(w)
         if got is None:
+            if w == self.identity:
+                lift = ()
+            else:
+                t = self.rdiv[w][0]
+                lift = self.simple(self.product(w, t)).lift + self.reflection_lifts[t]
             got = DualSimple(
                 matrix=self.matrices[w],
                 length=self.ell[w],
                 divisor_reflections=self.rdiv[w],  # a reflection's id is its position
-                lift=self.simple_lift(w),
+                lift=lift,
             )
             self._simple_cache[w] = got
         return got
@@ -448,6 +439,11 @@ class _NFState:
     def canonical_length(self) -> int:
         return len(self.simples)
 
+    def is_trivial(self) -> bool:
+        """True when the braid held is the identity: no gamma power and no
+        simples.  Read off the state, so no lift is built."""
+        return self.k == 0 and not self.simples
+
     def factors(self) -> tuple:
         return tuple(self.simples)
 
@@ -482,7 +478,7 @@ def interval(g: CoxeterGraph) -> list[DualSimple]:
 
 
 def is_trivial_braid(g: CoxeterGraph, word) -> bool:
-    return garside_context(g).normal_form(word).is_trivial()
+    return garside_context(g).new_nf_state(word).is_trivial()
 
 
 @dataclass(frozen=True)

@@ -73,9 +73,6 @@ class CoxeterGraph:
     def adjacent(self, i: int, j: int) -> bool:
         return i != j and self.labels(i, j) != 2
 
-    def neighbors(self, i: int) -> list[int]:
-        return [j for j in self.vertices() if j != i and self.adjacent(i, j)]
-
     def is_simply_laced(self) -> bool:
         return all(m == 3 for _, m in self.edge_labels)
 

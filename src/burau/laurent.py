@@ -58,6 +58,11 @@ def _check_ring(ring: CoefficientRing, other: CoefficientRing) -> None:
         raise ValueError(f"coefficient ring mismatch: {ring} vs {other}")
 
 
+def _check_exponent(e) -> None:
+    if type(e) is not int:
+        raise TypeError(f"exponents must be int, not {e!r}")
+
+
 def _canonical(ring: CoefficientRing, low: int, buf: list) -> "LaurentPoly":
     """The polynomial sum_k buf[k] q^(low + k).  `buf` holds int
     coefficients that are not yet reduced; each is reduced once here."""
@@ -81,8 +86,8 @@ class LaurentPoly:
 
     `coeffs` holds normalised coefficients whose first and last entries are
     non-zero; zero is (ring, 0, ()).  The constructor trusts its arguments:
-    build polynomials from outside values with `from_dict`, `const`,
-    `monomial` or `from_json_terms`, which check and normalise them."""
+    build polynomials from outside values with `from_dict`, `monomial` or
+    `from_json_terms`, which check and normalise them."""
 
     ring: CoefficientRing
     low: int
@@ -92,9 +97,10 @@ class LaurentPoly:
     def from_dict(ring: CoefficientRing, coeffs: dict) -> "LaurentPoly":
         cleaned = {}
         for e, c in coeffs.items():
+            _check_exponent(e)
             c = ring.normalize(c)
             if c != 0:
-                cleaned[int(e)] = c
+                cleaned[e] = c
         if not cleaned:
             return LaurentPoly(ring, 0, ())
         low = min(cleaned)
@@ -108,23 +114,16 @@ class LaurentPoly:
         return LaurentPoly(ring, 0, ())
 
     @staticmethod
-    def const(ring: CoefficientRing, c) -> "LaurentPoly":
-        return LaurentPoly.monomial(ring, 0, c)
-
-    @staticmethod
     def one(ring: CoefficientRing) -> "LaurentPoly":
-        return LaurentPoly.const(ring, 1)
+        return LaurentPoly.monomial(ring, 0)
 
     @staticmethod
     def monomial(ring: CoefficientRing, e: int, c=1) -> "LaurentPoly":
+        _check_exponent(e)
         c = ring.normalize(c)
         if c == 0:
             return LaurentPoly(ring, 0, ())
-        return LaurentPoly(ring, int(e), (c,))
-
-    @staticmethod
-    def q(ring: CoefficientRing) -> "LaurentPoly":
-        return LaurentPoly.monomial(ring, 1)
+        return LaurentPoly(ring, e, (c,))
 
     @property
     def terms(self) -> tuple:
@@ -232,15 +231,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_one(self) -> bool:
-        return self == LaurentPoly.one(self.ring)
-
-    def coeff(self, e: int):
-        k = e - self.low
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return self.ring.normalize(0)
-
     def degree_span(self) -> tuple[int, int] | None:
         """(min exponent, max exponent) of the support, or None when zero."""
         if not self.coeffs:
@@ -315,4 +305,6 @@ class LaurentPoly:
 
     @staticmethod
     def from_json_terms(ring: CoefficientRing, terms) -> "LaurentPoly":
-        return LaurentPoly.from_dict(ring, {int(e): c for e, c in terms})
+        for e, _ in terms:
+            _check_exponent(e)  # before a dict merges a float key into an equal int
+        return LaurentPoly.from_dict(ring, dict(terms))

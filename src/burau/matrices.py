@@ -56,10 +56,6 @@ STANDARD = PairingForm("standard")
 DUAL = PairingForm("dual")
 
 
-def form_from_name(name: str) -> PairingForm:
-    return {"standard": STANDARD, "dual": DUAL}[name]
-
-
 @dataclass(frozen=True)
 class BurauVector:
     graph: CoxeterGraph
@@ -72,9 +68,6 @@ class BurauVector:
 
     def scale(self, f: LaurentPoly) -> "BurauVector":
         return BurauVector(self.graph, self.ring, tuple(f * c for c in self.coords))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -111,7 +104,7 @@ def gram_matrix(
     for i in range(g.n):
         rows[i][i] = LaurentPoly.from_dict(ring, {0: 1, 2 if standard else 1: 1})
     for (i, j), m in g.edge_labels:
-        edge = LaurentPoly.q(ring) if m == 3 else LaurentPoly.monomial(ring, 1, 2)
+        edge = LaurentPoly.monomial(ring, 1, 1 if m == 3 else 2)
         rows[i - 1][j - 1] = edge if standard else LaurentPoly.one(ring)
         rows[j - 1][i - 1] = edge
     return tuple(tuple(row) for row in rows)
@@ -234,10 +227,10 @@ def act(
     the generator's row i with the vector.
     """
     validate_word(g, word)
-    if not word:
-        return v
     if v.graph != g:
         raise ValueError("graph mismatch")
+    if not word:
+        return v
     ring = v.ring
     coords = list(v.coords)
     for letter in reversed(word):

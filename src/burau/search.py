@@ -240,17 +240,17 @@ def enumerate_curves(g: CoxeterGraph, budget: int = 10000) -> CurveStore:
     store = CurveStore(g)
     for s in g.vertices():
         store.insert_witness((), s)
-    queue = deque(store.records)
     letters = [sign * j for j in g.vertices() for sign in (1, -1)]
-    while queue and len(store) < budget:
-        parent = queue.popleft()
+    records = store.records  # the BFS queue: records past `head` are unexpanded
+    head = 0
+    while head < len(records) and len(store) < budget:
+        parent = records[head]
+        head += 1
         vec, word, s = parent.vector(g), parent.witness, parent.seed_vertex
         for letter in letters:
             rec = CurveRecord(act(g, (letter,), vec).coords, (letter,) + word, s)
-            if store.insert(rec):
-                queue.append(rec)
-                if len(store) >= budget:
-                    break
+            if store.insert(rec) and len(store) >= budget:
+                break
     return store
 
 
@@ -455,7 +455,7 @@ def verify_bigelow3(g: CoxeterGraph, beta, i: int, p: int):
     report = state.samecurve_report(i)
     for letter in kernel[len(beta) + 1 :]:
         state.push_letter(letter)
-    if state.k == 0 and not state.simples:
+    if state.is_trivial():
         return Rejection(
             CRITERION_TWIST_QUOTIENT,
             "trivial-braid",

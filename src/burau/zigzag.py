@@ -92,25 +92,11 @@ class Elt:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, tok):
-        return self.coeffs.get(tok, 0)
-
     def __add__(self, other: "Elt") -> "Elt":
         acc = dict(self.coeffs)
         for t, c in other.coeffs.items():
             acc[t] = acc.get(t, 0) + c
         return Elt(acc)
-
-    def __sub__(self, other: "Elt") -> "Elt":
-        acc = dict(self.coeffs)
-        for t, c in other.coeffs.items():
-            acc[t] = acc.get(t, 0) - c
-        return Elt(acc)
-
-    def scale(self, c) -> "Elt":
-        if c == 0:
-            return Elt()
-        return Elt({t: v * c for t, v in self.coeffs.items()})
 
     def __mul__(self, other: "Elt") -> "Elt":
         acc: dict = {}
@@ -120,16 +106,6 @@ class Elt:
                 if tok is not None:
                     acc[tok] = acc.get(tok, 0) + cx * cy
         return Elt(acc)
-
-    def degree(self):
-        """Common degree of the support, or None when zero.  Raises when the
-        element is inhomogeneous (complex entries never are)."""
-        if not self.coeffs:
-            return None
-        degs = {token_degree(t) for t in self.coeffs}
-        if len(degs) > 1:
-            raise ValueError(f"inhomogeneous element {self}")
-        return degs.pop()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Elt) and self.coeffs == other.coeffs
@@ -199,20 +175,6 @@ class ZigzagAlgebra:
 
     def loop(self, i: int) -> Elt:
         return self.term(("x", i))
-
-    def unit(self) -> Elt:
-        return Elt({("e", i): 1 for i in self.graph.vertices()})
-
-    def basis(self) -> list:
-        toks = [("e", i) for i in self.graph.vertices()]
-        for i, j in self.graph.edges():
-            toks.append(("a", i, j))
-            toks.append(("a", j, i))
-        toks += [("x", i) for i in self.graph.vertices()]
-        return toks
-
-    def dimension(self) -> int:
-        return len(self.basis())
 
     def hom_basis(self, i: int, j: int) -> list:
         """Basis tokens of e_j A e_i, i.e. of Hom(P_i, P_j)."""

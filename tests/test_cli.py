@@ -445,11 +445,12 @@ def test_internal_errors_exit_three_with_a_traceback(capsys, monkeypatch):
     assert "Traceback" in err and "KeyError: 'a lookup bug'" in err
 
 
-def test_console_entry_point():
+def test_console_entry_point(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "burau.cli", "verify", "affine-a3"],
         capture_output=True,
         text=True,
+        env=child_env,
     )
     assert proc.returncode == EXIT_OK
     assert proc.stdout.strip() == "PASS affine-a3"

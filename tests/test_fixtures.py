@@ -10,7 +10,6 @@ from burau.fixtures import (
     affine_fixture,
     all_fixtures,
     d4_fixture,
-    fixture_names,
     load_affine_words,
     load_d4_words,
 )
@@ -61,16 +60,12 @@ def test_affine_fixture_contents():
     fx = affine_fixture()
     assert fx.name == "affine-a3"
     assert fx.graph == preset("tildeA3")
-    assert fx.word("a") == WORD_A
-    assert fx.word("b") == WORD_B
     assert fx.witnesses == ((WORD_A, 3), (WORD_B, 2))
     assert fx.ring_label == "Z"
-    with pytest.raises(KeyError):
-        fx.word("c")
 
     variant = affine_fixture(variant=True)
     assert variant.name == "affine-a3-variant"
-    assert variant.word("a_prime") != fx.word("a")
+    assert variant.witnesses[0][0] == tuple(load_affine_words()["a_prime"]) != WORD_A
     assert [i for _, i in variant.witnesses] == [3, 2]
 
 
@@ -92,15 +87,13 @@ def test_d4_words_and_fixtures():
 
 def test_every_bundled_word_is_a_valid_braid_word():
     for fx in all_fixtures():
-        for _, word in fx.words:
-            validate_word(fx.graph, word)
         for word, vertex in fx.witnesses:
             validate_word(fx.graph, word)
             assert vertex in fx.graph.vertices()
 
 
 def test_fixture_registry():
-    names = fixture_names()
+    names = [fx.name for fx in all_fixtures()]
     assert names[0] == "affine-a3"
     assert names[1] == "affine-a3-variant"
     assert names[2:] == [f"d4-mod-{p}" for p in range(6, 17)]

@@ -1,10 +1,13 @@
 """Dual Garside machinery: intervals, normal forms, lifts, triviality."""
 
+import hashlib
+import json
 import random
 
 import pytest
 from coxeter_oracle import CoxeterGroup, mat_mul, moved_space_dim
 
+from burau import garside
 from burau.garside import (
     DualGarside,
     NotFiniteType,
@@ -191,6 +194,27 @@ def test_simple_lifts_project_and_have_small_spread():
         assert str(interval(g)[0]) == "R{}"  # the identity has no divisors
 
 
+SIMPLE_LIFT_SHA256 = {
+    "A3": "5074d2c0eb232f9297ac36a4b117ad581863c565091228e1748568fabd929579",
+    "D4": "3cd3d9caeebcbdbde3fe7c82fbbb1e3829fd6bf583a1d00bc78fe9e223e4a7b1",
+    "D5": "fa6a0b8e23480661f39fd40c6e56e3898445e85a0d89aa1fe9e36a7f16d3e4d6",
+}
+
+
+def test_simple_lifts_are_pinned():
+    # the lift of every interval element, in id order; acceptance check 8
+    # reads these words through interval()
+    graphs = {
+        "A3": preset("A3"),
+        "D4": preset("D4"),
+        "D5": CoxeterGraph.from_edges(5, [(1, 2), (2, 3), (3, 4), (3, 5)]),
+    }
+    for name, g in graphs.items():
+        ctx = garside_context(g)
+        lifts = json.dumps([list(ctx.simple(w).lift) for w in range(len(ctx.matrices))])
+        assert hashlib.sha256(lifts.encode()).hexdigest() == SIMPLE_LIFT_SHA256[name]
+
+
 def test_product_tables_match_matrix_products():
     # the interval products with a reflection on either side, against the
     # oracle's matrix product; two non-reflections are refused
@@ -227,6 +251,18 @@ def test_braid_relation_words_are_trivial():
     assert is_trivial_braid(g, [-2, 2])
     assert not is_trivial_braid(g, [1])
     assert not is_trivial_braid(g, [1, 2])
+
+
+def test_word_problem_builds_no_lifted_normal_form(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the word problem built a lift")
+
+    monkeypatch.setattr(garside, "GarsideNF", refuse)
+    monkeypatch.setattr(DualGarside, "simple", refuse)
+    monkeypatch.setattr(DualGarside, "_hurwitz_lifts", refuse)
+    g = preset("D4")
+    assert is_trivial_braid(g, [1, -1])
+    assert not is_trivial_braid(g, [1, 2, -1])
 
 
 def test_single_vertex_inverse_letters_cancel():

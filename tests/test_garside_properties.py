@@ -95,7 +95,7 @@ def test_pushing_simples_gives_the_normal_form_of_their_lifts(data):
     state = ctx.new_nf_state(word)
     for w in ids:
         state.push_simple(w)
-    lifted = list(word) + [letter for w in ids for letter in ctx.simple_lift(w)]
+    lifted = list(word) + [letter for w in ids for letter in ctx.simple(w).lift]
     assert state.result() == ctx.normal_form(lifted)
     factors = state.factors()
     assert ctx.identity not in factors and ctx.gamma not in factors

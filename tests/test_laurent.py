@@ -22,7 +22,7 @@ def test_zero_and_one():
     z = LaurentPoly.zero(ZZ)
     assert z.is_zero() and str(z) == "0"
     one = LaurentPoly.one(ZZ)
-    assert one.is_one()
+    assert one == LaurentPoly.monomial(ZZ, 0) and one.terms == ((0, 1),)
     assert (z + one) == one
     assert (one * z).is_zero()
 
@@ -91,6 +91,21 @@ def test_coefficients_must_be_ints_not_bools_or_floats():
         LaurentPoly.from_dict(IntegersMod(5), {0: 2.0})
 
 
+def test_exponents_must_be_ints_not_bools_or_floats():
+    for bad in (0.5, 2.0, True):
+        with pytest.raises(TypeError, match="exponents"):
+            LaurentPoly.from_dict(ZZ, {bad: 1, 2: 3})
+        with pytest.raises(TypeError, match="exponents"):
+            LaurentPoly.monomial(ZZ, bad)
+        with pytest.raises(TypeError, match="exponents"):
+            LaurentPoly.from_json_terms(IntegersMod(5), [[bad, 2]])
+    # a zero coefficient does not excuse a bad exponent, nor does an equal int
+    with pytest.raises(TypeError, match="exponents"):
+        LaurentPoly.from_dict(ZZ, {1.9: 0})
+    with pytest.raises(TypeError, match="exponents"):
+        LaurentPoly.from_json_terms(ZZ, [[1, 2], [1.0, 3]])
+
+
 def test_json_terms_refuse_string_coefficients():
     with pytest.raises(TypeError):
         LaurentPoly.from_json_terms(ZZ, [[1, "1/2"]])
@@ -102,7 +117,7 @@ def test_mod_ring_normalizes_into_range():
     ring = IntegersMod(6)
     p = poly({1: 7, 0: -1}, ring)
     assert p.terms == ((1, 1), (0, 5))
-    assert (p + poly({0: 1}, ring)).coeff(0) == 0
+    assert p + poly({0: 1}, ring) == poly({1: 1}, ring)
 
 
 def test_mod_ring_supports_composite_moduli():

@@ -12,10 +12,10 @@ from burau.laurent import ZZ, IntegersMod, LaurentPoly
 from burau.matrices import (
     DUAL,
     STANDARD,
+    PairingForm,
     _SlotCodec,
     act,
     basis_vector,
-    form_from_name,
     generator_matrix,
     gram_matrix,
     identity_matrix,
@@ -52,7 +52,7 @@ def test_standard_generator_matrix_a2():
     assert str(m.entry(1, 1)) == "-q^2"
     assert str(m.entry(1, 2)) == "-q"
     assert m.entry(2, 1).is_zero()
-    assert m.entry(2, 2).is_one()
+    assert m.entry(2, 2) == LaurentPoly.one(ZZ)
 
 
 def test_column_convention():
@@ -180,9 +180,12 @@ def test_sparse_act_and_word_matrix_match_full_products():
                 for letter in w:
                     expected_m = expected_m.mat_mul(_generator(g, letter, form, ring))
                 assert word_matrix(g, w, form, ring) == expected_m, (g, form, ring, w)
-    # a non-empty word still checks the target's graph
-    with pytest.raises(ValueError):
-        act(preset("A3"), [1], basis_vector(preset("tildeA2"), 1))
+    # the empty word checks the target's graph as a non-empty one does
+    for word in ([1], ()):
+        with pytest.raises(ValueError):
+            act(preset("A3"), word, basis_vector(preset("tildeA2"), 1))
+        with pytest.raises(ValueError):
+            act(preset("A3"), word, basis_vector(preset("D4"), 1))
 
 
 def _reference_product(rows_a, rows_b, ring):
@@ -304,10 +307,10 @@ def test_spread_examples():
 
 
 def test_form_lookup():
-    assert form_from_name("standard") is STANDARD
-    assert form_from_name("dual") is DUAL
-    with pytest.raises(KeyError):
-        form_from_name("skew")
+    assert PairingForm("standard") == STANDARD
+    assert PairingForm("dual") == DUAL
+    with pytest.raises(ValueError):
+        PairingForm("skew")
 
 
 def test_inverse_word_inverts_action():

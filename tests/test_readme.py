@@ -70,18 +70,18 @@ def test_package_exports_the_names_the_readme_imports():
         assert getattr(burau, name) is getattr(sys.modules[module], name)
 
 
-def _modules_loaded_by(statement):
+def _modules_loaded_by(statement, env):
     code = (
         f"import sys; {statement}; "
         "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'burau'))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     return set(proc.stdout.split())
 
 
-def test_package_import_loads_what_the_command_line_loads():
-    package = _modules_loaded_by("import burau")
-    cli = _modules_loaded_by("import burau.cli")
+def test_package_import_loads_what_the_command_line_loads(child_env):
+    package = _modules_loaded_by("import burau", child_env)
+    cli = _modules_loaded_by("import burau.cli", child_env)
     assert package == cli - {"burau.cli"}

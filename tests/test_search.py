@@ -483,6 +483,11 @@ def test_store_json_rebuilds_the_keys_and_refuses_edited_coords():
     data["records"][7]["coords"][0][0] = [exponent, coefficient + 1]
     with pytest.raises(ValueError, match="disagree"):
         CurveStore.from_json(data)
+    # an exponent must be an int: a float or a JSON boolean is refused, not truncated
+    for bad in (exponent + 0.5, float(exponent), True):
+        data["records"][7]["coords"][0][0] = [bad, coefficient]
+        with pytest.raises(TypeError, match="exponents"):
+            CurveStore.from_json(data)
     # a seed vertex must be an index, not a JSON boolean
     data["records"][7]["coords"][0][0] = [exponent, coefficient]
     CurveStore.from_json(data)

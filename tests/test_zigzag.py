@@ -8,11 +8,17 @@ from burau.graphs import CoxeterGraph, INF, preset
 from burau.zigzag import Elt, ZigzagAlgebra, token_degree, zigzag
 
 
+def _basis(a):
+    """Every basis token, as the union of the hom bases over all vertex pairs."""
+    vs = a.graph.vertices()
+    return [t for i in vs for j in vs for t in a.hom_basis(i, j)]
+
+
 def test_dimension_counts_idempotents_arrows_loops():
     for name, expected in [("A2", 6), ("A3", 10), ("D4", 14), ("tildeA3", 16)]:
         g = preset(name)
         a = zigzag(g)
-        assert a.dimension() == 2 * g.n + 2 * len(g.edges()) == expected
+        assert len(_basis(a)) == 2 * g.n + 2 * len(g.edges()) == expected
 
 
 def test_rejects_graphs_it_cannot_model():
@@ -28,7 +34,7 @@ def test_idempotents():
         e = a.e(i)
         assert e * e == e
     assert a.e(1) * a.e(2) == Elt.zero()
-    u = a.unit()
+    u = a.e(1) + a.e(2) + a.e(3)
     for x in [a.e(2), a.arrow(1, 2), a.loop(3)]:
         assert u * x == x
         assert x * u == x
@@ -78,7 +84,7 @@ def test_hom_basis_contents():
 
 def test_basis_degrees_and_unique_tokens():
     a = zigzag(preset("tildeA3"))
-    toks = a.basis()
+    toks = _basis(a)
     assert len(set(toks)) == len(toks)
     per_degree = {0: 0, 1: 0, 2: 0}
     for t in toks:
@@ -88,12 +94,11 @@ def test_basis_degrees_and_unique_tokens():
 
 def test_elt_arithmetic():
     a = zigzag(preset("A2"))
-    x = a.e(1) + a.arrow(1, 2).scale(Fraction(3, 2))
-    y = x - a.e(1)
-    assert y == a.arrow(1, 2).scale(Fraction(3, 2))
-    assert x.scale(0).is_zero()
-    assert (x - x).is_zero()
-    assert x.coeff(("a", 1, 2)) == Fraction(3, 2)
+    x = a.e(1) + a.term(("a", 1, 2), Fraction(3, 2))
+    y = x + a.term(("e", 1), -1)
+    assert y == a.term(("a", 1, 2), Fraction(3, 2))
+    assert (y + a.term(("a", 1, 2), Fraction(-3, 2))).is_zero()
+    assert x.coeffs[("a", 1, 2)] == Fraction(3, 2)
 
 
 def test_multiplication_distributes():
@@ -101,30 +106,20 @@ def test_multiplication_distributes():
     x = a.arrow(2, 1) + a.loop(1)
     y = a.arrow(1, 2) + a.e(1)
     # arrow(2,1)*arrow(1,2) and loop(1)*e(1) survive, the cross terms vanish
-    assert x * y == a.loop(1).scale(2)
+    assert x * y == a.term(("x", 1), 2)
 
 
 def test_associativity_over_full_basis():
     a = zigzag(preset("D4"))
-    elts = [Elt.from_token(t) for t in a.basis()]
+    elts = [Elt.from_token(t) for t in _basis(a)]
     for x in elts:
         for y in elts:
             for z in elts:
                 assert (x * y) * z == x * (y * z)
 
 
-def test_degree_of_inhomogeneous_element_raises():
-    a = zigzag(preset("A2"))
-    assert a.e(1).degree() == 0
-    assert a.arrow(1, 2).degree() == 1
-    assert a.loop(2).degree() == 2
-    assert Elt.zero().degree() is None
-    with pytest.raises(ValueError):
-        (a.e(1) + a.loop(1)).degree()
-
-
 def test_str_rendering():
     a = zigzag(preset("A2"))
     assert str(a.e(1) + a.arrow(1, 2)) == "(1|2) + e1"
-    assert str(a.e(1) - a.loop(2)) == "-X2 + e1"
+    assert str(a.e(1) + a.term(("x", 2), -1)) == "-X2 + e1"
     assert str(Elt.zero()) == "0"
