@@ -305,6 +305,12 @@ class LaurentPoly:
 
     @staticmethod
     def from_json_terms(ring: CoefficientRing, terms) -> "LaurentPoly":
-        for e, _ in terms:
+        """The inverse of `to_json_terms`.  Each exponent must be an int and
+        appear once: a repeated one raises ValueError, not a merged term."""
+        coeffs = {}
+        for e, c in terms:
             _check_exponent(e)  # before a dict merges a float key into an equal int
-        return LaurentPoly.from_dict(ring, dict(terms))
+            if e in coeffs:
+                raise ValueError(f"exponent {e} appears more than once in the terms")
+            coeffs[e] = c
+        return LaurentPoly.from_dict(ring, coeffs)

@@ -12,7 +12,9 @@ multiplication.  Everything is exact over the chosen coefficient ring.
 
 `word_matrix` applies a generator one way per ring.  Over Z, column j is
 `act(g, word, alpha_j, form)`: dense `LaurentPoly` entries, one coordinate
-changed per letter by a fused `LaurentPoly.dot`.  Over Z/p the matrix is a
+changed per letter by a `row_step`, a sum of shifted, scaled coordinates
+from the terms of the generator's row (`generator_row`); the curve
+enumeration in `search` takes the same step.  Over Z/p the matrix is a
 `_PackedMatrix`: its rows of Python ints over one shared lowest exponent,
 each int holding an entry's coefficients in fixed-width bit slots
 (Kronecker substitution, `_SlotCodec`), with the matrix's spread and its
@@ -36,7 +38,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .graphs import CoxeterGraph, validate_vertex, validate_word
-from .laurent import ZZ, CoefficientRing, IntegersMod, LaurentPoly
+from .laurent import ZZ, CoefficientRing, IntegersMod, LaurentPoly, _canonical
 
 
 @dataclass(frozen=True)
@@ -218,13 +220,59 @@ def generator_matrix(
     return BurauMatrix(g, ring, tuple(rows))
 
 
+def generator_row(
+    g: CoxeterGraph,
+    letter: int,
+    form: PairingForm = STANDARD,
+    ring: CoefficientRing = ZZ,
+) -> tuple:
+    """Row i of the matrix of sigma_i (letter i) or its inverse (letter -i),
+    the one coordinate either changes, as its non-zero terms (j, e, c) with
+    j a 0-based column: the new coordinate i of x is the sum of c q^e x_j.
+    In both forms every entry is 0 or a monomial (-q^k, or -2q^k for an
+    infinite label), but `row_step` takes any row."""
+    i = abs(letter)
+    row = generator_matrix(g, i, 1 if letter > 0 else -1, form, ring).rows[i - 1]
+    return tuple((j, e, c) for j, entry in enumerate(row) for e, c in entry.terms)
+
+
+def row_step(terms, coords) -> LaurentPoly:
+    """The product of a row, as `generator_row` gives it, with a vector's
+    coordinates: a sum of shifted, scaled copies of their coefficient
+    tuples, accumulated in one buffer and normalised once.  The terms must
+    be over the coordinates' ring."""
+    live = []
+    low = high = 0
+    for j, e, c in terms:
+        x = coords[j]
+        a = x.coeffs
+        if a:
+            lo = x.low + e
+            hi = lo + len(a)
+            if not live:
+                low, high = lo, hi
+            else:
+                if lo < low:
+                    low = lo
+                if hi > high:
+                    high = hi
+            live.append((lo, c, a))
+    if not live:
+        return LaurentPoly(coords[0].ring, 0, ())
+    buf = [0] * (high - low)
+    for lo, c, a in live:
+        for k, y in enumerate(a, lo - low):
+            buf[k] += c * y
+    return _canonical(coords[0].ring, low, buf)
+
+
 def act(
     g: CoxeterGraph, word, v: BurauVector, form: PairingForm = STANDARD
 ) -> BurauVector:
     """Left action of a braid word on a vector: act([w1, w2], v) =
     M(w1) . M(w2) . v, over the vector's ring.  The empty word is the
-    identity.  Each letter changes only coordinate i, to the dot product of
-    the generator's row i with the vector.
+    identity.  Each letter changes only coordinate i, by one `row_step`
+    with the generator's row i, read once per distinct letter.
     """
     validate_word(g, word)
     if v.graph != g:
@@ -232,11 +280,10 @@ def act(
     if not word:
         return v
     ring = v.ring
+    rows = {letter: generator_row(g, letter, form, ring) for letter in set(word)}
     coords = list(v.coords)
     for letter in reversed(word):
-        i = abs(letter)
-        m = generator_matrix(g, i, 1 if letter > 0 else -1, form, ring)
-        coords[i - 1] = LaurentPoly.dot(m.rows[i - 1], coords)
+        coords[abs(letter) - 1] = row_step(rows[letter], coords)
     return BurauVector(g, ring, tuple(coords))
 
 

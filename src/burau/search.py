@@ -6,6 +6,11 @@ indexed by their root at q = 1, and scanned for pairs whose pairing vanishes
 or is a signed power of q (a modular prefilter prunes the scan, the exact
 pairing decides); candidate pairs are then confirmed categorically, from
 twisted complexes that each store builds once per record (`TwistMemo`).
+A generator changes one coordinate, so a child in the enumeration costs one
+coordinate update from the generator's row (`matrices.row_step`), with the
+rows read once per enumeration; the scan's filter runs once per left
+record, over its whole right range, and only the pairs it passes reach the
+first-letter skip and the exact pairing.
 Over Z/pZ, a seeded random walk in the dual positive monoid files braids into
 buckets keyed by canonical length and spread, watching for words that fix a
 basis root up to a power of q; fixing words feed the twist-quotient
@@ -63,9 +68,11 @@ from .matrices import (
     _rank_one_factors,
     act,
     basis_vector,
+    generator_row,
     gram_matrix,
     is_identity,
     pairing,
+    row_step,
     word_matrix,
 )
 from .zigzag import ZigzagAlgebra, zigzag
@@ -174,16 +181,25 @@ class CurveStore:
 
     def insert(self, record: CurveRecord) -> bool:
         """Add the record unless its vector is already stored.  The stored
-        record refers to this store's memo; this is the one place that sets
-        a record's handle."""
-        key = record.coords
-        if key in self._seen:
+        record refers to this store's memo."""
+        return self._keep(
+            record.coords, record.witness, record.seed_vertex, record.root_key
+        )
+
+    def _keep(
+        self, coords: tuple, witness: tuple, vertex: int, root_key: tuple
+    ) -> bool:
+        """The one place that keeps a record: unless the vector is already
+        stored (its coordinates are hashed once), build the record, with
+        this store's memo as its handle, and index it under `root_key`,
+        which must be its root key."""
+        seen = self._seen
+        size = len(seen)
+        seen.add(coords)
+        if len(seen) == size:
             return False
-        if record.memo_ref is not self._memo_ref:
-            record = CurveRecord(key, record.witness, record.seed_vertex, self._memo_ref)
-        self._seen.add(key)
-        self.by_root.setdefault(record.root_key, []).append(len(self.records))
-        self.records.append(record)
+        self.by_root.setdefault(root_key, []).append(len(self.records))
+        self.records.append(CurveRecord(coords, witness, vertex, self._memo_ref))
         return True
 
     def insert_witness(self, word, vertex: int) -> bool:
@@ -232,7 +248,13 @@ class CurveStore:
 def enumerate_curves(g: CoxeterGraph, budget: int = 10000) -> CurveStore:
     """Breadth-first orbit enumeration: apply every generator and inverse to
     every stored curve, starting from the basis roots, until the store holds
-    `budget` records or the orbit is exhausted."""
+    `budget` records or the orbit is exhausted.
+
+    A letter changes only its own coordinate k, so a child costs one
+    `row_step` with the letter's generator row, read once per enumeration;
+    a child equal to its parent is dropped unhashed, and a new child's root
+    key is its parent's with entry k replaced by the new coordinate at
+    q = 1.  Equal coordinates of different records are one object."""
     if type(budget) is not int:
         raise ValueError("budget must be an int")
     if budget < g.n:
@@ -240,16 +262,31 @@ def enumerate_curves(g: CoxeterGraph, budget: int = 10000) -> CurveStore:
     store = CurveStore(g)
     for s in g.vertices():
         store.insert_witness((), s)
-    letters = [sign * j for j in g.vertices() for sign in (1, -1)]
+    steps = [
+        (letter, abs(letter) - 1, generator_row(g, letter))
+        for j in g.vertices()
+        for letter in (j, -j)
+    ]
     records = store.records  # the BFS queue: records past `head` are unexpanded
+    keep = store._keep
+    # coordinate values recur (602 distinct among 10^4 tildeA3 records), so
+    # each value is held once, by every record that has it
+    shared = {}
     head = 0
-    while head < len(records) and len(store) < budget:
+    while head < len(records) and len(records) < budget:
         parent = records[head]
         head += 1
-        vec, word, s = parent.vector(g), parent.witness, parent.seed_vertex
-        for letter in letters:
-            rec = CurveRecord(act(g, (letter,), vec).coords, (letter,) + word, s)
-            if store.insert(rec) and len(store) >= budget:
+        coords, word, s = parent.coords, parent.witness, parent.seed_vertex
+        key = parent.root_key
+        for letter, k, row in steps:
+            new = row_step(row, coords)
+            old = coords[k]
+            if new.low == old.low and new.coeffs == old.coeffs:
+                continue  # the letter fixes the parent
+            new = shared.setdefault((new.low, new.coeffs), new)
+            child = coords[:k] + (new,) + coords[k + 1 :]
+            root = key[:k] + (sum(new.coeffs),) + key[k + 1 :]
+            if keep(child, (letter,) + word, s, root) and len(records) >= budget:
                 break
     return store
 
@@ -286,28 +323,22 @@ def _evaluation_points(g: CoxeterGraph, criterion: int) -> tuple:
     )
 
 
-def _modular_images(coords, points) -> tuple:
-    """For each point: (x(q^-1), G(q).x(q)) mod P, for the vector x with
-    these integer coordinates.  The pairing of x with y evaluates at q to
-    the dot product of x's first image with y's second."""
+def _left_images(records, point) -> list:
+    """x(q^-1) mod P at the point, for each record's vector x."""
+    _, q_inv, _ = point
+    return [tuple(_poly_mod(c, q_inv) for c in r.coords) for r in records]
+
+
+def _right_images(records, point) -> list:
+    """G(q).y(q) mod P at the point, for each record's vector y.  The pairing
+    of x with y evaluates at q to the dot product of x's left image with
+    y's right image."""
+    q, _, gram = point
     images = []
-    for q, q_inv, gram in points:
-        at_q = [_poly_mod(c, q) for c in coords]
-        images.append(
-            (
-                tuple(_poly_mod(c, q_inv) for c in coords),
-                tuple(sum(map(mul, row, at_q)) % _P for row in gram),
-            )
-        )
-    return tuple(images)
-
-
-def _pairing_mod(x_images, y_images) -> tuple:
-    """The pairing of two records at each point, mod P."""
-    return tuple(
-        sum(map(mul, left, right)) % _P
-        for (left, _), (_, right) in zip(x_images, y_images)
-    )
+    for r in records:
+        at_q = [_poly_mod(c, q) for c in r.coords]
+        images.append(tuple(sum(map(mul, row, at_q)) % _P for row in gram))
+    return images
 
 
 def find_pairs(
@@ -325,10 +356,12 @@ def find_pairs(
 
     A prefilter only prunes: each record's coordinates are evaluated once, at
     a fixed point q0 modulo a 61-bit prime, so a pair costs one n-term dot
-    product.  Criterion 1 drops a pair whose pairing is non-zero at q0;
+    product, taken for a left record against its whole right range in one
+    pass.  Criterion 1 drops a pair whose pairing is non-zero at q0;
     criterion 2 drops it unless p(q0) is non-zero and p(q0^2) = +-p(q0)^2.
     A pair meeting the condition exactly always passes, and every pair that
-    passes is decided by the exact `pairing`."""
+    passes, unless its first letters agree, is decided by the exact
+    `pairing`, in the order left record, then right record."""
     if type(criterion) is not int or criterion not in (1, 2):
         raise ValueError("criterion must be 1 or 2")
     if limit is not None and (type(limit) is not int or limit < 0):
@@ -337,50 +370,46 @@ def find_pairs(
         return []
     g = store.graph
     recs = store.records
-    if root_filter is not None:
+    if root_filter is None:
+        left = right = range(len(recs))
+    else:
         k1, k2 = tuple(root_filter[0]), tuple(root_filter[1])
         left = store.by_root.get(k1, [])
-        right = store.by_root.get(k2, [])
-        if k1 == k2:
-            idx_pairs = ((a, b) for ai, a in enumerate(left) for b in left[ai + 1 :])
-        else:
-            idx_pairs = ((a, b) for a in left for b in right)
-    else:
-        idx_pairs = (
-            (a, b) for a in range(len(recs)) for b in range(a + 1, len(recs))
-        )
+        right = left if k1 == k2 else store.by_root.get(k2, [])
+    # a slice paired with itself visits each unordered pair once
+    triangle = left is right
     points = _evaluation_points(g, criterion)
-    images = {}
-
-    def image(index):
-        found = images.get(index)
-        if found is None:
-            found = images[index] = _modular_images(recs[index].coords, points)
-        return found
-
+    lefts = [_left_images([recs[a] for a in left], point) for point in points]
+    rights = [_right_images([recs[b] for b in right], point) for point in points]
     out = []
-    for a, b in idx_pairs:
-        r1, r2 = recs[a], recs[b]
-        if r1.witness and r2.witness and r1.witness[0] == r2.witness[0]:
-            continue
-        values = _pairing_mod(image(a), image(b))
+    for pos, a in enumerate(left):
+        start = pos + 1 if triangle else 0
+        x = lefts[0][pos]
         if criterion == 1:
-            if values[0]:
-                continue
+            passed = [
+                k
+                for k, y in enumerate(rights[0][start:], start)
+                if not sum(map(mul, x, y)) % _P
+            ]
         else:
-            at_q0, at_q0_squared = values
-            square = at_q0 * at_q0 % _P
-            if not at_q0 or at_q0_squared not in (square, _P - square):
+            x2, right2 = lefts[1][pos], rights[1]
+            passed = [
+                k
+                for k, y in enumerate(rights[0][start:], start)
+                if (v := sum(map(mul, x, y)) % _P)
+                and sum(map(mul, x2, right2[k])) % _P in (v * v % _P, _P - v * v % _P)
+            ]
+        r1 = recs[a]
+        first = r1.witness[:1]
+        for k in passed:
+            r2 = recs[right[k]]
+            if first and r2.witness[:1] == first:
                 continue
-        p = pairing(r1.vector(g), r2.vector(g))
-        if criterion == 1:
-            hit = p.is_zero()
-        else:
-            hit = p.signed_q_power() is not None
-        if hit:
-            out.append((r1, r2))
-            if limit is not None and len(out) >= limit:
-                break
+            p = pairing(r1.vector(g), r2.vector(g))
+            if p.is_zero() if criterion == 1 else p.signed_q_power() is not None:
+                out.append((r1, r2))
+                if limit is not None and len(out) >= limit:
+                    return out
     return out
 
 

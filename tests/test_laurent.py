@@ -173,6 +173,19 @@ def test_signed_q_power_over_z_z2_and_z6():
     assert poly({2: 3}, IntegersMod(6)).signed_q_power() is None
 
 
+def test_json_terms_refuse_a_repeated_exponent():
+    # the last of two terms used to win silently: [[1, 2], [1, 3]] gave 3*q
+    for ring in (ZZ, IntegersMod(5)):
+        with pytest.raises(ValueError, match="exponent 1 appears more than once"):
+            LaurentPoly.from_json_terms(ring, [[1, 2], [1, 3]])
+        with pytest.raises(ValueError, match="exponent -2 appears more than once"):
+            LaurentPoly.from_json_terms(ring, [[3, 1], [-2, 1], [-2, 1]])
+    # a zero term repeated is refused too, not folded into the other
+    with pytest.raises(ValueError, match="exponent 0 appears more than once"):
+        LaurentPoly.from_json_terms(ZZ, [[0, 0], [0, 4]])
+    assert LaurentPoly.from_json_terms(ZZ, [[1, 2], [0, 3]]) == poly({1: 2, 0: 3})
+
+
 def test_json_terms_round_trip():
     rng = random.Random(44)
     for _ in range(100):

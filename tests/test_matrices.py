@@ -1,13 +1,21 @@
 """Burau matrices, vectors, the q-deformed pairings, and spread."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from burau.fixtures import D4_MODULI, d4_fixture
-from burau.graphs import INF, CoxeterGraph, commutator_word, inverse_word, preset
+from burau.graphs import (
+    INF,
+    CoxeterGraph,
+    commutator_word,
+    inverse_word,
+    preset,
+    preset_names,
+)
 from burau.laurent import ZZ, IntegersMod, LaurentPoly
 from burau.matrices import (
     DUAL,
@@ -17,6 +25,7 @@ from burau.matrices import (
     act,
     basis_vector,
     generator_matrix,
+    generator_row,
     gram_matrix,
     identity_matrix,
     is_identity,
@@ -168,9 +177,13 @@ def test_sparse_act_and_word_matrix_match_full_products():
         for form in (STANDARD, DUAL)
     ] + [(mixed, STANDARD)]
     for g, form in cases:
-        for ring in (ZZ, IntegersMod(2), IntegersMod(6)):
-            for length in (0, 1, 2, 5, 9):
-                w = random_word(rng, g, length)
+        for ring in (ZZ, IntegersMod(2), IntegersMod(6), IntegersMod(7)):
+            words = [random_word(rng, g, length) for length in (0, 1, 2, 5, 9)]
+            # act reads each distinct letter's row once, so every letter of
+            # these is met again after others
+            repeat = random_word(rng, g, 4)
+            words += [repeat * 3, repeat + repeat[:1] * 3 + repeat[::-1]]
+            for w in words:
                 v = random_vector(rng, g, ring)
                 expected_v = v
                 for letter in reversed(w):
@@ -186,6 +199,26 @@ def test_sparse_act_and_word_matrix_match_full_products():
             act(preset("A3"), word, basis_vector(preset("tildeA2"), 1))
         with pytest.raises(ValueError):
             act(preset("A3"), word, basis_vector(preset("D4"), 1))
+
+
+def test_generator_rows_are_monomials_read_from_the_generator_matrix():
+    # each entry of a generator's row is 0, -q^k or, on an infinite label,
+    # -2q^k; generator_row lists exactly the non-zero entries' terms
+    inf_graph = CoxeterGraph.from_edges(4, [(1, 2, INF), (2, 3), (3, 4, INF)])
+    graphs = [preset(name) for name in preset_names()] + [inf_graph]
+    for g in graphs:
+        forms = (STANDARD, DUAL) if g.is_simply_laced() else (STANDARD,)
+        for form in forms:
+            for ring, i in product((ZZ, IntegersMod(7)), g.vertices()):
+                for letter in (i, -i):
+                    row = _generator(g, letter, form, ring).rows[i - 1]
+                    rebuilt = [LaurentPoly.zero(ring)] * g.n
+                    for j, e, c in generator_row(g, letter, form, ring):
+                        assert rebuilt[j].is_zero()
+                        rebuilt[j] = LaurentPoly.monomial(ring, e, c)
+                        label = 3 if j == i - 1 else g.labels(i, j + 1)
+                        assert c == ring.normalize(-2 if label == INF else -1)
+                    assert tuple(rebuilt) == row
 
 
 def _reference_product(rows_a, rows_b, ring):

@@ -2,13 +2,15 @@
 and agreement of the pair-scan prefilter's modular value with the exact
 pairing."""
 
+from operator import mul
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burau.graphs import preset
 from burau.laurent import ZZ, LaurentPoly
 from burau.matrices import DUAL, STANDARD, BurauVector, act, basis_vector, pairing
-from burau.search import _P, _evaluation_points, _modular_images, _pairing_mod
+from burau.search import _P, _evaluation_points, _left_images, _right_images
 
 GRAPHS = {name: preset(name) for name in ("A3", "D4", "tildeA3")}
 FORMS = [("tildeA3", STANDARD), ("A3", STANDARD), ("D4", DUAL)]
@@ -68,8 +70,10 @@ def filter_cases(draw):
 def test_prefilter_value_is_the_exact_pairing_mod_p(case):
     g, x, y = case
     points = _evaluation_points(g, 2)  # q0 and q0^2
-    values = _pairing_mod(
-        _modular_images(x.coords, points), _modular_images(y.coords, points)
+    # the scan's filter value: x's left image dotted with y's right image
+    values = tuple(
+        sum(map(mul, _left_images([x], point)[0], _right_images([y], point)[0])) % _P
+        for point in points
     )
     exact = pairing(x, y).reduce_mod(_P)
     assert values == tuple(exact.evaluate(q) for q, _, _ in points)

@@ -21,11 +21,12 @@ from burau.criteria import (
 )
 from burau.fixtures import affine_fixture, d4_fixture
 from burau.garside import NotFiniteType, _NFState, samecurve_check
-from burau.graphs import INF, CoxeterGraph, inverse_word, preset
+from burau.graphs import INF, CoxeterGraph, inverse_word, preset, preset_names
 from burau.laurent import ZZ, IntegersMod, LaurentPoly
 from burau.matrices import (
     DUAL,
     _SlotCodec,
+    act,
     identity_matrix,
     is_identity,
     pairing,
@@ -89,6 +90,55 @@ def test_enumerate_is_breadth_first_from_the_basis_roots():
     store = enumerate_curves(preset("A2"), budget=6)
     assert [r.witness for r in store.records] == [(), (), (1,), (-1,), (2,), (-2,)]
     assert [r.seed_vertex for r in store.records] == [1, 2, 1, 1, 1, 1]
+
+
+def _reference_enumeration(g, budget):
+    """The enumeration as first written, the reference for `enumerate_curves`:
+    each child is a full `act` of its letter on the parent's vector, kept
+    through `CurveStore.insert`.  Also returns the position, among the 2n
+    letters, of the letter whose child filled the budget (None when the
+    orbit ran out first)."""
+    store = CurveStore(g)
+    for s in g.vertices():
+        store.insert_witness((), s)
+    letters = [sign * j for j in g.vertices() for sign in (1, -1)]
+    head = 0
+    while head < len(store.records) and len(store) < budget:
+        parent = store.records[head]
+        head += 1
+        vec, word, s = parent.vector(g), parent.witness, parent.seed_vertex
+        for position, letter in enumerate(letters):
+            rec = CurveRecord(act(g, (letter,), vec).coords, (letter,) + word, s)
+            if store.insert(rec) and len(store) >= budget:
+                return store, position
+    return store, None
+
+
+REFERENCE_GRAPHS = {name: preset(name) for name in preset_names()}
+REFERENCE_GRAPHS["inf"] = CoxeterGraph.from_edges(
+    4, [(1, 2, INF), (2, 3, 3), (3, 4, INF)]
+)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS))
+def test_enumeration_matches_the_act_reference(name):
+    # one row step per child, children equal to their parent dropped, root
+    # keys derived from the parent's and shared coordinates: the same store
+    # as a full act per child, also when the budget stops partway through a
+    # parent's children
+    g = REFERENCE_GRAPHS[name]
+    for budget in (g.n + 3, 250 + g.n, 709):
+        want, position = _reference_enumeration(g, budget)
+        assert position is not None and position < 2 * g.n - 1, (budget, position)
+        got = enumerate_curves(g, budget)
+        assert [(r.coords, r.witness, r.seed_vertex) for r in got.records] == [
+            (r.coords, r.witness, r.seed_vertex) for r in want.records
+        ]
+        assert got.records == want.records
+        assert got.by_root == want.by_root
+        assert list(got.by_root) == list(want.by_root)
+        assert all(r.memo_ref() is got.memo for r in got.records)
+        assert all(r.memo_ref() is want.memo for r in want.records)
 
 
 def test_enumeration_is_a_prefix_of_a_larger_run():
@@ -238,7 +288,8 @@ def _exact_scan(store, criterion, root_filter=None):
 
 
 # (graph, budget, root filters): a slice pair rich in criterion-1 hits, one
-# rich in criterion-2 hits, and a slice paired with itself
+# rich in criterion-2 hits, and a slice paired with itself; "inf" is the
+# graph with infinite labels, whose edge entries are -2q^(+-1)
 EXACT_SCAN_CASES = [
     (
         "tildeA3",
@@ -254,12 +305,30 @@ EXACT_SCAN_CASES = [
         60,
         [((0, -1, 1), (1, -1, 0)), ((-1, 0, 0), (0, 1, 0)), ((0, 1, 0), (0, 1, 0))],
     ),
+    (
+        "D4",
+        100,
+        [
+            ((1, -1, 0, 0), (0, -1, 1, 0)),
+            ((0, 1, 0, 0), (0, 0, 0, -1)),
+            ((0, 1, 0, 0), (0, 1, 0, 0)),
+        ],
+    ),
+    (
+        "inf",
+        100,
+        [
+            ((0, 0, 1, 0), (1, 0, 0, 0)),
+            ((0, 1, 0, 0), (0, 0, 1, 0)),
+            ((0, 1, 0, 0), (0, 1, 0, 0)),
+        ],
+    ),
 ]
 
 
 @pytest.mark.parametrize("name,budget,filters", EXACT_SCAN_CASES)
 def test_find_pairs_equals_an_exact_scan(name, budget, filters):
-    store = enumerate_curves(preset(name), budget=budget)
+    store = enumerate_curves(REFERENCE_GRAPHS[name], budget=budget)
     for criterion in (1, 2):
         for root_filter in [None] + filters:
             expected = _exact_scan(store, criterion, root_filter)
@@ -488,8 +557,15 @@ def test_store_json_rebuilds_the_keys_and_refuses_edited_coords():
         data["records"][7]["coords"][0][0] = [bad, coefficient]
         with pytest.raises(TypeError, match="exponents"):
             CurveStore.from_json(data)
+    # a repeated exponent is refused, even where the last of the two terms
+    # is the right one and a merge would have matched the witness
+    terms = data["records"][7]["coords"][0]
+    terms[0] = [exponent, coefficient]
+    data["records"][7]["coords"][0] = [[exponent, coefficient + 5]] + terms
+    with pytest.raises(ValueError, match=f"exponent {exponent} appears more than once"):
+        CurveStore.from_json(data)
     # a seed vertex must be an index, not a JSON boolean
-    data["records"][7]["coords"][0][0] = [exponent, coefficient]
+    data["records"][7]["coords"][0] = terms
     CurveStore.from_json(data)
     data["records"][0]["seed_vertex"] = True
     with pytest.raises(ValueError, match="out of range"):
