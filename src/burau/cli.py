@@ -25,7 +25,7 @@ from .complexes import (
     projective,
     render_hom_table,
 )
-from .criteria import KernelCertificate, Rejection, criterion1
+from .criteria import KernelCertificate, Rejection, criterion1, verify_bigelow3
 from .fixtures import D4_MODULI, affine_fixture, d4_fixture
 from .graphs import (
     graph_json,
@@ -36,13 +36,7 @@ from .graphs import (
 )
 from .laurent import ZZ, IntegersMod
 from .matrices import PairingForm, act, basis_vector, pairing, word_matrix
-from .search import (
-    bucket_search,
-    confirm_pair,
-    enumerate_curves,
-    find_pairs,
-    verify_bigelow3,
-)
+from .search import bucket_search, confirm_pair, enumerate_curves, find_pairs
 from .zigzag import zigzag
 
 EXIT_OK = 0

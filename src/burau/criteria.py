@@ -1,19 +1,18 @@
-"""Kernel-detection criteria producing checkable certificates.
+"""Kernel-detection criteria: every certificate shape is built, sealed and
+named here.
 
-Two criteria for pairs of twisted generators: when the q-deformed pairing of
-the two curve vectors vanishes, the corresponding twists commute inside the
-Burau image, so their group commutator maps to the identity matrix; when the
-pairing is a signed power of q, the twists satisfy the braid relation and the
-relator word maps to the identity.  In both cases non-triviality of the braid
-itself is certified categorically, by a non-zero (respectively more than
-one-dimensional) space of morphisms between the twisted projective complexes.
-`criterion1` and `criterion2` compute the pairing and the complexes from the
-words; the curve search's `confirm_pair` hands the same body the ones its
-store has already built.
-
-A third certificate shape, the twist quotient, is produced by the search
-module for the mod-p dual form; its verification logic lives there since it
-leans on the Garside word problem, but the certificate type is shared.
+Two criteria for pairs of twisted generators (numbered by `criterion_shape`):
+when the q-deformed pairing of the two curve vectors vanishes, the
+corresponding twists commute inside the Burau image, so their group
+commutator maps to the identity matrix; when the pairing is a signed power
+of q, the twists satisfy the braid relation and the relator word maps to the
+identity.  In both cases non-triviality of the braid itself is certified
+categorically, by a non-zero (respectively more than one-dimensional) space
+of morphisms between the twisted projective complexes.  `criterion1` and
+`criterion2` compute the pairing and the complexes from the words; the curve
+search's `confirm_pair` hands the same body, `pairing_criterion`, the ones
+its store has already built.  The third shape, the twist quotient over Z/p,
+is built by `verify_bigelow3` on the dual Garside word problem.
 
 Every certificate carries a `verified` flag that is set by actually
 recomputing the Burau matrix of the kernel word and comparing with the
@@ -25,15 +24,18 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .complexes import act_complex, hom_table, projective
+from .garside import garside_context
 from .graphs import (
     CoxeterGraph,
     commutator_word,
     conjugated_generator,
     graph_json,
     inverse_word,
+    validate_word,
 )
-from .laurent import ZZ, CoefficientRing
+from .laurent import ZZ, CoefficientRing, IntegersMod
 from .matrices import (
+    DUAL,
     STANDARD,
     PairingForm,
     act,
@@ -47,6 +49,13 @@ from .zigzag import zigzag
 CRITERION_COMMUTATOR = "commutator"
 CRITERION_BRAID_RELATOR = "braid-relator"
 CRITERION_TWIST_QUOTIENT = "twist-quotient"
+
+
+def criterion_shape(criterion: int) -> str:
+    """The shape of criterion 1 or 2; anything else, True too, raises ValueError."""
+    if type(criterion) is not int or criterion not in (1, 2):
+        raise ValueError("criterion must be 1 or 2")
+    return CRITERION_COMMUTATOR if criterion == 1 else CRITERION_BRAID_RELATOR
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,12 +170,12 @@ _NO_MORPHISMS = Rejection(
 )
 
 
-def _pairing_criterion(criterion: str, g: CoxeterGraph, witnesses, p, complexes):
+def pairing_criterion(criterion: str, g: CoxeterGraph, witnesses, p, complexes):
     """The body of both pairing criteria.  `witnesses` holds the two
     (word, vertex) pairs, `p` is the exact pairing of their curve vectors
     and `complexes()` returns their two twisted projectives, called only
-    once the pairing has passed; `criterion` picks the pairing test, the hom
-    threshold and the kernel word."""
+    once the pairing has passed; `criterion`, a `criterion_shape`, picks
+    the pairing test, the hom threshold and the kernel word."""
     commutator = criterion == CRITERION_COMMUTATOR
     if commutator:
         shift = None
@@ -213,7 +222,7 @@ def _pairing_criterion(criterion: str, g: CoxeterGraph, witnesses, p, complexes)
 
 
 def _word_evidence(g: CoxeterGraph, w1, i1: int, w2, i2: int) -> tuple:
-    """(witnesses, pairing, complexes) for `_pairing_criterion`, computed
+    """(witnesses, pairing, complexes) for `pairing_criterion`, computed
     from the words alone: the pairing of the two acted roots, and a callable
     that twists the two projectives only when the pairing test asks."""
 
@@ -235,7 +244,7 @@ def criterion1(w1, i1: int, w2, i2: int, g: CoxeterGraph):
     """Orthogonal curves: accept when the pairing of the two curve vectors is
     exactly zero and the twisted projectives still see each other (non-zero
     total hom dimension).  The kernel word is the commutator of the twists."""
-    return _pairing_criterion(CRITERION_COMMUTATOR, g, *_word_evidence(g, w1, i1, w2, i2))
+    return pairing_criterion(criterion_shape(1), g, *_word_evidence(g, w1, i1, w2, i2))
 
 
 def criterion2(w1, i1: int, w2, i2: int, g: CoxeterGraph):
@@ -243,4 +252,76 @@ def criterion2(w1, i1: int, w2, i2: int, g: CoxeterGraph):
     power of q (the power records the normalizing shift) and the total hom
     dimension exceeds one.  The kernel word is the braid-relator word of the
     two twists."""
-    return _pairing_criterion(CRITERION_BRAID_RELATOR, g, *_word_evidence(g, w1, i1, w2, i2))
+    return pairing_criterion(criterion_shape(2), g, *_word_evidence(g, w1, i1, w2, i2))
+
+
+def _fixing_exponent(column, i: int):
+    """If the vector is (+-1) q^l alpha_i, return (l, sign), else None.  The
+    sign squares away in the twist conjugation formula, so a signed power
+    certifies exactly as much as a plain one; it is recorded, not ignored."""
+    if any(not c.is_zero() for j, c in enumerate(column.coords, start=1) if j != i):
+        return None
+    return column.coords[i - 1].signed_q_power()
+
+
+def verify_bigelow3(g: CoxeterGraph, beta, i: int, p: int):
+    """The mod-p twist-quotient verifier: beta must move alpha_i to q^l
+    alpha_i under the dual form mod p, the commutator of beta with sigma_i
+    must be a non-trivial braid (Garside word problem), and it must have the
+    identity dual matrix mod p.  That matrix is computed once, by the seal,
+    and a failure is reported as `commutator-matrix`; a trivial braid has the
+    identity matrix in every form, so checking it first changes no outcome.
+    The report of the normal-form side conditions and the standard-form
+    identity status ride along as diagnostics.  One normal-form state serves
+    both: it takes beta, then sigma_i (the report), then beta^-1 sigma_i^-1
+    (the word problem)."""
+    validate_word(g, beta)
+    ring = IntegersMod(p)  # refuses a modulus that is not an int >= 2
+    ctx = garside_context(g)  # raises NotFiniteType early for bad graphs
+    image = act(g, beta, basis_vector(g, i, ring), DUAL)
+    fixing = _fixing_exponent(image, i)
+    if fixing is None:
+        return Rejection(
+            CRITERION_TWIST_QUOTIENT,
+            "fix-vector",
+            f"the image of alpha_{i} is {image}, not a signed power of q "
+            f"times alpha_{i}",
+        )
+    exponent, sign = fixing
+    beta = tuple(beta)
+    kernel = commutator_word(beta, (i,))
+    state = ctx.new_nf_state(beta)
+    report = state.samecurve_report(i)
+    for letter in kernel[len(beta) + 1 :]:
+        state.push_letter(letter)
+    if state.is_trivial():
+        return Rejection(
+            CRITERION_TWIST_QUOTIENT,
+            "trivial-braid",
+            "the commutator is the trivial braid, so it certifies nothing",
+        )
+    standard_identity = is_identity(word_matrix(g, kernel, STANDARD, ring))
+    cert = KernelCertificate(
+        graph=g,
+        criterion=CRITERION_TWIST_QUOTIENT,
+        witnesses=((beta, i),),
+        kernel_word=kernel,
+        ring=ring,
+        form=DUAL,
+        fix_exponent=exponent,
+        diagnostics=(
+            ("fix_sign", sign),
+            ("samecurve_zero_gamma_power", report.zero_gamma_power),
+            ("samecurve_append_stays_greedy", report.append_stays_greedy),
+            ("samecurve_atom_free_last_simple", report.atom_free_last_simple),
+            ("standard_form_commutator_identity", standard_identity),
+        ),
+    )
+    sealed = seal_certificate(cert)
+    if isinstance(sealed, Rejection):
+        return Rejection(
+            CRITERION_TWIST_QUOTIENT,
+            "commutator-matrix",
+            f"the commutator word is not in the kernel of the dual form mod {p}",
+        )
+    return sealed

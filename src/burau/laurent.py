@@ -15,7 +15,8 @@ closeness).
 
 Arithmetic works on coefficient lists and reduces mod p once per output
 coefficient.  `LaurentPoly.dot` accumulates a whole sum of products in one
-buffer, so a matrix entry is built without intermediate polynomials.
+buffer, so a matrix entry is built without intermediate polynomials;
+`row_step` does the same for the one-coordinate step of `matrices.act`.
 """
 
 from __future__ import annotations
@@ -314,3 +315,33 @@ class LaurentPoly:
                 raise ValueError(f"exponent {e} appears more than once in the terms")
             coeffs[e] = c
         return LaurentPoly.from_dict(ring, coeffs)
+
+
+def row_step(terms, coords) -> LaurentPoly:
+    """The product of a row, as `matrices.generator_row` gives it, with a
+    vector's coordinates: a sum of shifted, scaled copies of their
+    coefficient tuples, accumulated in one buffer and normalised once.  The
+    terms must be over the coordinates' ring."""
+    live = []
+    low = high = 0
+    for j, e, c in terms:
+        x = coords[j]
+        a = x.coeffs
+        if a:
+            lo = x.low + e
+            hi = lo + len(a)
+            if not live:
+                low, high = lo, hi
+            else:
+                if lo < low:
+                    low = lo
+                if hi > high:
+                    high = hi
+            live.append((lo, c, a))
+    if not live:
+        return LaurentPoly(coords[0].ring, 0, ())
+    buf = [0] * (high - low)
+    for lo, c, a in live:
+        for k, y in enumerate(a, lo - low):
+            buf[k] += c * y
+    return _canonical(coords[0].ring, low, buf)

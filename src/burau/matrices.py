@@ -12,9 +12,9 @@ multiplication.  Everything is exact over the chosen coefficient ring.
 
 `word_matrix` applies a generator one way per ring.  Over Z, column j is
 `act(g, word, alpha_j, form)`: dense `LaurentPoly` entries, one coordinate
-changed per letter by a `row_step`, a sum of shifted, scaled coordinates
-from the terms of the generator's row (`generator_row`); the curve
-enumeration in `search` takes the same step.  Over Z/p the matrix is a
+changed per letter by `laurent.row_step`, a sum of shifted, scaled
+coordinates from the terms of the generator's row (`generator_row`); the
+curve enumeration in `search` takes the same step.  Over Z/p the matrix is a
 `_PackedMatrix`: its rows of Python ints over one shared lowest exponent,
 each int holding an entry's coefficients in fixed-width bit slots
 (Kronecker substitution, `_SlotCodec`), with the matrix's spread and its
@@ -22,13 +22,13 @@ codec.  A generator is the rank-one update I + e_i (r_i - e_i)^T of the
 identity, r_i its row i, so a letter is one step M -> M + (M u) v^T of
 `_PackedMatrix.times`, the step the bucket walk in `search` takes for its
 reflection lifts.  One slot bound, from the residue sums of the factors'
-entries (`_rank_one_factors`), keeps every slot below overflow; each
-changed entry is reduced mod p, every slot at once; and a step that leaves
-a slot at or above 2^b, b the bit length of p - 1, raises.  Fixed slots
-cannot hold the unbounded coefficients over Z, so Z stays dense, and it is
-the reference the packed path is tested against.  The packed format stays
-in this module: other modules step, fix-test and unpack a `_PackedMatrix`
-only through its methods.
+entries, keeps every slot below overflow; each changed entry is reduced
+mod p, every slot at once; and a step that leaves a slot at or above 2^b,
+b the bit length of p - 1, raises.  Fixed slots cannot hold the unbounded
+coefficients over Z, so Z stays dense, and it is the reference the packed
+path is tested against.  The packed format stays in this module: other
+modules build packed values only by `rank_one_factors`, and step,
+fix-test and unpack them only through the methods of `_PackedMatrix`.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .graphs import CoxeterGraph, validate_vertex, validate_word
-from .laurent import ZZ, CoefficientRing, IntegersMod, LaurentPoly, _canonical
+from .laurent import ZZ, CoefficientRing, IntegersMod, LaurentPoly, row_step
 
 
 @dataclass(frozen=True)
@@ -236,36 +236,6 @@ def generator_row(
     return tuple((j, e, c) for j, entry in enumerate(row) for e, c in entry.terms)
 
 
-def row_step(terms, coords) -> LaurentPoly:
-    """The product of a row, as `generator_row` gives it, with a vector's
-    coordinates: a sum of shifted, scaled copies of their coefficient
-    tuples, accumulated in one buffer and normalised once.  The terms must
-    be over the coordinates' ring."""
-    live = []
-    low = high = 0
-    for j, e, c in terms:
-        x = coords[j]
-        a = x.coeffs
-        if a:
-            lo = x.low + e
-            hi = lo + len(a)
-            if not live:
-                low, high = lo, hi
-            else:
-                if lo < low:
-                    low = lo
-                if hi > high:
-                    high = hi
-            live.append((lo, c, a))
-    if not live:
-        return LaurentPoly(coords[0].ring, 0, ())
-    buf = [0] * (high - low)
-    for lo, c, a in live:
-        for k, y in enumerate(a, lo - low):
-            buf[k] += c * y
-    return _canonical(coords[0].ring, low, buf)
-
-
 def act(
     g: CoxeterGraph, word, v: BurauVector, form: PairingForm = STANDARD
 ) -> BurauVector:
@@ -375,7 +345,7 @@ class _SlotCodec:
         return (x.bit_length() - 1) // self.width
 
 
-def _rank_one_factors(p: int, factors) -> tuple:
+def rank_one_factors(p: int, factors) -> tuple:
     """(identity, packed): the identity as a `_PackedMatrix`, and the factors
     I + u v^T, given as (u, v) pairs of non-zero vectors of Z/p LaurentPoly
     entries, one pair at least, packed for `_PackedMatrix.times`.  Each
@@ -397,11 +367,9 @@ def _rank_one_factors(p: int, factors) -> tuple:
         base = low(vec)
         return tuple((a, codec.pack(c, base)) for a, c in enumerate(vec) if c.coeffs)
 
-    def residue_sum(entry) -> int:
-        return sum(entry.coeffs)
-
     weight = max(
-        sum(map(residue_sum, u)) * max(map(residue_sum, v)) for u, v in factors
+        sum(sum(c.coeffs) for c in u) * max(sum(c.coeffs) for c in v)
+        for u, v in factors
     )
     head = max([0] + [-low(u) - low(v) for u, v in factors])
     codec = _SlotCodec(p, (p - 1) * (1 + weight), head)
@@ -425,7 +393,7 @@ class _PackedMatrix(NamedTuple):
 
     def times(self, factors) -> "_PackedMatrix":
         """M (I + u_1 v_1^T) (I + u_2 v_2^T) ..., with each (u, v, offset) a
-        factor from `_rank_one_factors`, one at least.  Each factor is one
+        factor from `rank_one_factors`, one at least.  Each factor is one
         step M -> M + (M u) v^T, after which the shared exponent is
         renormalised so that the lowest non-zero slot is slot `head`.  The
         rows are copied before the first step, so this value is unchanged.
@@ -513,7 +481,7 @@ def word_matrix(
             gen_row = generator_matrix(g, i, sign, form, ring).rows[i - 1]
             e_i = tuple(one if j == i else zero for j in g.vertices())
             factors[letter] = (e_i, tuple(e - f for e, f in zip(gen_row, e_i)))
-    identity, packed = _rank_one_factors(ring.p, list(factors.values()))
+    identity, packed = rank_one_factors(ring.p, list(factors.values()))
     steps = dict(zip(factors, packed))
     return identity.times([steps[x] for x in word]).unpack(g)
 

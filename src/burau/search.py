@@ -1,4 +1,4 @@
-"""Counterexample search harnesses.
+"""Counterexample search harnesses; `criteria` builds what they certify.
 
 Two complementary strategies.  Over the integers, curves (orbit vectors of
 the standard Burau action) are enumerated breadth-first from the basis roots,
@@ -7,19 +7,19 @@ or is a signed power of q (a modular prefilter prunes the scan, the exact
 pairing decides); candidate pairs are then confirmed categorically, from
 twisted complexes that each store builds once per record (`TwistMemo`).
 A generator changes one coordinate, so a child in the enumeration costs one
-coordinate update from the generator's row (`matrices.row_step`), with the
+coordinate update from the generator's row (`laurent.row_step`), with the
 rows read once per enumeration; the scan's filter runs once per left
 record, over its whole right range, and only the pairs it passes reach the
 first-letter skip and the exact pairing.
 Over Z/pZ, a seeded random walk in the dual positive monoid files braids into
 buckets keyed by canonical length and spread, watching for words that fix a
 basis root up to a power of q; fixing words feed the twist-quotient
-verifier, which is also usable standalone on explicit words.
+verifier, `criteria.verify_bigelow3`.
 
 Each walk step multiplies by the dual matrix of a reflection lift
 W sigma_j W^-1, which is a rank-one update I + u v^T.  The walk keeps its
-matrix mod p as the packed value that `word_matrix` steps mod p
-(`matrices._PackedMatrix`): its `times` takes a step M -> M + (M u) v^T in
+matrix mod p as the packed value that `word_matrix` steps mod p, built by
+`matrices.rank_one_factors`: its `times` takes a step M -> M + (M u) v^T in
 a few big-int products per row, it carries its spread, and its fix test
 decodes only a column that can pass.  Buckets that restarts can choose
 keep each braid's packed matrix and normal-form state beside its bands, so
@@ -42,37 +42,30 @@ from typing import NamedTuple
 
 from .complexes import ProjComplex, apply_twist, k0_class, projective
 from .criteria import (
-    CRITERION_BRAID_RELATOR,
-    CRITERION_COMMUTATOR,
-    CRITERION_TWIST_QUOTIENT,
     KernelCertificate,
-    Rejection,
-    _pairing_criterion,
-    seal_certificate,
+    criterion_shape,
+    pairing_criterion,
+    verify_bigelow3,
 )
 from .garside import garside_context
 from .graphs import (
     CoxeterGraph,
-    commutator_word,
     graph_from_json,
     graph_json,
     inverse_word,
     validate_vertex,
     validate_word,
 )
-from .laurent import ZZ, IntegersMod, LaurentPoly
+from .laurent import ZZ, IntegersMod, LaurentPoly, row_step
 from .matrices import (
     DUAL,
-    STANDARD,
     BurauVector,
-    _rank_one_factors,
     act,
     basis_vector,
     generator_row,
     gram_matrix,
-    is_identity,
     pairing,
-    row_step,
+    rank_one_factors,
     word_matrix,
 )
 from .zigzag import ZigzagAlgebra, zigzag
@@ -348,11 +341,12 @@ def find_pairs(
     limit: int | None = None,
 ) -> list:
     """Scan stored curve pairs for the pairing condition of the chosen
-    criterion: exactly zero (1) or a signed power of q (2).  A root filter
-    (pair of root keys) restricts the scan to two indexed slices; pairs whose
-    witnesses start with the same letter are skipped as redundant
-    left-translates of a pair already considered.  `limit` caps the number
-    of pairs returned; it must be non-negative, and 0 returns no pairs.
+    criterion: exactly zero (1) or a signed power of q (2).  A root filter,
+    two root keys (tuples or lists of n ints), restricts the scan to two
+    indexed slices; pairs whose witnesses start with the same letter are
+    skipped as redundant left-translates of a pair already considered.
+    `limit` caps the number of pairs returned; it must be non-negative, and
+    0 returns no pairs.
 
     A prefilter only prunes: each record's coordinates are evaluated once, at
     a fixed point q0 modulo a 61-bit prime, so a pair costs one n-term dot
@@ -362,18 +356,23 @@ def find_pairs(
     A pair meeting the condition exactly always passes, and every pair that
     passes, unless its first letters agree, is decided by the exact
     `pairing`, in the order left record, then right record."""
-    if type(criterion) is not int or criterion not in (1, 2):
-        raise ValueError("criterion must be 1 or 2")
+    criterion_shape(criterion)  # refuses anything but 1 or 2
     if limit is not None and (type(limit) is not int or limit < 0):
         raise ValueError("limit must be a non-negative int")
+    g = store.graph
+    if root_filter is not None and not (
+        isinstance(root_filter, (tuple, list))
+        and all(isinstance(k, (tuple, list)) and all(type(c) is int for c in k) for k in root_filter)
+        and [len(k) for k in root_filter] == [g.n, g.n]
+    ):
+        raise ValueError(f"root_filter must be two root keys of {g.n} ints each")
     if limit == 0:
         return []
-    g = store.graph
     recs = store.records
     if root_filter is None:
         left = right = range(len(recs))
     else:
-        k1, k2 = tuple(root_filter[0]), tuple(root_filter[1])
+        k1, k2 = map(tuple, root_filter)
         left = store.by_root.get(k1, [])
         right = left if k1 == k2 else store.by_root.get(k2, [])
     # a slice paired with itself visits each unordered pair once
@@ -423,105 +422,29 @@ def confirm_pair(g: CoxeterGraph, pair, criterion: int):
     stored vectors, each first checked against the k0 class of its complex;
     a record whose witness does not make its vector raises ValueError.  The
     check comes before the pairing is read, so both records are twisted even
-    for a pair that the pairing rejects; every `find_pairs` hit passes it."""
-    if type(criterion) is not int or criterion not in (1, 2):
-        raise ValueError("criterion must be 1 or 2")
-    fresh = None
+    for a pair that the pairing rejects; every `find_pairs` hit passes it.
+    A criterion other than 1 or 2, or not two records, raises before any twist."""
+    shape = criterion_shape(criterion)
+    if len(pair) != 2:
+        raise ValueError(f"a pair is two records, not {len(pair)}")
+    fresh = TwistMemo(g)
     complexes = []
     for record in pair:
         memo = record.memo_ref and record.memo_ref()
         if memo is None or memo.graph != g:
-            if fresh is None:
-                fresh = TwistMemo(g)
             memo = fresh
         complexes.append(memo.twisted(record))
     r1, r2 = pair
-    return _pairing_criterion(
-        CRITERION_COMMUTATOR if criterion == 1 else CRITERION_BRAID_RELATOR,
-        g,
-        ((r1.witness, r1.seed_vertex), (r2.witness, r2.seed_vertex)),
-        pairing(r1.vector(g), r2.vector(g)),
-        lambda: complexes,
-    )
-
-
-def _fixing_exponent(column, i: int):
-    """If the vector is (+-1) q^l alpha_i, return (l, sign), else None.  The
-    sign squares away in the twist conjugation formula, so a signed power
-    certifies exactly as much as a plain one; it is recorded, not ignored."""
-    if any(not c.is_zero() for j, c in enumerate(column.coords, start=1) if j != i):
-        return None
-    return column.coords[i - 1].signed_q_power()
-
-
-def verify_bigelow3(g: CoxeterGraph, beta, i: int, p: int):
-    """The mod-p twist-quotient verifier: beta must move alpha_i to q^l
-    alpha_i under the dual form mod p, the commutator of beta with sigma_i
-    must be a non-trivial braid (Garside word problem), and it must have the
-    identity dual matrix mod p.  That matrix is computed once, by the seal,
-    and a failure is reported as `commutator-matrix`; a trivial braid has the
-    identity matrix in every form, so checking it first changes no outcome.
-    The report of the normal-form side conditions and the standard-form
-    identity status ride along as diagnostics.  One normal-form state serves
-    both: it takes beta, then sigma_i (the report), then beta^-1 sigma_i^-1
-    (the word problem)."""
-    validate_word(g, beta)
-    ring = IntegersMod(p)  # refuses a modulus that is not an int >= 2
-    ctx = garside_context(g)  # raises NotFiniteType early for bad graphs
-    image = act(g, beta, basis_vector(g, i, ring), DUAL)
-    fixing = _fixing_exponent(image, i)
-    if fixing is None:
-        return Rejection(
-            CRITERION_TWIST_QUOTIENT,
-            "fix-vector",
-            f"the image of alpha_{i} is {image}, not a signed power of q "
-            f"times alpha_{i}",
-        )
-    exponent, sign = fixing
-    beta = tuple(beta)
-    kernel = commutator_word(beta, (i,))
-    state = ctx.new_nf_state(beta)
-    report = state.samecurve_report(i)
-    for letter in kernel[len(beta) + 1 :]:
-        state.push_letter(letter)
-    if state.is_trivial():
-        return Rejection(
-            CRITERION_TWIST_QUOTIENT,
-            "trivial-braid",
-            "the commutator is the trivial braid, so it certifies nothing",
-        )
-    standard_identity = is_identity(word_matrix(g, kernel, STANDARD, ring))
-    cert = KernelCertificate(
-        graph=g,
-        criterion=CRITERION_TWIST_QUOTIENT,
-        witnesses=((beta, i),),
-        kernel_word=kernel,
-        ring=ring,
-        form=DUAL,
-        fix_exponent=exponent,
-        diagnostics=(
-            ("fix_sign", sign),
-            ("samecurve_zero_gamma_power", report.zero_gamma_power),
-            ("samecurve_append_stays_greedy", report.append_stays_greedy),
-            ("samecurve_atom_free_last_simple", report.atom_free_last_simple),
-            ("standard_form_commutator_identity", standard_identity),
-        ),
-    )
-    sealed = seal_certificate(cert)
-    if isinstance(sealed, Rejection):
-        return Rejection(
-            CRITERION_TWIST_QUOTIENT,
-            "commutator-matrix",
-            f"the commutator word is not in the kernel of the dual form mod {p}",
-        )
-    return sealed
+    witnesses = ((r1.witness, r1.seed_vertex), (r2.witness, r2.seed_vertex))
+    p = pairing(r1.vector(g), r2.vector(g))
+    return pairing_criterion(shape, g, witnesses, p, lambda: complexes)
 
 
 class _Band(NamedTuple):
     """One walk step: right multiplication by the dual matrix of a
     reflection lift W sigma_j W^-1, which is I + u v^T with u = M(W) e_j and
     v^T = -(row j of the dual Gram matrix) M(W^-1).  `factor` is (u, v,
-    offset) as `matrices._rank_one_factors` packs it."""
+    offset) as `matrices.rank_one_factors` packs it."""
 
     refl: int
     lift: tuple
@@ -562,7 +485,7 @@ def _walk_bands(g: CoxeterGraph, p: int) -> tuple:
         if word_matrix(g, lift, DUAL, ZZ).reduce_mod(p).rows != rank_one:
             raise AssertionError(f"the matrix of lift {lift} is not I + u v^T")
         factors.append((u, v))
-    identity, packed = _rank_one_factors(p, factors)
+    identity, packed = rank_one_factors(p, factors)
     bands = tuple(
         _Band(t, lift, factor) for t, lift, factor in zip(ctx.refl_ids, lifts, packed)
     )

@@ -14,13 +14,13 @@ from burau.criteria import (
     criterion1,
     criterion2,
     seal_certificate,
+    verify_bigelow3,
     verify_kernel_word,
 )
 from burau.fixtures import D4_MODULI, affine_fixture, d4_fixture
 from burau.graphs import INF, CoxeterGraph, conjugated_generator, inverse_word, preset
 from burau.laurent import ZZ
 from burau.matrices import STANDARD
-from burau.search import verify_bigelow3
 from burau.zigzag import zigzag
 
 

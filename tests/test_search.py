@@ -15,6 +15,7 @@ from burau.complexes import act_complex, projective
 from burau.criteria import (
     KernelCertificate,
     Rejection,
+    _fixing_exponent,
     criterion1,
     criterion2,
     verify_kernel_word,
@@ -36,7 +37,6 @@ from burau.matrices import (
 from burau.search import (
     CurveRecord,
     CurveStore,
-    _fixing_exponent,
     _walk_bands,
     bucket_search,
     confirm_pair,
@@ -251,6 +251,19 @@ def test_find_pairs_refuses_a_limit_that_is_not_an_int():
             find_pairs(store, 1, limit=limit)
 
 
+def test_find_pairs_refuses_a_malformed_root_filter():
+    store = enumerate_curves(preset("tildeA3"), budget=120)
+    key = (1, 0, 0, -1)
+    # one key used to raise IndexError; keys of length 3 and the string 'ab'
+    # used to scan nothing, and three keys to scan the first two
+    for root_filter in ((key,), ((1, 0, 0), (1, 0, 0)), "ab", (key, key, key)):
+        with pytest.raises(ValueError, match="root_filter must be two root keys of 4 ints"):
+            find_pairs(store, 1, root_filter=root_filter)
+    assert find_pairs(store, 1, root_filter=[list(key), key]) == find_pairs(
+        store, 1, root_filter=(key, key)
+    )
+
+
 def _visited_pairs(store, root_filter=None):
     """The pairs find_pairs visits, in its order: both slices of the root
     filter (or the whole store), minus pairs whose witnesses share a first
@@ -402,6 +415,17 @@ def test_confirm_pair_refuses_a_bool_criterion():
     # True equals 1, and used to certify this pair as criterion 1
     with pytest.raises(ValueError, match="criterion must be 1 or 2"):
         confirm_pair(g, pair, True)
+
+
+def test_confirm_pair_refuses_anything_but_two_records_before_twisting():
+    g = preset("tildeA3")
+    store = enumerate_curves(g, budget=40)
+    records = store.records[20:23]
+    before = len(store.memo)
+    for count in (0, 1, 3):
+        with pytest.raises(ValueError, match=f"a pair is two records, not {count}"):
+            confirm_pair(g, tuple(records[:count]), 1)
+    assert len(store.memo) == before
 
 
 def _same_outcome(a, b) -> bool:
@@ -637,7 +661,7 @@ def test_verify_bigelow3_reports_a_failed_seal_as_commutator_matrix(monkeypatch)
     def failing_seal(cert):
         return Rejection(cert.criterion, "verification", "synthetic failure")
 
-    monkeypatch.setattr("burau.search.seal_certificate", failing_seal)
+    monkeypatch.setattr("burau.criteria.seal_certificate", failing_seal)
     fx = d4_fixture(7)
     (beta, i) = fx.witnesses[0]
     out = verify_bigelow3(fx.graph, beta, i, 7)
