@@ -18,7 +18,7 @@ from collections import Counter
 
 from .complexes import (
     act_complex,
-    euler_pairing,
+    euler_characteristic,
     hom_table,
     is_spherical,
     k0_class,
@@ -197,7 +197,7 @@ def cmd_hom(args) -> int:
     cx = act_complex(g, args.w1, projective(algebra, args.i1))
     cy = act_complex(g, args.w2, projective(algebra, args.i2))
     table = hom_table(cx, cy)
-    euler = euler_pairing(cx, cy)
+    euler = euler_characteristic(table)
     human = "\n".join([render_hom_table(table), f"Euler pairing: {euler}"])
     machine = {
         "hom_table": {f"{gg},{hh}": dim for (gg, hh), dim in sorted(table.items())},

@@ -11,13 +11,18 @@ identity euler_pairing(X, Y) = pairing(k0 X, k0 Y).
 
 The positive twist along P_i glues shifted copies of P_i one homological step
 below each summand (the evaluation cone); the negative twist glues them one
-step above.  Both minimize the result before returning it.
+step above.  Both minimize the result before returning it: the cone is never
+built as a `ProjComplex`, but written entry by entry into the maps that the
+elimination of `minimize` works on, each entry passing the same check as an
+entry of a `ProjComplex`.
 
 Every homogeneous element of Hom(P_i, P_j) = e_j A e_i is a scalar times
 the unique basis token of its degree, so every differential entry is one
 (token, coefficient) term.  Twists and `minimize` work on those terms and
 hand out the algebra's shared instances of entries, summand triples and
-index pairs (`ZigzagAlgebra.term` and `ZigzagAlgebra.shared`).
+index pairs (`ZigzagAlgebra.term` and `ZigzagAlgebra.shared`).  For the same
+reason `hom_table` names a basis map by its two summands and its degree,
+packed into one integer column.
 """
 
 from __future__ import annotations
@@ -31,6 +36,26 @@ from .laurent import ZZ, LaurentPoly
 from .matrices import BurauVector
 from .zigzag import Elt, ZigzagAlgebra, token_degree, token_mul
 
+def _check_term(summands, s, t, tok, c) -> None:
+    """Raise ValueError unless c*tok may be a differential entry from summand
+    s to summand t: it raises h by one, is non-zero, and tok lies in
+    e_{v_t} A e_{v_s} with degree g_s - g_t.  Every entry of a `ProjComplex`
+    and of a twist's cone passes this check."""
+    vs, gs, hs = summands[s]
+    vt, gt, ht = summands[t]
+    if ht != hs + 1:
+        raise ValueError(f"entry {s}->{t} does not raise h by one")
+    if not c:
+        raise ValueError(f"stored zero entry {s}->{t}")
+    if tok[1] != vs or (tok[2] if tok[0] == "a" else tok[1]) != vt:
+        raise ValueError(f"entry {s}->{t} has token {tok} outside e_{vt} A e_{vs}")
+    if token_degree(tok) != gs - gt:
+        raise ValueError(
+            f"entry {s}->{t} has token {tok} of degree "
+            f"{token_degree(tok)}, expected {gs - gt}"
+        )
+
+
 class ProjComplex:
     """Summands P_v{g}[h] as (vertex, g, h) triples and a differential
     (src_idx, dst_idx) -> Elt.  Treated as immutable.  The differential is
@@ -43,25 +68,9 @@ class ProjComplex:
     def __init__(self, algebra: ZigzagAlgebra, summands: tuple, diff: dict | None = None):
         diff = diff or {}
         for (s, t), e in diff.items():
-            vs, gs, hs = summands[s]
-            vt, gt, ht = summands[t]
-            if ht != hs + 1:
-                raise ValueError(f"entry {s}->{t} does not raise h by one")
-            if e.is_zero():
-                raise ValueError(f"stored zero entry {s}->{t}")
-            for tok in e.coeffs:
-                src = tok[1]
-                dst = tok[2] if tok[0] == "a" else tok[1]
-                if src != vs or dst != vt:
-                    raise ValueError(
-                        f"entry {s}->{t} has token {tok} outside "
-                        f"e_{vt} A e_{vs}"
-                    )
-                if token_degree(tok) != gs - gt:
-                    raise ValueError(
-                        f"entry {s}->{t} has token {tok} of degree "
-                        f"{token_degree(tok)}, expected {gs - gt}"
-                    )
+            # a zero entry is checked as one zero term
+            for tok, c in e.coeffs.items() or ((None, 0),):
+                _check_term(summands, s, t, tok, c)
         self.algebra = algebra
         self.summands = summands
         self._pairs = tuple(diff)
@@ -145,18 +154,23 @@ def minimize(x: ProjComplex) -> ProjComplex:
     updating the rest of the differential.  Preserves the homotopy type, k0,
     and all Hom tables.  1/c is c itself when c = +-1 and Fraction(1, c)
     otherwise, so the result is exact over Q."""
-    algebra = x.algebra
     out: dict[int, dict[int, tuple]] = {}  # s -> t -> (token, coefficient)
     inc: dict[int, dict[int, tuple]] = {}
     units = []  # (s, t) of every entry that was a multiple of e_i when set
     for (s, t), e in x.entries():
         term = _term(e)
-        out.setdefault(s, {})[t] = term
-        inc.setdefault(t, {})[s] = term
+        out.setdefault(s, {})[t] = inc.setdefault(t, {})[s] = term
         if term[0][0] == "e":
             units.append((s, t))
+    return _eliminate(x.algebra, x.summands, out, inc, units)
+
+
+def _eliminate(algebra: ZigzagAlgebra, summands, out: dict, inc: dict, units: list) -> ProjComplex:
+    """The elimination of `minimize` on a differential given as maps
+    out[s][t] = inc[t][s] = (token, coefficient), with `units` listing the
+    (s, t) of its idempotent entries.  The maps are consumed."""
     heapify(units)
-    alive = set(range(len(x.summands)))
+    alive = set(range(len(summands)))
 
     while units:
         s, t = heappop(units)
@@ -195,58 +209,71 @@ def minimize(x: ProjComplex) -> ProjComplex:
 
     keep = sorted(alive)
     renum = {old: new for new, old in enumerate(keep)}
-    summands = tuple(x.summands[old] for old in keep)
     diff = {}
     for s, targets in out.items():
         for t, (tok, c) in targets.items():
             diff[algebra.shared((renum[s], renum[t]))] = algebra.term(tok, c)
-    return ProjComplex(algebra, summands, diff)
+    return ProjComplex(algebra, tuple(summands[old] for old in keep), diff)
 
 
 def apply_twist(x: ProjComplex, i: int, sign: int) -> ProjComplex:
     """The spherical twist along P_i (sign=+1) or its inverse (sign=-1),
-    returned in minimized form."""
+    returned in minimized form.  The cone is written straight into the maps
+    that `minimize` eliminates on, in the order its differential would have
+    as a `ProjComplex`, and each of its entries passes the same check."""
     algebra = x.algebra
     validate_vertex(algebra.graph, i)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
 
     summands = list(x.summands)
-    diff = dict(x.entries())
-    new_index: dict[tuple, int] = {}
+    out: dict[int, dict[int, tuple]] = {}  # s -> t -> (token, coefficient)
+    inc: dict[int, dict[int, tuple]] = {}
+    units = []
+    entries = [(s, t, *_term(e)) for (s, t), e in x.entries()]
+    for s, t, tok, c in entries:
+        _check_term(summands, s, t, tok, c)
+        out.setdefault(s, {})[t] = inc.setdefault(t, {})[s] = (tok, c)
+        if tok[0] == "e":
+            units.append((s, t))
+
+    glued: list[dict] = []  # per summand of x: basis token y -> its copy of P_i
+    for t, (j, g, h) in enumerate(x.summands):
+        copies = {}
+        glued.append(copies)
+        if sign == 1:
+            # glue P_i{g + deg y}[h - 1] -> P_j{g}[h] for y in Hom(P_i, P_j)
+            for y, dy in algebra.hom_terms(i, j):
+                copies[y] = s = len(summands)
+                summands.append(algebra.shared((i, g + dy, h - 1)))
+                _check_term(summands, s, t, y, 1)
+                out[s] = {t: (y, 1)}
+                inc.setdefault(t, {})[s] = out[s][t]
+                if y[0] == "e":
+                    units.append((s, t))
+        else:
+            # glue P_j{g}[h] -> P_i{g - deg y}[h + 1] for y in Hom(P_j, P_i)
+            for y, dy in algebra.hom_terms(j, i):
+                copies[y] = s = len(summands)
+                summands.append(algebra.shared((i, g - dy, h + 1)))
+                _check_term(summands, t, s, y, 1)
+                inc[s] = {t: (y, 1)}
+                out.setdefault(t, {})[s] = inc[s][t]
+                if y[0] == "e":
+                    units.append((t, s))
+
     ei = ("e", i)
+    for t1, t2, tok, c in entries:
+        term = (ei, -c)
+        for y, s in glued[t1 if sign == 1 else t2].items():
+            z = token_mul(tok, y) if sign == 1 else token_mul(y, tok)
+            if z is not None:
+                a, b = (s, glued[t2][z]) if sign == 1 else (glued[t1][z], s)
+                _check_term(summands, a, b, ei, -c)
+                out.setdefault(a, {})[b] = inc.setdefault(b, {})[a] = term
+                units.append((a, b))
 
-    if sign == 1:
-        # glue P_i{g + deg y}[h - 1] -> P_j{g}[h] for y in Hom(P_i, P_j)
-        for t, (j, g, h) in enumerate(x.summands):
-            for y in algebra.hom_basis(i, j):
-                new_index[(t, y)] = idx = len(summands)
-                summands.append(algebra.shared((i, g + token_degree(y), h - 1)))
-                diff[(idx, t)] = algebra.term(y)
-        for (t1, t2), e in x.entries():
-            tok, c = _term(e)
-            for y1 in algebra.hom_basis(i, x.summands[t1][0]):
-                y2 = token_mul(tok, y1)
-                if y2 is not None:
-                    key = (new_index[(t1, y1)], new_index[(t2, y2)])
-                    diff[key] = algebra.term(ei, -c)
-    else:
-        # glue P_j{g}[h] -> P_i{g - deg y}[h + 1] for y in Hom(P_j, P_i)
-        for t, (j, g, h) in enumerate(x.summands):
-            for y in algebra.hom_basis(j, i):
-                new_index[(t, y)] = idx = len(summands)
-                summands.append(algebra.shared((i, g - token_degree(y), h + 1)))
-                diff[(t, idx)] = algebra.term(y)
-        for (t1, t2), e in x.entries():
-            tok, c = _term(e)
-            for y2 in algebra.hom_basis(x.summands[t2][0], i):
-                y1 = token_mul(y2, tok)
-                if y1 is not None:
-                    key = (new_index[(t1, y1)], new_index[(t2, y2)])
-                    diff[key] = algebra.term(ei, -c)
-
-    cone = ProjComplex(algebra, tuple(summands), diff)
-    return minimize(cone)
+    return _eliminate(algebra, summands, out, inc, units)
 
 
 def act_complex(g: CoxeterGraph, word, x: ProjComplex) -> ProjComplex:
@@ -309,32 +336,36 @@ def hom_table(x: ProjComplex, y: ProjComplex) -> dict:
     The (g, h) component is spanned by algebra maps P_{i_S} -> P_{i_T}
     between summands S of x and T of y with deg + g_T - g_S = g and
     h_T - h_S = h; the differential is f -> d_y f - (-1)^h f d_x.  Each
-    block of it becomes sparse integer rows, one per basis map, ranked
-    exactly by `_rank`.
+    block of it becomes sparse rows, one per basis map with a non-zero
+    image, ranked exactly by `_rank`.  A basis map has one token per
+    degree, so the map of degree d from summand s to summand t is the
+    integer column 3 * (s * |y| + t) + d; a product of two differential
+    entries whose degrees sum above 2 is zero and is skipped unmultiplied.
     """
     if x.algebra != y.algebra:
         raise ValueError("algebra mismatch")
     algebra = x.algebra
+    ny3 = 3 * len(y.summands)
 
-    blocks: dict[tuple, list] = {}  # (g, h) -> [(s, t, tok)]
-    position: dict[tuple, int] = {}  # (s, t, tok) -> index in its block
-    bases: dict[tuple, list] = {}
+    blocks: dict[tuple, list] = {}  # (g, h) -> [(s, t, tok, deg)]
+    to_y: dict[int, list] = {}  # vertex v -> hom_terms(v, .) per summand of y
     for s, (vs, gs, hs) in enumerate(x.summands):
-        for t, (vt, gt, ht) in enumerate(y.summands):
-            basis = bases.get((vs, vt))
-            if basis is None:
-                basis = bases[(vs, vt)] = algebra.hom_basis(vs, vt)
-            for tok in basis:
-                block = blocks.setdefault((token_degree(tok) + gt - gs, ht - hs), [])
-                position[(s, t, tok)] = len(block)
-                block.append((s, t, tok))
+        terms = to_y.get(vs)
+        if terms is None:
+            terms = to_y[vs] = [algebra.hom_terms(vs, vt) for vt, _, _ in y.summands]
+        for t, (_, gt, ht) in enumerate(y.summands):
+            for tok, d in terms[t]:
+                blocks.setdefault((d + gt - gs, ht - hs), []).append((s, t, tok, d))
 
-    y_out: dict[int, list] = {}
+    # (column offset of the far end, token, degree, coefficient)
+    y_out: list[list] = [[] for _ in y.summands]
     for (t, t2), e in y.entries():
-        y_out.setdefault(t, []).append((t2, *_term(e)))
-    x_inc: dict[int, list] = {}
+        tok, c = _term(e)
+        y_out[t].append((3 * t2, tok, token_degree(tok), c))
+    x_inc: list[list] = [[] for _ in x.summands]
     for (s0, s), e in x.entries():
-        x_inc.setdefault(s, []).append((s0, *_term(e)))
+        tok, c = _term(e)
+        x_inc[s].append((ny3 * s0, tok, token_degree(tok), c))
 
     ranks: dict[tuple, int] = {}
     for (g, h), basis in blocks.items():
@@ -342,19 +373,17 @@ def hom_table(x: ProjComplex, y: ProjComplex) -> dict:
             continue
         sgn = -1 if h % 2 == 0 else 1  # the -(-1)^h factor
         rows = []
-        for s, t, tok in basis:
-            row: dict = {}  # column -> coefficient
-            for t2, tok_e, c in y_out.get(t, ()):
-                z = token_mul(tok_e, tok)
-                if z is not None:
-                    col = position[(s, t2, z)]
-                    row[col] = row.get(col, 0) + c
-            for s0, tok_e, c in x_inc.get(s, ()):
-                z = token_mul(tok, tok_e)
-                if z is not None:
-                    col = position[(s0, t, z)]
-                    row[col] = row.get(col, 0) + sgn * c
-            rows.append(row)
+        for s, t, tok, d in basis:
+            # distinct far ends, and no column of d_y f is one of f d_x
+            row = {}
+            for far, tok_e, de, c in y_out[t]:
+                if d + de <= 2 and token_mul(tok_e, tok) is not None:
+                    row[ny3 * s + far + d + de] = c
+            for far, tok_e, de, c in x_inc[s]:
+                if d + de <= 2 and token_mul(tok, tok_e) is not None:
+                    row[far + 3 * t + d + de] = sgn * c
+            if row:
+                rows.append(row)
         ranks[(g, h)] = _rank(rows)
 
     table: dict[tuple, int] = {}
@@ -371,13 +400,18 @@ def total_hom_dim(x: ProjComplex, y: ProjComplex) -> int:
     return sum(hom_table(x, y).values())
 
 
-def euler_pairing(x: ProjComplex, y: ProjComplex) -> LaurentPoly:
-    """Sum of (-1)^h q^g over the Hom table; matches the Burau pairing of the
-    k0 classes."""
+def euler_characteristic(table: dict) -> LaurentPoly:
+    """Sum of (-1)^h dim q^g over a hom table."""
     acc: dict[int, int] = {}
-    for (g, h), dim in hom_table(x, y).items():
+    for (g, h), dim in table.items():
         acc[g] = acc.get(g, 0) + (-dim if h % 2 else dim)
     return LaurentPoly.from_dict(ZZ, acc)
+
+
+def euler_pairing(x: ProjComplex, y: ProjComplex) -> LaurentPoly:
+    """The Euler characteristic of the Hom table; matches the Burau pairing
+    of the k0 classes."""
+    return euler_characteristic(hom_table(x, y))
 
 
 def is_spherical(x: ProjComplex) -> bool:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .graphs import CoxeterGraph
+from .graphs import CoxeterGraph, validate_vertex
 
 # tokens: ("e", i) / ("a", i, j) meaning the path i -> j / ("x", i)
 
@@ -140,12 +140,14 @@ class ZigzagAlgebra:
     """The algebra of one graph.  It also holds one shared instance per value
     of the immutable parts of complexes built over it (one-token entries,
     summand triples, index pairs and hom table bidegrees), so a kept complex
-    costs little more than its index structure.  The tables live exactly as
-    long as the algebra; `zigzag` builds a fresh one per call."""
+    costs little more than its index structure, and the hom bases of all
+    vertex pairs, which depend on the graph alone.  The tables live exactly
+    as long as the algebra; `zigzag` builds a fresh one per call."""
 
     graph: CoxeterGraph
     _terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _tuples: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.graph.n < 2:
@@ -176,14 +178,32 @@ class ZigzagAlgebra:
     def loop(self, i: int) -> Elt:
         return self.term(("x", i))
 
-    def hom_basis(self, i: int, j: int) -> list:
-        """Basis tokens of e_j A e_i, i.e. of Hom(P_i, P_j)."""
-        if i == j:
-            return [("e", i), ("x", i)]
-        if self.graph.adjacent(i, j):
-            return [("a", i, j)]
-        return []
+    def _fill_bases(self, i: int, j: int) -> tuple:
+        """Fill the table of hom bases of every vertex pair, on first use,
+        and return its entry for (i, j): the tokens of e_j A e_i and the
+        same tokens as (token, degree) pairs."""
+        bases = self._bases
+        vertices = self.graph.vertices()
+        for a in vertices:
+            for b in vertices:
+                if a == b:
+                    tokens = (("e", a), ("x", a))
+                elif self.graph.adjacent(a, b):
+                    tokens = (("a", a, b),)
+                else:
+                    tokens = ()
+                bases[(a, b)] = tokens, tuple((t, token_degree(t)) for t in tokens)
+        validate_vertex(self.graph, i)
+        validate_vertex(self.graph, j)
+        return bases[(i, j)]
 
+    def hom_basis(self, i: int, j: int) -> tuple:
+        """Basis tokens of e_j A e_i, i.e. of Hom(P_i, P_j)."""
+        return (self._bases.get((i, j)) or self._fill_bases(i, j))[0]
+
+    def hom_terms(self, i: int, j: int) -> tuple:
+        """The basis of `hom_basis(i, j)` as (token, degree) pairs."""
+        return (self._bases.get((i, j)) or self._fill_bases(i, j))[1]
 
 def zigzag(g: CoxeterGraph) -> ZigzagAlgebra:
     return ZigzagAlgebra(g)

@@ -5,11 +5,52 @@ table built from `Elt` products with one dense `Fraction` row per basis map.
 This is the straightforward computation that the sparse integer one in
 `burau.complexes` must agree with; it shares only the algebra's
 multiplication with the library.
+
+`reference_cone` is the spherical twist's cone built the plain way, as a
+dict differential checked by `ProjComplex`; `minimize` of it is what the
+fused cone of `apply_twist` must equal.
 """
 
 from fractions import Fraction
 
-from burau.zigzag import Elt, token_degree
+from burau.complexes import ProjComplex, minimize
+from burau.zigzag import Elt, token_degree, token_mul
+
+
+def reference_cone(x, i: int, sign: int):
+    """The unminimized cone of the twist along P_i (sign +1) or its inverse
+    (sign -1), as a `ProjComplex`.  Summands and entries come in the order
+    x's summands, then one copy of P_i per basis map y (placed at the
+    degree the algebra's table gives y), then the e_i entries between
+    copies."""
+    algebra = x.algebra
+    summands = list(x.summands)
+    diff = dict(x.diff)
+    copy: dict[tuple, int] = {}
+    for t, (j, g, h) in enumerate(x.summands):
+        ends = (i, j) if sign == 1 else (j, i)
+        for y, dy in algebra.hom_terms(*ends):
+            copy[(t, y)] = idx = len(summands)
+            summands.append((i, g + dy, h - 1) if sign == 1 else (i, g - dy, h + 1))
+            diff[(idx, t) if sign == 1 else (t, idx)] = algebra.term(y)
+    for (t1, t2), e in x.diff.items():
+        ((tok, c),) = e.coeffs.items()
+        if sign == 1:
+            for y1, _ in algebra.hom_terms(i, x.summands[t1][0]):
+                y2 = token_mul(tok, y1)
+                if y2 is not None:
+                    diff[(copy[(t1, y1)], copy[(t2, y2)])] = algebra.term(("e", i), -c)
+        else:
+            for y2, _ in algebra.hom_terms(x.summands[t2][0], i):
+                y1 = token_mul(y2, tok)
+                if y1 is not None:
+                    diff[(copy[(t1, y1)], copy[(t2, y2)])] = algebra.term(("e", i), -c)
+    return ProjComplex(algebra, tuple(summands), diff)
+
+
+def reference_twist(x, i: int, sign: int):
+    """`minimize` of `reference_cone`."""
+    return minimize(reference_cone(x, i, sign))
 
 
 def dense_rank(rows: list[list]) -> int:

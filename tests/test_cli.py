@@ -184,6 +184,29 @@ def test_hom_output(capsys):
     assert out.splitlines() == ["(1,0): 1", "Euler pairing: q"]
 
 
+def test_hom_computes_one_table(capsys, monkeypatch):
+    """The Euler pairing is read off the printed table, not recomputed."""
+    import burau.cli
+    import burau.complexes
+
+    calls = []
+    real = burau.complexes.hom_table
+
+    def counted(x, y):
+        calls.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(burau.cli, "hom_table", counted)
+    monkeypatch.setattr(burau.complexes, "hom_table", counted)
+    argv = ["hom", "--graph", "tildeA3", "--w1", "1,2,-3,4", "--i1", "1", "--w2", "2,-1,3", "--i2", "3"]
+    for extra in ([], ["--json"]):
+        calls.clear()
+        code, out, _ = run(capsys, argv + extra)
+        assert code == EXIT_OK
+        assert len(calls) == 1
+    assert json.loads(out)["euler"] == "-2*q^4 + 2*q^2"
+
+
 def test_search_curves_runs_and_writes_files(capsys, tmp_path):
     store_path = tmp_path / "store.json"
     out_path = tmp_path / "result.json"

@@ -1,10 +1,14 @@
 """Exactness, invariance and sharing checks of the categorical layer: the
 sparse integer rank and hom table against the dense reference in
-`hom_oracle.py`, minimization through a non-unit pivot, K0 against the
-Burau action, hom tables unchanged by minimize, and shared entries."""
+`hom_oracle.py`, the fused twist against the plain cone, minimization
+through a non-unit pivot, K0 against the Burau action, hom tables unchanged
+by minimize, and shared entries."""
 
 import random
+import re
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +17,7 @@ from burau.complexes import (
     ProjComplex,
     _rank,
     act_complex,
+    apply_twist,
     hom_table,
     k0_class,
     minimize,
@@ -22,7 +27,7 @@ from burau.graphs import preset
 from burau.matrices import act, basis_vector
 from burau.zigzag import Elt, zigzag
 
-from hom_oracle import dense_rank, oracle_hom_table
+from hom_oracle import dense_rank, oracle_hom_table, reference_cone, reference_twist
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 FEW = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -66,15 +71,31 @@ def test_sparse_rank_edge_cases():
     assert _rank([{0: Fraction(1, 2), 2: Fraction(1, 3)}, {0: 3, 2: 2}]) == 1
 
 
-def test_minimize_through_a_non_unit_pivot_stays_exact():
-    a = zigzag(preset("A2"))
-    # u -> t by (2|1), s -> t by 2*e1, s -> w by (1|2); cancelling s, t
-    # leaves u -> w with -(1|2)(2|1)/2 = -X2/2
-    x = ProjComplex(
+def _non_unit_pivot(a):
+    """A complex on vertices 1 and 2 (adjacent) that minimizes through the
+    pivot 2*e1: u -> t by (2|1), s -> t by 2*e1, s -> w by (1|2), so
+    cancelling s, t leaves u -> w with -(1|2)(2|1)/2 = -X2/2."""
+    return ProjComplex(
         a,
         ((2, 1, 0), (1, 0, 0), (1, 0, 1), (2, -1, 1)),
         {(0, 2): a.arrow(2, 1), (1, 2): a.term(("e", 1), 2), (1, 3): a.arrow(1, 2)},
     )
+
+
+def _padded(x, vertex, g0, h0, c):
+    """x plus a contractible pair P_v{g0}[h0] -> P_v{g0}[h0 + 1] joined by
+    c*e_v, as in acceptance check 7."""
+    k = len(x.summands)
+    return ProjComplex(
+        x.algebra,
+        x.summands + ((vertex, g0, h0), (vertex, g0, h0 + 1)),
+        x.diff | {(k, k + 1): x.algebra.term(("e", vertex), c)},
+    )
+
+
+def test_minimize_through_a_non_unit_pivot_stays_exact():
+    a = zigzag(preset("A2"))
+    x = _non_unit_pivot(a)
     reduced = minimize(x)
     assert reduced.summands == ((2, 1, 0), (2, -1, 1))
     ((pair, entry),) = reduced.diff.items()
@@ -155,17 +176,98 @@ def test_minimize_leaves_hom_tables_unchanged_in_both_arguments(case, vertex, g0
     a = zigzag(g)
     vertex = (vertex - 1) % g.n + 1
     x = act_complex(g, word, projective(a, i))
-    k = len(x.summands)
-    padded = ProjComplex(
-        a,
-        x.summands + ((vertex, g0, h0), (vertex, g0, h0 + 1)),
-        x.diff | {(k, k + 1): a.term(("e", vertex), c)},
-    )
+    padded = _padded(x, vertex, g0, h0, c)
     reduced = minimize(padded)
     assert k0_class(reduced) == k0_class(x)
     for p in (projective(a, j) for j in g.vertices()):
         assert hom_table(padded, p) == hom_table(reduced, p) == hom_table(x, p)
         assert hom_table(p, padded) == hom_table(p, reduced) == hom_table(p, x)
+
+
+@FEW
+@given(
+    twisted_cases(("tildeA3", "A4", "D4", "K4"), 6),
+    st.sampled_from(["projective", "fraction", "padded"]),
+    st.integers(1, 4),
+    st.sampled_from([1, -1]),
+)
+def test_fused_twist_equals_the_minimized_plain_cone(case, start, i, sign):
+    """Along a random word, then one more twist, every step of apply_twist
+    equals minimize of the cone built as a checked ProjComplex: same
+    summands in the same order, same differential.  The start is a
+    projective, a complex with a Fraction entry, or a non-minimal complex
+    with an idempotent entry."""
+    g, word, j = case
+    a = zigzag(g)
+    x = projective(a, j)
+    if start == "fraction":
+        x = minimize(_non_unit_pivot(a))
+        assert any(type(c) is Fraction for _, e in x.entries() for c in e.coeffs.values())
+    elif start == "padded":
+        x = _padded(x, j, 1, 0, 2)
+    for letter in [*reversed(word), sign * i]:
+        fused = apply_twist(x, abs(letter), 1 if letter > 0 else -1)
+        reference = reference_twist(x, abs(letter), 1 if letter > 0 else -1)
+        assert fused == reference
+        assert fused.summands == reference.summands
+        x = fused
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_the_fused_cone_checks_every_entry(monkeypatch, sign):
+    """A basis table that gives X1 degree 0, or the reversed arrow as the
+    basis of Hom(P1, P2) or Hom(P2, P1), makes apply_twist raise the
+    ValueError that ProjComplex raises on the same cone."""
+    a = zigzag(preset("tildeA3"))
+    a.hom_terms(1, 1)  # fill the table
+    faults = [
+        ((1, 1), ((("e", 1), 0), (("x", 1), 0)), 1),
+        ((1, 2), ((("a", 2, 1), 1),), 2) if sign == 1 else ((2, 1), ((("a", 1, 2), 1),), 2),
+    ]
+    for pair, terms, start in faults:
+        with monkeypatch.context() as patch:
+            patch.setitem(a._bases, pair, (tuple(t for t, _ in terms), terms))
+            x = projective(a, start)
+            with pytest.raises(ValueError) as plain:
+                reference_cone(x, 1, sign)
+            with pytest.raises(ValueError, match=re.escape(str(plain.value)) + "$"):
+                apply_twist(x, 1, sign)
+    assert str(plain.value).endswith("outside e_2 A e_1" if sign == 1 else "outside e_1 A e_2")
+
+
+def test_fused_cone_fault_messages_name_the_entry(monkeypatch):
+    a = zigzag(preset("tildeA3"))
+    a.hom_terms(1, 1)
+    terms = ((("e", 1), 0), (("x", 1), 0))
+    monkeypatch.setitem(a._bases, (1, 1), ((("e", 1), ("x", 1)), terms))
+    with pytest.raises(ValueError, match=re.escape("entry 2->0 has token ('x', 1) of degree 2, expected 0")):
+        apply_twist(projective(a, 1), 1, 1)
+    with pytest.raises(ValueError, match=re.escape("entry 0->2 has token ('x', 1) of degree 2, expected 0")):
+        apply_twist(projective(a, 1), 1, -1)
+
+
+def test_hom_table_on_non_minimal_inputs_matches_the_dense_oracle():
+    """Unminimized cones (with idempotent entries), a complex with a
+    Fraction entry, and pairs of them across tildeA3, D4 and K4."""
+    rng = random.Random(33)
+    for name in ("tildeA3", "D4", "K4"):
+        g = preset(name)
+        a = zigzag(g)
+        letters = [s * v for v in g.vertices() for s in (1, -1)]
+        fraction = minimize(_non_unit_pivot(a))
+        complexes = [fraction, reference_cone(fraction, 1, 1), _padded(projective(a, 3), 3, 0, 0, 2)]
+        for _ in range(4):
+            x = act_complex(
+                g, [rng.choice(letters) for _ in range(rng.randrange(0, 4))],
+                projective(a, rng.randrange(1, g.n + 1)),
+            )
+            # along a vertex of x, the copy of P_i glued by e_i stays in the cone
+            cone = reference_cone(x, x.summands[0][0], rng.choice([1, -1]))
+            assert any(("e", x.summands[0][0]) in e.coeffs for _, e in cone.entries())
+            complexes += [cone, apply_twist(fraction, rng.randrange(1, g.n + 1), 1)]
+        for x in complexes:
+            for y in complexes:
+                assert hom_table(x, y) == oracle_hom_table(x, y), (name, x, y)
 
 
 def test_twisted_complexes_share_their_parts():
