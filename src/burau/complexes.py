@@ -339,8 +339,9 @@ def hom_table(x: ProjComplex, y: ProjComplex) -> dict:
     block of it becomes sparse rows, one per basis map with a non-zero
     image, ranked exactly by `_rank`.  A basis map has one token per
     degree, so the map of degree d from summand s to summand t is the
-    integer column 3 * (s * |y| + t) + d; a product of two differential
-    entries whose degrees sum above 2 is zero and is skipped unmultiplied.
+    integer column 3 * (s * |y| + t) + d.  A basis map and a differential
+    entry whose degrees sum above 2 compose to zero, so that product is
+    skipped without multiplying.
     """
     if x.algebra != y.algebra:
         raise ValueError("algebra mismatch")

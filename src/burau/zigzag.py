@@ -205,5 +205,6 @@ class ZigzagAlgebra:
         """The basis of `hom_basis(i, j)` as (token, degree) pairs."""
         return (self._bases.get((i, j)) or self._fill_bases(i, j))[1]
 
+
 def zigzag(g: CoxeterGraph) -> ZigzagAlgebra:
     return ZigzagAlgebra(g)

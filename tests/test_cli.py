@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+import burau.cli
+import burau.complexes
 from burau.cli import EXIT_FAILED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from burau.criteria import Rejection
 from burau.fixtures import affine_fixture
@@ -186,9 +188,6 @@ def test_hom_output(capsys):
 
 def test_hom_computes_one_table(capsys, monkeypatch):
     """The Euler pairing is read off the printed table, not recomputed."""
-    import burau.cli
-    import burau.complexes
-
     calls = []
     real = burau.complexes.hom_table
 

@@ -209,7 +209,6 @@ def test_fused_twist_equals_the_minimized_plain_cone(case, start, i, sign):
         fused = apply_twist(x, abs(letter), 1 if letter > 0 else -1)
         reference = reference_twist(x, abs(letter), 1 if letter > 0 else -1)
         assert fused == reference
-        assert fused.summands == reference.summands
         x = fused
 
 
@@ -220,30 +219,24 @@ def test_the_fused_cone_checks_every_entry(monkeypatch, sign):
     ValueError that ProjComplex raises on the same cone."""
     a = zigzag(preset("tildeA3"))
     a.hom_terms(1, 1)  # fill the table
+    if sign == 1:
+        arrow = ((1, 2), ("a", 2, 1), "entry 1->0 has token ('a', 2, 1) outside e_2 A e_1")
+        loop = "entry 2->0 has token ('x', 1) of degree 2, expected 0"
+    else:
+        arrow = ((2, 1), ("a", 1, 2), "entry 0->1 has token ('a', 1, 2) outside e_1 A e_2")
+        loop = "entry 0->2 has token ('x', 1) of degree 2, expected 0"
     faults = [
-        ((1, 1), ((("e", 1), 0), (("x", 1), 0)), 1),
-        ((1, 2), ((("a", 2, 1), 1),), 2) if sign == 1 else ((2, 1), ((("a", 1, 2), 1),), 2),
+        ((1, 1), ((("e", 1), 0), (("x", 1), 0)), 1, loop),
+        (arrow[0], ((arrow[1], 1),), 2, arrow[2]),
     ]
-    for pair, terms, start in faults:
+    for pair, terms, start, message in faults:
         with monkeypatch.context() as patch:
             patch.setitem(a._bases, pair, (tuple(t for t, _ in terms), terms))
             x = projective(a, start)
-            with pytest.raises(ValueError) as plain:
+            with pytest.raises(ValueError, match=re.escape(message) + "$"):
                 reference_cone(x, 1, sign)
-            with pytest.raises(ValueError, match=re.escape(str(plain.value)) + "$"):
+            with pytest.raises(ValueError, match=re.escape(message) + "$"):
                 apply_twist(x, 1, sign)
-    assert str(plain.value).endswith("outside e_2 A e_1" if sign == 1 else "outside e_1 A e_2")
-
-
-def test_fused_cone_fault_messages_name_the_entry(monkeypatch):
-    a = zigzag(preset("tildeA3"))
-    a.hom_terms(1, 1)
-    terms = ((("e", 1), 0), (("x", 1), 0))
-    monkeypatch.setitem(a._bases, (1, 1), ((("e", 1), ("x", 1)), terms))
-    with pytest.raises(ValueError, match=re.escape("entry 2->0 has token ('x', 1) of degree 2, expected 0")):
-        apply_twist(projective(a, 1), 1, 1)
-    with pytest.raises(ValueError, match=re.escape("entry 0->2 has token ('x', 1) of degree 2, expected 0")):
-        apply_twist(projective(a, 1), 1, -1)
 
 
 def test_hom_table_on_non_minimal_inputs_matches_the_dense_oracle():
