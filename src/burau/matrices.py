@@ -112,17 +112,23 @@ def gram_matrix(
     return tuple(tuple(row) for row in rows)
 
 
+def gram_image(y: BurauVector, form: PairingForm = STANDARD) -> tuple:
+    """G y, the form's Gram matrix times y's coordinates: the pairing of any
+    x with y is the dot product of bar(x) with it, so a caller that pairs
+    one y with many x computes it once."""
+    return tuple(
+        LaurentPoly.dot(row, y.coords) for row in gram_matrix(y.graph, form, y.ring)
+    )
+
+
 def pairing(
     x: BurauVector, y: BurauVector, form: PairingForm = STANDARD
 ) -> LaurentPoly:
     """Sesquilinear pairing: q-power scalars come out of the first slot
-    inverted, <q^a u, q^b v> = q^(b-a) <u, v>."""
+    inverted, <q^a u, q^b v> = q^(b-a) <u, v>.  It is
+    sum_i bar(x_i) (G y)_i, with G y the `gram_image` of y."""
     _check_compat(x, y)
-    # <x, y> = sum_i bar(x_i) (G y)_i, with G the Gram matrix
-    gram_y = [
-        LaurentPoly.dot(row, y.coords) for row in gram_matrix(x.graph, form, x.ring)
-    ]
-    return LaurentPoly.dot([xi.bar() for xi in x.coords], gram_y)
+    return LaurentPoly.dot([xi.bar() for xi in x.coords], gram_image(y, form))
 
 
 @dataclass(frozen=True)

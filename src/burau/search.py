@@ -8,9 +8,13 @@ pairing decides); candidate pairs are then confirmed categorically, from
 twisted complexes that each store builds once per record (`TwistMemo`).
 A generator changes one coordinate, so a child in the enumeration costs one
 coordinate update from the generator's row (`laurent.row_step`), with the
-rows read once per enumeration; the scan's filter runs once per left
-record, over its whole right range, and only the pairs it passes reach the
-first-letter skip and the exact pairing.
+rows read once per enumeration.  The scan packs the right records' images
+at q0 mod a prime into fixed-width slots of a few big ints, so its filter
+takes a left record against a whole block of right records in n big-int
+products and a slotwise reduction; only the pairs it passes reach the
+first-letter skip and the exact pairing, the dot product of the left
+vector's bar with the right vector's Gram image, each computed at most once
+per scan (and, in the confirm, once per record in the store's memo).
 Over Z/pZ, a seeded random walk in the dual positive monoid files braids into
 buckets keyed by canonical length and spread, watching for words that fix a
 basis root up to a power of q; fixing words feed the twist-quotient
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import json
 import random
+import struct
 import weakref
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -63,8 +68,8 @@ from .matrices import (
     act,
     basis_vector,
     generator_row,
+    gram_image,
     gram_matrix,
-    pairing,
     rank_one_factors,
     word_matrix,
 )
@@ -103,17 +108,20 @@ class TwistMemo:
     letter, which for a BFS record is its parent's, so each suffix of a
     witness is twisted at most once per memo.  The algebra is built by the
     first twist, so a store, an enumeration or a pair scan over a graph that
-    has none (an infinite label, or one vertex) never asks for it.  The
-    store owns the memo and its records refer to it weakly, so it is freed
-    with the store even where the records are kept."""
+    has none (an infinite label, or one vertex) never asks for it.  Beside
+    the k0 coordinates of each checked record it keeps, under the same key,
+    the `gram_image` of its vector once a confirm asks for it.  The store
+    owns the memo and its records refer to it weakly, so it is freed with
+    the store even where the records are kept."""
 
-    __slots__ = ("graph", "_algebra", "_complexes", "_k0", "__weakref__")
+    __slots__ = ("graph", "_algebra", "_complexes", "_k0", "_images", "__weakref__")
 
     def __init__(self, g: CoxeterGraph):
         self.graph = g
         self._algebra = None
         self._complexes: dict[tuple, ProjComplex] = {}
         self._k0: dict[tuple, tuple] = {}  # k0 coordinates of checked records
+        self._images: dict[tuple, tuple] = {}  # their Gram images
 
     def __len__(self) -> int:
         """The number of distinct complexes built, untwisted ones included."""
@@ -154,6 +162,21 @@ class TwistMemo:
                 f"{record.seed_vertex} are not its vector"
             )
         return x
+
+    def gram_image(self, record: CurveRecord) -> tuple:
+        """The `gram_image` of the record's vector, computed once per memo.
+        The record must be one that `twisted` has checked: its coordinates
+        are the k0 class of its witness's complex, else ValueError."""
+        key = (record.witness, record.seed_vertex)
+        image = self._images.get(key)
+        if image is None:
+            if self._k0.get(key) != record.coords:
+                raise ValueError(
+                    f"the record of witness {record.witness} at vertex "
+                    f"{record.seed_vertex} has not been checked against its complex"
+                )
+            image = self._images[key] = gram_image(record.vector(self.graph))
+        return image
 
 
 class CurveStore:
@@ -293,45 +316,138 @@ def enumerate_curves(g: CoxeterGraph, budget: int = 10000) -> CurveStore:
 # constant, so scans are deterministic.
 _P = (1 << 61) - 1
 _Q0 = 0x1D5C_9A3E_27F4_6B81
+# right records are packed _BLOCK to an int, so a slice paired with itself
+# computes at most _BLOCK - 1 slots below a left record's range
+_BLOCK = 512
 
 
-def _poly_mod(poly: LaurentPoly, q: int) -> int:
+def _poly_mod(poly: LaurentPoly, q: int, q_inv: int) -> int:
+    """The polynomial at q mod P, with q_inv = q^-1 mod P: a negative power
+    is a power of q_inv, not a fresh modular inverse."""
     total = 0
     for c in reversed(poly.coeffs):
         total = (total * q + c) % _P
-    return total * pow(q, poly.low, _P) % _P
+    low = poly.low
+    return total * (pow(q, low, _P) if low >= 0 else pow(q_inv, -low, _P)) % _P
 
 
 def _evaluation_points(g: CoxeterGraph, criterion: int) -> tuple:
     """(q, q^-1, G(q)) mod P for each point the criterion evaluates at: q0,
     and q0^2 for criterion 2.  G is the Gram matrix of the standard form."""
     qs = (_Q0,) if criterion == 1 else (_Q0, _Q0 * _Q0 % _P)
-    return tuple(
-        (
-            q,
-            pow(q, -1, _P),
-            tuple(tuple(_poly_mod(b, q) for b in row) for row in gram_matrix(g)),
-        )
-        for q in qs
-    )
+    points = []
+    for q in qs:
+        q_inv = pow(q, -1, _P)
+        gram = tuple(tuple(_poly_mod(b, q, q_inv) for b in row) for row in gram_matrix(g))
+        points.append((q, q_inv, gram))
+    return tuple(points)
 
 
 def _left_images(records, point) -> list:
     """x(q^-1) mod P at the point, for each record's vector x."""
-    _, q_inv, _ = point
-    return [tuple(_poly_mod(c, q_inv) for c in r.coords) for r in records]
+    q, q_inv, _ = point
+    return [tuple(_poly_mod(c, q_inv, q) for c in r.coords) for r in records]
 
 
 def _right_images(records, point) -> list:
     """G(q).y(q) mod P at the point, for each record's vector y.  The pairing
     of x with y evaluates at q to the dot product of x's left image with
     y's right image."""
-    q, _, gram = point
+    q, q_inv, gram = point
     images = []
     for r in records:
-        at_q = [_poly_mod(c, q) for c in r.coords]
+        at_q = [_poly_mod(c, q, q_inv) for c in r.coords]
         images.append(tuple(sum(map(mul, row, at_q)) % _P for row in gram))
     return images
+
+
+def _slot_width(n: int) -> int:
+    """Bits per slot, in whole 64-bit words: room for a sum of n products of
+    residues below P, so 128 for n up to 64."""
+    return -(-(n * (_P - 1) ** 2).bit_length() // 64) * 64
+
+
+def _pack_blocks(rights, n: int) -> list:
+    """The right images packed for `_passing`: `rights` holds, per
+    evaluation point, one image (n residues) per right record, in scan
+    order.  The records are cut into blocks of at most _BLOCK, evenly
+    sized, and a block is (first position, count, packed), where packed
+    holds per point n ints, int i carrying coordinate i of image k in slot
+    k, bits [k width, (k + 1) width) with width `_slot_width(n)`."""
+    width = _slot_width(n)
+    words = width // 64
+    m = len(rights[0])
+    size = -(-m // -(-m // _BLOCK)) if m else 1  # m over the number of blocks
+    blocks = []
+    for lo in range(0, m, size):
+        packed = []
+        for images in rights:
+            columns = []
+            for column in zip(*images[lo : lo + size]):
+                buf = [0] * (len(column) * words)
+                buf[::words] = column
+                columns.append(int.from_bytes(struct.pack(f"<{len(buf)}Q", *buf), "little"))
+            packed.append(tuple(columns))
+        blocks.append((lo, min(size, m - lo), packed))
+    return blocks
+
+
+@lru_cache(maxsize=16)
+def _slot_masks(n: int, count: int) -> tuple:
+    """(width, ones, low, high, folds) for `count` slots of the width for
+    n: 1, the low 61 bits and the bits from 61 up of every slot, and the
+    number of Mersenne folds that take any slot value to at most 2P - 1."""
+    width = _slot_width(n)
+    ones = ((1 << width * count) - 1) // ((1 << width) - 1)
+    folds, bound = 0, (1 << width) - 1
+    while bound >= 2 * _P:
+        # 2^61 = 1 mod P, so the bits from 61 up fold onto the low 61 bits
+        folds, bound = folds + 1, _P + (bound >> 61)
+    return width, ones, ones * _P, ones * ((1 << width - 61) - 1), folds
+
+
+def _slot_residues(x, packed, count: int) -> tuple:
+    """The residues mod P of x . image_k for the `count` images of one
+    block at one point: n big-int by small-int products (a slot holds the
+    whole sum, so none carries into the next), Mersenne folds under
+    slotwise masks that reduce every slot at once, and the slots read off
+    in C as explicit little-endian 64-bit words."""
+    width, ones, low, high, folds = _slot_masks(len(x), count)
+    s = sum(map(mul, x, packed))
+    for _ in range(folds):
+        s = (s & low) + (s >> 61 & high)
+    # a slot is now at most 2P - 1; take P off those at P or above
+    s -= ((s + ones) >> 61 & ones) * _P
+    words = width // 64
+    raw = struct.unpack(f"<{count * words}Q", s.to_bytes(count * width // 8, "little"))
+    return raw[::words]
+
+
+def _passing(xs, blocks, start: int) -> list:
+    """The right positions k >= start whose pair with a left record passes
+    the filter, ascending; `xs` holds the left record's image at each
+    point and `blocks` the right images from `_pack_blocks`.  At one point
+    (criterion 1) a pair passes when its value is 0; at two (criterion 2)
+    when its value v at q0 is non-zero and its value at q0^2 is +-v^2."""
+    passed = []
+    for lo, count, packed in blocks:
+        if lo + count <= start:
+            continue
+        first = max(start - lo, 0)
+        v1 = _slot_residues(xs[0], packed[0], count)
+        if len(xs) == 1:
+            k = first - 1
+            for _ in range(v1[first:].count(0)):
+                k = v1.index(0, k + 1)
+                passed.append(lo + k)
+        else:
+            v2 = _slot_residues(xs[1], packed[1], count)
+            passed += [
+                lo + k
+                for k in range(first, count)
+                if (v := v1[k]) and v2[k] in ((sq := v * v % _P), _P - sq)
+            ]
+    return passed
 
 
 def find_pairs(
@@ -348,14 +464,18 @@ def find_pairs(
     `limit` caps the number of pairs returned; it must be non-negative, and
     0 returns no pairs.
 
-    A prefilter only prunes: each record's coordinates are evaluated once, at
-    a fixed point q0 modulo a 61-bit prime, so a pair costs one n-term dot
-    product, taken for a left record against its whole right range in one
-    pass.  Criterion 1 drops a pair whose pairing is non-zero at q0;
-    criterion 2 drops it unless p(q0) is non-zero and p(q0^2) = +-p(q0)^2.
-    A pair meeting the condition exactly always passes, and every pair that
-    passes, unless its first letters agree, is decided by the exact
-    `pairing`, in the order left record, then right record."""
+    A prefilter only prunes.  Each record's coordinates are evaluated once,
+    at a fixed point q0 modulo the prime P = 2^61 - 1.  The right images
+    are packed, coordinate by coordinate, into ints of up to _BLOCK
+    fixed-width slots, so a left record costs n big-int by small-int
+    products per block, a few slotwise Mersenne folds that reduce every
+    slot mod P at once, and one read of the slots in C.  Criterion 1 drops
+    a pair whose pairing is non-zero at q0; criterion 2 drops it unless
+    p(q0) is non-zero and p(q0^2) = +-p(q0)^2.  A pair meeting the condition
+    exactly always passes, and every pair that passes, unless its first
+    letters agree, is decided by the exact pairing, the dot product of the
+    left vector's bar with the right vector's `gram_image`, each computed at
+    most once per call, in the order left record, then right record."""
     criterion_shape(criterion)  # refuses anything but 1 or 2
     if limit is not None and (type(limit) is not int or limit < 0):
         raise ValueError("limit must be a non-negative int")
@@ -378,33 +498,26 @@ def find_pairs(
     # a slice paired with itself visits each unordered pair once
     triangle = left is right
     points = _evaluation_points(g, criterion)
-    lefts = [_left_images([recs[a] for a in left], point) for point in points]
-    rights = [_right_images([recs[b] for b in right], point) for point in points]
+    lefts = list(zip(*(_left_images([recs[a] for a in left], pt) for pt in points)))
+    rights = [_right_images([recs[b] for b in right], pt) for pt in points]
+    blocks = _pack_blocks(rights, g.n)
+    images = [None] * len(right)  # gram_image of each right record, once
     out = []
     for pos, a in enumerate(left):
-        start = pos + 1 if triangle else 0
-        x = lefts[0][pos]
-        if criterion == 1:
-            passed = [
-                k
-                for k, y in enumerate(rights[0][start:], start)
-                if not sum(map(mul, x, y)) % _P
-            ]
-        else:
-            x2, right2 = lefts[1][pos], rights[1]
-            passed = [
-                k
-                for k, y in enumerate(rights[0][start:], start)
-                if (v := sum(map(mul, x, y)) % _P)
-                and sum(map(mul, x2, right2[k])) % _P in (v * v % _P, _P - v * v % _P)
-            ]
+        passed = _passing(lefts[pos], blocks, pos + 1 if triangle else 0)
         r1 = recs[a]
-        first = r1.witness[:1]
+        letter = r1.witness[:1]
+        bar_x = None
         for k in passed:
             r2 = recs[right[k]]
-            if first and r2.witness[:1] == first:
+            if letter and r2.witness[:1] == letter:
                 continue
-            p = pairing(r1.vector(g), r2.vector(g))
+            if bar_x is None:
+                bar_x = [c.bar() for c in r1.coords]
+            y = images[k]
+            if y is None:
+                y = images[k] = gram_image(r2.vector(g))
+            p = LaurentPoly.dot(bar_x, y)
             if p.is_zero() if criterion == 1 else p.signed_q_power() is not None:
                 out.append((r1, r2))
                 if limit is not None and len(out) >= limit:
@@ -423,20 +536,24 @@ def confirm_pair(g: CoxeterGraph, pair, criterion: int):
     a record whose witness does not make its vector raises ValueError.  The
     check comes before the pairing is read, so both records are twisted even
     for a pair that the pairing rejects; every `find_pairs` hit passes it.
-    A criterion other than 1 or 2, or not two records, raises before any twist."""
+    The pairing is the dot product of the first vector's bar with the
+    second's Gram image, which the second record's memo keeps, so a search
+    computes it once per record.  A criterion other than 1 or 2, or not two
+    records, raises before any twist."""
     shape = criterion_shape(criterion)
     if len(pair) != 2:
         raise ValueError(f"a pair is two records, not {len(pair)}")
     fresh = TwistMemo(g)
-    complexes = []
+    memos = []
     for record in pair:
         memo = record.memo_ref and record.memo_ref()
         if memo is None or memo.graph != g:
             memo = fresh
-        complexes.append(memo.twisted(record))
+        memos.append(memo)
+    complexes = [memo.twisted(record) for memo, record in zip(memos, pair)]
     r1, r2 = pair
     witnesses = ((r1.witness, r1.seed_vertex), (r2.witness, r2.seed_vertex))
-    p = pairing(r1.vector(g), r2.vector(g))
+    p = LaurentPoly.dot([c.bar() for c in r1.coords], memos[1].gram_image(r2))
     return pairing_criterion(shape, g, witnesses, p, lambda: complexes)
 
 

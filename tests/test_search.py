@@ -4,7 +4,9 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import random
 import weakref
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,6 +37,7 @@ from burau.matrices import (
     word_matrix,
 )
 from burau.search import (
+    _P,
     CurveRecord,
     CurveStore,
     _walk_bands,
@@ -352,27 +355,168 @@ def test_find_pairs_equals_an_exact_scan(name, budget, filters):
                 assert got == expected[:limit], (criterion, root_filter, limit)
 
 
+def _per_pair_filter(xs, rights, start):
+    """The reference filter: each pair's value at each point as its own
+    n-term dot product mod P."""
+    out = []
+    for k in range(start, len(rights[0])):
+        v = sum(map(mul, xs[0], rights[0][k])) % _P
+        if len(xs) == 1:
+            if not v:
+                out.append(k)
+        elif v and sum(map(mul, xs[1], rights[1][k])) % _P in (v * v % _P, _P - v * v % _P):
+            out.append(k)
+    return out
+
+
+def _adversarial_images(rng, n, m, points):
+    """Per point, m right images of n residues: all P - 1, all 0, the two
+    alternating, and draws from the extremes; a left record's images; and,
+    at two points, some right images tuned so that the criterion-2 test
+    passes (v2 = +-v1^2) or fails by one."""
+    extremes = (0, 1, 2, _P - 2, _P - 1, 1 << 60)
+
+    def image(kind):
+        if kind == 0:
+            return (_P - 1,) * n
+        if kind == 1:
+            return (0,) * n
+        if kind == 2:
+            return tuple((_P - 1) * (i % 2) for i in range(n))
+        return tuple(rng.choice(extremes) for _ in range(n))
+
+    rights = [[image(rng.randrange(5)) for _ in range(m)] for _ in points]
+    xs = tuple(image(rng.choice((0, 0, 2, 3, 4))) for _ in points)
+    if len(points) == 2 and any(xs[1]):
+        j = next(i for i, c in enumerate(xs[1]) if c)
+        for k in range(0, m, 3):
+            v = sum(map(mul, xs[0], rights[0][k])) % _P
+            target = (rng.choice((1, -1)) * v * v + (k % 2)) % _P
+            y = [0] * n
+            y[j] = target * pow(xs[1][j], -1, _P) % _P
+            rights[1][k] = tuple(y)
+    return xs, rights
+
+
+def test_a_slot_holds_the_largest_sum_at_the_largest_n_for_its_width():
+    # n products of residues below P fit 128 bits up to n = 64
+    assert search_module._slot_width(64) == 128
+    assert search_module._slot_width(65) == 192
+    for n in (64, 65):
+        top = (_P - 1,) * n
+        # full slots beside an empty one, and a pair whose sum is exactly P
+        rights = [[top, (0,) * n, top, (1,) + (0,) * (n - 2) + (1,)]]
+        ((lo, count, (packed,)),) = search_module._pack_blocks(rights, n)
+        for left in (top, (1,) * (n - 1) + (_P - 1,)):
+            got = search_module._slot_residues(left, packed, count)
+            assert got == tuple(sum(map(mul, left, y)) % _P for y in rights[0])
+        assert got[3] == 0
+
+
+@pytest.mark.parametrize("n", [1, 4, 64, 65])
+@pytest.mark.parametrize("points", [1, 2])
+def test_packed_filter_equals_the_per_pair_filter(n, points):
+    rng = random.Random(n * 10 + points)
+    block = search_module._BLOCK
+    passed = failed = 0
+    for m in (0, 1, 7, 60, 60, 60, block, block + 3):
+        xs, rights = _adversarial_images(rng, n, m, range(points))
+        blocks = search_module._pack_blocks(rights, n)
+        assert sum(count for _, count, _ in blocks) == m
+        # from the start of the range, as for two distinct slices, and
+        # from inside it, as for a slice paired with itself
+        for start in sorted({0, 1, m // 2, block - 1, block, block + 1, m}):
+            if start > m:
+                continue
+            got = search_module._passing(xs, blocks, start)
+            assert got == _per_pair_filter(xs, rights, start), (m, start)
+            if start == 0:
+                passed += len(got)
+                failed += m - len(got)
+    # the adversarial draws reach both outcomes
+    assert passed and failed
+
+
+def _decisions(monkeypatch):
+    """Patch the exact decision, is_zero (criterion 1) and signed_q_power
+    (criterion 2), to log each call; returns the log."""
+    calls = []
+    for method in ("is_zero", "signed_q_power"):
+        real = getattr(LaurentPoly, method)
+        monkeypatch.setattr(
+            LaurentPoly,
+            method,
+            lambda self, real=real, method=method: calls.append(method) or real(self),
+        )
+    return calls
+
+
+def test_find_pairs_decides_exactly_the_pairs_the_per_pair_filter_passes(monkeypatch):
+    g = preset("tildeA3")
+    store = enumerate_curves(g, budget=150)
+    missing = (9, 9, 9, 9)
+    filters = [
+        None,
+        ((0, 0, -1, 0), (1, 0, 0, 0)),  # two distinct slices
+        ((1, 0, 0, 0), (1, 0, 0, 0)),  # a slice paired with itself
+        (missing, (1, 0, 0, 0)),  # an empty left range
+        ((1, 0, 0, 0), missing),  # an empty right range
+    ]
+    expected = {
+        (c, f): _exact_scan(store, c, f) for c in (1, 2) for f in filters
+    }
+    calls = _decisions(monkeypatch)
+    for criterion in (1, 2):
+        points = search_module._evaluation_points(g, criterion)
+        for root_filter in filters:
+            visited = _visited_pairs(store, root_filter)
+            reference = [
+                (r1, r2)
+                for r1, r2 in visited
+                if _per_pair_filter(
+                    [search_module._left_images([r1], pt)[0] for pt in points],
+                    [search_module._right_images([r2], pt) for pt in points],
+                    0,
+                )
+            ]
+            calls.clear()
+            got = find_pairs(store, criterion, root_filter=root_filter)
+            assert len(calls) == len(reference), (criterion, root_filter)
+            assert got == expected[criterion, root_filter]
+            if root_filter and missing in root_filter:
+                assert got == [] and not visited
+            for limit in (1, 2):
+                assert find_pairs(
+                    store, criterion, root_filter=root_filter, limit=limit
+                ) == got[:limit]
+
+
 def test_prefilter_at_q_equal_one_passes_every_pair_and_changes_nothing(monkeypatch):
     # At q0 = 1 the filter sees only the roots at q = 1.  On a slice pair
     # whose roots are orthogonal there (criterion 1), or pair to +-1
     # (criterion 2), every visited pair passes the filter, so the exact
-    # pairing alone must produce the same list as the real evaluation point.
+    # decision alone must produce the same list as the real evaluation
+    # point.  That decision is the exact pairing's is_zero (criterion 1) or
+    # signed_q_power (criterion 2), called once per pair that reaches it.
     store = enumerate_curves(preset("tildeA3"), budget=300)
     calls = []
-
-    def counting_pairing(x, y):
-        calls.append(None)
-        return pairing(x, y)
-
-    monkeypatch.setattr("burau.search.pairing", counting_pairing)
+    for method in ("is_zero", "signed_q_power"):
+        real = getattr(LaurentPoly, method)
+        monkeypatch.setattr(
+            LaurentPoly,
+            method,
+            lambda self, real=real, method=method: calls.append(method) or real(self),
+        )
     for criterion, root_filter, hits in (
         (1, ((-1, 0, -1, 1), (0, 0, 0, 1)), 60),
         (2, ((-1, 0, -1, 1), (-1, 1, 0, 1)), 66),
     ):
+        decision = ("is_zero", "signed_q_power")[criterion - 1]
         visited = _visited_pairs(store, root_filter)
         calls.clear()
         expected = find_pairs(store, criterion, root_filter=root_filter)
         assert len(expected) == hits
+        assert set(calls) == {decision}
         assert len(calls) < len(visited)  # the real point prunes
         with monkeypatch.context() as patched:
             patched.setattr("burau.search._Q0", 1)
@@ -485,26 +629,39 @@ def test_confirm_pair_twists_each_suffix_once_per_store(monkeypatch):
     assert len(twists) == before
 
 
-def test_confirm_pair_refuses_a_record_whose_coords_are_not_its_vector():
+def test_confirm_pair_refuses_a_record_whose_coords_are_not_its_vector(monkeypatch):
     g = preset("tildeA3")
     (a, i1), (b, i2) = affine_fixture().witnesses
     real = curve_record(g, a, i1)
     other = curve_record(g, b, i2)
+    images = []  # the pairing is read from a Gram image, so none may be built
+    real_image = search_module.gram_image
+    monkeypatch.setattr(
+        search_module, "gram_image", lambda y: images.append(y) or real_image(y)
+    )
     # the coordinates of one witness under the word of another: the stored
     # vector would supply the pairing, so the record is refused
     forged = CurveRecord(other.coords, real.witness, real.seed_vertex)
-    with pytest.raises(ValueError, match="not its vector"):
-        confirm_pair(g, (forged, other), 1)
+    for pair in ((forged, other), (other, forged)):
+        with pytest.raises(ValueError, match="not its vector"):
+            confirm_pair(g, pair, 1)
+    assert images == []
     # the same inside a store, after the memo has checked the real record
     store = CurveStore(g)
     store.insert(real)
     store.insert(other)
     r1, r2 = store.records
     assert isinstance(confirm_pair(g, (r1, r2), 1), KernelCertificate)
+    assert len(images) == 1
     bumped = (real.coords[0] + LaurentPoly.one(ZZ),) + real.coords[1:]
     assert store.insert(CurveRecord(bumped, real.witness, real.seed_vertex))
-    with pytest.raises(ValueError, match="not its vector"):
-        confirm_pair(g, (store.records[-1], r2), 1)
+    for pair in ((store.records[-1], r1), (r1, store.records[-1])):
+        with pytest.raises(ValueError, match="not its vector"):
+            confirm_pair(g, pair, 1)
+    assert len(images) == 1
+    # nor does the memo hand out the image of a record it has not checked
+    with pytest.raises(ValueError, match="has not been checked"):
+        store.memo.gram_image(store.records[-1])
 
 
 def test_the_twist_memo_is_freed_with_its_store():
@@ -527,6 +684,44 @@ def test_the_twist_memo_is_freed_with_its_store():
         for pair, out in zip(pairs[:5] + pairs[-5:], outcomes[:5] + outcomes[-5:])
     )
     assert any(isinstance(out, KernelCertificate) for out in outcomes)
+
+
+def test_the_memo_gram_images_are_freed_with_their_store(monkeypatch):
+    class Image(list):  # a list, unlike a tuple, takes weak references
+        pass
+
+    real_image = search_module.gram_image
+    monkeypatch.setattr(search_module, "gram_image", lambda y: Image(real_image(y)))
+    g = preset("tildeA3")
+    store = enumerate_curves(g, budget=120)
+    pairs = find_pairs(store, 1)
+    outcomes = [confirm_pair(g, pair, 1) for pair in pairs]
+    # one image per distinct right record, under its memo key
+    keys = {(r2.witness, r2.seed_vertex) for _, r2 in pairs}
+    assert set(store.memo._images) == keys
+    assert all(type(image) is Image for image in store.memo._images.values())
+    images = [weakref.ref(image) for image in store.memo._images.values()]
+    del store
+    assert all(image() is None for image in images)
+    assert len(outcomes) == len(pairs)
+
+
+@pytest.mark.parametrize("criterion", [1, 2])
+def test_a_pair_whose_store_is_dropped_confirms_as_with_its_store(criterion):
+    g = preset("tildeA3")
+    store = enumerate_curves(g, budget=120)
+    for word, vertex in affine_fixture().witnesses:
+        store.insert_witness(word, vertex)
+    pairs = find_pairs(store, criterion)
+    assert pairs
+    alive = [confirm_pair(g, pair, criterion) for pair in pairs]
+    assert store.memo._images
+    del store
+    assert all(r.memo_ref() is None for pair in pairs for r in pair)
+    dropped = [confirm_pair(g, pair, criterion) for pair in pairs]
+    assert all(_same_outcome(a, b) for a, b in zip(alive, dropped))
+    if criterion == 1:
+        assert any(isinstance(out, KernelCertificate) for out in dropped)
 
 
 @pytest.mark.parametrize(
