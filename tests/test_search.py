@@ -499,14 +499,7 @@ def test_prefilter_at_q_equal_one_passes_every_pair_and_changes_nothing(monkeypa
     # point.  That decision is the exact pairing's is_zero (criterion 1) or
     # signed_q_power (criterion 2), called once per pair that reaches it.
     store = enumerate_curves(preset("tildeA3"), budget=300)
-    calls = []
-    for method in ("is_zero", "signed_q_power"):
-        real = getattr(LaurentPoly, method)
-        monkeypatch.setattr(
-            LaurentPoly,
-            method,
-            lambda self, real=real, method=method: calls.append(method) or real(self),
-        )
+    calls = _decisions(monkeypatch)
     for criterion, root_filter, hits in (
         (1, ((-1, 0, -1, 1), (0, 0, 0, 1)), 60),
         (2, ((-1, 0, -1, 1), (-1, 1, 0, 1)), 66),
