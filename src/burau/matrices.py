@@ -15,20 +15,23 @@ multiplication.  Everything is exact over the chosen coefficient ring.
 changed per letter by `laurent.row_step`, a sum of shifted, scaled
 coordinates from the terms of the generator's row (`generator_row`); the
 curve enumeration in `search` takes the same step.  Over Z/p the matrix is a
-`_PackedMatrix`: its rows of Python ints over one shared lowest exponent,
-each int holding an entry's coefficients in fixed-width bit slots
-(Kronecker substitution, `_SlotCodec`), with the matrix's spread and its
-codec.  A generator is the rank-one update I + e_i (r_i - e_i)^T of the
-identity, r_i its row i, so a letter is one step M -> M + (M u) v^T of
-`_PackedMatrix.times`, the step the bucket walk in `search` takes for its
-reflection lifts.  One slot bound, from the residue sums of the factors'
-entries, keeps every slot below overflow; each changed entry is reduced
-mod p, every slot at once; and a step that leaves a slot at or above 2^b,
-b the bit length of p - 1, raises.  Fixed slots cannot hold the unbounded
-coefficients over Z, so Z stays dense, and it is the reference the packed
-path is tested against.  The packed format stays in this module: other
-modules build packed values only by `rank_one_factors`, and step,
-fix-test and unpack them only through the methods of `_PackedMatrix`.
+`_PackedMatrix`: one Python int per column, over one shared lowest
+exponent, in which each entry's coefficients sit in fixed-width bit slots
+(Kronecker substitution, `_SlotCodec`) inside the lane of its row, with the
+matrix's spread, its lane width and its codec.  A generator is the
+rank-one update I + e_i (r_i - e_i)^T of the identity, r_i its row i, so a
+letter is one step M -> M + (M u) v^T of `_PackedMatrix.times`, the step
+the bucket walk in `search` takes for its reflection lifts: M u is one
+big-int product per non-zero u_k, and each column j with v_j non-zero
+changes by one product and one reduction.  One slot bound, from the
+residue sums of the factors' entries, keeps every slot below overflow;
+lanes are widened before a step whose entries would not fit; each changed
+column is reduced mod p, every slot at once; and a step that leaves a slot
+at p or above raises.  Fixed slots cannot hold the unbounded coefficients
+over Z, so Z stays dense, and it is the reference the packed path is
+tested against.  The packed format stays in this module: other modules
+build packed values only by `rank_one_factors`, and widen, step, fix-test
+and unpack them only through the methods of `_PackedMatrix`.
 """
 
 from __future__ import annotations
@@ -266,7 +269,9 @@ def act(
 class _SlotCodec:
     """Mod-p Laurent polynomials packed into Python ints (Kronecker
     substitution): the coefficient of q^(low + k) sits in bits
-    [k * width, (k + 1) * width) for a shared exponent `low`.
+    [k * width, (k + 1) * width) for a shared exponent `low`.  A packed
+    matrix lays its entries out in lanes of such slots (`_PackedMatrix`);
+    the slot arithmetic below never looks at lanes.
 
     `reduce` takes a packed value whose slots are at most `bound` back to
     residues 0..p-1, every slot at once, by Barrett reduction in big-int
@@ -274,10 +279,12 @@ class _SlotCodec:
     estimate (c m) >> s is floor(c / p) or one less, so one masked
     conditional subtraction of p finishes.  `width` leaves room for c m, so
     no slot ever carries into the next, whatever p is.  The slotwise masks
-    grow on demand to cover the longest value reduced or checked so far;
-    `_excess` has the bits at or above (p - 1).bit_length() of every slot,
-    which no reduced slot sets.  A packed matrix keeps `head` empty slots
-    below its lowest non-zero slot, room for the downward shifts of
+    grow on demand to cover the longest value reduced or checked so far.
+    `check` tests that every slot of a value is below p, exactly;
+    `check_excess` tests only the bits at or above (p - 1).bit_length() of
+    every slot (`_excess`), which no reduced slot sets and which a carry out
+    of a slot cannot hide.  A packed matrix keeps `head` empty slots below
+    the lowest non-zero slot of every lane, room for the downward shifts of
     `_PackedMatrix.times`."""
 
     __slots__ = (
@@ -313,17 +320,28 @@ class _SlotCodec:
         return x - (((x + self._bias) & self._tops) >> (self.width - 1)) * p
 
     def check(self, x: int) -> None:
+        """Raise AssertionError if a slot of `x` is p or more: adding
+        2^(width - 1) - p to every slot sets the slot's top bit exactly then,
+        unless the slot is so large that the sum carries out of it, which
+        `check_excess` sees."""
+        if x.bit_length() > self._bits:
+            self._cover(x.bit_length())
+        if (x + self._bias) & self._tops:
+            self._refuse(self.p)
+
+    def check_excess(self, x: int) -> None:
         """Raise AssertionError if a slot of `x` has a bit at or above
-        (p - 1).bit_length(), which no reduced slot has: the slot bound or
-        the reduction is wrong."""
+        (p - 1).bit_length(), which no reduced slot has."""
         if x.bit_length() > self._bits:
             self._cover(x.bit_length())
         if x & self._excess:
-            raise AssertionError(
-                f"a packed slot reached {1 << (self.p - 1).bit_length()} or "
-                f"more, above p - 1 = {self.p - 1}: the slot bound or the "
-                "reduction is wrong"
-            )
+            self._refuse(1 << (self.p - 1).bit_length())
+
+    def _refuse(self, least: int):
+        raise AssertionError(
+            f"a packed slot reached {least} or more, above p - 1 = "
+            f"{self.p - 1}: the slot bound or the reduction is wrong"
+        )
 
     def pack(self, poly: LaurentPoly, low: int) -> int:
         """The polynomial divided by q^low; it must have no term below it."""
@@ -355,19 +373,26 @@ def rank_one_factors(p: int, factors) -> tuple:
     """(identity, packed): the identity as a `_PackedMatrix`, and the factors
     I + u v^T, given as (u, v) pairs of non-zero vectors of Z/p LaurentPoly
     entries, one pair at least, packed for `_PackedMatrix.times`.  Each
-    packed factor is (u, v, offset): u and v list their non-zero entries as
-    (index, packed entry), each vector packed from its own lowest exponent,
-    so u_a v_b = q^offset U_a V_b.
+    packed factor is (u, v, offset, growth): u and v list their non-zero
+    entries as (index, packed entry), each vector packed from its own lowest
+    exponent, so u_a v_b = q^offset U_a V_b; `growth` is the most the step
+    can add to a matrix's spread, span(u) + span(v) + offset when that is
+    positive, plus -offset when offset is negative (the shift that puts the
+    lowest slot back at `head`).
 
     One slot bound covers every step.  With S(f) the sum of an entry's
     residues, a slot of a reduced entry of M is at most p - 1, of (M u)_a at
     most (p - 1) sum_k S(u_k), and of an updated entry at most
     (p - 1) (1 + sum_k S(u_k) max_j S(v_j)).  A negative offset shifts
     down, by at most `head` = -(least offset) slots, so the identity starts
-    `head` slots up."""
+    `head` slots up in each lane.  Its lanes are the least power of two
+    slots wide that takes any one factor."""
 
     def low(vec) -> int:
         return min(c.low for c in vec if c.coeffs)
+
+    def span(vec) -> int:
+        return max(c.low + len(c.coeffs) for c in vec if c.coeffs) - 1 - low(vec)
 
     def pack(vec) -> tuple:
         base = low(vec)
@@ -379,83 +404,144 @@ def rank_one_factors(p: int, factors) -> tuple:
     )
     head = max([0] + [-low(u) - low(v) for u, v in factors])
     codec = _SlotCodec(p, (p - 1) * (1 + weight), head)
+    packed = []
+    for u, v in factors:
+        offset = low(u) + low(v)
+        growth = max(span(u) + span(v) + offset, 0) + max(-offset, 0)
+        packed.append((pack(u), pack(v), offset, growth))
+    need = head + max(growth for *_, growth in packed)
+    lane = 1
+    while lane <= need:
+        lane *= 2
     n = len(factors[0][0])
-    one = 1 << head * codec.width
-    rows = [[one if a == b else 0 for b in range(n)] for a in range(n)]
-    packed = [(pack(u), pack(v), low(u) + low(v)) for u, v in factors]
-    return _PackedMatrix(codec, rows, -head, 0), packed
+    columns = tuple(1 << (b * lane + head) * codec.width for b in range(n))
+    return _PackedMatrix(codec, columns, -head, 0, lane), packed
+
+
+def _relayout(columns: list, lane: int, width: int, need: int) -> int:
+    """Lay `columns` out again, in place, with lanes of `lane` slots doubled
+    until they are wider than `need` slots, and return the new lane."""
+    wider = lane
+    while wider <= need:
+        wider *= 2
+    old, new = lane * width, wider * width
+    mask = (1 << old) - 1
+    n = len(columns)
+    columns[:] = [
+        sum(((x >> a * old) & mask) << a * new for a in range(n)) for x in columns
+    ]
+    return wider
 
 
 class _PackedMatrix(NamedTuple):
-    """A Z/p matrix in packed form: rows of packed entries over one shared
-    lowest exponent `low`, whose lowest non-zero slot is slot `head`, with
-    the matrix's spread and the codec that packs it.  A value is never
-    altered, so values may share rows."""
+    """A Z/p matrix in packed form: one Python int per column, in which
+    entry (a, b) of column b sits in lane a, bits [a L w, (a + 1) L w) for
+    lanes of L = `lane` slots of the codec's width w.  Every entry is
+    packed over one shared lowest exponent `low`, and the lowest non-zero
+    slot of the matrix, over all lanes, is slot `head` of its lane; `spread`
+    is the matrix's spread, so every lane's content lies in slots
+    head..head + spread.  Values are immutable."""
 
     codec: _SlotCodec
-    rows: list
+    columns: tuple
     low: int
     spread: int
+    lane: int
 
     def times(self, factors) -> "_PackedMatrix":
-        """M (I + u_1 v_1^T) (I + u_2 v_2^T) ..., with each (u, v, offset) a
-        factor from `rank_one_factors`, one at least.  Each factor is one
-        step M -> M + (M u) v^T, after which the shared exponent is
-        renormalised so that the lowest non-zero slot is slot `head`.  The
-        rows are copied before the first step, so this value is unchanged.
+        """M (I + u_1 v_1^T) (I + u_2 v_2^T) ..., with each (u, v, offset,
+        growth) a factor from `rank_one_factors`, one at least.  Each factor
+        is one step M -> M + (M u) v^T: M u = sum_k u_k column_k takes one
+        big-int product per non-zero u_k, and each column j with v_j non-zero
+        becomes reduce(column_j + (M u) v_j).  After the step the shared
+        exponent is renormalised so that the lowest non-zero slot over all
+        lanes is slot `head`; the OR of the columns, folded across lanes,
+        gives that slot and the spread.  Before the step, if head + spread +
+        growth does not fit in a lane, the lanes are laid out again at double
+        the width, as often as needed, so no slot crosses into the next lane.
 
-        After each step the OR of all entries goes through `codec.check`,
-        which raises AssertionError on a slot no reduction leaves."""
+        Each changed column goes through `codec.check` and the OR of all
+        columns through `codec.check_excess`; either raises AssertionError
+        on a slot no reduction leaves."""
         codec = self.codec
         width = codec.width
-        reduce = codec.reduce
-        low = self.low
-        rows = [row.copy() for row in self.rows]
-        for u, v, offset in factors:
-            shift = offset * width
-            for row in rows:
-                mu = 0
-                for k, uk in u:
-                    mu += row[k] * uk
-                if mu:
-                    # M has nothing below slot head, so a downward shift drops nothing
-                    mu = mu << shift if shift >= 0 else mu >> -shift
-                    for j, vj in v:
-                        row[j] = reduce(row[j] + mu * vj)
-            support = 0  # the OR of all entries: its lowest and top slots bound them all
-            for row in rows:
-                for x in row:
-                    support |= x
-            codec.check(support)
-            bottom = codec.low_slot(support)
-            move = bottom - codec.head
+        head = codec.head
+        reduce, check = codec.reduce, codec.check
+        columns = list(self.columns)
+        low, spread, lane = self.low, self.spread, self.lane
+        fold = 1 << (len(columns) - 1).bit_length() >> 1  # lanes to fold first
+        for u, v, offset, growth in factors:
+            if head + spread + growth >= lane:
+                lane = _relayout(columns, lane, width, head + spread + growth)
+            mu = 0
+            for k, uk in u:
+                mu += columns[k] * uk
+            if offset > 0:
+                mu <<= offset * width
+            elif offset < 0:
+                # no lane has anything below slot head, so this downward
+                # shift moves nothing across a lane boundary
+                mu >>= -offset * width
+            for j, vj in v:
+                x = reduce(columns[j] + mu * vj)
+                check(x)
+                columns[j] = x
+            support = 0
+            for x in columns:
+                support |= x
+            codec.check_excess(support)
+            bits = lane * width
+            half = fold
+            while half:  # OR every lane into lane 0
+                support |= support >> half * bits
+                half >>= 1
+            support &= (1 << bits) - 1
+            # codec.low_slot and codec.top_slot, inline
+            bottom = ((support & -support).bit_length() - 1) // width
+            move = bottom - head
             if move > 0:
-                rows = [[x >> move * width for x in row] for row in rows]
+                columns = [x >> move * width for x in columns]
             elif move < 0:
-                rows = [[x << -move * width for x in row] for row in rows]
+                columns = [x << -move * width for x in columns]
             low += move
-        return _PackedMatrix(codec, rows, low, codec.top_slot(support) - bottom)
+            spread = (support.bit_length() - 1) // width - bottom
+        return _PackedMatrix(codec, tuple(columns), low, spread, lane)
+
+    def widened(self, spread: int, factors) -> "_PackedMatrix":
+        """This matrix with lanes wide enough that no step by one of
+        `factors` from a matrix of spread at most `spread` lays them out
+        again, for a caller that keeps its matrices below a spread."""
+        need = self.codec.head + spread + max(growth for *_, growth in factors)
+        if need < self.lane:
+            return self
+        columns = list(self.columns)
+        lane = _relayout(columns, self.lane, self.codec.width, need)
+        return self._replace(columns=tuple(columns), lane=lane)
 
     def fixing_exponent(self, i: int):
         """(l, sign) if column i is sign q^l alpha_i with sign +1 or -1, as
-        `LaurentPoly.signed_q_power` decides, else None.  Only a column with
-        one non-zero slot, in row i, is decoded."""
+        `LaurentPoly.signed_q_power` decides, else None.  Only a column that
+        equals its lane-i entry, shifted into place, with one non-zero slot,
+        is decoded."""
         codec = self.codec
-        col = i - 1
-        x = self.rows[col][col]
-        if not x or codec.low_slot(x) != codec.top_slot(x):
-            return None
-        if any(row[col] for r, row in enumerate(self.rows) if r != col):
+        bits = self.lane * codec.width
+        place = (i - 1) * bits
+        column = self.columns[i - 1]
+        x = (column >> place) & ((1 << bits) - 1)
+        if not x or column != x << place or codec.low_slot(x) != codec.top_slot(x):
             return None
         return codec.unpack(x, self.low).signed_q_power()
 
     def unpack(self, g: CoxeterGraph) -> BurauMatrix:
         codec, low = self.codec, self.low
-        return BurauMatrix(
-            g,
-            IntegersMod(codec.p),
-            tuple(tuple(codec.unpack(x, low) for x in row) for row in self.rows),
-        )
+        bits = self.lane * codec.width
+        mask = (1 << bits) - 1
+        n = len(self.columns)
+        columns = [
+            [codec.unpack((x >> a * bits) & mask, low) for a in range(n)]
+            for x in self.columns
+        ]
+        return BurauMatrix(g, IntegersMod(codec.p), tuple(zip(*columns)))
 
 
 def word_matrix(

@@ -23,9 +23,11 @@ verifier, `criteria.verify_bigelow3`.
 Each walk step multiplies by the dual matrix of a reflection lift
 W sigma_j W^-1, which is a rank-one update I + u v^T.  The walk keeps its
 matrix mod p as the packed value that `word_matrix` steps mod p, built by
-`matrices.rank_one_factors`: its `times` takes a step M -> M + (M u) v^T in
-a few big-int products per row, it carries its spread, and its fix test
-decodes only a column that can pass.  Buckets that restarts can choose
+`matrices.rank_one_factors`: one big int per column, whose `times` takes a
+step M -> M + (M u) v^T in one big-int product per non-zero entry of u and
+of v and one reduction per changed column.  It carries its spread, its
+lanes are wide enough for every spread the walk steps from, and its fix
+test decodes only a column that can pass.  Buckets that restarts can choose
 keep each braid's packed matrix and normal-form state beside its bands, so
 a restart recomputes nothing.
 
@@ -561,7 +563,7 @@ class _Band(NamedTuple):
     """One walk step: right multiplication by the dual matrix of a
     reflection lift W sigma_j W^-1, which is I + u v^T with u = M(W) e_j and
     v^T = -(row j of the dual Gram matrix) M(W^-1).  `factor` is (u, v,
-    offset) as `matrices.rank_one_factors` packs it."""
+    offset, growth) as `matrices.rank_one_factors` packs it."""
 
     refl: int
     lift: tuple
@@ -572,7 +574,9 @@ class _Band(NamedTuple):
 def _walk_bands(g: CoxeterGraph, p: int) -> tuple:
     """(identity, bands): the packed identity matrix that every walk starts
     from, and one `_Band` per reflection, built once per (graph, p) and
-    shared by every walk.
+    shared by every walk.  The identity's lanes are widened once for every
+    spread up to SPREAD_CAP, above which a walk restarts, so no walk step
+    has to lay its matrix out again.
 
     Every Hurwitz lift is literally a word W sigma_j W^-1 (a Hurwitz move
     conjugates one such word by another), so its dual matrix is the rank-one
@@ -603,6 +607,7 @@ def _walk_bands(g: CoxeterGraph, p: int) -> tuple:
             raise AssertionError(f"the matrix of lift {lift} is not I + u v^T")
         factors.append((u, v))
     identity, packed = rank_one_factors(p, factors)
+    identity = identity.widened(SPREAD_CAP, packed)
     bands = tuple(
         _Band(t, lift, factor) for t, lift, factor in zip(ctx.refl_ids, lifts, packed)
     )
@@ -655,7 +660,8 @@ def bucket_search(
     that test and takes no other value.  A run is reproducible for a fixed
     seed.
 
-    The matrix is kept packed and each step is a rank-one update
+    The matrix is kept packed, one big int per column, and each step is a
+    rank-one update that changes only the columns where v is non-zero
     (`matrices._PackedMatrix.times`).  Once the spread passes SPREAD_CAP the
     walk restarts from a braid saved in the lowest-spread bucket whose spread
     is at most SPREAD_CAP // 2: those buckets keep each braid's bands (its

@@ -16,6 +16,7 @@ from burau.graphs import (
     preset,
     preset_names,
 )
+from burau import matrices as matrices_module
 from burau.laurent import ZZ, IntegersMod, LaurentPoly
 from burau.matrices import (
     DUAL,
@@ -405,6 +406,33 @@ def test_packed_word_matrix_matches_the_integer_matrix_mod_p(case):
     g, form = PACKED_CASES[key]
     packed = word_matrix(g, word, form, IntegersMod(p))
     assert packed == word_matrix(g, word, form, ZZ).reduce_mod(p), (key, p, len(word))
+
+
+@pytest.mark.parametrize("p", [2, 257, 2**31 - 1])
+def test_packed_lanes_widen_without_losing_an_entry(monkeypatch, p):
+    # the identity's lanes are a few slots wide, so these words make `times`
+    # lay the columns out again at double the width at least twice; a lane
+    # too narrow for a step lets slots cross into the next entry
+    doublings = []
+    relayout = matrices_module._relayout
+
+    def counted(columns, lane, width, need):
+        wider = relayout(columns, lane, width, need)
+        doublings.append((wider // lane).bit_length() - 1)
+        return wider
+
+    monkeypatch.setattr(matrices_module, "_relayout", counted)
+    rng = random.Random(25)
+    ((beta, i),) = d4_fixture(14).witnesses
+    words = [("D4", commutator_word(beta, (i,)))]  # 710 letters
+    for length, name in zip((300, 340, 380), ("A3", "D4", "tildeA3")):
+        words.append((name, random_word(rng, preset(name), length)))
+    for name, word in words:
+        g = preset(name)
+        doublings.clear()
+        packed = word_matrix(g, word, DUAL, IntegersMod(p))
+        assert packed == word_matrix(g, word, DUAL, ZZ).reduce_mod(p), (name, len(word))
+        assert sum(doublings) >= 2, (name, len(word), doublings)
 
 
 def test_packed_steps_refuse_a_slot_bound_below_the_true_maximum(monkeypatch):

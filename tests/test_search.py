@@ -38,6 +38,7 @@ from burau.matrices import (
 )
 from burau.search import (
     _P,
+    SPREAD_CAP,
     CurveRecord,
     CurveStore,
     _walk_bands,
@@ -1014,21 +1015,35 @@ def test_packed_walk_steps_match_matrix_products(case):
 
 @pytest.mark.parametrize("name,p", [("A3", 2), ("D4", 257), ("D5", 7)])
 def test_a_packed_step_leaves_its_receiver_unchanged(name, p):
-    # restart snapshots share their rows with the walk, so two children of
-    # one value must both leave it as it was
+    # restart snapshots share their columns with the walk, so two children
+    # of one value must both leave it as it was
     g = WALK_GRAPHS[name]
     identity, bands = _walk_bands(g, p)
     prefix = bands[1:4]
     receiver = identity.times([band.factor for band in prefix])
-    rows = [row.copy() for row in receiver.rows]
-    low, receiver_spread = receiver.low, receiver.spread
+    columns = list(receiver.columns)
+    low, receiver_spread, lane = receiver.low, receiver.spread, receiver.lane
     word = tuple(letter for band in prefix for letter in band.lift)
     for band in (bands[0], bands[-1]):
         child = receiver.times((band.factor,))
-        assert receiver.rows == rows
-        assert (receiver.low, receiver.spread) == (low, receiver_spread)
+        assert list(receiver.columns) == columns
+        assert (receiver.low, receiver.spread, receiver.lane) == (low, receiver_spread, lane)
         lifted = word + band.lift
         assert child.unpack(g) == word_matrix(g, lifted, DUAL, ZZ).reduce_mod(p)
+
+
+@pytest.mark.parametrize("name,p", [("A3", 2), ("D4", 257), ("D5", 5)])
+def test_walk_matrices_keep_the_lanes_of_the_walk_identity(name, p):
+    # a walk steps only from matrices of spread at most SPREAD_CAP, and the
+    # identity's lanes were widened for that, so no step lays them out again
+    identity, bands = _walk_bands(WALK_GRAPHS[name], p)
+    rng = random.Random(25)
+    matrix = identity
+    for _ in range(1000):
+        if matrix.spread > SPREAD_CAP:
+            matrix = identity
+        matrix = matrix.times((rng.choice(bands).factor,))
+        assert matrix.lane == identity.lane
 
 
 def _reduce_without_correction(self, x):
@@ -1045,7 +1060,7 @@ def test_walk_bands_refuse_a_faulty_slot_reduction(monkeypatch):
     monkeypatch.setattr(_SlotCodec, "reduce", _reduce_without_correction)
     _walk_bands.cache_clear()
     try:
-        with pytest.raises(AssertionError, match="packed slot reached 8 or more, above p - 1 = 4"):
+        with pytest.raises(AssertionError, match="packed slot reached 5 or more, above p - 1 = 4"):
             _walk_bands(WALK_GRAPHS["D5"], 5)
     finally:
         _walk_bands.cache_clear()
@@ -1082,20 +1097,31 @@ def test_bucket_search_refuses_a_faulty_slot_reduction(monkeypatch, p):
         _walk_bands.cache_clear()
 
 
-def test_walk_steps_refuse_a_faulty_slot_reduction(monkeypatch):
+def _walk_on_a_faulty_reduction(monkeypatch, p):
     # the bands are built on the correct reduction, and the gate of a hit
     # fails the test if reached, so the error comes from a step the walk
     # itself takes on the faulty one
     g = WALK_GRAPHS["A3"]
-    _walk_bands(g, 5)
+    _walk_bands(g, p)
 
     def gate_reached(*args):
         pytest.fail("the slot check of a walk step should have raised first")
 
     monkeypatch.setattr(search_module, "verify_bigelow3", gate_reached)
     monkeypatch.setattr(_SlotCodec, "reduce", _reduce_without_correction)
-    with pytest.raises(AssertionError, match="packed slot reached 8 or more, above p - 1 = 4"):
-        bucket_search(g, 5, 2000, 1)
+    bucket_search(g, p, 2000, 1)
+
+
+def test_walk_steps_refuse_a_faulty_slot_reduction(monkeypatch):
+    with pytest.raises(AssertionError, match="packed slot reached 5 or more, above p - 1 = 4"):
+        _walk_on_a_faulty_reduction(monkeypatch, 5)
+
+
+def test_walk_steps_refuse_a_faulty_slot_reduction_just_above_a_power_of_two(monkeypatch):
+    # at 257 a slot left in 257..511 has no bit at or above 2^9, so only the
+    # exact test of each changed column sees it
+    with pytest.raises(AssertionError, match="packed slot reached 257 or more, above p - 1 = 256"):
+        _walk_on_a_faulty_reduction(monkeypatch, 257)
 
 
 # sha256 of the JSON of `bucket_search(graph, p, 600, 3, target)` without its
