@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from burau import matrices as matrices_module
 from burau.fixtures import D4_MODULI, d4_fixture
 from burau.graphs import (
     INF,
@@ -16,7 +17,6 @@ from burau.graphs import (
     preset,
     preset_names,
 )
-from burau import matrices as matrices_module
 from burau.laurent import ZZ, IntegersMod, LaurentPoly
 from burau.matrices import (
     DUAL,
