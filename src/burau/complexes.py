@@ -11,10 +11,14 @@ identity euler_pairing(X, Y) = pairing(k0 X, k0 Y).
 
 The positive twist along P_i glues shifted copies of P_i one homological step
 below each summand (the evaluation cone); the negative twist glues them one
-step above.  Both minimize the result before returning it: the cone is never
-built as a `ProjComplex`, but written entry by entry into the maps that the
-elimination of `minimize` works on, each entry passing the same check as an
-entry of a `ProjComplex`.
+step above.  Twists and minimization share one elimination state,
+`_Elimination`: a differential over summand ids that persist across letters.
+`act_complex` loads its complex once, glues each letter's cone onto the live
+summands and eliminates, and builds one `ProjComplex` at the end;
+`apply_twist` is the one-letter case and `minimize` the zero-letter case.  No
+cone is built as a `ProjComplex`.  Every entry that a cone or the
+elimination writes passes the check of a `ProjComplex` entry when it is
+written, so the result is built without checking its entries again.
 
 Every homogeneous element of Hom(P_i, P_j) = e_j A e_i is a scalar times
 the unique basis token of its degree, so every differential entry is one
@@ -36,21 +40,23 @@ from .laurent import ZZ, LaurentPoly
 from .matrices import BurauVector
 from .zigzag import Elt, ZigzagAlgebra, token_degree, token_mul
 
-def _check_term(summands, s, t, tok, c) -> None:
-    """Raise ValueError unless c*tok may be a differential entry from summand
-    s to summand t: it raises h by one, is non-zero, and tok lies in
-    e_{v_t} A e_{v_s} with degree g_s - g_t.  Every entry of a `ProjComplex`
-    and of a twist's cone passes this check."""
+def _check_term(summands, s, t, tok, c, error: type) -> None:
+    """Raise `error` unless c*tok may be a differential entry from summand s
+    to summand t: it raises h by one, is non-zero, and tok lies in
+    e_{v_t} A e_{v_s} with degree g_s - g_t.  `ProjComplex` raises
+    ValueError on the entries it is given; `_Elimination` raises
+    AssertionError on the entries it writes, whose faults are the
+    library's own."""
     vs, gs, hs = summands[s]
     vt, gt, ht = summands[t]
     if ht != hs + 1:
-        raise ValueError(f"entry {s}->{t} does not raise h by one")
+        raise error(f"entry {s}->{t} does not raise h by one")
     if not c:
-        raise ValueError(f"stored zero entry {s}->{t}")
+        raise error(f"stored zero entry {s}->{t}")
     if tok[1] != vs or (tok[2] if tok[0] == "a" else tok[1]) != vt:
-        raise ValueError(f"entry {s}->{t} has token {tok} outside e_{vt} A e_{vs}")
+        raise error(f"entry {s}->{t} has token {tok} outside e_{vt} A e_{vs}")
     if token_degree(tok) != gs - gt:
-        raise ValueError(
+        raise error(
             f"entry {s}->{t} has token {tok} of degree "
             f"{token_degree(tok)}, expected {gs - gt}"
         )
@@ -70,11 +76,19 @@ class ProjComplex:
         for (s, t), e in diff.items():
             # a zero entry is checked as one zero term
             for tok, c in e.coeffs.items() or ((None, 0),):
-                _check_term(summands, s, t, tok, c)
+                _check_term(summands, s, t, tok, c, ValueError)
         self.algebra = algebra
         self.summands = summands
         self._pairs = tuple(diff)
         self._entries = tuple(diff.values())
+
+    @classmethod
+    def _written(cls, algebra: ZigzagAlgebra, summands: tuple, pairs: tuple, entries: tuple):
+        """The complex with these parallel pairs and entries, every one of
+        which passed `_check_term` when `_Elimination` wrote it."""
+        x = cls.__new__(cls)
+        x.algebra, x.summands, x._pairs, x._entries = algebra, summands, pairs, entries
+        return x
 
     @property
     def diff(self) -> dict:
@@ -153,138 +167,179 @@ def minimize(x: ProjComplex) -> ProjComplex:
     index order, joined by an invertible multiple c*e_i of an idempotent,
     updating the rest of the differential.  Preserves the homotopy type, k0,
     and all Hom tables.  1/c is c itself when c = +-1 and Fraction(1, c)
-    otherwise, so the result is exact over Q."""
-    out: dict[int, dict[int, tuple]] = {}  # s -> t -> (token, coefficient)
-    inc: dict[int, dict[int, tuple]] = {}
-    units = []  # (s, t) of every entry that was a multiple of e_i when set
-    for (s, t), e in x.entries():
-        term = _term(e)
-        out.setdefault(s, {})[t] = inc.setdefault(t, {})[s] = term
-        if term[0][0] == "e":
-            units.append((s, t))
-    return _eliminate(x.algebra, x.summands, out, inc, units)
+    otherwise, so the result is exact over Q.  The zero-letter case of
+    `_Elimination`: load x, eliminate, build."""
+    state = _Elimination(x)
+    state.eliminate()
+    return state.complex()
 
 
-def _eliminate(algebra: ZigzagAlgebra, summands, out: dict, inc: dict, units: list) -> ProjComplex:
-    """The elimination of `minimize` on a differential given as maps
-    out[s][t] = inc[t][s] = (token, coefficient), with `units` listing the
-    (s, t) of its idempotent entries.  The maps are consumed."""
-    heapify(units)
-    alive = set(range(len(summands)))
+class _Elimination:
+    """A complex under twists and elimination, over summand ids that persist
+    until the complex is built.  `summands[k]` is the triple of id k (a dead
+    id keeps its triple), `alive` holds the live ids in ascending order,
+    out[s][t] = inc[t][s] = (token, coefficient) is the differential, and
+    `units` is a heap of the (s, t) of every entry that was a multiple of an
+    idempotent when it was written.  New summands get ids above all existing
+    ones, so the live ids, renumbered in order, are the summand indices the
+    same steps would give one `ProjComplex` at a time, and units pop in the
+    same order.  Every entry written here, by a cone or by the elimination,
+    passes `_check_term` when it is written and raises AssertionError if it
+    fails, so no entry of an intermediate complex goes unchecked."""
 
-    while units:
-        s, t = heappop(units)
-        hit = out.get(s, {}).get(t)
-        if hit is None or hit[0][0] != "e":
-            continue  # cancelled or changed since it was pushed
-        c = hit[1]
-        cinv = c if c in (1, -1) else Fraction(1, c)
-        ins = [(u, a) for u, a in inc[t].items() if u != s]
-        outs = [(w, b) for w, b in out[s].items() if w != t]
-        for u, (tok_a, ca) in ins:
-            row = out[u]
-            for w, (tok_b, cb) in outs:
-                tok = token_mul(tok_b, tok_a)
-                if tok is None:
-                    continue
-                v = -cb * ca * cinv
-                cur = row.get(w)
-                if cur is not None:
-                    v += cur[1]
-                if type(v) is Fraction and v.denominator == 1:
-                    v = v.numerator
-                if v == 0:
-                    del row[w]
-                    del inc[w][u]
-                    continue
-                row[w] = inc.setdefault(w, {})[u] = (tok, v)
-                if cur is None and tok[0] == "e":
-                    heappush(units, (u, w))
-        for dead in (s, t):
-            alive.discard(dead)
-            for w in out.pop(dead, {}):
-                del inc[w][dead]
-            for u in inc.pop(dead, {}):
-                del out[u][dead]
+    __slots__ = ("algebra", "summands", "alive", "out", "inc", "units")
 
-    keep = sorted(alive)
-    renum = {old: new for new, old in enumerate(keep)}
-    diff = {}
-    for s, targets in out.items():
-        for t, (tok, c) in targets.items():
-            diff[algebra.shared((renum[s], renum[t]))] = algebra.term(tok, c)
-    return ProjComplex(algebra, tuple(summands[old] for old in keep), diff)
+    def __init__(self, x: ProjComplex):
+        """Load x, with its own idempotent entries queued as units.  Its
+        entries passed their check when x was built."""
+        self.algebra = x.algebra
+        self.summands = list(x.summands)
+        self.alive = dict.fromkeys(range(len(x.summands)))
+        out: dict[int, dict[int, tuple]] = {}
+        inc: dict[int, dict[int, tuple]] = {}
+        units = []
+        for (s, t), e in x.entries():
+            term = _term(e)
+            out.setdefault(s, {})[t] = inc.setdefault(t, {})[s] = term
+            if term[0][0] == "e":
+                units.append((s, t))
+        heapify(units)
+        self.out, self.inc, self.units = out, inc, units
+
+    def glue(self, i: int, sign: int) -> None:
+        """Write the cone of the spherical twist along P_i (sign=+1) or its
+        inverse (sign=-1) onto the live summands.  The positive twist glues
+        a copy of P_i one homological step below each summand per basis map
+        into it, the negative twist one step above per basis map out of it,
+        and the copies of P_i are joined by -c*e_i along each entry c*tok."""
+        algebra, summands, alive = self.algebra, self.summands, self.alive
+        out, inc, units = self.out, self.inc, self.units
+        entries = [(s, t, tok, c) for s, row in out.items() for t, (tok, c) in row.items()]
+
+        glued: dict[int, dict] = {}  # live summand -> basis token y -> its copy of P_i
+        for t in list(alive):
+            j, g, h = summands[t]
+            copies = glued[t] = {}
+            if sign == 1:
+                # glue P_i{g + deg y}[h - 1] -> P_j{g}[h] for y in Hom(P_i, P_j)
+                for y, dy in algebra.hom_terms(i, j):
+                    copies[y] = s = len(summands)
+                    summands.append(algebra.shared((i, g + dy, h - 1)))
+                    alive[s] = None
+                    _check_term(summands, s, t, y, 1, AssertionError)
+                    out[s] = {t: (y, 1)}
+                    inc.setdefault(t, {})[s] = out[s][t]
+                    if y[0] == "e":
+                        heappush(units, (s, t))
+            else:
+                # glue P_j{g}[h] -> P_i{g - deg y}[h + 1] for y in Hom(P_j, P_i)
+                for y, dy in algebra.hom_terms(j, i):
+                    copies[y] = s = len(summands)
+                    summands.append(algebra.shared((i, g - dy, h + 1)))
+                    alive[s] = None
+                    _check_term(summands, t, s, y, 1, AssertionError)
+                    inc[s] = {t: (y, 1)}
+                    out.setdefault(t, {})[s] = inc[s][t]
+                    if y[0] == "e":
+                        heappush(units, (t, s))
+
+        ei = ("e", i)
+        for t1, t2, tok, c in entries:
+            term = (ei, -c)
+            for y, s in glued[t1 if sign == 1 else t2].items():
+                z = token_mul(tok, y) if sign == 1 else token_mul(y, tok)
+                if z is not None:
+                    a, b = (s, glued[t2][z]) if sign == 1 else (glued[t1][z], s)
+                    _check_term(summands, a, b, ei, -c, AssertionError)
+                    out.setdefault(a, {})[b] = inc.setdefault(b, {})[a] = term
+                    heappush(units, (a, b))
+
+    def eliminate(self) -> None:
+        """Cancel units in ascending (source, target) order until none is
+        left, writing each changed entry back with its check."""
+        summands, alive = self.summands, self.alive
+        out, inc, units = self.out, self.inc, self.units
+        while units:
+            s, t = heappop(units)
+            hit = out.get(s, {}).get(t)
+            if hit is None or hit[0][0] != "e":
+                continue  # cancelled or changed since it was pushed
+            c = hit[1]
+            cinv = c if c in (1, -1) else Fraction(1, c)
+            ins = [(u, a) for u, a in inc[t].items() if u != s]
+            outs = [(w, b) for w, b in out[s].items() if w != t]
+            for u, (tok_a, ca) in ins:
+                row = out[u]
+                for w, (tok_b, cb) in outs:
+                    tok = token_mul(tok_b, tok_a)
+                    if tok is None:
+                        continue
+                    v = -cb * ca * cinv
+                    cur = row.get(w)
+                    if cur is not None:
+                        v += cur[1]
+                    if type(v) is Fraction and v.denominator == 1:
+                        v = v.numerator
+                    if v == 0:
+                        del row[w]
+                        del inc[w][u]
+                        continue
+                    _check_term(summands, u, w, tok, v, AssertionError)
+                    row[w] = inc.setdefault(w, {})[u] = (tok, v)
+                    if cur is None and tok[0] == "e":
+                        heappush(units, (u, w))
+            for dead in (s, t):
+                del alive[dead]
+                for w in out.pop(dead, {}):
+                    del inc[w][dead]
+                for u in inc.pop(dead, {}):
+                    del out[u][dead]
+
+    def complex(self) -> ProjComplex:
+        """The live summands, renumbered in order, and their differential as
+        a `ProjComplex` of the algebra's shared instances."""
+        algebra, summands = self.algebra, self.summands
+        renum = {old: new for new, old in enumerate(self.alive)}
+        pairs, entries = [], []
+        for s, targets in self.out.items():
+            for t, (tok, c) in targets.items():
+                pairs.append(algebra.shared((renum[s], renum[t])))
+                entries.append(algebra.term(tok, c))
+        return ProjComplex._written(
+            algebra, tuple(summands[old] for old in self.alive), tuple(pairs), tuple(entries)
+        )
 
 
 def apply_twist(x: ProjComplex, i: int, sign: int) -> ProjComplex:
     """The spherical twist along P_i (sign=+1) or its inverse (sign=-1),
-    returned in minimized form.  The cone is written straight into the maps
-    that `minimize` eliminates on, in the order its differential would have
-    as a `ProjComplex`, and each of its entries passes the same check."""
-    algebra = x.algebra
-    validate_vertex(algebra.graph, i)
+    returned in minimized form.  The one-letter case of `_Elimination`: the
+    cone is written straight onto x's differential, in the order its
+    differential would have as a `ProjComplex`, and eliminated together with
+    x's own idempotent entries."""
+    validate_vertex(x.algebra.graph, i)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-
-    summands = list(x.summands)
-    out: dict[int, dict[int, tuple]] = {}  # s -> t -> (token, coefficient)
-    inc: dict[int, dict[int, tuple]] = {}
-    units = []
-    entries = [(s, t, *_term(e)) for (s, t), e in x.entries()]
-    for s, t, tok, c in entries:
-        _check_term(summands, s, t, tok, c)
-        out.setdefault(s, {})[t] = inc.setdefault(t, {})[s] = (tok, c)
-        if tok[0] == "e":
-            units.append((s, t))
-
-    glued: list[dict] = []  # per summand of x: basis token y -> its copy of P_i
-    for t, (j, g, h) in enumerate(x.summands):
-        copies = {}
-        glued.append(copies)
-        if sign == 1:
-            # glue P_i{g + deg y}[h - 1] -> P_j{g}[h] for y in Hom(P_i, P_j)
-            for y, dy in algebra.hom_terms(i, j):
-                copies[y] = s = len(summands)
-                summands.append(algebra.shared((i, g + dy, h - 1)))
-                _check_term(summands, s, t, y, 1)
-                out[s] = {t: (y, 1)}
-                inc.setdefault(t, {})[s] = out[s][t]
-                if y[0] == "e":
-                    units.append((s, t))
-        else:
-            # glue P_j{g}[h] -> P_i{g - deg y}[h + 1] for y in Hom(P_j, P_i)
-            for y, dy in algebra.hom_terms(j, i):
-                copies[y] = s = len(summands)
-                summands.append(algebra.shared((i, g - dy, h + 1)))
-                _check_term(summands, t, s, y, 1)
-                inc[s] = {t: (y, 1)}
-                out.setdefault(t, {})[s] = inc[s][t]
-                if y[0] == "e":
-                    units.append((t, s))
-
-    ei = ("e", i)
-    for t1, t2, tok, c in entries:
-        term = (ei, -c)
-        for y, s in glued[t1 if sign == 1 else t2].items():
-            z = token_mul(tok, y) if sign == 1 else token_mul(y, tok)
-            if z is not None:
-                a, b = (s, glued[t2][z]) if sign == 1 else (glued[t1][z], s)
-                _check_term(summands, a, b, ei, -c)
-                out.setdefault(a, {})[b] = inc.setdefault(b, {})[a] = term
-                units.append((a, b))
-
-    return _eliminate(algebra, summands, out, inc, units)
+    state = _Elimination(x)
+    state.glue(i, sign)
+    state.eliminate()
+    return state.complex()
 
 
 def act_complex(g: CoxeterGraph, word, x: ProjComplex) -> ProjComplex:
     """Apply a braid word by composed twists, rightmost letter first, in the
-    same word order as the Burau action."""
+    same word order as the Burau action.  x is loaded once, each letter's
+    cone is glued onto the live summands and eliminated, and one
+    `ProjComplex` is built at the end: the same complex, summand order and
+    differential as `apply_twist` letter by letter.  The empty word returns
+    x's own summands and differential."""
     if g != x.algebra.graph:
         raise ValueError("graph mismatch")
     validate_word(g, word)
+    state = _Elimination(x)
     for letter in reversed(word):
-        x = apply_twist(x, abs(letter), 1 if letter > 0 else -1)
-    return x
+        state.glue(abs(letter), 1 if letter > 0 else -1)
+        state.eliminate()
+    return state.complex()
 
 
 def _rank(rows) -> int:

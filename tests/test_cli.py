@@ -16,6 +16,7 @@ from burau.laurent import ZZ
 from burau.matrices import STANDARD, word_matrix
 from burau.search import CurveStore, enumerate_curves, find_pairs
 from burau.graphs import preset
+from burau.zigzag import ZigzagAlgebra
 
 
 def run(capsys, argv):
@@ -465,6 +466,23 @@ def test_internal_errors_exit_three_with_a_traceback(capsys, monkeypatch):
     assert code == EXIT_INTERNAL
     assert out == ""
     assert "Traceback" in err and "KeyError: 'a lookup bug'" in err
+
+
+def test_a_faulty_twist_entry_is_an_internal_error(capsys, monkeypatch):
+    """A basis table that gives X1 degree 0 makes a cone entry fail its check
+    inside the twist.  The fault is the library's, not the user's input, so
+    the CLI exits 3 with a traceback instead of 2."""
+    real = ZigzagAlgebra.hom_terms
+
+    def faulty(self, i, j):
+        return ((("e", 1), 0), (("x", 1), 0)) if (i, j) == (1, 1) else real(self, i, j)
+
+    monkeypatch.setattr(ZigzagAlgebra, "hom_terms", faulty)
+    code, out, err = run(capsys, ["twist", "--graph", "tildeA3", "--word", "1", "--start", "1"])
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith("internal error")
+    assert "AssertionError: entry 2->0 has token ('x', 1) of degree 2, expected 0" in err
 
 
 def test_console_entry_point(child_env):

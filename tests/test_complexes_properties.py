@@ -6,6 +6,7 @@ by minimize, and shared entries."""
 
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from burau import complexes
 from burau.complexes import (
     ProjComplex,
     _rank,
@@ -184,6 +186,17 @@ def test_minimize_leaves_hom_tables_unchanged_in_both_arguments(case, vertex, g0
         assert hom_table(p, padded) == hom_table(p, reduced) == hom_table(p, x)
 
 
+def _start(a, start, j):
+    """A projective P_j, a complex with a Fraction entry, or P_j padded with
+    a contractible pair joined by 2*e_j (a non-minimal complex)."""
+    if start == "fraction":
+        x = minimize(_non_unit_pivot(a))
+        assert any(type(c) is Fraction for _, e in x.entries() for c in e.coeffs.values())
+        return x
+    x = projective(a, j)
+    return _padded(x, j, 1, 0, 2) if start == "padded" else x
+
+
 @FEW
 @given(
     twisted_cases(("tildeA3", "A4", "D4", "K4"), 6),
@@ -198,13 +211,7 @@ def test_fused_twist_equals_the_minimized_plain_cone(case, start, i, sign):
     projective, a complex with a Fraction entry, or a non-minimal complex
     with an idempotent entry."""
     g, word, j = case
-    a = zigzag(g)
-    x = projective(a, j)
-    if start == "fraction":
-        x = minimize(_non_unit_pivot(a))
-        assert any(type(c) is Fraction for _, e in x.entries() for c in e.coeffs.values())
-    elif start == "padded":
-        x = _padded(x, j, 1, 0, 2)
+    x = _start(zigzag(g), start, j)
     for letter in [*reversed(word), sign * i]:
         fused = apply_twist(x, abs(letter), 1 if letter > 0 else -1)
         reference = reference_twist(x, abs(letter), 1 if letter > 0 else -1)
@@ -212,11 +219,35 @@ def test_fused_twist_equals_the_minimized_plain_cone(case, start, i, sign):
         x = fused
 
 
+@SETTINGS
+@given(
+    twisted_cases(("tildeA3", "A4", "D4"), 4),
+    st.sampled_from(["projective", "fraction", "padded"]),
+)
+def test_act_complex_equals_the_reference_twists_letter_by_letter(case, start):
+    """act_complex, which twists the whole word on one elimination state,
+    equals reference_twist applied letter by letter, rightmost first: same
+    summands in the same order, same differential.  A padded start has an
+    idempotent entry of its own, which the first letter must cancel along
+    with its cone; the empty word returns the start unchanged."""
+    g, word, j = case
+    x = _start(zigzag(g), start, j)
+    expected = x
+    for letter in reversed(word):
+        expected = reference_twist(expected, abs(letter), 1 if letter > 0 else -1)
+    twisted = act_complex(g, word, x)
+    assert twisted.summands == expected.summands
+    assert twisted.diff == expected.diff
+    unchanged = act_complex(g, [], x)
+    assert unchanged.summands == x.summands and unchanged.diff == x.diff
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_the_fused_cone_checks_every_entry(monkeypatch, sign):
     """A basis table that gives X1 degree 0, or the reversed arrow as the
-    basis of Hom(P1, P2) or Hom(P2, P1), makes apply_twist raise the
-    ValueError that ProjComplex raises on the same cone."""
+    basis of Hom(P1, P2) or Hom(P2, P1), makes apply_twist raise, with the
+    message of the ValueError that ProjComplex raises on the same cone, an
+    AssertionError: inside the twist the fault is the library's own."""
     a = zigzag(preset("tildeA3"))
     a.hom_terms(1, 1)  # fill the table
     if sign == 1:
@@ -235,8 +266,35 @@ def test_the_fused_cone_checks_every_entry(monkeypatch, sign):
             x = projective(a, start)
             with pytest.raises(ValueError, match=re.escape(message) + "$"):
                 reference_cone(x, 1, sign)
-            with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            with pytest.raises(AssertionError, match=re.escape(message) + "$"):
                 apply_twist(x, 1, sign)
+
+
+def test_entries_written_mid_word_are_checked(monkeypatch):
+    """A composition in the elimination that returns X_v as e_v, of degree 0
+    instead of 2, fails the check of the entry it writes, also when it
+    happens at a letter before the last.  Left unchecked, that e_v entry
+    would be queued as a unit and cancelled, so no check of the final
+    complex would see it."""
+    real = complexes.token_mul
+    eliminate = complexes._Elimination.eliminate.__code__
+
+    def faulty(x, y):
+        tok = real(x, y)
+        if tok is not None and tok[0] == "x" and sys._getframe(1).f_code is eliminate:
+            return ("e", tok[1])
+        return tok
+
+    message = r"entry \d+->\d+ has token \('e', 1\) of degree 0, expected 2$"
+    g = preset("tildeA3")
+    a = zigzag(g)
+    twisted = apply_twist(projective(a, 1), 2, 1)
+    monkeypatch.setattr(complexes, "token_mul", faulty)
+    with pytest.raises(AssertionError, match=message):
+        apply_twist(twisted, 1, -1)
+    # the same composition at the second of three letters, read from the right
+    with pytest.raises(AssertionError, match=message):
+        act_complex(g, [3, -1, 2], projective(a, 1))
 
 
 def test_hom_table_on_non_minimal_inputs_matches_the_dense_oracle():
