@@ -16,17 +16,26 @@ step above.  Twists and minimization share one elimination state,
 `act_complex` loads its complex once, glues each letter's cone onto the live
 summands and eliminates, and builds one `ProjComplex` at the end;
 `apply_twist` is the one-letter case and `minimize` the zero-letter case.  No
-cone is built as a `ProjComplex`.  Every entry that a cone or the
-elimination writes passes the check of a `ProjComplex` entry when it is
-written, so the result is built without checking its entries again.
+cone is built as a `ProjComplex`, and every entry that a cone or the
+elimination writes is checked when it is written, so the result is built
+without checking its entries again.
 
 Every homogeneous element of Hom(P_i, P_j) = e_j A e_i is a scalar times
 the unique basis token of its degree, so every differential entry is one
-(token, coefficient) term.  Twists and `minimize` work on those terms and
-hand out the algebra's shared instances of entries, summand triples and
-index pairs (`ZigzagAlgebra.term` and `ZigzagAlgebra.shared`).  For the same
-reason `hom_table` names a basis map by its two summands and its degree,
-packed into one integer column.
+term.  Twists, the elimination and `hom_table` work on (code, coefficient)
+terms, where the code is the token's small int in the algebra's
+`TokenCodes` table, so a product of two tokens is one list index.  Codes
+turn back into the algebra's shared entries only when a complex is built,
+which also shares its summand triples and index pairs
+(`ZigzagAlgebra.term` and `ZigzagAlgebra.shared`).
+
+Every entry is checked by one rule, `_check_term`: on the entries a caller
+gives `ProjComplex` it raises ValueError, on the entries the library writes
+AssertionError.  `hom_table` names a basis map by its two summands and its
+degree, packed into one integer column, and builds no row for a map whose
+degree is above 2 minus the least degree of an entry, since such a map
+composes to zero with every entry (in a minimal complex, every map of
+degree 2).
 """
 
 from __future__ import annotations
@@ -38,27 +47,29 @@ from math import gcd, lcm
 from .graphs import CoxeterGraph, validate_vertex, validate_word
 from .laurent import ZZ, LaurentPoly
 from .matrices import BurauVector
-from .zigzag import Elt, ZigzagAlgebra, token_degree, token_mul
+from .zigzag import Elt, TokenCodes, ZigzagAlgebra
 
-def _check_term(summands, s, t, tok, c, error: type) -> None:
-    """Raise `error` unless c*tok may be a differential entry from summand s
-    to summand t: it raises h by one, is non-zero, and tok lies in
-    e_{v_t} A e_{v_s} with degree g_s - g_t.  `ProjComplex` raises
-    ValueError on the entries it is given; `_Elimination` raises
-    AssertionError on the entries it writes, whose faults are the
-    library's own."""
+
+def _check_term(summands, s, t, code, c, error: type, codes: TokenCodes) -> None:
+    """Raise `error` unless c times the token of `code` may be a
+    differential entry from summand s to summand t: it raises h by one, is
+    non-zero, and the token lies in e_{v_t} A e_{v_s} with degree g_s - g_t.
+    The one check of an entry: `ProjComplex` raises ValueError on the
+    entries it is given; `_Elimination` raises AssertionError on the
+    entries it writes, whose faults are the library's own.  Messages name
+    the token as its tuple."""
     vs, gs, hs = summands[s]
     vt, gt, ht = summands[t]
     if ht != hs + 1:
         raise error(f"entry {s}->{t} does not raise h by one")
     if not c:
         raise error(f"stored zero entry {s}->{t}")
-    if tok[1] != vs or (tok[2] if tok[0] == "a" else tok[1]) != vt:
-        raise error(f"entry {s}->{t} has token {tok} outside e_{vt} A e_{vs}")
-    if token_degree(tok) != gs - gt:
+    if codes.source[code] != vs or codes.target[code] != vt:
+        raise error(f"entry {s}->{t} has token {codes.tokens[code]} outside e_{vt} A e_{vs}")
+    if codes.degree[code] != gs - gt:
         raise error(
-            f"entry {s}->{t} has token {tok} of degree "
-            f"{token_degree(tok)}, expected {gs - gt}"
+            f"entry {s}->{t} has token {codes.tokens[code]} of degree "
+            f"{codes.degree[code]}, expected {gs - gt}"
         )
 
 
@@ -73,10 +84,14 @@ class ProjComplex:
 
     def __init__(self, algebra: ZigzagAlgebra, summands: tuple, diff: dict | None = None):
         diff = diff or {}
+        codes = algebra.codes
         for (s, t), e in diff.items():
             # a zero entry is checked as one zero term
             for tok, c in e.coeffs.items() or ((None, 0),):
-                _check_term(summands, s, t, tok, c, ValueError)
+                code = codes.code.get(tok)
+                if code is None and c:
+                    raise ValueError(f"entry {s}->{t} has token {tok}, which is not a basis token")
+                _check_term(summands, s, t, code, c, ValueError, codes)
         self.algebra = algebra
         self.summands = summands
         self._pairs = tuple(diff)
@@ -178,30 +193,36 @@ class _Elimination:
     """A complex under twists and elimination, over summand ids that persist
     until the complex is built.  `summands[k]` is the triple of id k (a dead
     id keeps its triple), `alive` holds the live ids in ascending order,
-    out[s][t] = inc[t][s] = (token, coefficient) is the differential, and
-    `units` is a heap of the (s, t) of every entry that was a multiple of an
-    idempotent when it was written.  New summands get ids above all existing
-    ones, so the live ids, renumbered in order, are the summand indices the
-    same steps would give one `ProjComplex` at a time, and units pop in the
-    same order.  Every entry written here, by a cone or by the elimination,
-    passes `_check_term` when it is written and raises AssertionError if it
-    fails, so no entry of an intermediate complex goes unchecked."""
+    out[s][t] = inc[t][s] = (code, coefficient) is the differential, with
+    the token as its code in `codes`, and `units` is a heap of the (s, t)
+    of every entry that was a multiple of an idempotent when it was written.
+    New summands get ids above all existing ones, so the live ids,
+    renumbered in order, are the summand indices the same steps would give
+    one `ProjComplex` at a time, and units pop in the same order.  Products
+    are looked up in `codes.mul`; codes turn back into the algebra's shared
+    entries only in `complex()`.  Every entry written here, by a cone or by
+    the elimination, passes `_check_term` when it is written and raises
+    AssertionError if it fails, so no entry of an intermediate complex goes
+    unchecked."""
 
-    __slots__ = ("algebra", "summands", "alive", "out", "inc", "units")
+    __slots__ = ("algebra", "codes", "summands", "alive", "out", "inc", "units")
 
     def __init__(self, x: ProjComplex):
         """Load x, with its own idempotent entries queued as units.  Its
         entries passed their check when x was built."""
         self.algebra = x.algebra
+        self.codes = codes = x.algebra.codes
+        code, degree = codes.code, codes.degree
         self.summands = list(x.summands)
         self.alive = dict.fromkeys(range(len(x.summands)))
         out: dict[int, dict[int, tuple]] = {}
         inc: dict[int, dict[int, tuple]] = {}
         units = []
         for (s, t), e in x.entries():
-            term = _term(e)
+            tok, c = _term(e)
+            term = (code[tok], c)
             out.setdefault(s, {})[t] = inc.setdefault(t, {})[s] = term
-            if term[0][0] == "e":
+            if not degree[term[0]]:
                 units.append((s, t))
         heapify(units)
         self.out, self.inc, self.units = out, inc, units
@@ -212,67 +233,69 @@ class _Elimination:
         a copy of P_i one homological step below each summand per basis map
         into it, the negative twist one step above per basis map out of it,
         and the copies of P_i are joined by -c*e_i along each entry c*tok."""
-        algebra, summands, alive = self.algebra, self.summands, self.alive
+        algebra, codes, summands, alive = self.algebra, self.codes, self.summands, self.alive
         out, inc, units = self.out, self.inc, self.units
-        entries = [(s, t, tok, c) for s, row in out.items() for t, (tok, c) in row.items()]
+        degree, mul, n, bases = codes.degree, codes.mul, len(codes.tokens), codes.bases
+        entries = [(s, t, k, c) for s, row in out.items() for t, (k, c) in row.items()]
 
-        glued: dict[int, dict] = {}  # live summand -> basis token y -> its copy of P_i
+        glued: dict[int, dict] = {}  # live summand -> basis code y -> its copy of P_i
         for t in list(alive):
             j, g, h = summands[t]
             copies = glued[t] = {}
             if sign == 1:
                 # glue P_i{g + deg y}[h - 1] -> P_j{g}[h] for y in Hom(P_i, P_j)
-                for y, dy in algebra.hom_terms(i, j):
+                for y, dy in bases[i][j]:
                     copies[y] = s = len(summands)
                     summands.append(algebra.shared((i, g + dy, h - 1)))
                     alive[s] = None
-                    _check_term(summands, s, t, y, 1, AssertionError)
+                    _check_term(summands, s, t, y, 1, AssertionError, codes)
                     out[s] = {t: (y, 1)}
                     inc.setdefault(t, {})[s] = out[s][t]
-                    if y[0] == "e":
+                    if not degree[y]:
                         heappush(units, (s, t))
             else:
                 # glue P_j{g}[h] -> P_i{g - deg y}[h + 1] for y in Hom(P_j, P_i)
-                for y, dy in algebra.hom_terms(j, i):
+                for y, dy in bases[j][i]:
                     copies[y] = s = len(summands)
                     summands.append(algebra.shared((i, g - dy, h + 1)))
                     alive[s] = None
-                    _check_term(summands, t, s, y, 1, AssertionError)
+                    _check_term(summands, t, s, y, 1, AssertionError, codes)
                     inc[s] = {t: (y, 1)}
                     out.setdefault(t, {})[s] = inc[s][t]
-                    if y[0] == "e":
+                    if not degree[y]:
                         heappush(units, (t, s))
 
-        ei = ("e", i)
-        for t1, t2, tok, c in entries:
+        ei = codes.code[("e", i)]
+        for t1, t2, k, c in entries:
             term = (ei, -c)
             for y, s in glued[t1 if sign == 1 else t2].items():
-                z = token_mul(tok, y) if sign == 1 else token_mul(y, tok)
-                if z is not None:
+                z = mul[k * n + y] if sign == 1 else mul[y * n + k]
+                if z >= 0:
                     a, b = (s, glued[t2][z]) if sign == 1 else (glued[t1][z], s)
-                    _check_term(summands, a, b, ei, -c, AssertionError)
+                    _check_term(summands, a, b, ei, -c, AssertionError, codes)
                     out.setdefault(a, {})[b] = inc.setdefault(b, {})[a] = term
                     heappush(units, (a, b))
 
     def eliminate(self) -> None:
         """Cancel units in ascending (source, target) order until none is
         left, writing each changed entry back with its check."""
-        summands, alive = self.summands, self.alive
+        codes, summands, alive = self.codes, self.summands, self.alive
         out, inc, units = self.out, self.inc, self.units
+        degree, mul, n = codes.degree, codes.mul, len(codes.tokens)
         while units:
             s, t = heappop(units)
             hit = out.get(s, {}).get(t)
-            if hit is None or hit[0][0] != "e":
+            if hit is None or degree[hit[0]]:
                 continue  # cancelled or changed since it was pushed
             c = hit[1]
             cinv = c if c in (1, -1) else Fraction(1, c)
-            ins = [(u, a) for u, a in inc[t].items() if u != s]
-            outs = [(w, b) for w, b in out[s].items() if w != t]
-            for u, (tok_a, ca) in ins:
+            ins = [(u, ka, ca) for u, (ka, ca) in inc[t].items() if u != s]
+            outs = [(w, kb * n, cb) for w, (kb, cb) in out[s].items() if w != t]
+            for u, ka, ca in ins:
                 row = out[u]
-                for w, (tok_b, cb) in outs:
-                    tok = token_mul(tok_b, tok_a)
-                    if tok is None:
+                for w, kbn, cb in outs:
+                    z = mul[kbn + ka]
+                    if z < 0:
                         continue
                     v = -cb * ca * cinv
                     cur = row.get(w)
@@ -284,9 +307,9 @@ class _Elimination:
                         del row[w]
                         del inc[w][u]
                         continue
-                    _check_term(summands, u, w, tok, v, AssertionError)
-                    row[w] = inc.setdefault(w, {})[u] = (tok, v)
-                    if cur is None and tok[0] == "e":
+                    _check_term(summands, u, w, z, v, AssertionError, codes)
+                    row[w] = inc.setdefault(w, {})[u] = (z, v)
+                    if cur is None and not degree[z]:
                         heappush(units, (u, w))
             for dead in (s, t):
                 del alive[dead]
@@ -298,13 +321,13 @@ class _Elimination:
     def complex(self) -> ProjComplex:
         """The live summands, renumbered in order, and their differential as
         a `ProjComplex` of the algebra's shared instances."""
-        algebra, summands = self.algebra, self.summands
+        algebra, summands, tokens = self.algebra, self.summands, self.codes.tokens
         renum = {old: new for new, old in enumerate(self.alive)}
         pairs, entries = [], []
         for s, targets in self.out.items():
-            for t, (tok, c) in targets.items():
+            for t, (k, c) in targets.items():
                 pairs.append(algebra.shared((renum[s], renum[t])))
-                entries.append(algebra.term(tok, c))
+                entries.append(algebra.term(tokens[k], c))
         return ProjComplex._written(
             algebra, tuple(summands[old] for old in self.alive), tuple(pairs), tuple(entries)
         )
@@ -343,18 +366,28 @@ def act_complex(g: CoxeterGraph, word, x: ProjComplex) -> ProjComplex:
 
 
 def _rank(rows) -> int:
-    """Exact rank over Q of sparse rows {column: int or Fraction}, by
-    fraction-free elimination.  A row holding a Fraction is first scaled to
-    integers.  Each row is reduced by its leading column against the pivot
-    row of that column: a +-1 pivot takes over the column from a non-unit
-    one, against a unit pivot pv the row becomes row - f*pv*prow, and
-    otherwise pv*row - f*prow divided by the gcd of its entries."""
-    pivots: dict[int, dict] = {}  # leading column -> pivot row
+    """Exact rank over Q of sparse rows {column: int or Fraction}.  Zero
+    entries are dropped and a row holding a Fraction is scaled to integers;
+    the rows are then ranked by `_int_rank`."""
+    cleared = []
     for row in rows:
         row = {k: v for k, v in row.items() if v}
         if any(type(v) is not int for v in row.values()):
             den = lcm(*(v.denominator for v in row.values()))
             row = {k: int(v * den) for k, v in row.items()}
+        cleared.append(row)
+    return _int_rank(cleared)
+
+
+def _int_rank(rows) -> int:
+    """Exact rank of sparse rows {column: non-zero int}, by fraction-free
+    elimination; the rows are consumed.  Each row is reduced by its leading
+    column against the pivot row of that column: a +-1 pivot takes over the
+    column from a non-unit one, against a unit pivot pv the row becomes
+    row - f*pv*prow, and otherwise pv*row - f*prow divided by the gcd of
+    its entries."""
+    pivots: dict[int, dict] = {}  # leading column -> pivot row
+    for row in rows:
         while row:
             col = min(row)
             prow = pivots.get(col)
@@ -390,61 +423,86 @@ def hom_table(x: ProjComplex, y: ProjComplex) -> dict:
 
     The (g, h) component is spanned by algebra maps P_{i_S} -> P_{i_T}
     between summands S of x and T of y with deg + g_T - g_S = g and
-    h_T - h_S = h; the differential is f -> d_y f - (-1)^h f d_x.  Each
-    block of it becomes sparse rows, one per basis map with a non-zero
-    image, ranked exactly by `_rank`.  A basis map has one token per
-    degree, so the map of degree d from summand s to summand t is the
-    integer column 3 * (s * |y| + t) + d.  A basis map and a differential
-    entry whose degrees sum above 2 compose to zero, so that product is
-    skipped without multiplying.
+    h_T - h_S = h; the differential is f -> d_y f - (-1)^h f d_x.  A basis
+    map has one token per degree, so the map of degree d from summand s to
+    summand t is the integer column 3 * (s * |y| + t) + d.  One pass over
+    (summand of x, summand of y, basis token) counts each component and
+    writes the sparse row of the image of each basis map that has one.  The
+    row joins two segments, worked out once per call from the codes'
+    product table: the compositions with the entries out of t (they depend
+    on t and the token) and with the entries into s (on s and the token).
+    A map of degree above 2 minus the least degree of an entry of x or y
+    composes to zero with every entry, so it gets no row; in minimal
+    complexes, whose entries have degree 1 or 2, that is every map of
+    degree 2.  Each component's rows are ranked exactly, by `_int_rank`
+    when every entry of x and y has an int coefficient and by `_rank`
+    otherwise.
     """
     if x.algebra != y.algebra:
         raise ValueError("algebra mismatch")
     algebra = x.algebra
+    codes = algebra.codes
+    code, degree, mul, bases = codes.code, codes.degree, codes.mul, codes.bases
+    n = len(codes.tokens)
     ny3 = 3 * len(y.summands)
 
-    blocks: dict[tuple, list] = {}  # (g, h) -> [(s, t, tok, deg)]
-    to_y: dict[int, list] = {}  # vertex v -> hom_terms(v, .) per summand of y
-    for s, (vs, gs, hs) in enumerate(x.summands):
-        terms = to_y.get(vs)
-        if terms is None:
-            terms = to_y[vs] = [algebra.hom_terms(vs, vt) for vt, _, _ in y.summands]
-        for t, (_, gt, ht) in enumerate(y.summands):
-            for tok, d in terms[t]:
-                blocks.setdefault((d + gt - gs, ht - hs), []).append((s, t, tok, d))
-
-    # (column offset of the far end, token, degree, coefficient)
-    y_out: list[list] = [[] for _ in y.summands]
+    least, ints = 3, True  # least entry degree; every coefficient an int
+    y_out: list[list] = [[] for _ in y.summands]  # (3 * far end, code, degree, coefficient)
     for (t, t2), e in y.entries():
         tok, c = _term(e)
-        y_out[t].append((3 * t2, tok, token_degree(tok), c))
-    x_inc: list[list] = [[] for _ in x.summands]
+        k = code[tok]
+        y_out[t].append((3 * t2, k, degree[k], c))
+        least, ints = min(least, degree[k]), ints and type(c) is int
+    x_inc: list[list] = [[] for _ in x.summands]  # (|y| * 3 * far end, code, degree, coefficient)
     for (s0, s), e in x.entries():
         tok, c = _term(e)
-        x_inc[s].append((ny3 * s0, tok, token_degree(tok), c))
+        k = code[tok]
+        x_inc[s].append((ny3 * s0, k, degree[k], c))
+        least, ints = min(least, degree[k]), ints and type(c) is int
+    top = 2 - least  # the highest degree of a map that has an image
 
-    ranks: dict[tuple, int] = {}
-    for (g, h), basis in blocks.items():
-        if (g, h + 1) not in blocks:
-            continue
-        sgn = -1 if h % 2 == 0 else 1  # the -(-1)^h factor
-        rows = []
-        for s, t, tok, d in basis:
-            # distinct far ends, and no column of d_y f is one of f d_x
-            row = {}
-            for far, tok_e, de, c in y_out[t]:
-                if d + de <= 2 and token_mul(tok_e, tok) is not None:
-                    row[ny3 * s + far + d + de] = c
-            for far, tok_e, de, c in x_inc[s]:
-                if d + de <= 2 and token_mul(tok, tok_e) is not None:
-                    row[far + 3 * t + d + de] = sgn * c
-            if row:
-                rows.append(row)
-        ranks[(g, h)] = _rank(rows)
+    # y_seg[t][f]: (column less ny3 * s, coefficient) of d_y f for f into t
+    y_seg: list[dict] = [{} for _ in y.summands]
+    # x_seg[s][f]: (column less 3 * t, coefficient) of f d_x for f out of s
+    x_seg: list[dict] = [{} for _ in x.summands]
+    counts: dict[tuple, int] = {}  # (g, h) -> number of basis maps
+    blocks: dict[tuple, list] = {}  # (g, h) -> rows of the maps with an image
+    for s, (vs, gs, hs) in enumerate(x.summands):
+        to_y, seg_s, incoming, col_s = bases[vs], x_seg[s], x_inc[s], ny3 * s
+        for t, (vt, gt, ht) in enumerate(y.summands):
+            terms = to_y[vt]
+            if not terms:
+                continue
+            h, dg = ht - hs, gt - gs
+            for f, d in terms:
+                key = (d + dg, h)
+                counts[key] = counts.get(key, 0) + 1
+                if d > top:
+                    continue
+                ys = y_seg[t].get(f)
+                if ys is None:
+                    ys = y_seg[t][f] = [
+                        (far + d + de, c) for far, k, de, c in y_out[t] if mul[k * n + f] >= 0
+                    ]
+                xs = seg_s.get(f)
+                if xs is None:
+                    xs = seg_s[f] = [
+                        (far + d + de, c) for far, k, de, c in incoming if mul[f * n + k] >= 0
+                    ]
+                if not (ys or xs):
+                    continue
+                # distinct far ends, and no column of d_y f is one of f d_x
+                row = {col_s + col: c for col, c in ys}
+                col_t, sgn = 3 * t, 1 if h % 2 else -1  # the -(-1)^h factor
+                for col, c in xs:
+                    row[col + col_t] = sgn * c
+                blocks.setdefault(key, []).append(row)
 
+    rank = _int_rank if ints else _rank
+    ranks = {key: rank(rows) for key, rows in blocks.items()}
     table: dict[tuple, int] = {}
-    for (g, h), basis in blocks.items():
-        dim = len(basis) - ranks.get((g, h), 0) - ranks.get((g, h - 1), 0)
+    for (g, h), size in counts.items():
+        dim = size - ranks.get((g, h), 0) - ranks.get((g, h - 1), 0)
         if dim < 0:
             raise AssertionError(f"negative cohomology dimension at {(g, h)}")
         if dim:

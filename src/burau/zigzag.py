@@ -11,6 +11,15 @@ factor y acts first, so y's target vertex must match x's source.  With that
 reading, Hom(P_i, P_j) is e_j A e_i and composing module maps is literally
 multiplying their algebra elements in the same order.
 
+A basis element is named by a token, a tuple such as ("e", 1), ("a", 1, 2)
+or ("x", 1); `Elt` combines tokens.  For the categorical layer's loops each
+algebra also numbers its tokens: `ZigzagAlgebra.codes` is a `TokenCodes`
+table, built once on first use from the algebra's own `hom_terms` and
+`token_mul`, that gives every token a small int code with its degree,
+source and target, the product of any two codes as one list index, and the
+hom bases of all vertex pairs as (code, degree) pairs.  The codes follow the
+vertex order alone, so two algebras of one graph number their tokens alike.
+
 Coefficients are Python ints.  A `Fraction` appears only where `minimize`
 cancels along a non-unit multiple of an idempotent, so every result stays
 exact over the rationals.
@@ -19,7 +28,7 @@ exact over the rationals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .graphs import CoxeterGraph, validate_vertex
 
@@ -140,9 +149,10 @@ class ZigzagAlgebra:
     """The algebra of one graph.  It also holds one shared instance per value
     of the immutable parts of complexes built over it (one-token entries,
     summand triples, index pairs and hom table bidegrees), so a kept complex
-    costs little more than its index structure, and the hom bases of all
-    vertex pairs, which depend on the graph alone.  The tables live exactly
-    as long as the algebra; `zigzag` builds a fresh one per call."""
+    costs little more than its index structure, and the tables that depend
+    on the graph alone: the hom bases of all vertex pairs and, built from
+    them, `codes`.  The tables live exactly as long as the algebra; `zigzag`
+    builds a fresh one per call."""
 
     graph: CoxeterGraph
     _terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -204,6 +214,52 @@ class ZigzagAlgebra:
     def hom_terms(self, i: int, j: int) -> tuple:
         """The basis of `hom_basis(i, j)` as (token, degree) pairs."""
         return (self._bases.get((i, j)) or self._fill_bases(i, j))[1]
+
+    @cached_property
+    def codes(self) -> "TokenCodes":
+        """The algebra's tokens as small ints, built on first use."""
+        return TokenCodes(self)
+
+
+class TokenCodes:
+    """The basis tokens of one algebra numbered 0..N-1, for loops that
+    multiply tokens many times.  `tokens[k]` is the token of code k and
+    `code` maps a token back; `degree`, `source` and `target` are
+    `token_degree`, `token_source` and `token_target` per code; the product
+    of codes a*b (b first) is `mul[a * N + b]`, -1 where it is zero; and
+    `bases[i][j]` is `hom_terms(i, j)` with each token replaced by its
+    code.  Codes are handed out in the order of `hom_terms` over vertex
+    pairs (i, j) in order, so they depend on the graph alone."""
+
+    __slots__ = ("tokens", "code", "degree", "source", "target", "mul", "bases")
+
+    def __init__(self, algebra: ZigzagAlgebra):
+        vertices = algebra.graph.vertices()
+        terms = {(i, j): algebra.hom_terms(i, j) for i in vertices for j in vertices}
+        code: dict = {}
+        for pair in terms.values():
+            for tok, _ in pair:
+                code.setdefault(tok, len(code))
+        tokens = tuple(code)
+        n = len(tokens)
+        mul = [-1] * (n * n)
+        for a, x in enumerate(tokens):
+            for b, y in enumerate(tokens):
+                z = token_mul(x, y)
+                if z is not None:
+                    mul[a * n + b] = code[z]
+        self.tokens, self.code, self.mul = tokens, code, mul
+        self.degree = tuple(token_degree(t) for t in tokens)
+        self.source = tuple(token_source(t) for t in tokens)
+        self.target = tuple(token_target(t) for t in tokens)
+        # vertex-indexed from 1, like the graph; row and column 0 are empty
+        self.bases = tuple(
+            tuple(
+                tuple((code[t], d) for t, d in terms[(i, j)]) if i and j else ()
+                for j in range(len(vertices) + 1)
+            )
+            for i in range(len(vertices) + 1)
+        )
 
 
 def zigzag(g: CoxeterGraph) -> ZigzagAlgebra:

@@ -107,6 +107,10 @@ def test_complex_validation_rejects_malformed_input():
     with pytest.raises(ValueError):
         # entry must live in e_target A e_source
         ProjComplex(a, ((1, 1, 0), (2, 0, 1)), {(0, 1): a.arrow(2, 1)})
+    a3 = zigzag(preset("A3"))
+    with pytest.raises(ValueError, match="not a basis token"):
+        # 1 and 3 are not adjacent in A3, so (1|3) is no basis token
+        ProjComplex(a3, ((1, 1, 0), (3, 0, 1)), {(0, 1): a3.term(("a", 1, 3))})
     bad_square = ProjComplex(
         a,
         ((1, 2, 0), (2, 1, 1), (1, 0, 2)),

@@ -6,7 +6,6 @@ by minimize, and shared entries."""
 
 import random
 import re
-import sys
 from fractions import Fraction
 
 import pytest
@@ -14,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burau import complexes
 from burau.complexes import (
     ProjComplex,
     _rank,
@@ -247,9 +245,11 @@ def test_the_fused_cone_checks_every_entry(monkeypatch, sign):
     """A basis table that gives X1 degree 0, or the reversed arrow as the
     basis of Hom(P1, P2) or Hom(P2, P1), makes apply_twist raise, with the
     message of the ValueError that ProjComplex raises on the same cone, an
-    AssertionError: inside the twist the fault is the library's own."""
+    AssertionError: inside the twist the fault is the library's own.  Each
+    fault drops the algebra's integer table too, so it is rebuilt from the
+    faulty basis table, and the healthy one is back once the patch ends."""
     a = zigzag(preset("tildeA3"))
-    a.hom_terms(1, 1)  # fill the table
+    healthy = a.codes  # fills both tables
     if sign == 1:
         arrow = ((1, 2), ("a", 2, 1), "entry 1->0 has token ('a', 2, 1) outside e_2 A e_1")
         loop = "entry 2->0 has token ('x', 1) of degree 2, expected 0"
@@ -263,38 +263,53 @@ def test_the_fused_cone_checks_every_entry(monkeypatch, sign):
     for pair, terms, start, message in faults:
         with monkeypatch.context() as patch:
             patch.setitem(a._bases, pair, (tuple(t for t, _ in terms), terms))
+            patch.delitem(a.__dict__, "codes")
             x = projective(a, start)
             with pytest.raises(ValueError, match=re.escape(message) + "$"):
                 reference_cone(x, 1, sign)
             with pytest.raises(AssertionError, match=re.escape(message) + "$"):
                 apply_twist(x, 1, sign)
+            assert a.codes is not healthy
+    assert a.codes is healthy
+    for start in (1, 2):
+        x = projective(a, start)
+        assert apply_twist(x, 1, sign) == reference_twist(x, 1, sign)
 
 
 def test_entries_written_mid_word_are_checked(monkeypatch):
-    """A composition in the elimination that returns X_v as e_v, of degree 0
-    instead of 2, fails the check of the entry it writes, also when it
-    happens at a letter before the last.  Left unchecked, that e_v entry
-    would be queued as a unit and cancelled, so no check of the final
-    complex would see it."""
-    real = complexes.token_mul
-    eliminate = complexes._Elimination.eliminate.__code__
-
-    def faulty(x, y):
-        tok = real(x, y)
-        if tok is not None and tok[0] == "x" and sys._getframe(1).f_code is eliminate:
-            return ("e", tok[1])
-        return tok
-
-    message = r"entry \d+->\d+ has token \('e', 1\) of degree 0, expected 2$"
+    """A product table that returns e_1 for a product equal to X_1, of
+    degree 0 instead of 2, makes the entry written from it fail its check,
+    whether the cone or the elimination writes it, and also at a letter
+    before the last.  Left unchecked, that e_1 entry would be queued as a
+    unit and cancelled, so no check of the final complex would see it."""
     g = preset("tildeA3")
     a = zigzag(g)
-    twisted = apply_twist(projective(a, 1), 2, 1)
-    monkeypatch.setattr(complexes, "token_mul", faulty)
-    with pytest.raises(AssertionError, match=message):
-        apply_twist(twisted, 1, -1)
-    # the same composition at the second of three letters, read from the right
-    with pytest.raises(AssertionError, match=message):
-        act_complex(g, [3, -1, 2], projective(a, 1))
+    codes = a.codes
+    n, code = len(codes.tokens), codes.code
+    message = r"entry \d+->\d+ has token \('e', 1\) of degree 0, expected 2$"
+    round_trip, loop_unit = (("a", 2, 1), ("a", 1, 2)), (("x", 1), ("e", 1))
+    faults = [
+        # the round trip (2|1)(1|2) at 1, met where a cone along P1 is glued
+        (round_trip, "glue", (2, 1), 1, [3, 1, 2]),
+        (round_trip, "glue", (2, -1), -1, [3, -1, -2]),
+        # X1 e1, met here where the elimination composes a loop with a unit
+        (loop_unit, "eliminate", (2, 1), -1, [3, -1, 2]),
+    ]
+    for (left, right), site, start, sign, word in faults:
+        twisted = apply_twist(projective(a, 1), *start)
+        mul = list(codes.mul)
+        at = code[left] * n + code[right]
+        assert mul[at] == code[("x", 1)]
+        mul[at] = code[("e", 1)]
+        with monkeypatch.context() as patch:
+            patch.setattr(codes, "mul", mul)
+            with pytest.raises(AssertionError, match=message) as raised:
+                apply_twist(twisted, 1, sign)
+            assert raised.traceback[-2].name == site
+            # the same product at the second of three letters, read from the right
+            with pytest.raises(AssertionError, match=message) as raised:
+                act_complex(g, word, projective(a, 1))
+            assert raised.traceback[-2].name == site
 
 
 def test_hom_table_on_non_minimal_inputs_matches_the_dense_oracle():
@@ -319,6 +334,30 @@ def test_hom_table_on_non_minimal_inputs_matches_the_dense_oracle():
         for x in complexes:
             for y in complexes:
                 assert hom_table(x, y) == oracle_hom_table(x, y), (name, x, y)
+
+
+def test_hom_table_over_two_algebras_of_one_graph():
+    """Algebras compare by their graph alone, so hom_table takes x and y
+    built over two `zigzag(g)` calls.  The second algebra is first used
+    through another vertex pair than the first, so codes that followed the
+    order of use would differ; the tables must equal the one-algebra
+    tables and the dense oracle's."""
+    rng = random.Random(34)
+    for name in ("tildeA3", "D4", "K4"):
+        g = preset(name)
+        one, two = zigzag(g), zigzag(g)
+        one.hom_terms(1, 1)
+        two.hom_terms(g.n, g.n - 1)
+        letters = [s * v for v in g.vertices() for s in (1, -1)]
+        for _ in range(5):
+            words = [[rng.choice(letters) for _ in range(rng.randrange(0, 6))] for _ in range(2)]
+            starts = [rng.randrange(1, g.n + 1) for _ in range(2)]
+            x1, y1 = (act_complex(g, w, projective(one, i)) for w, i in zip(words, starts))
+            x2, y2 = (act_complex(g, w, projective(two, i)) for w, i in zip(words, starts))
+            expected = hom_table(x1, y1)
+            assert expected == oracle_hom_table(x1, y1), (name, words, starts)
+            assert hom_table(x1, y2) == hom_table(x2, y1) == hom_table(x2, y2) == expected
+            assert oracle_hom_table(x1, y2) == expected
 
 
 def test_twisted_complexes_share_their_parts():

@@ -4,8 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from burau.graphs import CoxeterGraph, INF, preset
-from burau.zigzag import Elt, ZigzagAlgebra, token_degree, zigzag
+from burau.graphs import CoxeterGraph, INF, preset, preset_names
+from burau.zigzag import (
+    Elt,
+    ZigzagAlgebra,
+    token_degree,
+    token_mul,
+    token_source,
+    token_target,
+    zigzag,
+)
 
 
 def _basis(a):
@@ -90,6 +98,33 @@ def test_basis_degrees_and_unique_tokens():
     for t in toks:
         per_degree[token_degree(t)] += 1
     assert per_degree == {0: 4, 1: 8, 2: 4}
+
+
+def test_token_codes_agree_with_the_token_functions():
+    """On every preset with a zigzag algebra, the integer table numbers
+    exactly the basis tokens, and its degrees, ends, products and hom bases
+    are those of the token functions and `hom_terms`."""
+    names = [name for name in preset_names() if preset(name).is_simply_laced()]
+    assert {"A3", "D4", "tildeA3", "K4", "AE4", "box"} <= set(names)
+    for name in names:
+        a = zigzag(preset(name))
+        codes = a.codes
+        tokens = codes.tokens
+        n = len(tokens)
+        assert sorted(tokens) == sorted(_basis(a))
+        assert codes.code == {t: k for k, t in enumerate(tokens)}
+        for k, t in enumerate(tokens):
+            assert codes.degree[k] == token_degree(t)
+            assert codes.source[k] == token_source(t)
+            assert codes.target[k] == token_target(t)
+        for k, x in enumerate(tokens):
+            for m, y in enumerate(tokens):
+                z = token_mul(x, y)
+                assert codes.mul[k * n + m] == (-1 if z is None else codes.code[z]), (name, x, y)
+        vs = a.graph.vertices()
+        for i in vs:
+            for j in vs:
+                assert tuple((tokens[k], d) for k, d in codes.bases[i][j]) == a.hom_terms(i, j)
 
 
 def test_elt_arithmetic():
