@@ -9,8 +9,11 @@ Nothing here enumerates the Coxeter group.  Group elements are exact integer
 matrices at q = -1 (the geometric representation, which is faithful), and
 reflection length is rank(w - 1) (Carter's lemma).  The reflections are the
 conjugates of the simple reflections; the interval [1, gamma] is found by a
-breadth-first search over right multiplication by reflections, keeping u = w t
-exactly when l(u) + l(u^-1 gamma) = n (Bessis, "The dual braid monoid").
+breadth-first search over right multiplication by reflections (Bessis, "The
+dual braid monoid").  Its element w takes the step to w t exactly when the
+root of t lies in the moved space Im(c - 1) of its complement c = w^-1 gamma
+(Brady and Watt, "A partial order on the orthogonal group"), and Carter's
+lemma checks each element found.
 Every element the library holds is an interval element, interned by its
 matrix.  On top of that live dual braid lifts constructed by Hurwitz moves
 from the defining factorization gamma = s_1 ... s_n, and the right-greedy
@@ -31,6 +34,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd, prod
 from operator import mul
 
 from .graphs import CoxeterGraph, inverse_word, validate_vertex, validate_word
@@ -126,6 +130,71 @@ def _mat_mul(a: tuple, b: tuple) -> tuple:
     )
 
 
+def _plus_outer(m: tuple, x, y) -> tuple:
+    """m + x y^T, keeping the rows of m where x is zero.  With a reflection
+    t = 1 + r q^T this gives m t = m + (m r) q^T and t m = m + r (q^T m)."""
+    return tuple(
+        tuple(a + s * b for a, b in zip(row, y)) if s else row for row, s in zip(m, x)
+    )
+
+
+def _split_reflection(t: tuple) -> tuple:
+    """(r, q) with t = 1 + r q^T, for a reflection t: r is t's root as a
+    primitive integer vector, so q = -(C r)^T is the form -B(r, -).  Both
+    are read off t - 1 = -r (C r)^T, which has rank one."""
+    rows = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(t)]
+    col = next(c for c in zip(*rows) if any(c))
+    g = gcd(*col)
+    root = tuple(x // g for x in col)
+    i = next(i for i, x in enumerate(root) if x)
+    return root, tuple(x // root[i] for x in rows[i])
+
+
+def _fixed_space(m: tuple) -> list:
+    """A basis of ker(m - 1), the vectors m fixes, as primitive integer
+    vectors.  Fraction-free Gauss-Jordan elimination of m - 1, dividing each
+    new row by the gcd of its entries, leaves pivot rows whose pivot columns
+    are zero in every other row; each free column j then gives the kernel
+    vector that is d at j and -d row[j] / row[p] at each pivot column p, for
+    d the product of the pivots."""
+    n = len(m)
+    rows = [[m[i][j] - (i == j) for j in range(n)] for i in range(n)]
+    pivots: list[int] = []
+    for col in range(n):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, n) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        pv = top[col]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if f and r != rank:
+                row = [pv * x - f * y for x, y in zip(row, top)]
+                g = gcd(*row)
+                rows[r] = [x // g for x in row] if g > 1 else row
+        pivots.append(col)
+    d = prod(rows[i][p] for i, p in enumerate(pivots))
+    basis = []
+    for j in range(n):
+        if j not in pivots:
+            x = [0] * n
+            x[j] = d
+            for i, p in enumerate(pivots):
+                x[p] = -d * rows[i][j] // rows[i][p]
+            g = gcd(*x)
+            basis.append([v // g for v in x])
+    return basis
+
+
+def _in_moved_space(form: tuple, fixed: list) -> bool:
+    """Whether the root r with form +-B(r, -) = `form` lies in the moved
+    space Im(m - 1) of an element m with fixed-space basis `fixed`.  m
+    preserves B, so Im(m - 1) is the B-orthogonal complement of ker(m - 1)."""
+    return not any(sum(map(mul, form, x)) for x in fixed)
+
+
 def _moved_rank(m: tuple) -> int:
     """rank(m - 1) by fraction-free (Bareiss) integer elimination.  For a
     group element this is its reflection length (Carter's lemma)."""
@@ -196,17 +265,24 @@ class DualGarside:
 
     def _build_interval(self, refls: list, gamma: tuple) -> None:
         """Breadth-first search from the identity by right multiplication with
-        reflections.  Each element w keeps its complement w^-1 gamma, and
-        u = w t joins the interval iff l(t w^-1 gamma) = n - l(w) - 1.  Every
-        reflection lies below gamma, so the reflections take ids 1..N in the
-        given order."""
+        reflections, level by level, ids in order, reflections in order.  Each
+        element w keeps its complement c = w^-1 gamma, and u = w t lies one
+        level up iff t lies below c, that is iff the root of t lies in
+        Mov(c) = Im(c - 1) (Brady and Watt); otherwise u is one level down,
+        when t is a right divisor of w, or outside the interval.  So each w
+        pays for one elimination of c - 1, and for the rank-one updates w t
+        and t c only where t lies below c.  Each new element is checked
+        against Carter's lemma, l(c) = rank(c - 1).  Every reflection lies
+        below gamma, so the reflections take ids 1..N in the given order."""
         n = self.n
         ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        split = [_split_reflection(t) for t in refls]
         self.matrices = [ident]
         self.index = {ident: 0}
         self.ell = [0]
         self._complement = [gamma]
-        rdiv: list[list[int]] = [[]]
+        # down[u][k] is the id of u t_k one level below u: u's right divisors
+        down: list[dict[int, int]] = [{}]
         # the products the normal form takes all have a reflection on one
         # side: right[w][k - 1] is the id of w t_k, or -1 outside the
         # interval; levels list ids in increasing order, so row w is appended
@@ -216,26 +292,33 @@ class DualGarside:
         while level:
             nxt = []
             for w in level:
-                target = n - self.ell[w] - 1
-                row = []
-                for k, t in enumerate(refls, start=1):
-                    u = _mat_mul(self.matrices[w], t)
+                row = [-1] * len(refls)
+                for k, v in down[w].items():
+                    row[k - 1] = v
+                m, c = self.matrices[w], self._complement[w]
+                fixed = _fixed_space(c)
+                for k, (root, form) in enumerate(split, start=1):
+                    if row[k - 1] >= 0 or not _in_moved_space(form, fixed):
+                        continue
+                    u = _plus_outer(m, [sum(map(mul, r, root)) for r in m], form)
                     uid = self.index.get(u)
                     if uid is None:
-                        comp = _mat_mul(t, self._complement[w])
-                        if _moved_rank(comp) != target:
-                            row.append(-1)
-                            continue
+                        qc = [sum(map(mul, form, col)) for col in zip(*c)]
+                        comp = _plus_outer(c, root, qc)
+                        if _moved_rank(comp) != n - self.ell[w] - 1:
+                            raise AssertionError(
+                                "Carter's lemma: a new element's complement has the "
+                                "wrong reflection length"
+                            )
                         uid = len(self.matrices)
                         self.index[u] = uid
                         self.matrices.append(u)
                         self.ell.append(self.ell[w] + 1)
                         self._complement.append(comp)
-                        rdiv.append([])
+                        down.append({})
                         nxt.append(uid)
-                    row.append(uid)
-                    if self.ell[uid] == self.ell[w] + 1:
-                        rdiv[uid].append(k)
+                    row[k - 1] = uid
+                    down[uid][k] = w
                 right.append(row)
             level = nxt
         self._right = right
@@ -245,7 +328,7 @@ class DualGarside:
             raise AssertionError("every reflection should lie below gamma")
         # reflections that strip one unit of length from the right; they are
         # also the left divisors, since l(w t) = l(t (w t) t) = l(t w)
-        self.rdiv = [tuple(sorted(r)) for r in rdiv]
+        self.rdiv = [tuple(sorted(d)) for d in down]
 
     def product(self, a: int, b: int) -> int | None:
         """The id of a.b, or None when the product leaves the interval.  One

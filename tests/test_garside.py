@@ -67,14 +67,18 @@ def _star(*arms):
     return CoxeterGraph.from_edges(v, edges)
 
 
+D5 = CoxeterGraph.from_edges(5, [(1, 2), (2, 3), (3, 4), (3, 5)])
+E7 = _star(1, 2, 3)
+
+
 def test_finite_type_is_a_positive_definite_cartan_matrix():
-    # the predicate alone: E7 and E8 build no interval here
+    # the predicate alone; E8 builds no interval here
     finite = [
         CoxeterGraph(1, ()),  # A1
         _path(5),  # A5
         *(_star(1, 1, n - 3) for n in range(5, 9)),  # D5 .. D8
         E6,
-        _star(1, 2, 3),  # E7
+        E7,
         _star(1, 2, 4),  # E8
         CoxeterGraph.from_edges(3, [(1, 2)]),  # A2 + A1
         CoxeterGraph.from_edges(6, [(1, 2), (2, 3), (2, 4), (5, 6)]),  # D4 + A2
@@ -207,7 +211,7 @@ def test_simple_lifts_are_pinned():
     graphs = {
         "A3": preset("A3"),
         "D4": preset("D4"),
-        "D5": CoxeterGraph.from_edges(5, [(1, 2), (2, 3), (3, 4), (3, 5)]),
+        "D5": D5,
     }
     for name, g in graphs.items():
         ctx = garside_context(g)
@@ -218,8 +222,8 @@ def test_simple_lifts_are_pinned():
 def test_product_tables_match_matrix_products():
     # the interval products with a reflection on either side, against the
     # oracle's matrix product; two non-reflections are refused
-    for name in ("A3", "D4"):
-        ctx = garside_context(preset(name))
+    for g in (preset("A3"), preset("D4"), D5):
+        ctx = garside_context(g)
         for t in ctx.refl_ids:
             for w in range(len(ctx.matrices)):
                 for a, b in ((w, t), (t, w)):
@@ -227,6 +231,57 @@ def test_product_tables_match_matrix_products():
                     assert ctx.product(a, b) == got
         with pytest.raises(ValueError):
             ctx.product(ctx.gamma, ctx.gamma)
+
+
+def test_the_moved_space_rule_agrees_with_the_rank_rule():
+    # w t lies in the interval exactly when l(w t) + l((w t)^-1 gamma) = n,
+    # both lengths by _moved_rank on oracle products; l((w t)^-1 gamma) is
+    # l(gamma^-1 w t), the length of its inverse
+    for g in (preset("A3"), preset("D4"), D5):
+        ctx = garside_context(g)
+        gamma = ctx.matrices[ctx.gamma]
+        gamma_inv = gamma
+        while mat_mul(gamma_inv, gamma) != ctx.matrices[ctx.identity]:
+            gamma_inv = mat_mul(gamma_inv, gamma)
+        for w, m in enumerate(ctx.matrices):
+            for t in ctx.refl_ids:
+                u = mat_mul(m, ctx.matrices[t])
+                below = _moved_rank(u) + _moved_rank(mat_mul(gamma_inv, u)) == g.n
+                assert ctx.product(w, t) == (ctx.index[u] if below else None)
+
+
+def test_the_carter_check_refuses_a_reflection_outside_the_moved_space(monkeypatch):
+    # admit the first step the moved-space rule refuses: its complement is one
+    # reflection longer than Carter's lemma allows
+    in_moved_space = garside._in_moved_space
+    admitted = []
+
+    def admit_one_more(form, fixed):
+        if in_moved_space(form, fixed):
+            return True
+        admitted.append(form)
+        return len(admitted) == 1
+
+    monkeypatch.setattr(garside, "_in_moved_space", admit_one_more)
+    with pytest.raises(AssertionError, match="Carter's lemma"):
+        DualGarside(preset("A3"))
+    assert admitted
+
+
+# sha256 of the JSON of [matrices, ell, rdiv, _right, phi], as built by the
+# rank rule that the moved-space rule replaced
+TABLE_SHA256 = {
+    "D5": "576531239d97181dc2b66f2f6219f3f225f18078f7b49c49aa302686998e9fdb",
+    "E6": "547c526bfab29dddaa3791bd8668e418eb9da2a733e6d9343f03fb1d1a730180",
+    "E7": "0e04873ec67cd0443d840905bf2bf369be06b4e8b97a635f973ca39cb51cd5c3",
+}
+
+
+def test_interval_tables_are_pinned():
+    for name, g in {"D5": D5, "E6": E6, "E7": E7}.items():
+        ctx = garside_context(g)
+        tables = json.dumps([ctx.matrices, ctx.ell, ctx.rdiv, ctx._right, ctx.phi])
+        assert hashlib.sha256(tables.encode()).hexdigest() == TABLE_SHA256[name]
 
 
 def test_normal_form_of_special_words():
@@ -376,3 +431,13 @@ def test_e6_interval_and_word_problem():
         w = random_word(rng, E6, rng.randrange(0, 12))
         assert is_trivial_braid(E6, list(w) + list(inverse_word(w)))
     assert not is_trivial_braid(E6, [1])
+
+
+def test_e7_interval():
+    # no lifts: the Hurwitz orbit search is the larger cost on E7
+    ctx = garside_context(E7)
+    assert len(ctx.refl_ids) == 63
+    assert len(ctx.matrices) == 4160
+    assert ctx.ell[ctx.gamma] == 7
+    assert gamma_order(ctx) == 18  # the Coxeter number of E7
+    assert ctx._lifts is None
