@@ -15,9 +15,14 @@ root of t lies in the moved space Im(c - 1) of its complement c = w^-1 gamma
 (Brady and Watt, "A partial order on the orthogonal group"), and Carter's
 lemma checks each element found.
 Every element the library holds is an interval element, interned by its
-matrix.  On top of that live dual braid lifts constructed by Hurwitz moves
-from the defining factorization gamma = s_1 ... s_n, and the right-greedy
-normal form that solves the braid word problem.
+matrix, and no matrix is multiplied once the interval is built.  The
+complement d(w) = w^-1 gamma permutes the interval, with d(d(w)) = gamma^-1
+w gamma = phi^-1(w) and d(t w) = d(w) phi^-1(t), so phi, products with a
+reflection on either side, Hurwitz moves and divisibility are all reads of
+the table of right products w t.  On top of that live dual braid lifts
+constructed by Hurwitz moves from the defining factorization
+gamma = s_1 ... s_n, and the right-greedy normal form that solves the braid
+word problem.
 
 A normal form is gamma^k times a list of simples, updated one simple at a
 time: a positive letter appends its atom, a negative letter borrows gamma^{-1}
@@ -195,27 +200,6 @@ def _in_moved_space(form: tuple, fixed: list) -> bool:
     return not any(sum(map(mul, form, x)) for x in fixed)
 
 
-def _moved_rank(m: tuple) -> int:
-    """rank(m - 1) by fraction-free (Bareiss) integer elimination.  For a
-    group element this is its reflection length (Carter's lemma)."""
-    n = len(m)
-    rows = [[m[i][j] - (i == j) for j in range(n)] for i in range(n)]
-    rank, prev = 0, 1
-    for col in range(n):
-        pivot = next((r for r in range(rank, n) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        pv = top[col]
-        for r in range(rank + 1, n):
-            f = rows[r][col]
-            rows[r] = [(pv * x - f * y) // prev for x, y in zip(rows[r], top)]
-        prev = pv
-        rank += 1
-    return rank
-
-
 class DualGarside:
     """The interval [1, gamma] of one graph, for gamma = s_1 ... s_n, with
     the tables the normal form needs.  Element ids index `matrices`; id 0 is
@@ -237,27 +221,24 @@ class DualGarside:
             rows = [tuple(int(a == b) for b in range(self.n)) for a in range(self.n)]
             rows[i] = tuple(int(i == j) - e.evaluate(-1) for j, e in enumerate(gram_row))
             atoms.append(tuple(rows))
-        gamma = gamma_inv = atoms[0]
+        gamma = atoms[0]
         for a in atoms[1:]:
             gamma = _mat_mul(gamma, a)
-            gamma_inv = _mat_mul(a, gamma_inv)
         refls = _reflections(atoms)
         self._build_interval(refls, gamma)
         self.identity = 0
         self.gamma = self.index.get(gamma)
         if self.gamma is None or self.ell[self.gamma] != self.n:
             raise AssertionError("gamma should have reflection length n")
-        self._gamma_inv = gamma_inv
         self.refl_ids = list(range(1, len(refls) + 1))
+        # phi(w) = gamma w gamma^-1, whose inverse is d o d
+        self.phi_inv = [self._partial[c] for c in self._partial]
+        self.phi = [0] * len(self.phi_inv)
+        for w, pre in enumerate(self.phi_inv):
+            self.phi[pre] = w
         self.gamma_atom_ids = {
             i: self.product(self.gamma, i) for i in graph.vertices()
         }
-        self.phi = [
-            self.index[_mat_mul(_mat_mul(gamma, m), gamma_inv)] for m in self.matrices
-        ]
-        self.phi_inv = [0] * len(self.phi)
-        for w, img in enumerate(self.phi):
-            self.phi_inv[img] = w
         self._lifts: dict[int, tuple] | None = None
         self._simple_cache: dict[int, DualSimple] = {}
 
@@ -271,16 +252,19 @@ class DualGarside:
         Mov(c) = Im(c - 1) (Brady and Watt); otherwise u is one level down,
         when t is a right divisor of w, or outside the interval.  So each w
         pays for one elimination of c - 1, and for the rank-one updates w t
-        and t c only where t lies below c.  Each new element is checked
-        against Carter's lemma, l(c) = rank(c - 1).  Every reflection lies
-        below gamma, so the reflections take ids 1..N in the given order."""
+        and t c only where t lies below c.  That elimination also checks w
+        against Carter's lemma: ker(c - 1) has dimension n - l(c) = l(w).
+        Every reflection lies below gamma, so the reflections take ids 1..N
+        in the given order.  At the end each complement is read as an id,
+        the permutation d(w) = w^-1 gamma of the interval, and the matrices
+        of the complements are dropped."""
         n = self.n
         ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         split = [_split_reflection(t) for t in refls]
         self.matrices = [ident]
         self.index = {ident: 0}
         self.ell = [0]
-        self._complement = [gamma]
+        complement = [gamma]
         # down[u][k] is the id of u t_k one level below u: u's right divisors
         down: list[dict[int, int]] = [{}]
         # the products the normal form takes all have a reflection on one
@@ -295,8 +279,13 @@ class DualGarside:
                 row = [-1] * len(refls)
                 for k, v in down[w].items():
                     row[k - 1] = v
-                m, c = self.matrices[w], self._complement[w]
+                m, c = self.matrices[w], complement[w]
                 fixed = _fixed_space(c)
+                if len(fixed) != self.ell[w]:
+                    raise AssertionError(
+                        "Carter's lemma: an element's complement has the wrong "
+                        "reflection length"
+                    )
                 for k, (root, form) in enumerate(split, start=1):
                     if row[k - 1] >= 0 or not _in_moved_space(form, fixed):
                         continue
@@ -304,17 +293,11 @@ class DualGarside:
                     uid = self.index.get(u)
                     if uid is None:
                         qc = [sum(map(mul, form, col)) for col in zip(*c)]
-                        comp = _plus_outer(c, root, qc)
-                        if _moved_rank(comp) != n - self.ell[w] - 1:
-                            raise AssertionError(
-                                "Carter's lemma: a new element's complement has the "
-                                "wrong reflection length"
-                            )
                         uid = len(self.matrices)
                         self.index[u] = uid
                         self.matrices.append(u)
                         self.ell.append(self.ell[w] + 1)
-                        self._complement.append(comp)
+                        complement.append(_plus_outer(c, root, qc))
                         down.append({})
                         nxt.append(uid)
                     row[k - 1] = uid
@@ -322,8 +305,7 @@ class DualGarside:
                 right.append(row)
             level = nxt
         self._right = right
-        # left[k - 1][w] is the id of t_k w, filled in on first use (-2 before)
-        self._left = [[-2] * len(self.matrices) for _ in refls]
+        self._partial = [self.index[c] for c in complement]  # d(w) = w^-1 gamma
         if any(self.index.get(t) != k for k, t in enumerate(refls, start=1)):
             raise AssertionError("every reflection should lie below gamma")
         # reflections that strip one unit of length from the right; they are
@@ -332,17 +314,17 @@ class DualGarside:
 
     def product(self, a: int, b: int) -> int | None:
         """The id of a.b, or None when the product leaves the interval.  One
-        of a and b must be a reflection (ids 1 .. number of reflections)."""
-        refls = len(self._left)
+        of a and b must be a reflection (ids 1 .. number of reflections).
+        A reflection t on the left is read through the complement: t w lies
+        in the interval iff d(t w) = d(w) phi^-1(t) does, and then t w is
+        d^-1 of it, with d^-1 = phi o d."""
+        refls = len(self.refl_ids)
         if 0 < b <= refls:
             got = self._right[a][b - 1]
         elif 0 < a <= refls:
-            row = self._left[a - 1]
-            got = row[b]
-            if got == -2:
-                got = row[b] = self.index.get(
-                    _mat_mul(self.matrices[a], self.matrices[b]), -1
-                )
+            got = self._right[self._partial[b]][self.phi_inv[a] - 1]
+            if got >= 0:
+                got = self.phi[self._partial[got]]
         else:
             raise ValueError("product needs a reflection on one side")
         return got if got >= 0 else None
@@ -354,17 +336,10 @@ class DualGarside:
         the defining factorization gamma = s_1 ... s_n.  Hurwitz moves
         are braid-level identities, so which orbit path finds a reflection
         first does not affect the braid it lifts to.  The search stops once
-        every reflection has its first lift."""
-        conjugates: dict[tuple, int] = {}
-
-        def conjugate(a: int, b: int) -> int:
-            got = conjugates.get((a, b))
-            if got is None:
-                ma = self.matrices[a]
-                got = self.index[_mat_mul(_mat_mul(ma, self.matrices[b]), ma)]
-                conjugates[(a, b)] = got
-            return got
-
+        every reflection has its first lift.  A move keeps the product ab of
+        the adjacent pair it rewrites, an interval element, so its new
+        reflections are table reads: aba = (ab).a and bab = b.(ab), the
+        latter through the complement, d(b.(ab)) = d(ab) phi^-1(b)."""
         start_fact = self.gamma_word
         start_lift = tuple((i,) for i in self.gamma_word)
         lifts: dict[int, tuple] = {}
@@ -380,13 +355,14 @@ class DualGarside:
             for pos in range(self.n - 1):
                 a, b = fact[pos], fact[pos + 1]
                 la, lb = lift[pos], lift[pos + 1]
-                left = fact[:pos] + (conjugate(a, b), a) + fact[pos + 2 :]
+                ab = self.product(a, b)
+                left = fact[:pos] + (self.product(ab, a), a) + fact[pos + 2 :]
                 if left not in seen:
                     seen.add(left)
                     queue.append(
                         (left, lift[:pos] + (la + lb + inverse_word(la), la) + lift[pos + 2 :])
                     )
-                right = fact[:pos] + (b, conjugate(b, a)) + fact[pos + 2 :]
+                right = fact[:pos] + (b, self.product(b, ab)) + fact[pos + 2 :]
                 if right not in seen:
                     seen.add(right)
                     queue.append(
@@ -421,16 +397,23 @@ class DualGarside:
 
     # ---- divisibility ------------------------------------------------------
 
-    def _inverse(self, a: int) -> tuple:
-        return _mat_mul(self._complement[a], self._gamma_inv)
+    def right_divides(self, a: int, b: int) -> bool:
+        """Whether b = c a with l(b) = l(c) + l(a).  Then every right
+        divisor t of a divides b too, and a t right-divides b t; so peel
+        a's least reflection divisor off both, one level down each, until
+        a is the identity."""
+        rdiv, right = self.rdiv, self._right
+        while a != self.identity:
+            t = rdiv[a][0]
+            if t not in rdiv[b]:
+                return False
+            a, b = right[a][t - 1], right[b][t - 1]
+        return True
 
     def left_divides(self, a: int, b: int) -> bool:
-        rest = _mat_mul(self._inverse(a), self.matrices[b])
-        return self.ell[a] + _moved_rank(rest) == self.ell[b]
-
-    def right_divides(self, a: int, b: int) -> bool:
-        rest = _mat_mul(self.matrices[b], self._inverse(a))
-        return _moved_rank(rest) + self.ell[a] == self.ell[b]
+        """b = a c with lengths adding iff d(a) = c d(b), that is iff d(b)
+        right-divides d(a)."""
+        return self.right_divides(self._partial[b], self._partial[a])
 
     # ---- normal form -------------------------------------------------------
 
