@@ -471,31 +471,37 @@ class _NFState:
     def _push(self, w: int) -> None:
         """Right-multiply by the interval element w.  Both public pushes call
         this, not each other, so a profiler wrapping them sees each push
-        once."""
+        once.
+
+        A reflection mu slides from x into y when it right-divides x and
+        mu y lies one level above y, that is when it right-divides
+        z = d^-1(y) = gamma y^-1; the slide steps x and z down to x mu and
+        z mu, and y is d(z) at the end."""
         ctx = self.ctx
         if w == ctx.identity:
             return
+        rdiv, right, partial = ctx.rdiv, ctx._right, ctx._partial
         simples = self.simples
         simples.append(w)
         j = len(simples) - 1
         while j > 0:
-            left = simples[j - 1]
-            right = start = simples[j]
+            x = simples[j - 1]
+            z = start = ctx.phi[partial[simples[j]]]
             while True:
-                for mu in ctx.rdiv[left]:
-                    cand = ctx.product(mu, right)
-                    if cand is not None and ctx.ell[cand] == ctx.ell[right] + 1:
-                        left, right = ctx.product(left, mu), cand
+                above = rdiv[z]
+                for mu in rdiv[x]:
+                    if mu in above:
+                        x, z = right[x][mu - 1], right[z][mu - 1]
                         break
                 else:
                     break
-            if right == start:
+            if z == start:
                 break
-            simples[j] = right
-            if left == ctx.identity:
+            simples[j] = partial[z]
+            if x == ctx.identity:
                 del simples[j - 1]
                 break
-            simples[j - 1] = left
+            simples[j - 1] = x
             j -= 1
         while simples and simples[-1] == ctx.gamma:
             simples.pop()
