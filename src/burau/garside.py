@@ -18,11 +18,11 @@ Every element the library holds is an interval element, interned by its
 matrix, and no matrix is multiplied once the interval is built.  The
 complement d(w) = w^-1 gamma permutes the interval, with d(d(w)) = gamma^-1
 w gamma = phi^-1(w) and d(t w) = d(w) phi^-1(t), so phi, products with a
-reflection on either side, Hurwitz moves and divisibility are all reads of
-the table of right products w t.  On top of that live dual braid lifts
-constructed by Hurwitz moves from the defining factorization
-gamma = s_1 ... s_n, and the right-greedy normal form that solves the braid
-word problem.
+reflection on either side, Hurwitz moves, divisibility and the normal-form
+sweep are all reads of the table of right products w t.  On top of that
+live dual braid lifts constructed by Hurwitz moves from the defining
+factorization gamma = s_1 ... s_n, and the right-greedy normal form that
+solves the braid word problem.
 
 A normal form is gamma^k times a list of simples, updated one simple at a
 time: a positive letter appends its atom, a negative letter borrows gamma^{-1}
@@ -480,7 +480,7 @@ class _NFState:
         ctx = self.ctx
         if w == ctx.identity:
             return
-        rdiv, right, partial = ctx.rdiv, ctx._right, ctx._partial
+        rdiv, table, partial = ctx.rdiv, ctx._right, ctx._partial
         simples = self.simples
         simples.append(w)
         j = len(simples) - 1
@@ -491,7 +491,7 @@ class _NFState:
                 above = rdiv[z]
                 for mu in rdiv[x]:
                     if mu in above:
-                        x, z = right[x][mu - 1], right[z][mu - 1]
+                        x, z = table[x][mu - 1], table[z][mu - 1]
                         break
                 else:
                     break
