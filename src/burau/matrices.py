@@ -229,6 +229,7 @@ def generator_matrix(
     return BurauMatrix(g, ring, tuple(rows))
 
 
+@lru_cache(maxsize=None, typed=True)
 def generator_row(
     g: CoxeterGraph,
     letter: int,
@@ -239,7 +240,8 @@ def generator_row(
     the one coordinate either changes, as its non-zero terms (j, e, c) with
     j a 0-based column: the new coordinate i of x is the sum of c q^e x_j.
     In both forms every entry is 0 or a monomial (-q^k, or -2q^k for an
-    infinite label), but `row_step` takes any row."""
+    infinite label), but `row_step` takes any row.  Rows are cached per
+    (graph, letter, form, ring), as `generator_matrix` is."""
     i = abs(letter)
     row = generator_matrix(g, i, 1 if letter > 0 else -1, form, ring).rows[i - 1]
     return tuple((j, e, c) for j, entry in enumerate(row) for e, c in entry.terms)

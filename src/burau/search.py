@@ -8,13 +8,17 @@ pairing decides); candidate pairs are then confirmed categorically, from
 twisted complexes that each store builds once per record (`TwistMemo`).
 A generator changes one coordinate, so a child in the enumeration costs one
 coordinate update from the generator's row (`laurent.row_step`), with the
-rows read once per enumeration.  The scan packs the right records' images
-at q0 mod a prime into fixed-width slots of a few big ints, so its filter
-takes a left record against a whole block of right records in n big-int
-products and a slotwise reduction; only the pairs it passes reach the
-first-letter skip and the exact pairing, the dot product of the left
-vector's bar with the right vector's Gram image, each computed at most once
-per scan (and, in the confirm, once per record in the store's memo).
+rows read once per enumeration.  Each store keeps a table of its distinct
+coordinate values, each under a small int id with one shared `LaurentPoly`
+and its value at q = 1, and dedupes vectors by one int key, the coordinate
+ids in fixed 32-bit lanes; a child updates one lane of its parent's key.
+The scan evaluates each distinct coordinate once per point, packs the right
+records' images at q0 mod a prime into fixed-width slots of a few big ints,
+so its filter takes a left record against a whole block of right records
+in n big-int products and a slotwise reduction; only the pairs it passes
+reach the first-letter skip and the exact pairing, the dot product of the
+left vector's bar with the right vector's Gram image, each computed at most
+once per scan (and, in the confirm, once per record in the store's memo).
 Over Z/pZ, a seeded random walk in the dual positive monoid files braids into
 buckets keyed by canonical length and spread, watching for words that fix a
 basis root up to a power of q; fixing words feed the twist-quotient
@@ -183,41 +187,67 @@ class TwistMemo:
 
 class CurveStore:
     """Curve records with exact-vector deduplication and a root-key index.
-    `memo` holds the twisted projectives that `confirm_pair` builds for the
-    store's records; it lives as long as the store."""
+    Its coordinate table maps each distinct coordinate `(low, coeffs)` to a
+    small int id, with the one `LaurentPoly` that every record holding it
+    shares and its value at q = 1.  A vector's key is one int, its ids in
+    fixed 32-bit lanes (coordinate k in bits [32k, 32k + 32)), so dedupe
+    hashes one int per record.  The table, and `memo`, the twisted
+    projectives that `confirm_pair` builds for the records, live as long as
+    the store."""
 
     def __init__(self, g: CoxeterGraph):
         self.graph = g
         self.records: list[CurveRecord] = []
         self.by_root: dict[tuple, list[int]] = {}
-        self._seen: set[tuple] = set()
+        self._ids: dict[tuple, int] = {}  # (low, coeffs) -> coordinate id
+        self._polys: list[LaurentPoly] = []  # id -> the shared coordinate
+        self._sums: list[int] = []  # id -> its value at q = 1
+        self._lanes = struct.Struct(f"<{g.n}I")  # key <-> its n coordinate ids
+        self._keys: list[int] = []  # the key of each record
+        self._seen: set[int] = set()
         self.memo = TwistMemo(g)
         self._memo_ref = weakref.ref(self.memo)
 
     def __len__(self) -> int:
         return len(self.records)
 
+    def _intern(self, c: LaurentPoly) -> int:
+        """The id of the coordinate value c, entered in the table if new."""
+        i = self._ids.setdefault((c.low, c.coeffs), len(self._polys))
+        if i == len(self._polys):
+            self._polys.append(c)
+            self._sums.append(sum(c.coeffs))
+        return i
+
     def insert(self, record: CurveRecord) -> bool:
         """Add the record unless its vector is already stored.  The stored
-        record refers to this store's memo."""
-        return self._keep(
-            record.coords, record.witness, record.seed_vertex, record.root_key
-        )
+        record holds the table's coordinates and refers to this store's
+        memo.  A record that is not n coordinates over Z, or whose seed
+        vertex is not a vertex of the graph, raises ValueError."""
+        n, coords = self.graph.n, record.coords
+        if len(coords) != n or not all(type(c) is LaurentPoly and c.ring == ZZ for c in coords):
+            raise ValueError(f"a curve record is {n} coordinates over Z")
+        validate_vertex(self.graph, record.seed_vertex)
+        ids = [self._intern(c) for c in coords]
+        key = int.from_bytes(self._lanes.pack(*ids), "little")
+        coords, root = (tuple(map(t.__getitem__, ids)) for t in (self._polys, self._sums))
+        return self._keep(key, coords, root, record.witness, record.seed_vertex)
 
     def _keep(
-        self, coords: tuple, witness: tuple, vertex: int, root_key: tuple
+        self, key: int, coords: tuple, root_key: tuple, witness: tuple, vertex: int
     ) -> bool:
-        """The one place that keeps a record: unless the vector is already
-        stored (its coordinates are hashed once), build the record, with
-        this store's memo as its handle, and index it under `root_key`,
-        which must be its root key."""
+        """The one place that keeps a record: unless a vector with this key
+        is already stored, build the record from `coords`, the table's
+        coordinates for the key, with this store's memo as its handle, and
+        index it under `root_key`, which must be its root key."""
         seen = self._seen
         size = len(seen)
-        seen.add(coords)
+        seen.add(key)
         if len(seen) == size:
             return False
         self.by_root.setdefault(root_key, []).append(len(self.records))
         self.records.append(CurveRecord(coords, witness, vertex, self._memo_ref))
+        self._keys.append(key)
         return True
 
     def insert_witness(self, word, vertex: int) -> bool:
@@ -269,10 +299,14 @@ def enumerate_curves(g: CoxeterGraph, budget: int = 10000) -> CurveStore:
     `budget` records or the orbit is exhausted.
 
     A letter changes only its own coordinate k, so a child costs one
-    `row_step` with the letter's generator row, read once per enumeration;
-    a child equal to its parent is dropped unhashed, and a new child's root
-    key is its parent's with entry k replaced by the new coordinate at
-    q = 1.  Equal coordinates of different records are one object."""
+    `row_step` with the letter's generator row, read once per enumeration,
+    one lookup of the new coordinate in the store's coordinate table, and
+    one lane update of its parent's key: lane k takes the new coordinate's
+    id.  A child equal to its parent is dropped before any lookup, and the
+    letter that undoes the witness's first letter is not tried: its child
+    is the parent's parent, already stored.  Root keys are read from the
+    table's values at q = 1.  Equal coordinates of different records are
+    one object (602 distinct values among 10^4 tildeA3 records)."""
     if type(budget) is not int:
         raise ValueError("budget must be an int")
     if budget < g.n:
@@ -281,30 +315,36 @@ def enumerate_curves(g: CoxeterGraph, budget: int = 10000) -> CurveStore:
     for s in g.vertices():
         store.insert_witness((), s)
     steps = [
-        (letter, abs(letter) - 1, generator_row(g, letter))
+        (letter, abs(letter) - 1, 32 * (abs(letter) - 1), generator_row(g, letter))
         for j in g.vertices()
         for letter in (j, -j)
     ]
     records = store.records  # the BFS queue: records past `head` are unexpanded
-    keep = store._keep
-    # coordinate values recur (602 distinct among 10^4 tildeA3 records), so
-    # each value is held once, by every record that has it
-    shared = {}
+    keys, ids, polys, sums = store._keys, store._ids, store._polys, store._sums
+    keep, intern, lanes = store._keep, store._intern, store._lanes
     head = 0
     while head < len(records) and len(records) < budget:
         parent = records[head]
+        key = keys[head]
         head += 1
         coords, word, s = parent.coords, parent.witness, parent.seed_vertex
-        key = parent.root_key
-        for letter, k, row in steps:
+        parent_ids = lanes.unpack(key.to_bytes(lanes.size, "little"))
+        root = tuple(sums[i] for i in parent_ids)
+        undo = -word[0] if word else 0
+        for letter, k, shift, row in steps:
+            if letter == undo:
+                continue
             new = row_step(row, coords)
             old = coords[k]
             if new.low == old.low and new.coeffs == old.coeffs:
                 continue  # the letter fixes the parent
-            new = shared.setdefault((new.low, new.coeffs), new)
-            child = coords[:k] + (new,) + coords[k + 1 :]
-            root = key[:k] + (sum(new.coeffs),) + key[k + 1 :]
-            if keep(child, (letter,) + word, s, root) and len(records) >= budget:
+            i = ids.get((new.low, new.coeffs))
+            if i is None:
+                i = intern(new)
+            child = coords[:k] + (polys[i],) + coords[k + 1 :]
+            child_root = root[:k] + (sums[i],) + root[k + 1 :]
+            child_key = key + ((i - parent_ids[k]) << shift)
+            if keep(child_key, child, child_root, (letter,) + word, s) and len(records) >= budget:
                 break
     return store
 
@@ -345,10 +385,19 @@ def _evaluation_points(g: CoxeterGraph, criterion: int) -> tuple:
     return tuple(points)
 
 
+def _coordinates_at(records, q: int, q_inv: int) -> list:
+    """Each record's coordinates at q mod P, one `_poly_mod` per distinct
+    coordinate object: a store's records share one object per coordinate
+    value (its coordinate table), so that is one per distinct value."""
+    objects = {id(c): c for r in records for c in r.coords}
+    at = {k: _poly_mod(c, q, q_inv) for k, c in objects.items()}.__getitem__
+    return [tuple(map(at, map(id, r.coords))) for r in records]
+
+
 def _left_images(records, point) -> list:
     """x(q^-1) mod P at the point, for each record's vector x."""
     q, q_inv, _ = point
-    return [tuple(_poly_mod(c, q_inv, q) for c in r.coords) for r in records]
+    return _coordinates_at(records, q_inv, q)
 
 
 def _right_images(records, point) -> list:
@@ -356,11 +405,10 @@ def _right_images(records, point) -> list:
     of x with y evaluates at q to the dot product of x's left image with
     y's right image."""
     q, q_inv, gram = point
-    images = []
-    for r in records:
-        at_q = [_poly_mod(c, q, q_inv) for c in r.coords]
-        images.append(tuple(sum(map(mul, row, at_q)) % _P for row in gram))
-    return images
+    return [
+        tuple(sum(map(mul, row, at_q)) % _P for row in gram)
+        for at_q in _coordinates_at(records, q, q_inv)
+    ]
 
 
 def _slot_width(n: int) -> int:
@@ -466,8 +514,9 @@ def find_pairs(
     `limit` caps the number of pairs returned; it must be non-negative, and
     0 returns no pairs.
 
-    A prefilter only prunes.  Each record's coordinates are evaluated once,
-    at a fixed point q0 modulo the prime P = 2^61 - 1.  The right images
+    A prefilter only prunes.  Each distinct coordinate value of the scanned
+    records is evaluated once per side, at a fixed point q0 modulo the prime
+    P = 2^61 - 1 (at q0^-1 for the left records).  The right images
     are packed, coordinate by coordinate, into ints of up to _BLOCK
     fixed-width slots, so a left record costs n big-int by small-int
     products per block, a few slotwise Mersenne folds that reduce every

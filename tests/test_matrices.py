@@ -220,6 +220,10 @@ def test_generator_rows_are_monomials_read_from_the_generator_matrix():
                         label = 3 if j == i - 1 else g.labels(i, j + 1)
                         assert c == ring.normalize(-2 if label == INF else -1)
                     assert tuple(rebuilt) == row
+                    # read once per (graph, letter, form, ring), as the matrix is
+                    assert generator_row(g, letter, form, ring) is generator_row(
+                        g, letter, form, ring
+                    )
 
 
 def _reference_product(rows_a, rows_b, ring):

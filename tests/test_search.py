@@ -6,6 +6,7 @@ import inspect
 import json
 import random
 import weakref
+from collections import Counter
 from operator import mul
 
 import pytest
@@ -30,6 +31,7 @@ from burau.matrices import (
     DUAL,
     _SlotCodec,
     act,
+    gram_matrix,
     identity_matrix,
     is_identity,
     pairing,
@@ -38,6 +40,7 @@ from burau.matrices import (
 )
 from burau.search import (
     _P,
+    _Q0,
     SPREAD_CAP,
     CurveRecord,
     CurveStore,
@@ -185,6 +188,95 @@ def test_store_keeps_one_record_per_vector():
     # sigma_1 sigma_1^-1 moves nothing, so alpha_1 is already stored
     assert not store.insert_witness((1, -1), 1)
     assert len(store) == len(keys)
+
+
+def test_store_insert_refuses_a_malformed_record():
+    # a record that is not n coordinates over Z, or whose seed vertex is not
+    # a vertex, is refused before it reaches the coordinate table: a short
+    # record would otherwise share the key of a full one whose missing
+    # lanes hold id 0, and a scan of the store would fail on it
+    g = preset("tildeA3")
+    coords = curve_record(g, (1, -2), 3).coords
+    store = CurveStore(g)
+    store.insert_witness((), 1)
+    before = (list(store.records), dict(store.by_root), list(store._polys))
+    cases = [
+        (CurveRecord(coords[:3], (1, -2), 3), "4 coordinates over Z"),
+        (CurveRecord(coords + coords[:1], (1, -2), 3), "4 coordinates over Z"),
+        (CurveRecord(tuple(c.reduce_mod(5) for c in coords), (1, -2), 3), "4 coordinates over Z"),
+        (CurveRecord((0, 1, 0, 0), (), 2), "4 coordinates over Z"),
+        (CurveRecord(coords, (1, -2), 0), "out of range"),
+        (CurveRecord(coords, (1, -2), 5), "out of range"),
+        (CurveRecord(coords, (1, -2), True), "out of range"),
+    ]
+    for record, message in cases:
+        with pytest.raises(ValueError, match=message):
+            store.insert(record)
+    assert (store.records, store.by_root, store._polys) == before
+    assert store.insert(CurveRecord(coords, (1, -2), 3))
+    assert find_pairs(store, 2) == _exact_scan(store, 2)
+
+
+def test_enumeration_state_belongs_to_its_store(monkeypatch):
+    # nothing carries over from one enumeration to the next: the same number
+    # of row steps each time, and no coordinate table shared between stores
+    g = preset("tildeA3")
+    steps = []
+    real = search_module.row_step
+    monkeypatch.setattr(
+        search_module, "row_step", lambda row, coords: steps.append(1) or real(row, coords)
+    )
+    counts, stores = [], []
+    for _ in range(2):
+        steps.clear()
+        stores.append(enumerate_curves(g, 2000))
+        counts.append(len(steps))
+    assert counts[0] == counts[1] > 2000
+    first, second = stores
+    assert first.records == second.records
+    assert first._ids == second._ids and first._ids is not second._ids
+    assert first._polys == second._polys and first._polys is not second._polys
+    assert first._sums is not second._sums
+    assert not CurveStore(g)._ids
+
+
+def test_find_pairs_evaluates_each_distinct_coordinate_once_per_point(monkeypatch):
+    # per evaluation point q: the Gram entries at q, each distinct coordinate
+    # value of the left slice at q^-1 and each of the right slice at q
+    g = preset("tildeA3")
+    store = enumerate_curves(g, budget=400)
+    calls = Counter()
+    real = search_module._poly_mod
+    monkeypatch.setattr(
+        search_module,
+        "_poly_mod",
+        lambda poly, q, q_inv: calls.update([(poly.low, poly.coeffs, q)]) or real(poly, q, q_inv),
+    )
+
+    def values(positions, q):
+        return Counter(
+            {(c.low, c.coeffs, q) for a in positions for c in store.records[a].coords}
+        )
+
+    everything = range(len(store))
+    filters = [None, ((0, 0, -1, 0), (1, 0, 0, 0)), ((1, 0, 0, 0), (1, 0, 0, 0))]
+    for criterion in (1, 2):
+        for root_filter in filters:
+            calls.clear()
+            find_pairs(store, criterion, root_filter=root_filter)
+            if root_filter is None:
+                left = right = everything
+            else:
+                left, right = (store.by_root[k] for k in root_filter)
+            expected = Counter()
+            for q in (_Q0,) if criterion == 1 else (_Q0, _Q0 * _Q0 % _P):
+                expected.update(
+                    (b.low, b.coeffs, q) for row in gram_matrix(g) for b in row
+                )
+                expected += values(left, pow(q, -1, _P)) + values(right, q)
+            assert calls == expected, (criterion, root_filter)
+            if root_filter is None:
+                assert sum(calls.values()) < len(store) * g.n
 
 
 def test_find_pairs_on_basis_roots():
