@@ -230,7 +230,8 @@ class CurveStore:
         validate_vertex(self.graph, record.seed_vertex)
         ids = [self._intern(c) for c in coords]
         key = int.from_bytes(self._lanes.pack(*ids), "little")
-        coords, root = (tuple(map(t.__getitem__, ids)) for t in (self._polys, self._sums))
+        coords = tuple(self._polys[i] for i in ids)
+        root = tuple(self._sums[i] for i in ids)
         return self._keep(key, coords, root, record.witness, record.seed_vertex)
 
     def _keep(
