@@ -80,8 +80,9 @@ def _word(text: str):
 
 
 def _check_graph_args(args) -> None:
-    """Hold each vertex and word argument against --graph, so that an error
-    names the argument under its subcommand's usage."""
+    """Hold each vertex and word argument against --graph, and a curve
+    search that may confirm pairs against its zigzag algebra, so that an
+    error names the argument under its subcommand's usage."""
     for name in ("i1", "i2", "start", "word", "w1", "w2"):
         value = getattr(args, name, None)
         if value is None:
@@ -91,6 +92,15 @@ def _check_graph_args(args) -> None:
             check(args.graph, value)
         except ValueError as exc:
             args.parser.error(f"argument --{name}: {exc}")
+    if getattr(args, "limit", 0):
+        # a curve search confirms its candidate pairs over the zigzag algebra
+        try:
+            zigzag(args.graph)
+        except ValueError as exc:
+            args.parser.error(
+                f"argument --graph: {exc}, and --limit {args.limit} asks to confirm "
+                "candidate pairs over it; use --limit 0 to enumerate and scan only"
+            )
 
 
 def _ring(args) -> object:

@@ -22,12 +22,13 @@ without checking its entries again.
 
 Every homogeneous element of Hom(P_i, P_j) = e_j A e_i is a scalar times
 the unique basis token of its degree, so every differential entry is one
-term.  Twists, the elimination and `hom_table` work on (code, coefficient)
-terms, where the code is the token's small int in the algebra's
-`TokenCodes` table, so a product of two tokens is one list index.  Codes
-turn back into the algebra's shared entries only when a complex is built,
-which also shares its summand triples and index pairs
-(`ZigzagAlgebra.term` and `ZigzagAlgebra.shared`).
+term.  A complex stores it as a (code, coefficient) term, where the code
+is the token's small int in the algebra's `TokenCodes` table, so a product
+of two tokens is one list index.  Twists, the elimination and `hom_table`
+read and write those terms; an entry is an `Elt` only at the public
+boundary, in the input to `ProjComplex` and in `diff` and `entries()`.
+Terms, summand triples and index pairs are shared per algebra
+(`ZigzagAlgebra.shared`).
 
 Every entry is checked by one rule, `_check_term`: on the entries a caller
 gives `ProjComplex` it raises ValueError, on the entries the library writes
@@ -35,7 +36,10 @@ AssertionError.  `hom_table` names a basis map by its two summands and its
 degree, packed into one integer column, and builds no row for a map whose
 degree is above 2 minus the least degree of an entry, since such a map
 composes to zero with every entry (in a minimal complex, every map of
-degree 2).
+degree 2).  It ranks only integers, by `_int_rank`: where x or y has a
+Fraction coefficient, both differentials are first multiplied by the lcm D
+of their denominators, which leaves every hom dimension unchanged, since
+(X, D*d) is isomorphic to (X, d) by D^h in homological degree h.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from math import gcd, lcm
 from .graphs import CoxeterGraph, validate_vertex, validate_word
 from .laurent import ZZ, LaurentPoly
 from .matrices import BurauVector
-from .zigzag import Elt, TokenCodes, ZigzagAlgebra
+from .zigzag import TokenCodes, ZigzagAlgebra, coefficient
 
 
 def _check_term(summands, s, t, code, c, error: type, codes: TokenCodes) -> None:
@@ -76,69 +80,79 @@ def _check_term(summands, s, t, code, c, error: type, codes: TokenCodes) -> None
 class ProjComplex:
     """Summands P_v{g}[h] as (vertex, g, h) triples and a differential
     (src_idx, dst_idx) -> Elt.  Treated as immutable.  The differential is
-    kept as two parallel tuples, of index pairs and of entries, in about half
-    the memory of a dict (runs keep many complexes): `diff` returns it as a
-    fresh dict and `entries()` iterates it."""
+    kept as two parallel tuples, of index pairs and of (code, coefficient)
+    terms, in about half the memory of a dict (runs keep many complexes):
+    `diff` returns it as a fresh dict of Elts and `entries()` iterates it.
+    A given coefficient is stored through `coefficient`: a whole Fraction
+    as its int, and anything but an int or a Fraction raises TypeError."""
 
-    __slots__ = ("algebra", "summands", "_pairs", "_entries")
+    __slots__ = ("algebra", "summands", "_pairs", "_terms")
 
     def __init__(self, algebra: ZigzagAlgebra, summands: tuple, diff: dict | None = None):
         diff = diff or {}
         codes = algebra.codes
+        terms = []
         for (s, t), e in diff.items():
-            # a zero entry is checked as one zero term
+            # a zero entry is checked as one zero term; an entry of two
+            # tokens fails on one of them, as each degree has one token
             for tok, c in e.coeffs.items() or ((None, 0),):
-                code = codes.code.get(tok)
+                code, c = codes.code.get(tok), coefficient(c)
                 if code is None and c:
                     raise ValueError(f"entry {s}->{t} has token {tok}, which is not a basis token")
                 _check_term(summands, s, t, code, c, ValueError, codes)
+            terms.append(algebra.shared((code, c)))
         self.algebra = algebra
         self.summands = summands
         self._pairs = tuple(diff)
-        self._entries = tuple(diff.values())
+        self._terms = tuple(terms)
 
     @classmethod
-    def _written(cls, algebra: ZigzagAlgebra, summands: tuple, pairs: tuple, entries: tuple):
-        """The complex with these parallel pairs and entries, every one of
-        which passed `_check_term` when `_Elimination` wrote it."""
+    def _written(cls, algebra: ZigzagAlgebra, summands: tuple, pairs: tuple, terms: tuple):
+        """The complex with these parallel pairs and terms, every one of
+        which passed `_check_term` when it was written."""
         x = cls.__new__(cls)
-        x.algebra, x.summands, x._pairs, x._entries = algebra, summands, pairs, entries
+        x.algebra, x.summands, x._pairs, x._terms = algebra, summands, pairs, terms
         return x
 
     @property
     def diff(self) -> dict:
-        return dict(zip(self._pairs, self._entries))
+        return dict(self.entries())
 
     def entries(self):
-        """The differential as ((src_idx, dst_idx), Elt) items."""
-        return zip(self._pairs, self._entries)
+        """The differential as ((src_idx, dst_idx), Elt) items, each Elt the
+        algebra's shared instance."""
+        term, tokens = self.algebra.term, self.algebra.codes.tokens
+        return ((pair, term(tokens[k], c)) for pair, (k, c) in zip(self._pairs, self._terms))
 
     def check_d2(self) -> None:
-        """Raise unless the differential squares to zero."""
+        """Raise unless the differential squares to zero: the composites
+        s -> t -> u, summed over t, vanish for every s and u.  Each lies in
+        the one-token space of its degree, so they add as coefficients."""
+        codes = self.algebra.codes
+        mul, n = codes.mul, len(codes.tokens)
         by_src: dict[int, list] = {}
-        for (s, t), e in self.entries():
-            by_src.setdefault(s, []).append((t, e))
-        for (s, t), e in self.entries():
-            acc: dict[int, Elt] = {}
-            for u, e2 in by_src.get(t, []):
-                prod = e2 * e
-                if not prod.is_zero():
-                    acc[u] = acc.get(u, Elt.zero()) + prod
-            for u, total in acc.items():
-                if not total.is_zero():
-                    raise ValueError(f"d^2 != 0 along {s} -> {t} -> {u}")
+        for (s, t), term in zip(self._pairs, self._terms):
+            by_src.setdefault(s, []).append((t, term))
+        acc: dict[tuple, int] = {}
+        for (s, t), (k, c) in zip(self._pairs, self._terms):
+            for u, (k2, c2) in by_src.get(t, ()):
+                if mul[k2 * n + k] >= 0:
+                    acc[s, u] = acc.get((s, u), 0) + c2 * c
+        for (s, u), total in acc.items():
+            if total:
+                raise ValueError(f"d^2 != 0 along {s} -> {u}")
 
     def shifted(self, dg: int, dh: int) -> "ProjComplex":
         """The shift X{dg}[dh]."""
         moved = tuple((v, g + dg, h + dh) for v, g, h in self.summands)
-        return ProjComplex(self.algebra, moved, self.diff)
+        return ProjComplex._written(self.algebra, moved, self._pairs, self._terms)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ProjComplex)
             and self.algebra == other.algebra
             and self.summands == other.summands
-            and self.diff == other.diff
+            and dict(zip(self._pairs, self._terms)) == dict(zip(other._pairs, other._terms))
         )
 
     def __str__(self) -> str:
@@ -171,12 +185,6 @@ def k0_class(x: ProjComplex) -> BurauVector:
     return BurauVector(x.algebra.graph, ZZ, coords)
 
 
-def _term(e: Elt) -> tuple:
-    """(token, coefficient) of a differential entry, which has one token."""
-    ((tok, c),) = e.coeffs.items()
-    return tok, c
-
-
 def minimize(x: ProjComplex) -> ProjComplex:
     """Gaussian elimination: repeatedly cancel the first summand pair, in
     index order, joined by an invertible multiple c*e_i of an idempotent,
@@ -199,8 +207,7 @@ class _Elimination:
     New summands get ids above all existing ones, so the live ids,
     renumbered in order, are the summand indices the same steps would give
     one `ProjComplex` at a time, and units pop in the same order.  Products
-    are looked up in `codes.mul`; codes turn back into the algebra's shared
-    entries only in `complex()`.  Every entry written here, by a cone or by
+    are looked up in `codes.mul`.  Every entry written here, by a cone or by
     the elimination, passes `_check_term` when it is written and raises
     AssertionError if it fails, so no entry of an intermediate complex goes
     unchecked."""
@@ -212,17 +219,14 @@ class _Elimination:
         entries passed their check when x was built."""
         self.algebra = x.algebra
         self.codes = codes = x.algebra.codes
-        code, degree = codes.code, codes.degree
         self.summands = list(x.summands)
         self.alive = dict.fromkeys(range(len(x.summands)))
         out: dict[int, dict[int, tuple]] = {}
         inc: dict[int, dict[int, tuple]] = {}
         units = []
-        for (s, t), e in x.entries():
-            tok, c = _term(e)
-            term = (code[tok], c)
+        for (s, t), term in zip(x._pairs, x._terms):
             out.setdefault(s, {})[t] = inc.setdefault(t, {})[s] = term
-            if not degree[term[0]]:
+            if not codes.degree[term[0]]:
                 units.append((s, t))
         heapify(units)
         self.out, self.inc, self.units = out, inc, units
@@ -321,15 +325,15 @@ class _Elimination:
     def complex(self) -> ProjComplex:
         """The live summands, renumbered in order, and their differential as
         a `ProjComplex` of the algebra's shared instances."""
-        algebra, summands, tokens = self.algebra, self.summands, self.codes.tokens
+        shared, summands = self.algebra.shared, self.summands
         renum = {old: new for new, old in enumerate(self.alive)}
-        pairs, entries = [], []
+        pairs, terms = [], []
         for s, targets in self.out.items():
-            for t, (k, c) in targets.items():
-                pairs.append(algebra.shared((renum[s], renum[t])))
-                entries.append(algebra.term(tokens[k], c))
+            for t, term in targets.items():
+                pairs.append(shared((renum[s], renum[t])))
+                terms.append(shared(term))
         return ProjComplex._written(
-            algebra, tuple(summands[old] for old in self.alive), tuple(pairs), tuple(entries)
+            self.algebra, tuple(summands[old] for old in self.alive), tuple(pairs), tuple(terms)
         )
 
 
@@ -363,20 +367,6 @@ def act_complex(g: CoxeterGraph, word, x: ProjComplex) -> ProjComplex:
         state.glue(abs(letter), 1 if letter > 0 else -1)
         state.eliminate()
     return state.complex()
-
-
-def _rank(rows) -> int:
-    """Exact rank over Q of sparse rows {column: int or Fraction}.  Zero
-    entries are dropped and a row holding a Fraction is scaled to integers;
-    the rows are then ranked by `_int_rank`."""
-    cleared = []
-    for row in rows:
-        row = {k: v for k, v in row.items() if v}
-        if any(type(v) is not int for v in row.values()):
-            den = lcm(*(v.denominator for v in row.values()))
-            row = {k: int(v * den) for k, v in row.items()}
-        cleared.append(row)
-    return _int_rank(cleared)
 
 
 def _int_rank(rows) -> int:
@@ -434,32 +424,27 @@ def hom_table(x: ProjComplex, y: ProjComplex) -> dict:
     A map of degree above 2 minus the least degree of an entry of x or y
     composes to zero with every entry, so it gets no row; in minimal
     complexes, whose entries have degree 1 or 2, that is every map of
-    degree 2.  Each component's rows are ranked exactly, by `_int_rank`
-    when every entry of x and y has an int coefficient and by `_rank`
-    otherwise.
+    degree 2.  Each component's rows are ranked exactly by `_int_rank`,
+    with every coefficient of x and y multiplied by the lcm of their
+    denominators, 1 unless one of them is a Fraction.
     """
     if x.algebra != y.algebra:
         raise ValueError("algebra mismatch")
     algebra = x.algebra
     codes = algebra.codes
-    code, degree, mul, bases = codes.code, codes.degree, codes.mul, codes.bases
+    degree, mul, bases = codes.degree, codes.mul, codes.bases
     n = len(codes.tokens)
     ny3 = 3 * len(y.summands)
+    terms = x._terms + y._terms
+    den = lcm(*(c.denominator for _, c in terms if type(c) is not int))
+    top = 2 - min((degree[k] for k, _ in terms), default=3)  # the top degree of a map with an image
 
-    least, ints = 3, True  # least entry degree; every coefficient an int
     y_out: list[list] = [[] for _ in y.summands]  # (3 * far end, code, degree, coefficient)
-    for (t, t2), e in y.entries():
-        tok, c = _term(e)
-        k = code[tok]
-        y_out[t].append((3 * t2, k, degree[k], c))
-        least, ints = min(least, degree[k]), ints and type(c) is int
+    for (t, t2), (k, c) in zip(y._pairs, y._terms):
+        y_out[t].append((3 * t2, k, degree[k], c if den == 1 else int(c * den)))
     x_inc: list[list] = [[] for _ in x.summands]  # (|y| * 3 * far end, code, degree, coefficient)
-    for (s0, s), e in x.entries():
-        tok, c = _term(e)
-        k = code[tok]
-        x_inc[s].append((ny3 * s0, k, degree[k], c))
-        least, ints = min(least, degree[k]), ints and type(c) is int
-    top = 2 - least  # the highest degree of a map that has an image
+    for (s0, s), (k, c) in zip(x._pairs, x._terms):
+        x_inc[s].append((ny3 * s0, k, degree[k], c if den == 1 else int(c * den)))
 
     # y_seg[t][f]: (column less ny3 * s, coefficient) of d_y f for f into t
     y_seg: list[dict] = [{} for _ in y.summands]
@@ -498,8 +483,7 @@ def hom_table(x: ProjComplex, y: ProjComplex) -> dict:
                     row[col + col_t] = sgn * c
                 blocks.setdefault(key, []).append(row)
 
-    rank = _int_rank if ints else _rank
-    ranks = {key: rank(rows) for key, rows in blocks.items()}
+    ranks = {key: _int_rank(rows) for key, rows in blocks.items()}
     table: dict[tuple, int] = {}
     for (g, h), size in counts.items():
         dim = size - ranks.get((g, h), 0) - ranks.get((g, h - 1), 0)

@@ -222,12 +222,14 @@ class CurveStore:
     def insert(self, record: CurveRecord) -> bool:
         """Add the record unless its vector is already stored.  The stored
         record holds the table's coordinates and refers to this store's
-        memo.  A record that is not n coordinates over Z, or whose seed
-        vertex is not a vertex of the graph, raises ValueError."""
+        memo.  A record that is not n coordinates over Z, whose seed vertex
+        is not a vertex of the graph, or whose witness is not a word over
+        it, raises ValueError, since `from_json` could not load it back."""
         n, coords = self.graph.n, record.coords
         if len(coords) != n or not all(type(c) is LaurentPoly and c.ring == ZZ for c in coords):
             raise ValueError(f"a curve record is {n} coordinates over Z")
         validate_vertex(self.graph, record.seed_vertex)
+        validate_word(self.graph, record.witness)
         ids = [self._intern(c) for c in coords]
         key = int.from_bytes(self._lanes.pack(*ids), "little")
         coords = tuple(self._polys[i] for i in ids)

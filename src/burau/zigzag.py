@@ -12,23 +12,26 @@ reading, Hom(P_i, P_j) is e_j A e_i and composing module maps is literally
 multiplying their algebra elements in the same order.
 
 A basis element is named by a token, a tuple such as ("e", 1), ("a", 1, 2)
-or ("x", 1); `Elt` combines tokens.  For the categorical layer's loops each
-algebra also numbers its tokens: `ZigzagAlgebra.codes` is a `TokenCodes`
-table, built once on first use from the algebra's own `hom_terms` and
-`token_mul`, that gives every token a small int code with its degree,
-source and target, the product of any two codes as one list index, and the
-hom bases of all vertex pairs as (code, degree) pairs.  The codes follow the
-vertex order alone, so two algebras of one graph number their tokens alike.
+or ("x", 1); `Elt` combines tokens.  Each algebra also numbers its tokens:
+`ZigzagAlgebra.codes` is a `TokenCodes` table, built once on first use
+straight from the graph, that gives every token a small int code with its
+degree, source and target, the product of any two codes as one list index,
+and the hom bases of all vertex pairs as (code, degree) pairs.  It is the
+algebra's one basis table: `hom_basis` and `hom_terms` read it, and the
+categorical layer works on its codes.  The codes follow the vertex order
+alone, so two algebras of one graph number their tokens alike.
 
 Coefficients are Python ints.  A `Fraction` appears only where `minimize`
-cancels along a non-unit multiple of an idempotent, so every result stays
-exact over the rationals.
+cancels along a non-unit multiple of an idempotent, or where a caller
+gives one, so every result stays exact over the rationals; `coefficient`
+stores a whole Fraction as its int and refuses every other type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from fractions import Fraction
+from functools import cached_property
 
 from .graphs import CoxeterGraph, validate_vertex
 
@@ -58,10 +61,8 @@ def token_target(tok) -> int:
     return tok[2] if tok[0] == "a" else tok[1]
 
 
-@lru_cache(maxsize=1 << 12)
 def token_mul(x, y):
-    """Product x*y of two basis tokens (y first); returns a token or None.
-    Each pair is worked out once and then looked up in a bounded table."""
+    """Product x*y of two basis tokens (y first); returns a token or None."""
     if token_target(y) != token_source(x):
         return None
     dx, dy = _DEGREE[x[0]], _DEGREE[y[0]]
@@ -75,6 +76,15 @@ def token_mul(x, y):
     if y[1] == x[2]:
         return ("x", y[1])
     return None
+
+
+def coefficient(c):
+    """c as a stored coefficient: an int, or a Fraction that is not a whole
+    number.  Anything else, a bool included, raises TypeError, so equal
+    coefficients share one type and one shared instance."""
+    if type(c) is not int and type(c) is not Fraction:
+        raise TypeError(f"coefficients must be int or Fraction, not {c!r}")
+    return c.numerator if c.denominator == 1 else c
 
 
 class Elt:
@@ -148,16 +158,14 @@ class Elt:
 class ZigzagAlgebra:
     """The algebra of one graph.  It also holds one shared instance per value
     of the immutable parts of complexes built over it (one-token entries,
-    summand triples, index pairs and hom table bidegrees), so a kept complex
-    costs little more than its index structure, and the tables that depend
-    on the graph alone: the hom bases of all vertex pairs and, built from
-    them, `codes`.  The tables live exactly as long as the algebra; `zigzag`
-    builds a fresh one per call."""
+    (code, coefficient) terms, summand triples, index pairs and hom table
+    bidegrees), so a kept complex costs little more than its index
+    structure, and `codes`, its basis table.  The tables live exactly as
+    long as the algebra; `zigzag` builds a fresh one per call."""
 
     graph: CoxeterGraph
     _terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _tuples: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.graph.n < 2:
@@ -167,13 +175,14 @@ class ZigzagAlgebra:
 
     def term(self, tok, c=1) -> Elt:
         """The element c*tok, as the one shared instance for (tok, c)."""
+        c = coefficient(c)
         elt = self._terms.get((tok, c))
         if elt is None:
             elt = self._terms[(tok, c)] = Elt({tok: c})
         return elt
 
     def shared(self, t: tuple) -> tuple:
-        """The one shared instance of a summand triple, index pair or
+        """The one shared instance of a term, summand triple, index pair or
         bidegree."""
         return self._tuples.setdefault(t, t)
 
@@ -188,78 +197,65 @@ class ZigzagAlgebra:
     def loop(self, i: int) -> Elt:
         return self.term(("x", i))
 
-    def _fill_bases(self, i: int, j: int) -> tuple:
-        """Fill the table of hom bases of every vertex pair, on first use,
-        and return its entry for (i, j): the tokens of e_j A e_i and the
-        same tokens as (token, degree) pairs."""
-        bases = self._bases
-        vertices = self.graph.vertices()
-        for a in vertices:
-            for b in vertices:
-                if a == b:
-                    tokens = (("e", a), ("x", a))
-                elif self.graph.adjacent(a, b):
-                    tokens = (("a", a, b),)
-                else:
-                    tokens = ()
-                bases[(a, b)] = tokens, tuple((t, token_degree(t)) for t in tokens)
+    def hom_terms(self, i: int, j: int) -> tuple:
+        """The basis of e_j A e_i, i.e. of Hom(P_i, P_j), as (token,
+        degree) pairs read from `codes`."""
         validate_vertex(self.graph, i)
         validate_vertex(self.graph, j)
-        return bases[(i, j)]
+        tokens = self.codes.tokens
+        return tuple((tokens[k], d) for k, d in self.codes.bases[i][j])
 
     def hom_basis(self, i: int, j: int) -> tuple:
         """Basis tokens of e_j A e_i, i.e. of Hom(P_i, P_j)."""
-        return (self._bases.get((i, j)) or self._fill_bases(i, j))[0]
-
-    def hom_terms(self, i: int, j: int) -> tuple:
-        """The basis of `hom_basis(i, j)` as (token, degree) pairs."""
-        return (self._bases.get((i, j)) or self._fill_bases(i, j))[1]
+        return tuple(t for t, _ in self.hom_terms(i, j))
 
     @cached_property
     def codes(self) -> "TokenCodes":
-        """The algebra's tokens as small ints, built on first use."""
-        return TokenCodes(self)
+        """The algebra's basis table, built on first use."""
+        return TokenCodes(self.graph)
 
 
 class TokenCodes:
-    """The basis tokens of one algebra numbered 0..N-1, for loops that
-    multiply tokens many times.  `tokens[k]` is the token of code k and
+    """The basis tokens of one graph's algebra numbered 0..N-1, for loops
+    that multiply tokens many times.  `tokens[k]` is the token of code k and
     `code` maps a token back; `degree`, `source` and `target` are
     `token_degree`, `token_source` and `token_target` per code; the product
     of codes a*b (b first) is `mul[a * N + b]`, -1 where it is zero; and
-    `bases[i][j]` is `hom_terms(i, j)` with each token replaced by its
-    code.  Codes are handed out in the order of `hom_terms` over vertex
-    pairs (i, j) in order, so they depend on the graph alone."""
+    `bases[i][j]` is the basis of Hom(P_i, P_j) as (code, degree) pairs.
+    Over vertex pairs (i, j) in order, codes go to e_i and X_i when i = j
+    and to (i|j) when i and j are adjacent, so they depend on the graph
+    alone."""
 
     __slots__ = ("tokens", "code", "degree", "source", "target", "mul", "bases")
 
-    def __init__(self, algebra: ZigzagAlgebra):
-        vertices = algebra.graph.vertices()
-        terms = {(i, j): algebra.hom_terms(i, j) for i in vertices for j in vertices}
-        code: dict = {}
-        for pair in terms.values():
-            for tok, _ in pair:
-                code.setdefault(tok, len(code))
-        tokens = tuple(code)
+    def __init__(self, graph: CoxeterGraph):
+        vertices = graph.vertices()
+        tokens: list = []
+        # vertex-indexed from 1, like the graph; row and column 0 are empty
+        bases = [[()] * (graph.n + 1) for _ in range(graph.n + 1)]
+        for i in vertices:
+            for j in vertices:
+                if i == j:
+                    basis = (("e", i), ("x", i))
+                elif graph.adjacent(i, j):
+                    basis = (("a", i, j),)
+                else:
+                    continue
+                bases[i][j] = tuple((len(tokens) + k, token_degree(t)) for k, t in enumerate(basis))
+                tokens += basis
         n = len(tokens)
+        code = {t: k for k, t in enumerate(tokens)}
         mul = [-1] * (n * n)
         for a, x in enumerate(tokens):
             for b, y in enumerate(tokens):
                 z = token_mul(x, y)
                 if z is not None:
                     mul[a * n + b] = code[z]
-        self.tokens, self.code, self.mul = tokens, code, mul
+        self.tokens, self.code, self.mul = tuple(tokens), code, mul
         self.degree = tuple(token_degree(t) for t in tokens)
         self.source = tuple(token_source(t) for t in tokens)
         self.target = tuple(token_target(t) for t in tokens)
-        # vertex-indexed from 1, like the graph; row and column 0 are empty
-        self.bases = tuple(
-            tuple(
-                tuple((code[t], d) for t, d in terms[(i, j)]) if i and j else ()
-                for j in range(len(vertices) + 1)
-            )
-            for i in range(len(vertices) + 1)
-        )
+        self.bases = tuple(map(tuple, bases))
 
 
 def zigzag(g: CoxeterGraph) -> ZigzagAlgebra:

@@ -16,7 +16,7 @@ from burau.laurent import ZZ
 from burau.matrices import STANDARD, word_matrix
 from burau.search import CurveStore, enumerate_curves, find_pairs
 from burau.graphs import preset
-from burau.zigzag import ZigzagAlgebra
+from burau.zigzag import TokenCodes
 
 
 def run(capsys, argv):
@@ -291,6 +291,23 @@ def test_search_curves_stores_a_graph_with_an_infinite_label(capsys, tmp_path):
     assert len(CurveStore.load(store_path)) == 40
 
 
+@pytest.mark.parametrize("criterion", ["1", "2"])
+def test_search_curves_refuses_to_confirm_over_an_infinite_label(capsys, tmp_path, criterion):
+    # confirming a candidate pair needs the zigzag algebra, which an
+    # infinite label rules out, so a run that may confirm one is refused
+    # before it enumerates, and writes neither file
+    graph = tmp_path / "inf.txt"
+    graph.write_text("n=3\n1-2:inf\n2-3:3\n")
+    out_path, store_path = tmp_path / "run.json", tmp_path / "store.json"
+    with pytest.raises(SystemExit) as info:
+        main(["search", "curves", "--graph", str(graph), "--budget", "40", "--criterion", criterion,
+              "--out", str(out_path), "--store", str(store_path)])
+    assert info.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--graph" in err and "--limit" in err and "labels in {2, 3}" in err
+    assert not out_path.exists() and not store_path.exists()
+
+
 @pytest.mark.parametrize("flag", ["--seed", "--workers"])
 def test_search_curves_rejects_walk_only_flags(capsys, flag):
     # a curve search is deterministic and single-process, so these flags
@@ -472,12 +489,15 @@ def test_a_faulty_twist_entry_is_an_internal_error(capsys, monkeypatch):
     """A basis table that gives X1 degree 0 makes a cone entry fail its check
     inside the twist.  The fault is the library's, not the user's input, so
     the CLI exits 3 with a traceback instead of 2."""
-    real = ZigzagAlgebra.hom_terms
+    real = TokenCodes.__init__
 
-    def faulty(self, i, j):
-        return ((("e", 1), 0), (("x", 1), 0)) if (i, j) == (1, 1) else real(self, i, j)
+    def faulty(self, graph):
+        real(self, graph)
+        rows = [list(row) for row in self.bases]
+        rows[1][1] = tuple((k, 0) for k, _ in rows[1][1])
+        self.bases = tuple(map(tuple, rows))
 
-    monkeypatch.setattr(ZigzagAlgebra, "hom_terms", faulty)
+    monkeypatch.setattr(TokenCodes, "__init__", faulty)
     code, out, err = run(capsys, ["twist", "--graph", "tildeA3", "--word", "1", "--start", "1"])
     assert code == EXIT_INTERNAL
     assert out == ""

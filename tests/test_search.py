@@ -191,10 +191,13 @@ def test_store_keeps_one_record_per_vector():
 
 
 def test_store_insert_refuses_a_malformed_record():
-    # a record that is not n coordinates over Z, or whose seed vertex is not
-    # a vertex, is refused before it reaches the coordinate table: a short
-    # record would otherwise share the key of a full one whose missing
-    # lanes hold id 0, and a scan of the store would fail on it
+    # a record that is not n coordinates over Z, whose seed vertex is not
+    # a vertex, or whose witness is not a word over the graph, is refused
+    # before it reaches the coordinate table: a short record would
+    # otherwise share the key of a full one whose missing lanes hold id 0,
+    # and a scan of the store would fail on it; a bad witness would be
+    # saved, and from_json, which rebuilds each record from its witness,
+    # would fail to load it
     g = preset("tildeA3")
     coords = curve_record(g, (1, -2), 3).coords
     store = CurveStore(g)
@@ -208,6 +211,9 @@ def test_store_insert_refuses_a_malformed_record():
         (CurveRecord(coords, (1, -2), 0), "out of range"),
         (CurveRecord(coords, (1, -2), 5), "out of range"),
         (CurveRecord(coords, (1, -2), True), "out of range"),
+        (CurveRecord(coords, (9,), 3), "letter 9 at position 0 is not a signed vertex index"),
+        (CurveRecord(coords, (1, 0), 3), "letter 0 at position 1"),
+        (CurveRecord(coords, (1, True), 3), "letter True at position 1"),
     ]
     for record, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -215,6 +221,7 @@ def test_store_insert_refuses_a_malformed_record():
     assert (store.records, store.by_root, store._polys) == before
     assert store.insert(CurveRecord(coords, (1, -2), 3))
     assert find_pairs(store, 2) == _exact_scan(store, 2)
+    assert CurveStore.from_json(store.to_json()).records == store.records
 
 
 def test_enumeration_state_belongs_to_its_store(monkeypatch):
