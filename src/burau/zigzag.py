@@ -90,8 +90,8 @@ def coefficient(c):
 class Elt:
     """A linear combination of basis tokens with int coefficients (a
     `Fraction` only after a non-unit pivot in `minimize`).  Treated as
-    immutable: arithmetic always builds fresh instances, and complexes share
-    one instance per (token, coefficient) through `ZigzagAlgebra.term`."""
+    immutable: arithmetic always builds fresh instances, and a complex's
+    entries are one instance per (token, coefficient), `ZigzagAlgebra.term`."""
 
     __slots__ = ("coeffs",)
 
