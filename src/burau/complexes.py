@@ -83,14 +83,27 @@ class ProjComplex:
     kept as two parallel tuples, of index pairs and of (code, coefficient)
     terms, in about half the memory of a dict (runs keep many complexes):
     `diff` returns it as a fresh dict of Elts and `entries()` iterates it.
-    A given coefficient is stored through `coefficient`: a whole Fraction
-    as its int, and anything but an int or a Fraction raises TypeError."""
+    A given summand must have a vertex of the graph and int (not bool) g
+    and h, or ValueError names its index; it is stored as the algebra's
+    shared triple.  A given coefficient is stored through `coefficient`: a
+    whole Fraction as its int, and anything but an int or a Fraction raises
+    TypeError."""
 
     __slots__ = ("algebra", "summands", "_pairs", "_terms")
 
     def __init__(self, algebra: ZigzagAlgebra, summands: tuple, diff: dict | None = None):
         diff = diff or {}
         codes = algebra.codes
+        triples = []
+        for index, (v, g, h) in enumerate(summands):
+            try:
+                validate_vertex(algebra.graph, v)
+            except ValueError as err:
+                raise ValueError(f"summand {index}: {err}") from None
+            if any(not isinstance(x, int) or isinstance(x, bool) for x in (g, h)):
+                raise ValueError(f"summand {index} has g = {g!r}, h = {h!r}; both must be ints")
+            triples.append(algebra.shared((v, g, h)))
+        summands = tuple(triples)
         terms = []
         for (s, t), e in diff.items():
             # a zero entry is checked as one zero term; an entry of two
@@ -170,8 +183,7 @@ class ProjComplex:
 
 def projective(algebra: ZigzagAlgebra, i: int) -> ProjComplex:
     """P_i placed in bidegree {0}[0] with zero differential."""
-    validate_vertex(algebra.graph, i)
-    return ProjComplex(algebra, (algebra.shared((i, 0, 0)),), {})
+    return ProjComplex(algebra, ((i, 0, 0),), {})
 
 
 def k0_class(x: ProjComplex) -> BurauVector:
@@ -234,9 +246,13 @@ class _Elimination:
     def glue(self, i: int, sign: int) -> None:
         """Write the cone of the spherical twist along P_i (sign=+1) or its
         inverse (sign=-1) onto the live summands.  The positive twist glues
-        a copy of P_i one homological step below each summand per basis map
-        into it, the negative twist one step above per basis map out of it,
-        and the copies of P_i are joined by -c*e_i along each entry c*tok."""
+        a copy P_i{g + deg y}[h - 1] -> P_j{g}[h] of P_i one homological
+        step below each summand P_j{g}[h] per basis map y in Hom(P_i, P_j),
+        the negative twist a copy P_j{g}[h] -> P_i{g - deg y}[h + 1] one
+        step above per basis map y in Hom(P_j, P_i); one loop writes both,
+        `sign` picking the basis, the copy's bidegree and the direction of
+        its map.  The copies of P_i are joined by -c*e_i along each entry
+        c*tok."""
         algebra, codes, summands, alive = self.algebra, self.codes, self.summands, self.alive
         out, inc, units = self.out, self.inc, self.units
         degree, mul, n, bases = codes.degree, codes.mul, len(codes.tokens), codes.bases
@@ -246,28 +262,15 @@ class _Elimination:
         for t in list(alive):
             j, g, h = summands[t]
             copies = glued[t] = {}
-            if sign == 1:
-                # glue P_i{g + deg y}[h - 1] -> P_j{g}[h] for y in Hom(P_i, P_j)
-                for y, dy in bases[i][j]:
-                    copies[y] = s = len(summands)
-                    summands.append(algebra.shared((i, g + dy, h - 1)))
-                    alive[s] = None
-                    _check_term(summands, s, t, y, 1, AssertionError, codes)
-                    out[s] = {t: (y, 1)}
-                    inc.setdefault(t, {})[s] = out[s][t]
-                    if not degree[y]:
-                        heappush(units, (s, t))
-            else:
-                # glue P_j{g}[h] -> P_i{g - deg y}[h + 1] for y in Hom(P_j, P_i)
-                for y, dy in bases[j][i]:
-                    copies[y] = s = len(summands)
-                    summands.append(algebra.shared((i, g - dy, h + 1)))
-                    alive[s] = None
-                    _check_term(summands, t, s, y, 1, AssertionError, codes)
-                    inc[s] = {t: (y, 1)}
-                    out.setdefault(t, {})[s] = inc[s][t]
-                    if not degree[y]:
-                        heappush(units, (t, s))
+            for y, dy in bases[i][j] if sign == 1 else bases[j][i]:
+                copies[y] = s = len(summands)
+                summands.append(algebra.shared((i, g + sign * dy, h - sign)))
+                alive[s] = None
+                a, b = (s, t) if sign == 1 else (t, s)
+                _check_term(summands, a, b, y, 1, AssertionError, codes)
+                out.setdefault(a, {})[b] = inc.setdefault(b, {})[a] = (y, 1)
+                if not degree[y]:
+                    heappush(units, (a, b))
 
         ei = codes.code[("e", i)]
         for t1, t2, k, c in entries:
@@ -339,17 +342,14 @@ class _Elimination:
 
 def apply_twist(x: ProjComplex, i: int, sign: int) -> ProjComplex:
     """The spherical twist along P_i (sign=+1) or its inverse (sign=-1),
-    returned in minimized form.  The one-letter case of `_Elimination`: the
+    returned in minimized form.  The one-letter case of `act_complex`: the
     cone is written straight onto x's differential, in the order its
     differential would have as a `ProjComplex`, and eliminated together with
     x's own idempotent entries."""
     validate_vertex(x.algebra.graph, i)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    state = _Elimination(x)
-    state.glue(i, sign)
-    state.eliminate()
-    return state.complex()
+    return act_complex(x.algebra.graph, (sign * i,), x)
 
 
 def act_complex(g: CoxeterGraph, word, x: ProjComplex) -> ProjComplex:

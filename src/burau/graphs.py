@@ -158,28 +158,6 @@ def graph_from_json(data: dict) -> CoxeterGraph:
     return CoxeterGraph.from_edges(data["n"], edges)
 
 
-def full_subgraph_obstruction(g: CoxeterGraph):
-    """Search for a 4-vertex subset whose full (induced) subgraph is the path
-    A4 or the 4-cycle tildeA3, all labels 3.  Returns (vertices, kind) or None.
-    """
-    for subset in combinations(g.vertices(), 4):
-        induced = [
-            (a, b) for a, b in combinations(subset, 2) if g.labels(a, b) != 2
-        ]
-        if any(g.labels(a, b) != 3 for a, b in induced):
-            continue
-        degree = {v: 0 for v in subset}
-        for a, b in induced:
-            degree[a] += 1
-            degree[b] += 1
-        counts = sorted(degree.values())
-        if len(induced) == 3 and counts == [1, 1, 2, 2]:
-            return (subset, "A4")
-        if len(induced) == 4 and counts == [2, 2, 2, 2]:
-            return (subset, "tildeA3")
-    return None
-
-
 def validate_word(g: CoxeterGraph, word) -> None:
     """Raise ValueError naming the offending position unless every letter is a
     non-zero index with |letter| <= n.  Booleans are refused, although `bool`

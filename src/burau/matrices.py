@@ -26,12 +26,13 @@ big-int product per non-zero u_k, and each column j with v_j non-zero
 changes by one product and one reduction.  One slot bound, from the
 residue sums of the factors' entries, keeps every slot below overflow;
 lanes are widened before a step whose entries would not fit; each changed
-column is reduced mod p, every slot at once; and a step that leaves a slot
-at p or above raises.  Fixed slots cannot hold the unbounded coefficients
-over Z, so Z stays dense, and it is the reference the packed path is
-tested against.  The packed format stays in this module: other modules
-build packed values only by `rank_one_factors`, and widen, step, fix-test
-and unpack them only through the methods of `_PackedMatrix`.
+column is reduced mod p, every slot at once, and checked once, as it is
+written; a step that leaves a slot at p or above raises.  Fixed slots
+cannot hold the unbounded coefficients over Z, so Z stays dense, and it is
+the reference the packed path is tested against.  The packed format stays
+in this module: other modules build packed values only by
+`rank_one_factors`, and widen, step, fix-test and unpack them only through
+the methods of `_PackedMatrix`.
 """
 
 from __future__ import annotations
@@ -189,15 +190,9 @@ class BurauMatrix:
 
 
 def identity_matrix(g: CoxeterGraph, ring: CoefficientRing = ZZ) -> BurauMatrix:
-    one = LaurentPoly.one(ring)
-    zero = LaurentPoly.zero(ring)
-    return BurauMatrix(
-        g,
-        ring,
-        tuple(
-            tuple(one if i == j else zero for j in range(g.n)) for i in range(g.n)
-        ),
-    )
+    """The identity, whose row i is the root alpha_i."""
+    rows = tuple(basis_vector(g, i, ring).coords for i in g.vertices())
+    return BurauMatrix(g, ring, rows)
 
 
 def is_identity(m: BurauMatrix) -> bool:
@@ -281,13 +276,11 @@ class _SlotCodec:
     estimate (c m) >> s is floor(c / p) or one less, so one masked
     conditional subtraction of p finishes.  `width` leaves room for c m, so
     no slot ever carries into the next, whatever p is.  The slotwise masks
-    grow on demand to cover the longest value reduced or checked so far.
-    `check` tests that every slot of a value is below p, exactly;
-    `check_excess` tests only the bits at or above (p - 1).bit_length() of
-    every slot (`_excess`), which no reduced slot sets and which a carry out
-    of a slot cannot hide.  A packed matrix keeps `head` empty slots below
-    the lowest non-zero slot of every lane, room for the downward shifts of
-    `_PackedMatrix.times`."""
+    grow on demand to cover exactly the slots of the longest value reduced
+    or checked so far.  `check` tests that every slot of a value is below p,
+    exactly, by two tests that together see every way a slot can be wrong.
+    A packed matrix keeps `head` empty slots below the lowest non-zero slot
+    of every lane, room for the downward shifts of `_PackedMatrix.times`."""
 
     __slots__ = (
         "p", "head", "width", "_shift", "_magic", "_bits", "_quotients", "_bias",
@@ -303,9 +296,9 @@ class _SlotCodec:
         self._cover(1)
 
     def _cover(self, bits: int) -> None:
-        """Size the slotwise masks for values of up to twice `bits` bits."""
+        """Size the slotwise masks for the slots of values of `bits` bits."""
         w = self.width
-        slots = 2 * -(-bits // w)
+        slots = -(-bits // w)
         ones = ((1 << (w * slots)) - 1) // ((1 << w) - 1)  # 1 in every slot
         self._bits = w * slots
         self._quotients = ones * ((1 << (w - self._shift)) - 1)
@@ -322,20 +315,15 @@ class _SlotCodec:
         return x - (((x + self._bias) & self._tops) >> (self.width - 1)) * p
 
     def check(self, x: int) -> None:
-        """Raise AssertionError if a slot of `x` is p or more: adding
-        2^(width - 1) - p to every slot sets the slot's top bit exactly then,
-        unless the slot is so large that the sum carries out of it, which
-        `check_excess` sees."""
+        """Raise AssertionError if a slot of `x` is p or more.  Adding
+        2^(width - 1) - p to every slot sets a slot's top bit if the slot is
+        at p or above, unless it is so large that the sum carries out of it;
+        such a slot has a bit at or above (p - 1).bit_length() (`_excess`),
+        which no slot below p has."""
         if x.bit_length() > self._bits:
             self._cover(x.bit_length())
         if (x + self._bias) & self._tops:
             self._refuse(self.p)
-
-    def check_excess(self, x: int) -> None:
-        """Raise AssertionError if a slot of `x` has a bit at or above
-        (p - 1).bit_length(), which no reduced slot has."""
-        if x.bit_length() > self._bits:
-            self._cover(x.bit_length())
         if x & self._excess:
             self._refuse(1 << (self.p - 1).bit_length())
 
@@ -462,9 +450,10 @@ class _PackedMatrix(NamedTuple):
         growth does not fit in a lane, the lanes are laid out again at double
         the width, as often as needed, so no slot crosses into the next lane.
 
-        Each changed column goes through `codec.check` and the OR of all
-        columns through `codec.check_excess`; either raises AssertionError
-        on a slot no reduction leaves."""
+        Each changed column goes through `codec.check` once, as it is
+        written, which raises AssertionError on a slot no reduction leaves;
+        every other column is the identity's or was checked when it was
+        written."""
         codec = self.codec
         width = codec.width
         head = codec.head
@@ -491,7 +480,6 @@ class _PackedMatrix(NamedTuple):
             support = 0
             for x in columns:
                 support |= x
-            codec.check_excess(support)
             bits = lane * width
             half = fold
             while half:  # OR every lane into lane 0
@@ -565,16 +553,13 @@ def word_matrix(
             act(g, word, basis_vector(g, j, ring), form).coords for j in g.vertices()
         ]
         return BurauMatrix(g, ring, tuple(zip(*columns)))
-    one = LaurentPoly.one(ring)
-    zero = LaurentPoly.zero(ring)
     factors = {}
-    for letter in word:
-        if letter not in factors:
-            i = abs(letter)
-            sign = 1 if letter > 0 else -1
-            gen_row = generator_matrix(g, i, sign, form, ring).rows[i - 1]
-            e_i = tuple(one if j == i else zero for j in g.vertices())
-            factors[letter] = (e_i, tuple(e - f for e, f in zip(gen_row, e_i)))
+    for letter in dict.fromkeys(word):
+        i = abs(letter)
+        sign = 1 if letter > 0 else -1
+        gen_row = generator_matrix(g, i, sign, form, ring).rows[i - 1]
+        e_i = basis_vector(g, i, ring).coords
+        factors[letter] = (e_i, tuple(e - f for e, f in zip(gen_row, e_i)))
     identity, packed = rank_one_factors(ring.p, list(factors.values()))
     steps = dict(zip(factors, packed))
     return identity.times([steps[x] for x in word]).unpack(g)

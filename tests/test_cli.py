@@ -43,6 +43,25 @@ def test_verify_all_json_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
 
 
+# sha256 of `burau search curves --graph tildeA3` for each criterion: the
+# confirms twist through both directions of the cone
+SEARCH_CURVES_SHA256 = {
+    1: "cb57826cbc8efcf7c5e585acc5731088e689fd93757f40d10c9f79b2624d77d3",
+    2: "37dc7272627d4d462210341f5876f0ad2f469cbedbe8dacce4cc7e6633437b9e",
+}
+
+
+@pytest.mark.parametrize("criterion", [1, 2])
+def test_search_curves_output_is_pinned(capsys, criterion):
+    argv = ["search", "curves", "--graph", "tildeA3"]
+    if criterion != 1:  # 1 is the default
+        argv += ["--criterion", str(criterion)]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_OK
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_CURVES_SHA256[criterion]
+
+
 def test_verify_affine_json(capsys):
     code, out, _ = run(capsys, ["verify", "affine-a3", "--json"])
     assert code == EXIT_OK

@@ -1,6 +1,7 @@
 """Complexes of projectives, twists, minimization, and bigraded Hom."""
 
 import random
+import re
 
 import pytest
 
@@ -276,6 +277,31 @@ def test_render_table():
     text = render_hom_table(hom_table(projective(a, 1), projective(a, 1)))
     assert text.splitlines() == ["(0,0): 1", "(2,0): 1"]
     assert render_hom_table({}) == "(empty)"
+
+
+@pytest.mark.parametrize(
+    "triple, message",
+    [
+        ((9, 0, 0), "summand 1: vertex 9 out of range 1..3"),
+        ((0, 0, 0), "summand 1: vertex 0 out of range 1..3"),
+        ((True, 0, 0), "summand 1: vertex True out of range 1..3"),
+        ((1, 0.5, 0), "summand 1 has g = 0.5, h = 0; both must be ints"),
+        ((1, 0, False), "summand 1 has g = 0, h = False; both must be ints"),
+    ],
+    ids=["vertex-9", "vertex-0", "vertex-bool", "float-g", "bool-h"],
+)
+def test_a_complex_refuses_a_summand_it_cannot_use(triple, message):
+    a = zigzag(preset("A3"))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ProjComplex(a, ((1, 0, 0), triple), {})
+
+
+def test_a_complex_stores_the_algebras_shared_summands():
+    a = zigzag(preset("A3"))
+    x = ProjComplex(a, [(1, 0, 0), (2, 1, 1)], {})
+    assert type(x.summands) is tuple
+    assert all(s is a.shared(s) for s in x.summands)
+    assert x.summands[0] is projective(a, 1).summands[0]
 
 
 def test_zero_elt_entry_rejected():

@@ -9,7 +9,6 @@ from burau.graphs import (
     CoxeterGraph,
     commutator_word,
     conjugated_generator,
-    full_subgraph_obstruction,
     graph_from_json,
     graph_json,
     inverse_word,
@@ -120,19 +119,6 @@ def test_graph_json_round_trip(tmp_path):
     blob = graph_json(g)
     assert blob == {"n": 3, "edges": [[1, 2, "3"], [2, 3, "inf"]]}
     assert graph_from_json(json.loads(json.dumps(blob))) == g
-
-
-def test_full_subgraph_obstruction_examples():
-    hit = full_subgraph_obstruction(preset("A4"))
-    assert hit is not None and hit[1] == "A4"
-    hit = full_subgraph_obstruction(preset("tildeA3"))
-    assert hit is not None and hit[1] == "tildeA3"
-    # complete graphs have no induced path or cycle on four vertices
-    assert full_subgraph_obstruction(preset("K4")) is None
-    assert full_subgraph_obstruction(preset("D4")) is None
-    assert full_subgraph_obstruction(preset("tildeD4")) is None
-    assert full_subgraph_obstruction(preset("AE4")) is None
-    assert full_subgraph_obstruction(preset("box")) is None
 
 
 def test_validate_word_names_the_bad_position():

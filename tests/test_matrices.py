@@ -453,3 +453,35 @@ def test_packed_steps_refuse_a_slot_bound_below_the_true_maximum(monkeypatch):
         ((beta, i),) = d4_fixture(p).witnesses
         with pytest.raises(AssertionError, match="packed slot"):
             word_matrix(preset("D4"), commutator_word(beta, (i,)), DUAL, IntegersMod(p))
+
+
+@pytest.mark.parametrize("p", [2, 5, 257, 2**31 - 1])
+def test_the_slot_check_sees_every_wrong_slot(p):
+    codec = _SlotCodec(p, (p - 1) * (2 * p - 1), 0)
+    w = codec.width
+    b = (p - 1).bit_length()
+
+    def packed(slots):
+        return sum(c << (w * k) for k, c in enumerate(slots))
+
+    reduced = [p - 1] * 6
+    codec.check(packed(reduced))
+    for k in range(6):
+        with pytest.raises(AssertionError, match=f"packed slot reached {p} or more"):
+            codec.check(packed(reduced[:k] + [p] + reduced[k + 1:]))
+        # a slot of all ones carries out of the bias test, so its top bit
+        # stays clear and only the bits at or above 2^b see it
+        ones = packed([0] * k + [(1 << w) - 1, 0])
+        assert not (ones + codec._bias) & codec._tops
+        with pytest.raises(AssertionError, match=f"packed slot reached {1 << b} or more"):
+            codec.check(ones)
+    # a value longer than the masks grows them to exactly its slots, and
+    # every one of its slots is checked
+    long = [p - 1] * 40
+    assert codec._bits < 40 * w
+    codec.check(packed(long))
+    assert codec._bits == 40 * w
+    for k in range(41):
+        with pytest.raises(AssertionError, match=f"packed slot reached {p} or more"):
+            codec.check(packed(long[:k] + [p] + long[k + 1:]))
+    assert codec._bits == 41 * w
