@@ -85,9 +85,10 @@ class ProjComplex:
     `diff` returns it as a fresh dict of Elts and `entries()` iterates it.
     A given summand must have a vertex of the graph and int (not bool) g
     and h, or ValueError names its index; it is stored as the algebra's
-    shared triple.  A given coefficient is stored through `coefficient`: a
-    whole Fraction as its int, and anything but an int or a Fraction raises
-    TypeError."""
+    shared triple.  An entry's indices must be ints (not bools) that name
+    summands, or ValueError names the entry.  A given coefficient is stored
+    through `coefficient`: a whole Fraction as its int, and anything but an
+    int or a Fraction raises TypeError."""
 
     __slots__ = ("algebra", "summands", "_pairs", "_terms")
 
@@ -106,6 +107,8 @@ class ProjComplex:
         summands = tuple(triples)
         terms = []
         for (s, t), e in diff.items():
+            if any(type(i) is not int or not 0 <= i < len(summands) for i in (s, t)):
+                raise ValueError(f"entry {s}->{t}: indices must be ints in 0..{len(summands) - 1}")
             # a zero entry is checked as one zero term; an entry of two
             # tokens fails on one of them, as each degree has one token
             for tok, c in e.coeffs.items() or ((None, 0),):

@@ -5,7 +5,8 @@ the standard Burau action) are enumerated breadth-first from the basis roots,
 indexed by their root at q = 1, and scanned for pairs whose pairing vanishes
 or is a signed power of q (a modular prefilter prunes the scan, the exact
 pairing decides); candidate pairs are then confirmed categorically, from
-twisted complexes that each store builds once per record (`TwistMemo`).
+each record's twisted complex, which its store's `TwistMemo` builds once, by
+one `act_complex` from the complex of the longest suffix of the witness held.
 A generator changes one coordinate, so a child in the enumeration costs one
 coordinate update from the generator's row (`laurent.row_step`), with the
 rows read once per enumeration.  Each store keeps a table of its distinct
@@ -51,7 +52,7 @@ from functools import lru_cache
 from operator import mul
 from typing import NamedTuple
 
-from .complexes import ProjComplex, apply_twist, k0_class, projective
+from .complexes import ProjComplex, act_complex, k0_class, projective
 from .criteria import (
     KernelCertificate,
     criterion_shape,
@@ -109,29 +110,28 @@ def curve_record(g: CoxeterGraph, word, vertex: int) -> CurveRecord:
 
 class TwistMemo:
     """The twisted projectives of one store's records, over one zigzag
-    algebra: (word, vertex) -> the complex of the word applied to P_vertex.
-    A complex is one twist of the complex of its word without the first
-    letter, which for a BFS record is its parent's, so each suffix of a
-    witness is twisted at most once per memo.  The algebra is built by the
-    first twist, so a store, an enumeration or a pair scan over a graph that
-    has none (an infinite label, or one vertex) never asks for it.  Beside
-    the k0 coordinates of each checked record it keeps, under the same key,
-    the `gram_image` of its vector once a confirm asks for it.  The store
-    owns the memo and its records refer to it weakly, so it is freed with
-    the store even where the records are kept."""
+    algebra: one entry per checked record, under its (witness, seed vertex),
+    of the witness's complex, its k0 coordinates, and the `gram_image` of
+    the record's vector once a confirm asks for it.  A new record's complex
+    is one `act_complex` of the letters that no held entry covers, applied
+    to the complex of the longest proper suffix of the witness that the
+    memo holds (for a BFS record, its parent's once that is confirmed), else
+    to P_(seed vertex).  The algebra is built by the first twist, so a
+    store, an enumeration or a pair scan over a graph that has none (an
+    infinite label, or one vertex) never asks for it.  The store owns the
+    memo and its records refer to it weakly, so it is freed with the store
+    even where the records are kept."""
 
-    __slots__ = ("graph", "_algebra", "_complexes", "_k0", "_images", "__weakref__")
+    __slots__ = ("graph", "_algebra", "_entries", "__weakref__")
 
     def __init__(self, g: CoxeterGraph):
         self.graph = g
         self._algebra = None
-        self._complexes: dict[tuple, ProjComplex] = {}
-        self._k0: dict[tuple, tuple] = {}  # k0 coordinates of checked records
-        self._images: dict[tuple, tuple] = {}  # their Gram images
+        self._entries: dict[tuple, list] = {}  # [complex, k0 coords, gram image]
 
     def __len__(self) -> int:
-        """The number of distinct complexes built, untwisted ones included."""
-        return len(self._complexes)
+        """The number of records twisted, one complex each."""
+        return len(self._entries)
 
     @property
     def algebra(self) -> ZigzagAlgebra:
@@ -141,48 +141,43 @@ class TwistMemo:
         return self._algebra
 
     def twisted(self, record: CurveRecord) -> ProjComplex:
-        """The record's witness applied to P_(seed vertex), twisted from the
-        longest suffix of the witness already held.  Raises ValueError
-        unless the record's coordinates are the k0 class of that complex,
-        so a record supplies its stored vector only where its witness makes
-        it."""
+        """The record's witness applied to P_(seed vertex).  Raises
+        ValueError unless the record's coordinates are the k0 class of that
+        complex, so a record supplies its stored vector only where its
+        witness makes it."""
         word, vertex = key = (record.witness, record.seed_vertex)
-        complexes = self._complexes
-        for k in range(len(word) + 1):
-            x = complexes.get((word[k:], vertex))
-            if x is not None:
-                break
-        else:
-            x = complexes[((), vertex)] = projective(self.algebra, vertex)
-        validate_word(self.graph, word[:k])
-        for k in range(k - 1, -1, -1):
-            letter = word[k]
-            x = apply_twist(x, abs(letter), 1 if letter > 0 else -1)
-            complexes[(word[k:], vertex)] = x
-        coords = self._k0.get(key)
-        if coords is None:
-            coords = self._k0[key] = k0_class(x).coords
-        if record.coords != coords:
+        entries = self._entries
+        entry = entries.get(key)
+        if entry is None:
+            for k in range(1, len(word) + 1):
+                held = entries.get((word[k:], vertex))
+                if held is not None:
+                    x = held[0]
+                    break
+            else:
+                k, x = len(word), projective(self.algebra, vertex)
+            x = act_complex(self.graph, word[:k], x)
+            entry = entries[key] = [x, k0_class(x).coords, None]
+        if record.coords != entry[1]:
             raise ValueError(
                 f"stored coordinates of witness {record.witness} at vertex "
                 f"{record.seed_vertex} are not its vector"
             )
-        return x
+        return entry[0]
 
     def gram_image(self, record: CurveRecord) -> tuple:
         """The `gram_image` of the record's vector, computed once per memo.
         The record must be one that `twisted` has checked: its coordinates
         are the k0 class of its witness's complex, else ValueError."""
-        key = (record.witness, record.seed_vertex)
-        image = self._images.get(key)
-        if image is None:
-            if self._k0.get(key) != record.coords:
-                raise ValueError(
-                    f"the record of witness {record.witness} at vertex "
-                    f"{record.seed_vertex} has not been checked against its complex"
-                )
-            image = self._images[key] = gram_image(record.vector(self.graph))
-        return image
+        entry = self._entries.get((record.witness, record.seed_vertex))
+        if entry is None or entry[1] != record.coords:
+            raise ValueError(
+                f"the record of witness {record.witness} at vertex "
+                f"{record.seed_vertex} has not been checked against its complex"
+            )
+        if entry[2] is None:
+            entry[2] = gram_image(record.vector(self.graph))
+        return entry[2]
 
 
 class CurveStore:
@@ -584,16 +579,16 @@ def confirm_pair(g: CoxeterGraph, pair, criterion: int):
     the outcome `criterion1` or `criterion2` gives on the witness words.
 
     Each twisted projective comes from the memo of the store that holds the
-    record (a fresh memo serves records that no store of `g` holds), so a
-    search twists each record once.  The pairing is that of the records'
-    stored vectors, each first checked against the k0 class of its complex;
-    a record whose witness does not make its vector raises ValueError.  The
-    check comes before the pairing is read, so both records are twisted even
-    for a pair that the pairing rejects; every `find_pairs` hit passes it.
-    The pairing is the dot product of the first vector's bar with the
-    second's Gram image, which the second record's memo keeps, so a search
-    computes it once per record.  A criterion other than 1 or 2, or not two
-    records, raises before any twist."""
+    record (a fresh memo serves records that no store of `g` holds), which
+    keeps one complex per record, so a search twists each record once.  The
+    pairing is that of the records' stored vectors, each first checked
+    against the k0 class of its complex; a record whose witness does not
+    make its vector raises ValueError.  The check comes before the pairing
+    is read, so both records are twisted even for a pair that the pairing
+    rejects; every `find_pairs` hit passes it.  The pairing is the dot
+    product of the first vector's bar with the second's Gram image, which
+    the memo keeps in the second record's entry.  A criterion other than 1
+    or 2, or not two records, raises before any twist."""
     shape = criterion_shape(criterion)
     if len(pair) != 2:
         raise ValueError(f"a pair is two records, not {len(pair)}")

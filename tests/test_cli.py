@@ -44,10 +44,11 @@ def test_verify_all_json_is_pinned(capsys):
 
 
 # sha256 of `burau search curves --graph tildeA3` for each criterion: the
-# confirms twist through both directions of the cone
+# confirms twist through both directions of the cone, and hold one complex
+# per confirmed record
 SEARCH_CURVES_SHA256 = {
-    1: "cb57826cbc8efcf7c5e585acc5731088e689fd93757f40d10c9f79b2624d77d3",
-    2: "37dc7272627d4d462210341f5876f0ad2f469cbedbe8dacce4cc7e6633437b9e",
+    1: "e320bc98a3e72a7399ec2d2529d519ece7a3880bafdd68d12bae635755c5e599",
+    2: "a1d0ce72670421f87bfb6a3e3983721fffee19821c42acfe0d403e8f6e388137",
 }
 
 
@@ -282,17 +283,12 @@ def test_search_curves_counts_the_complexes_its_confirms_twist(capsys):
     code2, out2, _ = run(capsys, argv)
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
-    # one complex per distinct suffix of the candidates' witnesses
+    # one complex per distinct record of the candidate pairs
     pairs = find_pairs(enumerate_curves(preset("tildeA2"), budget=30), 2, limit=4)
-    suffixes = {
-        (r.witness[k:], r.seed_vertex)
-        for pair in pairs
-        for r in pair
-        for k in range(len(r.witness) + 1)
-    }
+    records = {(r.witness, r.seed_vertex) for pair in pairs for r in pair}
     result = json.loads(out1)
     assert result["candidate_pairs"] == len(pairs) == 4
-    assert result["twisted_complexes"] == len(suffixes) > 4
+    assert result["twisted_complexes"] == len(records) > 4
 
 
 def test_search_curves_stores_a_graph_with_an_infinite_label(capsys, tmp_path):

@@ -296,6 +296,22 @@ def test_a_complex_refuses_a_summand_it_cannot_use(triple, message):
         ProjComplex(a, ((1, 0, 0), triple), {})
 
 
+@pytest.mark.parametrize(
+    "pair",
+    [(-2, 1), (0, -1), (0, 5), (2, 1), (True, 1), (0, 1.0)],
+    ids=["negative-source", "negative-target", "target-5", "source-2", "bool", "float"],
+)
+def test_a_complex_refuses_an_entry_index_that_names_no_summand(pair):
+    # a negative index used to build (as a summand counted from the end)
+    # and fail later in minimize; one past the end raised IndexError
+    a = zigzag(preset("A2"))
+    s, t = pair
+    message = f"entry {s}->{t}: indices must be ints in 0..1"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ProjComplex(a, ((1, 0, 0), (2, -1, 1)), {pair: a.arrow(1, 2)})
+    assert ProjComplex(a, ((1, 0, 0), (2, -1, 1)), {(0, 1): a.arrow(1, 2)}).diff
+
+
 def test_a_complex_stores_the_algebras_shared_summands():
     a = zigzag(preset("A3"))
     x = ProjComplex(a, [(1, 0, 0), (2, 1, 1)], {})

@@ -1,8 +1,10 @@
 """Each `burau` module uses only the public names of the others: it imports
 no underscore name from another `burau` module and reads none as an
-attribute of one.  Tests may still reach in."""
+attribute of one.  Tests may still reach in.  Beside `burau` modules, the
+package imports only the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "burau"
@@ -79,3 +81,34 @@ def test_the_check_sees_both_kinds_of_reach_in(tmp_path):
         (6, "_walk_bands"),
         (7, "_NFState"),
     ]
+
+
+def foreign_imports(path: Path) -> list:
+    """(line, module) for each import in the module at `path` that is not
+    `__future__`, a `burau` module or a standard-library module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names = [] if _burau_module(node) else [node.module]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top not in ("__future__", "burau") and top not in sys.stdlib_module_names:
+                found.append((node.lineno, name))
+    return found
+
+
+def test_the_package_imports_only_the_standard_library(tmp_path):
+    sources = sorted(SRC.glob("*.py"))
+    assert len(sources) > 5
+    assert {path.name: found for path in sources if (found := foreign_imports(path))} == {}
+    # the check sees a third-party import, in either form
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from __future__ import annotations\nimport json, numpy.linalg\n"
+        "from . import search\nfrom burau.laurent import ZZ\nfrom hypothesis import given\n"
+    )
+    assert foreign_imports(probe) == [(2, "numpy.linalg"), (5, "hypothesis")]

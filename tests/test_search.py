@@ -688,38 +688,66 @@ def test_confirm_pair_matches_the_criteria_on_the_words(name, budget):
             assert _same_outcome(got, want), (r1.witness, r2.witness)
             certified += isinstance(got, KernelCertificate)
     assert certified == (name == "tildeA3")
-    # every complex the memo holds is the one built from scratch
-    algebra = zigzag(g)
-    held = store.memo._complexes
-    assert held
-    for (word, vertex), x in held.items():
-        assert x == act_complex(g, word, projective(algebra, vertex))
+    # the memo holds one complex per distinct record confirmed
+    records = {(r.witness, r.seed_vertex) for pair in pairs for r in pair}
+    assert len(store.memo) == len(records)
 
 
-def test_confirm_pair_twists_each_suffix_once_per_store(monkeypatch):
-    g = preset("tildeA3")
-    store = enumerate_curves(g, budget=120)
-    pairs = find_pairs(store, 1)
-    twists = []
-    real = search_module.apply_twist
-    monkeypatch.setattr(
-        search_module, "apply_twist", lambda x, i, sign: twists.append(i) or real(x, i, sign)
-    )
-    for pair in pairs:
-        confirm_pair(g, pair, 1)
-    suffixes = {
-        (r.witness[k:], r.seed_vertex)
-        for pair in pairs
-        for r in pair
-        for k in range(len(r.witness) + 1)
-    }
-    assert len(store.memo) == len(suffixes)
-    assert len(twists) == sum(1 for word, _ in suffixes if word)
-    # confirming them again twists nothing
-    before = len(twists)
-    for pair in pairs:
-        confirm_pair(g, pair, 1)
-    assert len(twists) == before
+# BFS records of three graphs, by (witness, seed vertex), for the memo's
+# property test: every suffix of a stored witness is a stored witness
+MEMO_RECORDS = {
+    name: {(r.witness, r.seed_vertex): r for r in enumerate_curves(preset(name), 200).records}
+    for name in ("tildeA3", "A4", "D4")
+}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_the_memo_twists_only_the_letters_no_held_record_covers(data):
+    name = data.draw(st.sampled_from(sorted(MEMO_RECORDS)))
+    records = MEMO_RECORDS[name]
+    g = preset(name)
+    # a few records with the records of their witnesses' suffixes, in any
+    # order, so children come before parents, a record comes again, and
+    # the tail that is cut off leaves some parents unconfirmed
+    picked = data.draw(st.lists(st.sampled_from(sorted(records)), min_size=1, max_size=6))
+    family = [records[(w[k:], v)] for w, v in picked for k in range(len(w) + 1)]
+    order = data.draw(st.permutations(family))
+    order = order[: data.draw(st.integers(1, len(order)))]
+    memo = search_module.TwistMemo(g)
+    words = []  # the word of each act_complex call the memo makes
+    real = search_module.act_complex
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            search_module, "act_complex", lambda g, word, x: words.append(word) or real(g, word, x)
+        )
+        held = set()
+        for r in order:
+            word, vertex = key = (r.witness, r.seed_vertex)
+            before = len(words)
+            x = memo.twisted(r)
+            if key in held:
+                assert len(words) == before
+            else:
+                # the letters in front of the longest proper suffix held
+                k = next(
+                    (k for k in range(1, len(word) + 1) if (word[k:], vertex) in held), len(word)
+                )
+                assert words[before:] == [word[:k]]
+                held.add(key)
+            assert x == act_complex(g, word, projective(memo.algebra, vertex))
+            assert len(memo) == len(held)
+    # coordinates that are not the witness's vector are refused: the first
+    # try finds the witness's complex held or twists it, the second finds
+    # it held
+    r = records[data.draw(st.sampled_from(sorted(records)))]
+    bumped = (r.coords[0] + LaurentPoly.one(ZZ),) + r.coords[1:]
+    forged = CurveRecord(bumped, r.witness, r.seed_vertex)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not its vector"):
+            memo.twisted(forged)
+        with pytest.raises(ValueError, match="has not been checked"):
+            memo.gram_image(forged)
 
 
 def test_confirm_pair_refuses_a_record_whose_coords_are_not_its_vector(monkeypatch):
@@ -783,17 +811,22 @@ def test_the_memo_gram_images_are_freed_with_their_store(monkeypatch):
     class Image(list):  # a list, unlike a tuple, takes weak references
         pass
 
+    images = []  # a weak reference to each image the memo builds
     real_image = search_module.gram_image
-    monkeypatch.setattr(search_module, "gram_image", lambda y: Image(real_image(y)))
+
+    def image_of(y):
+        image = Image(real_image(y))
+        images.append(weakref.ref(image))
+        return image
+
     g = preset("tildeA3")
     store = enumerate_curves(g, budget=120)
     pairs = find_pairs(store, 1)
+    monkeypatch.setattr(search_module, "gram_image", image_of)  # after the scan's own
     outcomes = [confirm_pair(g, pair, 1) for pair in pairs]
-    # one image per distinct right record, under its memo key
-    keys = {(r2.witness, r2.seed_vertex) for _, r2 in pairs}
-    assert set(store.memo._images) == keys
-    assert all(type(image) is Image for image in store.memo._images.values())
-    images = [weakref.ref(image) for image in store.memo._images.values()]
+    # one image per distinct right record, each kept while the store lives
+    assert len(images) == len({(r2.witness, r2.seed_vertex) for _, r2 in pairs})
+    assert all(image() is not None for image in images)
     del store
     assert all(image() is None for image in images)
     assert len(outcomes) == len(pairs)
@@ -808,7 +841,7 @@ def test_a_pair_whose_store_is_dropped_confirms_as_with_its_store(criterion):
     pairs = find_pairs(store, criterion)
     assert pairs
     alive = [confirm_pair(g, pair, criterion) for pair in pairs]
-    assert store.memo._images
+    assert len(store.memo) > 0
     del store
     assert all(r.memo_ref() is None for pair in pairs for r in pair)
     dropped = [confirm_pair(g, pair, criterion) for pair in pairs]
