@@ -52,7 +52,6 @@ from burau.search import (
     find_pairs,
     verify_bigelow3,
 )
-from burau.zigzag import zigzag
 
 D4_FIX_DATA = {6: (-6, 1), 11: (-10, 1), 16: (-15, -1)}
 
