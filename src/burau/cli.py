@@ -25,8 +25,8 @@ from .complexes import (
     projective,
     render_hom_table,
 )
-from .criteria import KernelCertificate, Rejection, criterion1, verify_bigelow3
-from .fixtures import D4_MODULI, affine_fixture, d4_fixture
+from .criteria import KernelCertificate, Rejection, certify_fixture
+from .fixtures import all_fixtures, d4_fixture
 from .graphs import (
     graph_json,
     load_graph,
@@ -114,21 +114,6 @@ def _emit(args, human: str, machine) -> None:
         print(human)
 
 
-def _verify_one(name: str):
-    """Run one named fixture end to end.  Returns (passed, payload)."""
-    if name in ("affine-a3", "affine-a3-variant"):
-        fixture = affine_fixture(variant=name.endswith("variant"))
-        (w1, i1), (w2, i2) = fixture.witnesses
-        outcome = criterion1(w1, i1, w2, i2, fixture.graph)
-    else:
-        p = int(name.split("-")[-1])
-        fixture = d4_fixture(p)
-        (beta, i) = fixture.witnesses[0]
-        outcome = verify_bigelow3(fixture.graph, beta, i, p)
-    ok = isinstance(outcome, KernelCertificate) and outcome.verified
-    return ok, outcome.to_json()
-
-
 def cmd_verify(args) -> int:
     if args.target != "d4-mod" and args.p is not None:
         print(f"verify {args.target} takes no modulus", file=sys.stderr)
@@ -137,30 +122,23 @@ def cmd_verify(args) -> int:
         if args.p is None:
             print("verify d4-mod needs a modulus, e.g. `verify d4-mod 7`", file=sys.stderr)
             return EXIT_USAGE
-        if args.p not in D4_MODULI:
-            print(f"no fixture for p={args.p}; available p: 6..16", file=sys.stderr)
+        try:
+            fixtures = [d4_fixture(args.p)]
+        except KeyError as exc:
+            print(exc.args[0], file=sys.stderr)
             return EXIT_USAGE
-        names = [f"d4-mod-{args.p}"]
-    elif args.target == "all":
-        names = ["affine-a3", "affine-a3-variant"] + [
-            f"d4-mod-{p}" for p in D4_MODULI
-        ]
     else:
-        names = [args.target]
-    payloads = {}
+        fixtures = [fx for fx in all_fixtures() if args.target in ("all", fx.name)]
+    payloads, lines = {}, []
     all_ok = True
-    for name in names:
-        ok, payload = _verify_one(name)
-        payloads[name] = payload
+    for fx in fixtures:
+        outcome = certify_fixture(fx)
+        ok = isinstance(outcome, KernelCertificate) and outcome.verified
+        payload = payloads[fx.name] = outcome.to_json()
         all_ok = all_ok and ok
-        if not args.json:
-            status = "PASS" if ok else "FAIL"
-            detail = ""
-            if not ok:
-                detail = f" ({payload.get('clause')}: {payload.get('detail')})"
-            print(f"{status} {name}{detail}")
-    if args.json:
-        print(json.dumps(payloads, indent=2, sort_keys=True))
+        detail = "" if ok else f" ({payload.get('clause')}: {payload.get('detail')})"
+        lines.append(f"{'PASS' if ok else 'FAIL'} {fx.name}{detail}")
+    _emit(args, "\n".join(lines), payloads)
     return EXIT_OK if all_ok else EXIT_FAILED
 
 
@@ -187,13 +165,9 @@ def cmd_twist(args) -> int:
     cx = act_complex(g, args.word, projective(zigzag(g), args.start))
     k0 = k0_class(cx)
     spherical = is_spherical(cx)
-    human = "\n".join(
-        [str(cx), f"k0 class: {k0}", f"spherical: {spherical}"]
-    )
+    human = "\n".join([str(cx), f"k0 class: {k0}", f"spherical: {spherical}"])
     machine = {
-        "summands": [
-            {"vertex": v, "g": gg, "h": hh} for v, gg, hh in cx.summands
-        ],
+        "summands": [{"vertex": v, "g": gg, "h": hh} for v, gg, hh in cx.summands],
         "k0": [c.to_json_terms() for c in k0.coords],
         "spherical": spherical,
     }
@@ -248,11 +222,7 @@ def cmd_search(args) -> int:
             store.save(args.store)
     else:
         result = bucket_search(
-            g,
-            p=args.p,
-            budget=args.budget,
-            seed=args.seed,
-            fix_vertex=args.start,
+            g, p=args.p, budget=args.budget, seed=args.seed, fix_vertex=args.start
         )
     text = json.dumps(result, indent=2, sort_keys=True)
     if args.out:
@@ -264,6 +234,14 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
+def _command(group, name: str, func, parents: list, help: str):
+    """A subcommand that runs `func`; it reports errors in its arguments
+    under its own usage line."""
+    command = group.add_parser(name, parents=parents, help=help)
+    command.set_defaults(func=func, parser=command)
+    return command
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="burau",
@@ -272,61 +250,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="replay a bundled counterexample")
-    p_verify.add_argument(
-        "target",
-        choices=["affine-a3", "affine-a3-variant", "d4-mod", "all"],
-    )
+    # options that several subcommands share, each declared once: the graph,
+    # one word, a witness pair (two words and their vertices), the pairing
+    # form with its modulus, and JSON output
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("--graph", type=_graph, required=True)
+    word = argparse.ArgumentParser(add_help=False)
+    word.add_argument("--word", type=_word, required=True)
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--w1", type=_word, required=True)
+    pair.add_argument("--i1", type=int, required=True)
+    pair.add_argument("--w2", type=_word, required=True)
+    pair.add_argument("--i2", type=int, required=True)
+    form = argparse.ArgumentParser(add_help=False)
+    form.add_argument("--form", choices=["standard", "dual"], default="standard")
+    form.add_argument("--mod", type=_int_at_least(2))
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true")
+
+    p_verify = _command(sub, "verify", cmd_verify, [as_json], "replay a bundled counterexample")
+    p_verify.add_argument("target", choices=["affine-a3", "affine-a3-variant", "d4-mod", "all"])
     p_verify.add_argument("p", type=int, nargs="?", help="modulus for d4-mod")
-    p_verify.add_argument("--json", action="store_true")
-    p_verify.set_defaults(func=cmd_verify, parser=p_verify)
-
-    p_burau = sub.add_parser("burau", help="Burau matrix of a word")
-    p_burau.add_argument("--graph", type=_graph, required=True)
-    p_burau.add_argument("--word", type=_word, required=True)
-    p_burau.add_argument("--form", choices=["standard", "dual"], default="standard")
-    p_burau.add_argument("--mod", type=_int_at_least(2))
-    p_burau.add_argument("--json", action="store_true")
-    p_burau.set_defaults(func=cmd_burau, parser=p_burau)
-
-    p_pair = sub.add_parser("pairing", help="pairing of two twisted roots")
-    p_pair.add_argument("--graph", type=_graph, required=True)
-    p_pair.add_argument("--w1", type=_word, required=True)
-    p_pair.add_argument("--i1", type=int, required=True)
-    p_pair.add_argument("--w2", type=_word, required=True)
-    p_pair.add_argument("--i2", type=int, required=True)
-    p_pair.add_argument("--form", choices=["standard", "dual"], default="standard")
-    p_pair.add_argument("--mod", type=_int_at_least(2))
-    p_pair.add_argument("--json", action="store_true")
-    p_pair.set_defaults(func=cmd_pairing, parser=p_pair)
-
-    p_twist = sub.add_parser("twist", help="twisted projective complex of a word")
-    p_twist.add_argument("--graph", type=_graph, required=True)
-    p_twist.add_argument("--word", type=_word, required=True)
+    _command(sub, "burau", cmd_burau, [graph, word, form, as_json], "Burau matrix of a word")
+    _command(
+        sub, "pairing", cmd_pairing, [graph, pair, form, as_json], "pairing of two twisted roots"
+    )
+    p_twist = _command(
+        sub, "twist", cmd_twist, [graph, word, as_json], "twisted projective complex of a word"
+    )
     p_twist.add_argument("--start", type=int, required=True)
-    p_twist.add_argument("--json", action="store_true")
-    p_twist.set_defaults(func=cmd_twist, parser=p_twist)
-
-    p_hom = sub.add_parser("hom", help="bigraded hom table of two twisted projectives")
-    p_hom.add_argument("--graph", type=_graph, required=True)
-    p_hom.add_argument("--w1", type=_word, required=True)
-    p_hom.add_argument("--i1", type=int, required=True)
-    p_hom.add_argument("--w2", type=_word, required=True)
-    p_hom.add_argument("--i2", type=int, required=True)
-    p_hom.add_argument("--json", action="store_true")
-    p_hom.set_defaults(func=cmd_hom, parser=p_hom)
+    _command(
+        sub, "hom", cmd_hom, [graph, pair, as_json], "bigraded hom table of two twisted projectives"
+    )
 
     p_search = sub.add_parser("search", help="run a counterexample search")
     kinds = p_search.add_subparsers(dest="kind", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--graph", type=_graph, required=True)
+    common = argparse.ArgumentParser(add_help=False, parents=[graph])
     common.add_argument("--budget", type=_int_at_least(0), default=1000)
     common.add_argument("--out", help="write the run result to this path")
 
-    p_curves = kinds.add_parser(
+    p_curves = _command(
+        kinds,
         "curves",
-        parents=[common],
-        help="enumerate curves over Z, scan pairs, confirm them categorically",
+        cmd_search,
+        [common],
+        "enumerate curves over Z, scan pairs, confirm them categorically",
     )
     p_curves.add_argument("--criterion", type=int, choices=[1, 2], default=1)
     p_curves.add_argument(
@@ -337,15 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
         "then confirmed, so this caps candidates, not certificates",
     )
     p_curves.add_argument("--store", help="write the curve store to this path")
-    p_curves.set_defaults(func=cmd_search, parser=p_curves)
 
-    p_buckets = kinds.add_parser(
-        "buckets", parents=[common], help="seeded bucket walk in the dual monoid mod p"
+    p_buckets = _command(
+        kinds, "buckets", cmd_search, [common], "seeded bucket walk in the dual monoid mod p"
     )
     p_buckets.add_argument("--seed", type=int, default=0)
     p_buckets.add_argument("--p", type=_int_at_least(2), default=5)
     p_buckets.add_argument("--start", type=int, default=1, help="vertex to fix")
-    p_buckets.set_defaults(func=cmd_search, parser=p_buckets)
 
     return parser
 

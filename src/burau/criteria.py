@@ -11,8 +11,11 @@ categorically, by a non-zero (respectively more than one-dimensional) space
 of morphisms between the twisted projective complexes.  `criterion1` and
 `criterion2` compute the pairing and the complexes from the words; the curve
 search's `confirm_pair` hands the same body, `pairing_criterion`, the ones
-its store has already built.  The third shape, the twist quotient over Z/p,
-is built by `verify_bigelow3` on the dual Garside word problem.
+its store has already built; `pairing_condition` is the one pairing test
+of both criteria, which the search's pair scan shares.  The third shape,
+the twist quotient over Z/p, is built by `verify_bigelow3` on the dual
+Garside word problem.  `certify_fixture` runs a bundled fixture through its
+criterion.
 
 Every certificate carries a `verified` flag that is set by actually
 recomputing the Burau matrix of the kernel word and comparing with the
@@ -98,7 +101,6 @@ class KernelCertificate:
     pairing: str | None = None
     normalizing_shift: int | None = None
     hom_table: tuple | None = None
-    total_hom_dim: int | None = None
     fix_exponent: int | None = None
     diagnostics: tuple = ()
     verified: bool = False
@@ -118,6 +120,10 @@ class KernelCertificate:
                 )
         else:
             raise ValueError(f"unknown criterion {self.criterion!r}")
+
+    @property
+    def total_hom_dim(self) -> int | None:  # None for the twist quotient
+        return None if self.hom_table is None else sum(dim for _, dim in self.hom_table)
 
     def to_json(self) -> dict:
         return {
@@ -170,6 +176,17 @@ _NO_MORPHISMS = Rejection(
 )
 
 
+def pairing_condition(criterion: str, p) -> tuple:
+    """(passes, shift) for the exact pairing `p` of two curve vectors under
+    `criterion`, a `criterion_shape`.  The commutator needs p exactly 0 and
+    has no shift; the braid relator needs a signed power of q, and its
+    exponent is the normalizing shift."""
+    if criterion == CRITERION_COMMUTATOR:
+        return p.is_zero(), None
+    power = p.signed_q_power()
+    return (False, None) if power is None else (True, power[0])
+
+
 def pairing_criterion(criterion: str, g: CoxeterGraph, witnesses, p, complexes):
     """The body of both pairing criteria.  `witnesses` holds the two
     (word, vertex) pairs, `p` is the exact pairing of their curve vectors
@@ -177,17 +194,10 @@ def pairing_criterion(criterion: str, g: CoxeterGraph, witnesses, p, complexes):
     once the pairing has passed; `criterion`, a `criterion_shape`, picks
     the pairing test, the hom threshold and the kernel word."""
     commutator = criterion == CRITERION_COMMUTATOR
-    if commutator:
-        shift = None
-        if not p.is_zero():
-            return Rejection(criterion, "pairing", f"pairing is {p}, expected 0")
-    else:
-        power = p.signed_q_power()
-        if power is None:
-            return Rejection(
-                criterion, "pairing", f"pairing is {p}, expected a signed power of q"
-            )
-        shift = power[0]
+    passes, shift = pairing_condition(criterion, p)
+    if not passes:
+        expected = "0" if commutator else "a signed power of q"
+        return Rejection(criterion, "pairing", f"pairing is {p}, expected {expected}")
     table = hom_table(*complexes())
     total = sum(table.values())
     if commutator and total == 0:
@@ -216,7 +226,6 @@ def pairing_criterion(criterion: str, g: CoxeterGraph, witnesses, p, complexes):
         pairing=str(p),
         normalizing_shift=shift,
         hom_table=tuple(sorted(table.items())),
-        total_hom_dim=total,
     )
     return seal_certificate(cert)
 
@@ -325,3 +334,14 @@ def verify_bigelow3(g: CoxeterGraph, beta, i: int, p: int):
             f"the commutator word is not in the kernel of the dual form mod {p}",
         )
     return sealed
+
+
+def certify_fixture(fixture):
+    """The outcome for a bundled fixture (`fixtures.Fixture`): criterion 1
+    on its witness pair over Z, the twist quotient on its one witness over
+    Z/p."""
+    if fixture.ring.p is None:
+        (w1, i1), (w2, i2) = fixture.witnesses
+        return criterion1(w1, i1, w2, i2, fixture.graph)
+    ((beta, i),) = fixture.witnesses
+    return verify_bigelow3(fixture.graph, beta, i, fixture.ring.p)

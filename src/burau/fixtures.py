@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .graphs import CoxeterGraph, preset
+from .laurent import ZZ, CoefficientRing, IntegersMod
 
 D4_MODULI = tuple(range(6, 17))
 
@@ -43,36 +44,41 @@ class Fixture:
     graph: CoxeterGraph
     graph_name: str
     witnesses: tuple
-    ring_label: str
+    ring: CoefficientRing
+
+    @property
+    def ring_label(self) -> str:
+        return str(self.ring)
 
 
 def affine_fixture(variant: bool = False) -> Fixture:
+    """The affine A3 pair: each twist descriptor names its conjugator word,
+    taken from the variant lists (a_prime, b_prime) when `variant` is set."""
     raw = load_affine_words()
-    a_label = "a_prime" if variant else "a"
-    b_label = "b_prime" if variant else "b"
-    a = tuple(raw[a_label])
-    b = tuple(raw[b_label])
-    i1 = raw["alpha"]["generator"]
-    i2 = raw["beta"]["generator"]
+    suffix = "_prime" if variant else ""
     return Fixture(
         name="affine-a3-variant" if variant else "affine-a3",
         graph=preset("tildeA3"),
         graph_name="tildeA3",
-        witnesses=((a, i1), (b, i2)),
-        ring_label="Z",
+        witnesses=tuple(
+            (tuple(raw[raw[twist]["conjugator"] + suffix]), raw[twist]["generator"])
+            for twist in ("alpha", "beta")
+        ),
+        ring=ZZ,
     )
 
 
 def d4_fixture(p: int) -> Fixture:
     if p not in D4_MODULI:
-        raise KeyError(f"no fixture for p={p}; available p: 6..16")
-    beta = load_d4_words()[p]
+        raise KeyError(
+            f"no fixture for p={p}; available p: {D4_MODULI[0]}..{D4_MODULI[-1]}"
+        )
     return Fixture(
         name=f"d4-mod-{p}",
         graph=preset("D4"),
         graph_name="D4",
-        witnesses=((beta, 1),),
-        ring_label=f"Z/{p}",
+        witnesses=((load_d4_words()[p], 1),),
+        ring=IntegersMod(p),
     )
 
 

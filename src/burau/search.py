@@ -56,6 +56,7 @@ from .complexes import ProjComplex, act_complex, k0_class, projective
 from .criteria import (
     KernelCertificate,
     criterion_shape,
+    pairing_condition,
     pairing_criterion,
     verify_bigelow3,
 )
@@ -522,10 +523,11 @@ def find_pairs(
     a pair whose pairing is non-zero at q0; criterion 2 drops it unless
     p(q0) is non-zero and p(q0^2) = +-p(q0)^2.  A pair meeting the condition
     exactly always passes, and every pair that passes, unless its first
-    letters agree, is decided by the exact pairing, the dot product of the
-    left vector's bar with the right vector's `gram_image`, each computed at
-    most once per call, in the order left record, then right record."""
-    criterion_shape(criterion)  # refuses anything but 1 or 2
+    letters agree, is decided by `pairing_condition` on the exact pairing,
+    the dot product of the left vector's bar with the right vector's
+    `gram_image`, each computed at most once per call, in the order left
+    record, then right record."""
+    shape = criterion_shape(criterion)  # refuses anything but 1 or 2
     if limit is not None and (type(limit) is not int or limit < 0):
         raise ValueError("limit must be a non-negative int")
     g = store.graph
@@ -567,7 +569,7 @@ def find_pairs(
             if y is None:
                 y = images[k] = gram_image(r2.vector(g))
             p = LaurentPoly.dot(bar_x, y)
-            if p.is_zero() if criterion == 1 else p.signed_q_power() is not None:
+            if pairing_condition(shape, p)[0]:
                 out.append((r1, r2))
                 if limit is not None and len(out) >= limit:
                     return out
@@ -748,9 +750,8 @@ def bucket_search(
     for step in range(budget):
         if matrix.spread > SPREAD_CAP:
             restarts += 1
-            usable = [k for k, kept in saved.items() if kept]
-            if usable:
-                key = min(usable, key=lambda k: (k[1], k[0]))
+            if saved:
+                key = min(saved, key=lambda k: (k[1], k[0]))
                 kept_path, matrix, k, factors = rng.choice(list(saved[key]))
                 path = list(kept_path)
                 nf = ctx.restore_nf_state(k, factors)

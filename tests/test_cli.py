@@ -1,9 +1,12 @@
 """Command-line interface: exit codes, output shapes, determinism."""
 
+import ast
 import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +14,7 @@ import burau.cli
 import burau.complexes
 from burau.cli import EXIT_FAILED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from burau.criteria import Rejection
-from burau.fixtures import affine_fixture
+from burau.fixtures import affine_fixture, all_fixtures
 from burau.laurent import ZZ
 from burau.matrices import STANDARD, word_matrix
 from burau.search import CurveStore, enumerate_curves, find_pairs
@@ -87,6 +90,9 @@ def test_verify_d4_usage_errors(capsys):
     code, _, err = run(capsys, ["verify", "d4-mod", "4"])
     assert code == EXIT_USAGE
     assert "available p: 6..16" in err
+    code, _, err = run(capsys, ["verify", "d4-mod", "5"])
+    assert code == EXIT_USAGE
+    assert err == "no fixture for p=5; available p: 6..16\n"
 
 
 @pytest.mark.parametrize("target", ["affine-a3", "affine-a3-variant", "all"])
@@ -95,6 +101,31 @@ def test_verify_refuses_a_modulus_outside_d4_mod(capsys, target):
     assert code == EXIT_USAGE
     assert out == ""
     assert "takes no modulus" in err
+
+
+def test_each_fixture_is_reached_by_exactly_one_verify_invocation(capsys):
+    code, out, _ = run(capsys, ["verify", "all", "--json"])
+    assert code == EXIT_OK
+    everything = json.loads(out)
+    invocations = [["affine-a3"], ["affine-a3-variant"]]
+    invocations += [["d4-mod", str(p)] for p in range(-1, 40)]
+    reached = Counter()
+    for argv in invocations:
+        code, out, err = run(capsys, ["verify", *argv, "--json"])
+        if code == EXIT_USAGE:
+            assert out == "" and err.startswith("no fixture for p=")
+            continue
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert len(payload) == 1
+        ((name, certificate),) = payload.items()
+        # the same payload as the fixture's entry in `verify all`
+        assert certificate == everything[name]
+        reached[name] += 1
+    names = [fx.name for fx in all_fixtures()]
+    assert sorted(everything) == sorted(names)
+    assert reached == Counter(names)
+    assert set(reached.values()) == {1}
 
 
 def test_verify_unknown_target_is_a_parse_error(capsys):
@@ -107,7 +138,7 @@ def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):
     def always_reject(w1, i1, w2, i2, g):
         return Rejection("commutator", "pairing", "synthetic failure")
 
-    monkeypatch.setattr("burau.cli.criterion1", always_reject)
+    monkeypatch.setattr("burau.criteria.criterion1", always_reject)
     code, out, _ = run(capsys, ["verify", "affine-a3"])
     assert code == EXIT_FAILED
     assert out.startswith("FAIL affine-a3")
@@ -474,6 +505,32 @@ def test_vertex_and_word_arguments_are_held_against_the_graph(
     # the usage shown is the subcommand's, not the top-level one
     assert captured.err.startswith(f"usage: burau {argv[0]} [-h] --graph GRAPH")
     assert f"argument {name}: {message}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["burau"], ["pairing"], ["twist"], ["hom"], ["search", "curves"], ["search", "buckets"]],
+    ids=" ".join,
+)
+def test_every_graph_command_shows_the_graph_first(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main(command + ["-h"])
+    assert info.value.code == EXIT_OK
+    assert capsys.readouterr().out.startswith(f"usage: burau {' '.join(command)} [-h] --graph GRAPH")
+
+
+def test_each_option_is_declared_once():
+    # a shared option lives in one parent parser, not in each subcommand
+    tree = ast.parse(Path(burau.cli.__file__).read_text())
+    flags = Counter(
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "add_argument"
+        and isinstance(node.args[0], ast.Constant)
+    )
+    for flag in ("--graph", "--word", "--w1", "--i1", "--w2", "--i2", "--form", "--mod", "--json"):
+        assert flags[flag] == 1, flag
 
 
 def test_graph_files_load_at_parse_time(capsys, tmp_path):

@@ -13,13 +13,14 @@ from burau.criteria import (
     Rejection,
     criterion1,
     criterion2,
+    pairing_condition,
     seal_certificate,
     verify_bigelow3,
     verify_kernel_word,
 )
 from burau.fixtures import D4_MODULI, affine_fixture, d4_fixture
 from burau.graphs import INF, CoxeterGraph, conjugated_generator, inverse_word, preset
-from burau.laurent import ZZ
+from burau.laurent import ZZ, LaurentPoly
 from burau.matrices import STANDARD
 from burau.zigzag import zigzag
 
@@ -34,6 +35,22 @@ def test_criterion1_rejects_on_pairing():
     assert isinstance(out, Rejection)
     assert (out.criterion, out.clause) == (CRITERION_COMMUTATOR, "pairing")
     assert "q" in out.detail
+
+
+@pytest.mark.parametrize(
+    "criterion, terms, expected",
+    [
+        (CRITERION_COMMUTATOR, {}, (True, None)),
+        (CRITERION_COMMUTATOR, {1: 1}, (False, None)),
+        (CRITERION_BRAID_RELATOR, {}, (False, None)),
+        (CRITERION_BRAID_RELATOR, {0: 1}, (True, 0)),
+        (CRITERION_BRAID_RELATOR, {-2: -1}, (True, -2)),
+        (CRITERION_BRAID_RELATOR, {0: 2}, (False, None)),
+        (CRITERION_BRAID_RELATOR, {1: 1, 2: 1}, (False, None)),
+    ],
+)
+def test_pairing_condition_gives_the_normalizing_shift(criterion, terms, expected):
+    assert pairing_condition(criterion, LaurentPoly.from_dict(ZZ, terms)) == expected
 
 
 @pytest.mark.parametrize("check", [criterion1, criterion2])
@@ -165,11 +182,14 @@ def test_braid_relator_word_seals_when_pairing_is_a_q_power():
         pairing="q",
         normalizing_shift=1,
         hom_table=tuple(sorted(table.items())),
-        total_hom_dim=sum(table.values()),
     )
     sealed = seal_certificate(cert)
     assert isinstance(sealed, KernelCertificate)
     assert sealed.verified
+    # the total is read off the table, so no certificate can disagree with it
+    assert sealed.total_hom_dim == sum(table.values())
+    with pytest.raises(AttributeError):
+        sealed.total_hom_dim = 0
 
 
 def test_criterion2_accepts_when_hom_exceeds_one(monkeypatch):
