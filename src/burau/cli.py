@@ -129,16 +129,18 @@ def cmd_verify(args) -> int:
             return EXIT_USAGE
     else:
         fixtures = [fx for fx in all_fixtures() if args.target in ("all", fx.name)]
-    payloads, lines = {}, []
+    payloads = {}
     all_ok = True
     for fx in fixtures:
         outcome = certify_fixture(fx)
         ok = isinstance(outcome, KernelCertificate) and outcome.verified
         payload = payloads[fx.name] = outcome.to_json()
         all_ok = all_ok and ok
-        detail = "" if ok else f" ({payload.get('clause')}: {payload.get('detail')})"
-        lines.append(f"{'PASS' if ok else 'FAIL'} {fx.name}{detail}")
-    _emit(args, "\n".join(lines), payloads)
+        if not args.json:
+            detail = "" if ok else f" ({payload.get('clause')}: {payload.get('detail')})"
+            print(f"{'PASS' if ok else 'FAIL'} {fx.name}{detail}")
+    if args.json:
+        print(json.dumps(payloads, indent=2, sort_keys=True))
     return EXIT_OK if all_ok else EXIT_FAILED
 
 

@@ -11,11 +11,9 @@ categorically, by a non-zero (respectively more than one-dimensional) space
 of morphisms between the twisted projective complexes.  `criterion1` and
 `criterion2` compute the pairing and the complexes from the words; the curve
 search's `confirm_pair` hands the same body, `pairing_criterion`, the ones
-its store has already built; `pairing_condition` is the one pairing test
-of both criteria, which the search's pair scan shares.  The third shape,
-the twist quotient over Z/p, is built by `verify_bigelow3` on the dual
-Garside word problem.  `certify_fixture` runs a bundled fixture through its
-criterion.
+its store has already built; that body and the pair scan test the pairing
+by `pairing_condition`.  The third shape, the twist quotient over Z/p, is
+built by `verify_bigelow3` on the dual Garside word problem.
 
 Every certificate carries a `verified` flag that is set by actually
 recomputing the Burau matrix of the kernel word and comparing with the
@@ -177,10 +175,9 @@ _NO_MORPHISMS = Rejection(
 
 
 def pairing_condition(criterion: str, p) -> tuple:
-    """(passes, shift) for the exact pairing `p` of two curve vectors under
-    `criterion`, a `criterion_shape`.  The commutator needs p exactly 0 and
-    has no shift; the braid relator needs a signed power of q, and its
-    exponent is the normalizing shift."""
+    """(passes, shift) for the pairing `p` under `criterion`, a `criterion_shape`:
+    the commutator needs p = 0 and has no shift; the braid relator needs a
+    signed power of q, whose exponent is the normalizing shift."""
     if criterion == CRITERION_COMMUTATOR:
         return p.is_zero(), None
     power = p.signed_q_power()
@@ -337,9 +334,8 @@ def verify_bigelow3(g: CoxeterGraph, beta, i: int, p: int):
 
 
 def certify_fixture(fixture):
-    """The outcome for a bundled fixture (`fixtures.Fixture`): criterion 1
-    on its witness pair over Z, the twist quotient on its one witness over
-    Z/p."""
+    """A `fixtures.Fixture`'s outcome: criterion 1 on its witness pair over
+    Z, the twist quotient on its one witness over Z/p."""
     if fixture.ring.p is None:
         (w1, i1), (w2, i2) = fixture.witnesses
         return criterion1(w1, i1, w2, i2, fixture.graph)

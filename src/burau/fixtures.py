@@ -52,8 +52,6 @@ class Fixture:
 
 
 def affine_fixture(variant: bool = False) -> Fixture:
-    """The affine A3 pair: each twist descriptor names its conjugator word,
-    taken from the variant lists (a_prime, b_prime) when `variant` is set."""
     raw = load_affine_words()
     suffix = "_prime" if variant else ""
     return Fixture(
