@@ -16,7 +16,8 @@ closeness).
 Arithmetic works on coefficient lists and reduces mod p once per output
 coefficient.  `LaurentPoly.dot` accumulates a whole sum of products in one
 buffer, so a matrix entry is built without intermediate polynomials;
-`row_step` does the same for the one-coordinate step of `matrices.act`.
+`row_terms` does the same for the one-coordinate step of `matrices.act`,
+and returns the normalised (low, coeffs) pair, which `row_step` wraps.
 """
 
 from __future__ import annotations
@@ -64,21 +65,26 @@ def _check_exponent(e) -> None:
         raise TypeError(f"exponents must be int, not {e!r}")
 
 
-def _canonical(ring: CoefficientRing, low: int, buf: list) -> "LaurentPoly":
-    """The polynomial sum_k buf[k] q^(low + k).  `buf` holds int
-    coefficients that are not yet reduced; each is reduced once here."""
-    if ring.p is not None:
-        p = ring.p
+def _normalised(p: int | None, low: int, buf: list) -> tuple:
+    """(low, coeffs) of the polynomial sum_k buf[k] q^(low + k) over Z
+    (p None) or Z/p, in canonical form.  `buf` holds int coefficients that
+    are not yet reduced; each is reduced once here."""
+    if p is not None:
         buf = [c % p for c in buf]
     end = len(buf)
     while end and not buf[end - 1]:
         end -= 1
     if not end:
-        return LaurentPoly(ring, 0, ())
+        return 0, ()
     start = 0
     while not buf[start]:
         start += 1
-    return LaurentPoly(ring, low + start, tuple(buf[start:end]))
+    return low + start, tuple(buf[start:end])
+
+
+def _canonical(ring: CoefficientRing, low: int, buf: list) -> "LaurentPoly":
+    """The polynomial sum_k buf[k] q^(low + k), normalised by `_normalised`."""
+    return LaurentPoly(ring, *_normalised(ring.p, low, buf))
 
 
 @dataclass(frozen=True, slots=True)
@@ -317,11 +323,13 @@ class LaurentPoly:
         return LaurentPoly.from_dict(ring, coeffs)
 
 
-def row_step(terms, coords) -> LaurentPoly:
-    """The product of a row, as `matrices.generator_row` gives it, with a
-    vector's coordinates: a sum of shifted, scaled copies of their
-    coefficient tuples, accumulated in one buffer and normalised once.  The
-    terms must be over the coordinates' ring."""
+def row_terms(terms, coords) -> tuple:
+    """The normalised (low, coeffs) of the product of a row, as
+    `matrices.generator_row` gives it, with a vector's coordinates: a sum of
+    shifted, scaled copies of their coefficient tuples, accumulated in one
+    buffer and normalised once.  The terms must be over the coordinates'
+    ring.  A caller that keeps its values in a table looks this pair up
+    before it builds a polynomial."""
     live = []
     low = high = 0
     for j, e, c in terms:
@@ -339,9 +347,15 @@ def row_step(terms, coords) -> LaurentPoly:
                     high = hi
             live.append((lo, c, a))
     if not live:
-        return LaurentPoly(coords[0].ring, 0, ())
+        return 0, ()
     buf = [0] * (high - low)
     for lo, c, a in live:
         for k, y in enumerate(a, lo - low):
             buf[k] += c * y
-    return _canonical(coords[0].ring, low, buf)
+    return _normalised(coords[0].ring.p, low, buf)
+
+
+def row_step(terms, coords) -> LaurentPoly:
+    """The product of a row with a vector's coordinates, as `row_terms`
+    computes it, over the coordinates' ring."""
+    return LaurentPoly(coords[0].ring, *row_terms(terms, coords))

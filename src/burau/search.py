@@ -8,18 +8,24 @@ pairing decides); candidate pairs are then confirmed categorically, from
 each record's twisted complex, which its store's `TwistMemo` builds once, by
 one `act_complex` from the complex of the longest suffix of the witness held.
 A generator changes one coordinate, so a child in the enumeration costs one
-coordinate update from the generator's row (`laurent.row_step`), with the
+coordinate update from the generator's row (`laurent.row_terms`), with the
 rows read once per enumeration.  Each store keeps a table of its distinct
 coordinate values, each under a small int id with one shared `LaurentPoly`
 and its value at q = 1, and dedupes vectors by one int key, the coordinate
-ids in fixed 32-bit lanes; a child updates one lane of its parent's key.
-The scan evaluates each distinct coordinate once per point, packs the right
+ids in fixed 32-bit lanes; a child looks its new coordinate up in the table,
+builds a polynomial only for a value the table lacks, and updates one lane
+of its parent's key.  A record is held as its key, its parent's index and
+one letter, in arrays; its `CurveRecord` (vector and witness) is built when
+it is first read.  The scan reads each record's coordinate ids from its
+key, evaluates each distinct id once per point, packs the right
 records' images at q0 mod a prime into fixed-width slots of a few big ints,
 so its filter takes a left record against a whole block of right records
 in n big-int products and a slotwise reduction; only the pairs it passes
 reach the first-letter skip and the exact pairing, the dot product of the
-left vector's bar with the right vector's Gram image, each computed at most
-once per scan (and, in the confirm, once per record in the store's memo).
+left vector's bar, kept per coordinate id, with the right vector's Gram
+image, each computed at most once per scan (and, in the confirm, once per
+record in the store's memo); only the records of the pairs it returns are
+built.
 Over Z/pZ, a seeded random walk in the dual positive monoid files braids into
 buckets keyed by canonical length and spread, watching for words that fix a
 basis root up to a power of q; fixing words feed the twist-quotient
@@ -46,9 +52,12 @@ import json
 import random
 import struct
 import weakref
+from array import array
 from collections import Counter, deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from operator import mul
 from typing import NamedTuple
 
@@ -69,7 +78,7 @@ from .graphs import (
     validate_vertex,
     validate_word,
 )
-from .laurent import ZZ, IntegersMod, LaurentPoly, row_step
+from .laurent import ZZ, IntegersMod, LaurentPoly, row_terms
 from .matrices import (
     DUAL,
     BurauVector,
@@ -187,13 +196,22 @@ class CurveStore:
     small int id, with the one `LaurentPoly` that every record holding it
     shares and its value at q = 1.  A vector's key is one int, its ids in
     fixed 32-bit lanes (coordinate k in bits [32k, 32k + 32)), so dedupe
-    hashes one int per record.  The table, and `memo`, the twisted
-    projectives that `confirm_pair` builds for the records, live as long as
-    the store."""
+    hashes one int per record.
+
+    A record is held as its key, its parent's index and the first letter of
+    its witness, the last two in `array`s: a record of the enumeration has
+    the witness of its parent with that letter in front.  Only a record
+    with no parent, a basis root or a record inserted from outside
+    (`insert`, `insert_witness`, `from_json`), keeps its (witness, seed
+    vertex) explicitly.  `records` reads them as a read-only sequence of
+    `CurveRecord`s: a record is built from the table's coordinates, with
+    its witness rebuilt along its parent chain, the first time it is read,
+    and kept, so one index always gives one object.  The table, the built
+    records, and `memo`, the twisted projectives that `confirm_pair` builds
+    for the records, live as long as the store."""
 
     def __init__(self, g: CoxeterGraph):
         self.graph = g
-        self.records: list[CurveRecord] = []
         self.by_root: dict[tuple, list[int]] = {}
         self._ids: dict[tuple, int] = {}  # (low, coeffs) -> coordinate id
         self._polys: list[LaurentPoly] = []  # id -> the shared coordinate
@@ -201,11 +219,20 @@ class CurveStore:
         self._lanes = struct.Struct(f"<{g.n}I")  # key <-> its n coordinate ids
         self._keys: list[int] = []  # the key of each record
         self._seen: set[int] = set()
+        self._parents = array("i")  # each record's parent, -1 for none
+        self._letters = array("i")  # each witness's first letter, 0 for ()
+        self._explicit: dict[int, tuple] = {}  # (witness, vertex) of parentless records
+        self._built: dict[int, CurveRecord] = {}  # the records read so far
         self.memo = TwistMemo(g)
         self._memo_ref = weakref.ref(self.memo)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._keys)
+
+    @property
+    def records(self) -> "CurveRecords":
+        """The records in insertion order, as a read-only sequence."""
+        return CurveRecords(self)
 
     def _intern(self, c: LaurentPoly) -> int:
         """The id of the coordinate value c, entered in the table if new."""
@@ -214,6 +241,39 @@ class CurveStore:
             self._polys.append(c)
             self._sums.append(sum(c.coeffs))
         return i
+
+    def _coordinate_ids(self, index: int) -> tuple:
+        """The n coordinate ids of a record, read from its key."""
+        lanes = self._lanes
+        return lanes.unpack(self._keys[index].to_bytes(lanes.size, "little"))
+
+    def _record(self, index: int, keep: bool = True) -> CurveRecord:
+        """The record at a non-negative index, built on its first read and
+        then kept, unless `keep` is false."""
+        built = self._built
+        record = built.get(index)
+        if record is not None:
+            return record
+        # the letters in front of the nearest ancestor whose witness is known
+        prefix = []
+        j = index
+        while True:
+            known = built.get(j)
+            if known is not None:
+                witness, vertex = known.witness, known.seed_vertex
+                break
+            known = self._explicit.get(j)
+            if known is not None:
+                witness, vertex = known
+                break
+            prefix.append(self._letters[j])
+            j = self._parents[j]
+        polys = self._polys
+        coords = tuple([polys[i] for i in self._coordinate_ids(index)])
+        record = CurveRecord(coords, tuple(prefix) + witness, vertex, self._memo_ref)
+        if keep:
+            built[index] = record
+        return record
 
     def insert(self, record: CurveRecord) -> bool:
         """Add the record unless its vector is already stored.  The stored
@@ -228,31 +288,36 @@ class CurveStore:
         validate_word(self.graph, record.witness)
         ids = [self._intern(c) for c in coords]
         key = int.from_bytes(self._lanes.pack(*ids), "little")
-        coords = tuple(self._polys[i] for i in ids)
         root = tuple(self._sums[i] for i in ids)
-        return self._keep(key, coords, root, record.witness, record.seed_vertex)
+        witness = tuple(record.witness)
+        if not self._keep(key, root, -1, witness[0] if witness else 0):
+            return False
+        self._explicit[len(self) - 1] = (witness, record.seed_vertex)
+        return True
 
-    def _keep(
-        self, key: int, coords: tuple, root_key: tuple, witness: tuple, vertex: int
-    ) -> bool:
+    def _keep(self, key: int, root_key: tuple, parent: int, letter: int) -> bool:
         """The one place that keeps a record: unless a vector with this key
-        is already stored, build the record from `coords`, the table's
-        coordinates for the key, with this store's memo as its handle, and
-        index it under `root_key`, which must be its root key."""
+        is already stored, append the key, the parent's index (-1 for none)
+        and the witness's first letter, and index the record under
+        `root_key`, which must be its root key."""
         seen = self._seen
         size = len(seen)
         seen.add(key)
         if len(seen) == size:
             return False
-        self.by_root.setdefault(root_key, []).append(len(self.records))
-        self.records.append(CurveRecord(coords, witness, vertex, self._memo_ref))
+        self.by_root.setdefault(root_key, []).append(len(self._keys))
         self._keys.append(key)
+        self._parents.append(parent)
+        self._letters.append(letter)
         return True
 
     def insert_witness(self, word, vertex: int) -> bool:
         return self.insert(curve_record(self.graph, word, vertex))
 
     def to_json(self) -> dict:
+        """Every record's coordinates, witness and seed vertex; a record not
+        read before is built for the file and not kept."""
+        records = map(self._record, range(len(self)), repeat(False))
         return {
             "graph": graph_json(self.graph),
             "records": [
@@ -261,7 +326,7 @@ class CurveStore:
                     "witness": list(r.witness),
                     "seed_vertex": r.seed_vertex,
                 }
-                for r in self.records
+                for r in records
             ],
         }
 
@@ -292,20 +357,55 @@ class CurveStore:
             return CurveStore.from_json(json.load(fh))
 
 
+class CurveRecords(Sequence):
+    """A store's records as a read-only sequence: an index or a slice reads
+    records through the store, which builds each on first read.  It equals
+    another store's records, or a list, that holds equal records in the
+    same order."""
+
+    __slots__ = ("_store",)
+
+    def __init__(self, store: CurveStore):
+        self._store = store
+
+    def __len__(self) -> int:
+        return len(self._store)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._store._record(i) for i in range(*index.indices(len(self)))]
+        return self._store._record(range(len(self))[index])
+
+    def __iter__(self):
+        return map(self._store._record, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (CurveRecords, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"CurveRecords({list(self)!r})"
+
+
 def enumerate_curves(g: CoxeterGraph, budget: int = 10000) -> CurveStore:
     """Breadth-first orbit enumeration: apply every generator and inverse to
     every stored curve, starting from the basis roots, until the store holds
     `budget` records or the orbit is exhausted.
 
     A letter changes only its own coordinate k, so a child costs one
-    `row_step` with the letter's generator row, read once per enumeration,
-    one lookup of the new coordinate in the store's coordinate table, and
-    one lane update of its parent's key: lane k takes the new coordinate's
-    id.  A child equal to its parent is dropped before any lookup, and the
-    letter that undoes the witness's first letter is not tried: its child
-    is the parent's parent, already stored.  Root keys are read from the
-    table's values at q = 1.  Equal coordinates of different records are
-    one object (602 distinct values among 10^4 tildeA3 records)."""
+    `row_terms` with the letter's generator row, read once per enumeration,
+    one lookup of the new coordinate's (low, coeffs) in the store's
+    coordinate table, and one lane update of its parent's key: lane k takes
+    the new coordinate's id.  A `LaurentPoly` is built only for a value the
+    table does not hold (602 distinct values among 10^4 tildeA3 records,
+    from 15 501 steps).  A child equal to its parent is dropped, and the
+    letter that undoes the parent's first letter is not tried: its child is
+    the parent's parent, already stored.  A new child is kept as its key,
+    its parent's index and its letter; root keys are read from the table's
+    values at q = 1.  No `CurveRecord` is built until one is read."""
     if type(budget) is not int:
         raise ValueError("budget must be an int")
     if budget < g.n:
@@ -318,32 +418,31 @@ def enumerate_curves(g: CoxeterGraph, budget: int = 10000) -> CurveStore:
         for j in g.vertices()
         for letter in (j, -j)
     ]
-    records = store.records  # the BFS queue: records past `head` are unexpanded
-    keys, ids, polys, sums = store._keys, store._ids, store._polys, store._sums
+    keys, firsts, ids, polys, sums = (
+        store._keys, store._letters, store._ids, store._polys, store._sums
+    )
     keep, intern, lanes = store._keep, store._intern, store._lanes
-    head = 0
-    while head < len(records) and len(records) < budget:
-        parent = records[head]
+    head = 0  # the BFS queue: records from `head` on are unexpanded
+    while head < len(keys) and len(keys) < budget:
         key = keys[head]
-        head += 1
-        coords, word, s = parent.coords, parent.witness, parent.seed_vertex
         parent_ids = lanes.unpack(key.to_bytes(lanes.size, "little"))
-        root = tuple(sums[i] for i in parent_ids)
-        undo = -word[0] if word else 0
+        coords = [polys[i] for i in parent_ids]
+        root = tuple([sums[i] for i in parent_ids])
+        undo = -firsts[head]
+        parent = head
+        head += 1
         for letter, k, shift, row in steps:
             if letter == undo:
                 continue
-            new = row_step(row, coords)
-            old = coords[k]
-            if new.low == old.low and new.coeffs == old.coeffs:
-                continue  # the letter fixes the parent
-            i = ids.get((new.low, new.coeffs))
+            value = row_terms(row, coords)
+            i = ids.get(value)
             if i is None:
-                i = intern(new)
-            child = coords[:k] + (polys[i],) + coords[k + 1 :]
+                i = intern(LaurentPoly(ZZ, *value))
+            old = parent_ids[k]
+            if i == old:
+                continue  # the letter fixes the parent
             child_root = root[:k] + (sums[i],) + root[k + 1 :]
-            child_key = key + ((i - parent_ids[k]) << shift)
-            if keep(child_key, child, child_root, (letter,) + word, s) and len(records) >= budget:
+            if keep(key + ((i - old) << shift), child_root, parent, letter) and len(keys) >= budget:
                 break
     return store
 
@@ -384,29 +483,27 @@ def _evaluation_points(g: CoxeterGraph, criterion: int) -> tuple:
     return tuple(points)
 
 
-def _coordinates_at(records, q: int, q_inv: int) -> list:
-    """Each record's coordinates at q mod P, one `_poly_mod` per distinct
-    coordinate object: a store's records share one object per coordinate
-    value (its coordinate table), so that is one per distinct value."""
-    objects = {id(c): c for r in records for c in r.coords}
-    at = {k: _poly_mod(c, q, q_inv) for k, c in objects.items()}.__getitem__
-    return [tuple(map(at, map(id, r.coords))) for r in records]
+def _coordinates_at(table, rows, q: int, q_inv: int) -> list:
+    """Each row's coordinates at q mod P, where a row holds n ids into
+    `table`, a sequence of coordinates: one `_poly_mod` per distinct id."""
+    at = {i: _poly_mod(table[i], q, q_inv) for i in set().union(*rows)}.__getitem__
+    return [tuple(map(at, row)) for row in rows]
 
 
-def _left_images(records, point) -> list:
-    """x(q^-1) mod P at the point, for each record's vector x."""
+def _left_images(table, rows, point) -> list:
+    """x(q^-1) mod P at the point, for the vector x of each row of ids."""
     q, q_inv, _ = point
-    return _coordinates_at(records, q_inv, q)
+    return _coordinates_at(table, rows, q_inv, q)
 
 
-def _right_images(records, point) -> list:
-    """G(q).y(q) mod P at the point, for each record's vector y.  The pairing
-    of x with y evaluates at q to the dot product of x's left image with
-    y's right image."""
+def _right_images(table, rows, point) -> list:
+    """G(q).y(q) mod P at the point, for the vector y of each row of ids.
+    The pairing of x with y evaluates at q to the dot product of x's left
+    image with y's right image."""
     q, q_inv, gram = point
     return [
         tuple(sum(map(mul, row, at_q)) % _P for row in gram)
-        for at_q in _coordinates_at(records, q, q_inv)
+        for at_q in _coordinates_at(table, rows, q, q_inv)
     ]
 
 
@@ -513,9 +610,10 @@ def find_pairs(
     `limit` caps the number of pairs returned; it must be non-negative, and
     0 returns no pairs.
 
-    A prefilter only prunes.  Each distinct coordinate value of the scanned
-    records is evaluated once per side, at a fixed point q0 modulo the prime
-    P = 2^61 - 1 (at q0^-1 for the left records).  The right images
+    A prefilter only prunes.  The scanned records' coordinate ids are read
+    from their keys, and each distinct id is evaluated once per side, at a
+    fixed point q0 modulo the prime P = 2^61 - 1 (at q0^-1 for the left
+    records).  The right images
     are packed, coordinate by coordinate, into ints of up to _BLOCK
     fixed-width slots, so a left record costs n big-int by small-int
     products per block, a few slotwise Mersenne folds that reduce every
@@ -525,8 +623,9 @@ def find_pairs(
     exactly always passes, and every pair that passes, unless its first
     letters agree, is decided by `pairing_condition` on the exact pairing,
     the dot product of the left vector's bar with the right vector's
-    `gram_image`, each computed at most once per call, in the order left
-    record, then right record."""
+    `gram_image`, each computed at most once per call (a bar once per
+    coordinate id), in the order left record, then right record.  Only the
+    records of the pairs returned are built."""
     shape = criterion_shape(criterion)  # refuses anything but 1 or 2
     if limit is not None and (type(limit) is not int or limit < 0):
         raise ValueError("limit must be a non-negative int")
@@ -539,38 +638,45 @@ def find_pairs(
         raise ValueError(f"root_filter must be two root keys of {g.n} ints each")
     if limit == 0:
         return []
-    recs = store.records
     if root_filter is None:
-        left = right = range(len(recs))
+        left = right = range(len(store))
     else:
         k1, k2 = map(tuple, root_filter)
         left = store.by_root.get(k1, [])
         right = left if k1 == k2 else store.by_root.get(k2, [])
     # a slice paired with itself visits each unordered pair once
     triangle = left is right
+    polys, firsts, record = store._polys, store._letters, store._record
+    left_ids = [store._coordinate_ids(a) for a in left]
+    right_ids = left_ids if triangle else [store._coordinate_ids(b) for b in right]
     points = _evaluation_points(g, criterion)
-    lefts = list(zip(*(_left_images([recs[a] for a in left], pt) for pt in points)))
-    rights = [_right_images([recs[b] for b in right], pt) for pt in points]
+    lefts = list(zip(*(_left_images(polys, left_ids, pt) for pt in points)))
+    rights = [_right_images(polys, right_ids, pt) for pt in points]
     blocks = _pack_blocks(rights, g.n)
     images = [None] * len(right)  # gram_image of each right record, once
+    bars = {}  # coordinate id -> its bar, once
     out = []
     for pos, a in enumerate(left):
         passed = _passing(lefts[pos], blocks, pos + 1 if triangle else 0)
-        r1 = recs[a]
-        letter = r1.witness[:1]
+        letter = firsts[a]
         bar_x = None
         for k in passed:
-            r2 = recs[right[k]]
-            if letter and r2.witness[:1] == letter:
+            b = right[k]
+            if letter and firsts[b] == letter:
                 continue
             if bar_x is None:
-                bar_x = [c.bar() for c in r1.coords]
+                bar_x = [
+                    bars[i] if i in bars else bars.setdefault(i, polys[i].bar())
+                    for i in left_ids[pos]
+                ]
             y = images[k]
             if y is None:
-                y = images[k] = gram_image(r2.vector(g))
+                y = images[k] = gram_image(
+                    BurauVector(g, ZZ, tuple([polys[i] for i in right_ids[k]]))
+                )
             p = LaurentPoly.dot(bar_x, y)
             if pairing_condition(shape, p)[0]:
-                out.append((r1, r2))
+                out.append((record(a), record(b)))
                 if limit is not None and len(out) >= limit:
                     return out
     return out

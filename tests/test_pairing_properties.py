@@ -108,11 +108,14 @@ def test_prefilter_value_is_the_exact_pairing_mod_p(case):
     g, x, y = case
     points = _evaluation_points(g, 2)  # q0 and q0^2
     # the scan's filter value: x's left image against y's right image,
-    # packed in the slot between two others
-    rights = [_right_images([x, y, x], point) for point in points]
+    # packed in the slot between two others; the images read the vectors'
+    # coordinates from one table by id
+    table = x.coords + y.coords
+    xs, ys = range(g.n), range(g.n, 2 * g.n)
+    rights = [_right_images(table, [xs, ys, xs], point) for point in points]
     ((_, count, packed),) = _pack_blocks(rights, g.n)
     values = tuple(
-        _slot_residues(_left_images([x], point)[0], at_point, count)[1]
+        _slot_residues(_left_images(table, [xs], point)[0], at_point, count)[1]
         for point, at_point in zip(points, packed)
     )
     exact = pairing(x, y).reduce_mod(_P)

@@ -1,10 +1,12 @@
 """Curve enumeration, pair scanning, the mod-p verifier, and bucket walks."""
 
 import dataclasses
+import gc
 import hashlib
 import inspect
 import json
 import random
+import tracemalloc
 import weakref
 from collections import Counter
 from operator import mul
@@ -145,6 +147,59 @@ def test_enumeration_matches_the_act_reference(name):
         assert list(got.by_root) == list(want.by_root)
         assert all(r.memo_ref() is got.memo for r in got.records)
         assert all(r.memo_ref() is want.memo for r in want.records)
+        # each record is built from its key and its parent chain when read,
+        # and kept: the vector and the word agree, and one index gives one
+        # object
+        for index, r in enumerate(got.records):
+            assert r == curve_record(g, r.witness, r.seed_vertex)
+            assert got.records[index] is r
+
+
+def test_a_witness_inserted_after_the_enumeration_is_kept_as_given(tmp_path):
+    # the curve search inserts the affine pair after the BFS: such a record
+    # has no parent in the store, so its word is kept, not rebuilt, and it
+    # is indexed, scanned and saved as any other record
+    g = preset("tildeA3")
+    store = enumerate_curves(g, budget=300)
+    witnesses = affine_fixture().witnesses
+    for word, vertex in witnesses:
+        assert store.insert_witness(word, vertex)
+        index = len(store) - 1
+        record = store.records[index]
+        assert (record.witness, record.seed_vertex) == (tuple(word), vertex)
+        assert record == curve_record(g, word, vertex)
+        assert record.memo_ref() is store.memo
+        assert store.by_root[record.root_key][-1] == index
+        assert store.records[-1] is record
+    (a, i1), (b, i2) = witnesses
+    pairs = find_pairs(store, 1, root_filter=(store.records[-2].root_key, store.records[-1].root_key))
+    assert (store.records[-2], store.records[-1]) in pairs
+    path = tmp_path / "store.json"
+    store.save(path)
+    loaded = CurveStore.load(path)
+    assert loaded.records == store.records
+    assert loaded.by_root == store.by_root
+    assert [(r.witness, r.seed_vertex) for r in loaded.records[-2:]] == [(a, i1), (b, i2)]
+
+
+def test_an_enumeration_holds_at_most_200_bytes_per_record():
+    # the store keeps a key, a parent index and a letter per record, and
+    # builds no record until one is read
+    g = preset("tildeA3")
+    budget = 5 * 10**4
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store = enumerate_curves(g, budget)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(store) == budget
+    assert held / budget <= 200, held / budget
 
 
 def test_enumeration_is_a_prefix_of_a_larger_run():
@@ -228,9 +283,9 @@ def test_enumeration_state_belongs_to_its_store(monkeypatch):
     # of row steps each time, and no coordinate table shared between stores
     g = preset("tildeA3")
     steps = []
-    real = search_module.row_step
+    real = search_module.row_terms
     monkeypatch.setattr(
-        search_module, "row_step", lambda row, coords: steps.append(1) or real(row, coords)
+        search_module, "row_terms", lambda row, coords: steps.append(1) or real(row, coords)
     )
     counts, stores = [], []
     for _ in range(2):
@@ -565,6 +620,7 @@ def test_find_pairs_decides_exactly_the_pairs_the_per_pair_filter_passes(monkeyp
         (c, f): _exact_scan(store, c, f) for c in (1, 2) for f in filters
     }
     calls = _decisions(monkeypatch)
+    ids = range(g.n)  # each record's coordinates, evaluated by themselves
     for criterion in (1, 2):
         points = search_module._evaluation_points(g, criterion)
         for root_filter in filters:
@@ -573,8 +629,8 @@ def test_find_pairs_decides_exactly_the_pairs_the_per_pair_filter_passes(monkeyp
                 (r1, r2)
                 for r1, r2 in visited
                 if _per_pair_filter(
-                    [search_module._left_images([r1], pt)[0] for pt in points],
-                    [search_module._right_images([r2], pt) for pt in points],
+                    [search_module._left_images(r1.coords, [ids], pt)[0] for pt in points],
+                    [search_module._right_images(r2.coords, [ids], pt) for pt in points],
                     0,
                 )
             ]
