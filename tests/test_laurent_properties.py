@@ -1,6 +1,7 @@
 """Property-based checks of Laurent arithmetic over Z, Z/5 and Z/6: the ring
 axioms, the canonical form, hashing, bar and shift, the JSON round trip,
-evaluation at units, the fused dot product, and ring mismatches."""
+evaluation at units, the fused dot product and row step, and ring
+mismatches."""
 
 from math import gcd
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burau.laurent import ZZ, IntegersMod, LaurentPoly
+from burau.laurent import ZZ, IntegersMod, LaurentPoly, row_step, row_terms
 
 RINGS = (ZZ, IntegersMod(5), IntegersMod(6))
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -164,6 +165,28 @@ def test_dot_is_the_sum_of_products(case):
         total = total + x * y
     assert LaurentPoly.dot(xs, ys) == total
     assert LaurentPoly.dot(iter(xs), iter(ys)) == total
+
+
+@SETTINGS
+@given(st.data())
+def test_row_terms_is_the_canonical_row_product(data):
+    # row_terms normalises its buffer by its own lines and the arithmetic
+    # by `_canonical`'s: both give one canonical form
+    ring = data.draw(st.sampled_from(RINGS))
+    coords = data.draw(st.lists(_polys(ring), min_size=1, max_size=4))
+    terms = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, len(coords) - 1), st.integers(-3, 3), st.integers(-4, 4)),
+            max_size=5,
+        )
+    )
+    expected = LaurentPoly.zero(ring)
+    for j, e, c in terms:
+        expected = expected + LaurentPoly.monomial(ring, e, c) * coords[j]
+    low, coeffs = row_terms(terms, coords)
+    _assert_canonical(LaurentPoly(ring, low, coeffs))
+    assert LaurentPoly(ring, low, coeffs) == expected
+    assert row_step(terms, coords) == expected
 
 
 @SETTINGS

@@ -172,8 +172,8 @@ def test_a_witness_inserted_after_the_enumeration_is_kept_as_given(tmp_path):
         assert store.by_root[record.root_key][-1] == index
         assert store.records[-1] is record
     (a, i1), (b, i2) = witnesses
-    pairs = find_pairs(store, 1, root_filter=(store.records[-2].root_key, store.records[-1].root_key))
-    assert (store.records[-2], store.records[-1]) in pairs
+    ra, rb = store.records[-2:]
+    assert (ra, rb) in find_pairs(store, 1, root_filter=(ra.root_key, rb.root_key))
     path = tmp_path / "store.json"
     store.save(path)
     loaded = CurveStore.load(path)
