@@ -384,11 +384,6 @@ class CurveRecords(Sequence):
             return list(self) == list(other)
         return NotImplemented
 
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"CurveRecords({list(self)!r})"
-
 
 def enumerate_curves(g: CoxeterGraph, budget: int = 10000) -> CurveStore:
     """Breadth-first orbit enumeration: apply every generator and inverse to
