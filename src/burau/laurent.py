@@ -83,21 +83,8 @@ def _normalised(p: int | None, low: int, buf: list) -> tuple:
 
 
 def _canonical(ring: CoefficientRing, low: int, buf: list) -> "LaurentPoly":
-    """The polynomial sum_k buf[k] q^(low + k), normalised as `_normalised`
-    does it; the arithmetic calls this once per result, so it repeats those
-    few lines rather than pay a second call."""
-    if ring.p is not None:
-        p = ring.p
-        buf = [c % p for c in buf]
-    end = len(buf)
-    while end and not buf[end - 1]:
-        end -= 1
-    if not end:
-        return LaurentPoly(ring, 0, ())
-    start = 0
-    while not buf[start]:
-        start += 1
-    return LaurentPoly(ring, low + start, tuple(buf[start:end]))
+    """The polynomial sum_k buf[k] q^(low + k), normalised by `_normalised`."""
+    return LaurentPoly(ring, *_normalised(ring.p, low, buf))
 
 
 @dataclass(frozen=True, slots=True)

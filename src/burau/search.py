@@ -57,7 +57,6 @@ from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat
 from operator import mul
 from typing import NamedTuple
 
@@ -247,9 +246,9 @@ class CurveStore:
         lanes = self._lanes
         return lanes.unpack(self._keys[index].to_bytes(lanes.size, "little"))
 
-    def _record(self, index: int, keep: bool = True) -> CurveRecord:
+    def _record(self, index: int) -> CurveRecord:
         """The record at a non-negative index, built on its first read and
-        then kept, unless `keep` is false."""
+        then kept."""
         built = self._built
         record = built.get(index)
         if record is not None:
@@ -271,8 +270,7 @@ class CurveStore:
         polys = self._polys
         coords = tuple([polys[i] for i in self._coordinate_ids(index)])
         record = CurveRecord(coords, tuple(prefix) + witness, vertex, self._memo_ref)
-        if keep:
-            built[index] = record
+        built[index] = record
         return record
 
     def insert(self, record: CurveRecord) -> bool:
@@ -315,9 +313,7 @@ class CurveStore:
         return self.insert(curve_record(self.graph, word, vertex))
 
     def to_json(self) -> dict:
-        """Every record's coordinates, witness and seed vertex; a record not
-        read before is built for the file and not kept."""
-        records = map(self._record, range(len(self)), repeat(False))
+        """Every record's coordinates, witness and seed vertex."""
         return {
             "graph": graph_json(self.graph),
             "records": [
@@ -326,7 +322,7 @@ class CurveStore:
                     "witness": list(r.witness),
                     "seed_vertex": r.seed_vertex,
                 }
-                for r in records
+                for r in self.records
             ],
         }
 

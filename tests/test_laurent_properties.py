@@ -170,8 +170,8 @@ def test_dot_is_the_sum_of_products(case):
 @SETTINGS
 @given(st.data())
 def test_row_terms_is_the_canonical_row_product(data):
-    # row_terms normalises its buffer by its own lines and the arithmetic
-    # by `_canonical`'s: both give one canonical form
+    # the row step and the ring arithmetic share one normalisation and
+    # give one canonical form
     ring = data.draw(st.sampled_from(RINGS))
     coords = data.draw(st.lists(_polys(ring), min_size=1, max_size=4))
     terms = data.draw(
